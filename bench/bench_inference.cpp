@@ -113,7 +113,7 @@ int main(int argc, char** argv) {
       common::SimdLevel level{};
       if (!common::parse_simd_level(argv[++i], level)) {
         std::cerr << "bench_inference: unknown --gemm-backend '" << argv[i]
-                  << "' (scalar|sse2|avx2)\n";
+                  << "' (scalar|avx2)\n";
         return 2;
       }
       const common::SimdLevel got = common::force_simd_level(level);
@@ -190,27 +190,6 @@ int main(int argc, char** argv) {
     }));
   }
 
-  // Arm 2b: the int8 quantized path at batch 32 (per-sample dynamic
-  // activation scales, exact int32 cores) — the deploy-mode companion
-  // number; accuracy deltas are gated by bench_robustness --quant. The
-  // fallback rate says how often the guard band re-scored a
-  // near-threshold window in float (high on this bench's random-ish
-  // scores; a trained detector is saturated and rarely falls back).
-  fence.mutable_engine().quantize();
-  double quant32_wps = 0.0;
-  double quant_fallback_rate = 0.0;
-  {
-    core::PipelineSession session(engine, 32, core::PipelineSession::Precision::Int8);
-    quant32_wps = throughput(num_windows, repeats, [&] {
-      const auto rounds = session.process_batch(batch);
-      checksum += rounds.back().probability;
-    });
-    if (session.windows_scored() > 0) {
-      quant_fallback_rate = static_cast<double>(session.int8_fallback_windows()) /
-                            static_cast<double>(session.windows_scored());
-    }
-  }
-
   // Arm 3: 1/2/4 sessions over one shared engine, disjoint shards. Each
   // session is constructed ON its worker thread (per-thread malloc arenas
   // put every session's scratch on disjoint pages — the false-sharing
@@ -272,9 +251,6 @@ int main(int argc, char** argv) {
               << batch_wps[i] / single_wps << "x single, " << gflops(batch_wps[i])
               << " GFLOP/s)\n";
   }
-  std::cout << "  int8 session batch 32: " << quant32_wps << " windows/s ("
-            << quant32_wps / single_wps << "x single, float-fallback rate "
-            << quant_fallback_rate << ")\n";
   for (std::size_t i = 0; i < session_counts.size(); ++i) {
     std::cout << "  " << session_counts[i] << " session(s), one engine: " << session_wps[i]
               << " windows/s [";
@@ -307,8 +283,7 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < batch_sizes.size(); ++i) {
     json << (i == 0 ? "" : ", ") << "\"" << batch_sizes[i] << "\": " << gflops(batch_wps[i]);
   }
-  json << "},\n  \"quant_batch32_wps\": " << quant32_wps
-       << ",\n  \"quant_fallback_rate\": " << quant_fallback_rate << ",\n  \"sessions_wps\": {";
+  json << "},\n  \"sessions_wps\": {";
   for (std::size_t i = 0; i < session_counts.size(); ++i) {
     json << (i == 0 ? "" : ", ") << "\"" << session_counts[i] << "\": " << session_wps[i];
   }

@@ -19,11 +19,6 @@
 //   --quick               CI preset (smaller training, 1 seed, 6 windows)
 //   --no-temporal         single-window detector only (the pre-temporal
 //                         baseline; reproduces the original blind spots)
-//   --quant               additionally re-run the matrix through the int8
-//                         quantized inference path and GATE the accuracy
-//                         delta: quantized blind spots must not exceed the
-//                         float run's, and no cell's detection F1 may drop
-//                         by more than 0.02 (exit non-zero otherwise)
 //   --families=a,b,...    run only these scenario families
 //   --workloads=a,b,...   run only these benign workloads (by name)
 // The family/workload filters reproduce one matrix cell without paying
@@ -61,7 +56,6 @@ std::vector<std::string> split_csv(std::string_view csv) {
 int main(int argc, char** argv) {
   bool quick = false;
   bool temporal = true;
-  bool quant = false;
   std::vector<std::string> family_filter;
   std::vector<std::string> workload_filter;
   for (int i = 1; i < argc; ++i) {
@@ -70,16 +64,13 @@ int main(int argc, char** argv) {
       quick = true;
     } else if (arg == "--no-temporal") {
       temporal = false;
-    } else if (arg == "--quant") {
-      quant = true;
     } else if (arg.starts_with("--families=")) {
       family_filter = split_csv(arg.substr(std::string_view("--families=").size()));
     } else if (arg.starts_with("--workloads=")) {
       workload_filter = split_csv(arg.substr(std::string_view("--workloads=").size()));
     } else {
       std::cerr << "unknown flag: " << arg
-                << " (expected --quick, --no-temporal, --quant, --families=..., "
-                   "--workloads=...)\n";
+                << " (expected --quick, --no-temporal, --families=..., --workloads=...)\n";
       return 2;
     }
   }
@@ -216,53 +207,6 @@ int main(int argc, char** argv) {
               << TextTable::cell(c->detection_f1, 2) << ")\n";
   }
 
-  // --quant: re-run the identical grid through the int8 inference path and
-  // gate the accuracy delta against the float run above. The quantized
-  // engine is round-tripped through a snapshot so the gate also covers
-  // serialization of the int8 tensors.
-  bool quant_pass = true;
-  std::size_t quant_blind_count = 0;
-  double quant_max_f1_drop = 0.0;
-  std::string quant_report_json;
-  if (quant) {
-    constexpr double kMaxF1Drop = 0.02;
-    std::cout << "\n--quant: re-running the matrix through the int8 quantized path...\n";
-    core::PipelineEngine qengine = model.make_engine();
-    qengine.quantize();
-    const runtime::ModelSnapshot qmodel = runtime::ModelSnapshot::capture(qengine);
-    cfg.threads = 1;
-    cfg.defense.precision = core::PipelineSession::Precision::Int8;
-    const runtime::CampaignResult qresult = run_campaign(cfg, qmodel);
-    const auto qreport =
-        runtime::RobustnessReport::from_campaign(qresult, cfg.families, workload_names);
-    quant_report_json = qreport.to_json();
-
-    std::cout << "\nDetection F1 (int8), family x workload:\n" << qreport.detection_matrix();
-    const auto qblind = qreport.blind_spots(0.5);
-    quant_blind_count = qblind.size();
-    for (std::size_t i = 0; i < report.cells().size(); ++i) {
-      const auto& f = report.cells()[i];
-      const auto& q = qreport.cells()[i];
-      if (f.jobs == 0) continue;
-      const double drop = f.detection_f1 - q.detection_f1;
-      quant_max_f1_drop = std::max(quant_max_f1_drop, drop);
-      if (drop > kMaxF1Drop) {
-        quant_pass = false;
-        std::cout << "QUANT GATE FAIL: " << f.family << " on " << f.workload << " detection F1 "
-                  << TextTable::cell(f.detection_f1, 4) << " -> "
-                  << TextTable::cell(q.detection_f1, 4) << " (drop > " << kMaxF1Drop << ")\n";
-      }
-    }
-    if (quant_blind_count > blind.size()) {
-      quant_pass = false;
-      std::cout << "QUANT GATE FAIL: blind spots grew from " << blind.size() << " (float) to "
-                << quant_blind_count << " (int8)\n";
-    }
-    std::cout << "\nquant gate: " << (quant_pass ? "PASS" : "FAIL") << " (max F1 drop "
-              << TextTable::cell(quant_max_f1_drop, 4) << ", blind spots " << blind.size()
-              << " float vs " << quant_blind_count << " int8)\n";
-  }
-
   std::ostringstream json;
   json << "{\n"
        << "  \"bench\": \"robustness\",\n"
@@ -274,19 +218,12 @@ int main(int argc, char** argv) {
        << "  \"jobs\": " << job_count << ",\n"
        << "  \"wall_seconds_1_thread\": " << wall_1t << ",\n"
        << "  \"blind_spots\": " << blind.size() << ",\n"
-       << "  \"quant\": " << (quant ? "true" : "false") << ",\n";
-  if (quant) {
-    json << "  \"quant_blind_spots\": " << quant_blind_count << ",\n"
-         << "  \"quant_max_f1_drop\": " << quant_max_f1_drop << ",\n"
-         << "  \"quant_gate_pass\": " << (quant_pass ? "true" : "false") << ",\n"
-         << "  \"quant_report\": " << quant_report_json << ",\n";
-  }
-  json << "  \"report\": " << report.to_json() << "\n"
+       << "  \"report\": " << report.to_json() << "\n"
        << "}\n";
 
   std::ofstream out("BENCH_robustness.json");
   out << json.str();
   std::cout << "\nwrote BENCH_robustness.json (" << report.cells().size() << " cells, "
             << blind.size() << " blind spots)\n";
-  return quant_pass ? 0 : 1;
+  return 0;
 }

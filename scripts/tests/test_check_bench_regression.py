@@ -121,6 +121,37 @@ class RepoBaselineTests(unittest.TestCase):
         self.assertEqual(resolution_failures, [],
                          "baseline keys no longer resolve in committed artifacts")
 
+    def test_committed_pass_flags_are_true(self):
+        # A committed artifact whose own gate flag reads false contradicts
+        # any claim made about it: every boolean *_pass, *_identical or
+        # deterministic* key in a committed BENCH_*.json must be true.
+        import fnmatch
+        import glob
+        import json
+        root = os.path.dirname(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))))
+        patterns = ("*_pass", "*_identical", "deterministic*")
+
+        def false_flags(node, path):
+            if isinstance(node, dict):
+                for key, value in node.items():
+                    here = f"{path}.{key}"
+                    if (isinstance(value, bool) and not value
+                            and any(fnmatch.fnmatchcase(key, p) for p in patterns)):
+                        yield here
+                    yield from false_flags(value, here)
+            elif isinstance(node, list):
+                for i, value in enumerate(node):
+                    yield from false_flags(value, f"{path}[{i}]")
+
+        artifacts = sorted(glob.glob(os.path.join(root, "BENCH_*.json")))
+        self.assertTrue(artifacts, "no committed BENCH_*.json found")
+        failing = []
+        for artifact in artifacts:
+            with open(artifact) as f:
+                failing.extend(false_flags(json.load(f), os.path.basename(artifact)))
+        self.assertEqual(failing, [], "committed artifacts carry false gate flags")
+
 
 if __name__ == "__main__":
     unittest.main()

@@ -11,16 +11,13 @@ SimdLevel detect() noexcept {
 #if defined(__x86_64__) || defined(__i386__)
   // __builtin_cpu_supports reads CPUID once per process (libgcc caches).
   if (__builtin_cpu_supports("avx2")) return SimdLevel::Avx2;
-  if (__builtin_cpu_supports("sse2")) return SimdLevel::Sse2;
-  return SimdLevel::Scalar;
-#else
-  return SimdLevel::Scalar;
 #endif
+  return SimdLevel::Scalar;
 }
 
-/// Environment clamp, read once at first dispatch. The env vars exist so
+/// Environment clamp, read once at first dispatch. The env var exists so
 /// CI (and any operator) can pin the scalar golden path on an identical
-/// binary: DL2F_FORCE_SCALAR=1 wins, else DL2F_GEMM_BACKEND names a tier.
+/// binary.
 SimdLevel env_ceiling() noexcept {
   // One-time read of a deployment-level kernel-tier override; every tier
   // is bitwise-identical, so this cannot make any result environment-
@@ -28,11 +25,6 @@ SimdLevel env_ceiling() noexcept {
   // lint-allow(DL001): bitwise-neutral kernel-tier override, see above
   if (const char* fs = std::getenv("DL2F_FORCE_SCALAR"); fs != nullptr && fs[0] == '1') {
     return SimdLevel::Scalar;
-  }
-  // lint-allow(DL001): same one-time override read as above.
-  if (const char* be = std::getenv("DL2F_GEMM_BACKEND"); be != nullptr) {
-    SimdLevel parsed{};
-    if (parse_simd_level(be, parsed)) return parsed;
   }
   return SimdLevel::Avx2;  // no override: detection alone decides
 }
@@ -73,8 +65,6 @@ SimdLevel force_simd_level(SimdLevel level) noexcept {
 bool parse_simd_level(std::string_view name, SimdLevel& out) noexcept {
   if (name == "scalar") {
     out = SimdLevel::Scalar;
-  } else if (name == "sse2") {
-    out = SimdLevel::Sse2;
   } else if (name == "avx2") {
     out = SimdLevel::Avx2;
   } else {
@@ -85,7 +75,6 @@ bool parse_simd_level(std::string_view name, SimdLevel& out) noexcept {
 
 const char* simd_level_name(SimdLevel level) noexcept {
   switch (level) {
-    case SimdLevel::Sse2: return "sse2";
     case SimdLevel::Avx2: return "avx2";
     case SimdLevel::Scalar: break;
   }

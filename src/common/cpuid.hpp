@@ -9,8 +9,7 @@
 // bit. The level is resolved once, on first query, from
 //
 //   min( what the CPU supports,
-//        what the DL2F_FORCE_SCALAR / DL2F_GEMM_BACKEND environment
-//        requests,
+//        Scalar if DL2F_FORCE_SCALAR=1 is set,
 //        what force_simd_level() was last told )
 //
 // and cached; benches report it (the `gemm_backend` JSON key) so every
@@ -26,18 +25,17 @@ namespace dl2f::common {
 /// order: every level's kernels run on hardware of any higher level.
 enum class SimdLevel : std::uint8_t {
   Scalar = 0,  ///< portable C++ (the golden reference; auto-vectorized)
-  Sse2 = 1,    ///< 4-lane explicit kernels (x86-64 baseline)
-  Avx2 = 2,    ///< 8-lane explicit kernels
+  Avx2 = 1,    ///< 8-lane explicit kernels
 };
 
 /// Highest level this CPU can execute, ignoring overrides. Non-x86
-/// builds report Scalar.
+/// builds and x86 CPUs without AVX2 report Scalar.
 [[nodiscard]] SimdLevel detected_simd_level() noexcept;
 
 /// The level the kernel dispatch actually uses: detected, clamped by the
-/// environment (DL2F_FORCE_SCALAR=1 pins Scalar; DL2F_GEMM_BACKEND=
-/// scalar|sse2|avx2 requests a tier) and by force_simd_level(). Resolved
-/// once and cached — cheap enough for per-call reads.
+/// environment (DL2F_FORCE_SCALAR=1 pins Scalar) and by
+/// force_simd_level(). Resolved once and cached — cheap enough for
+/// per-call reads.
 [[nodiscard]] SimdLevel active_simd_level() noexcept;
 
 /// Programmatic override (bench --gemm-backend, parity tests): request a
@@ -47,9 +45,8 @@ enum class SimdLevel : std::uint8_t {
 /// during setup, before scoring threads start.
 SimdLevel force_simd_level(SimdLevel level) noexcept;
 
-/// Parse "scalar"/"sse2"/"avx2" (case-sensitive, the spelling the env
-/// var and bench flags use). Returns false and leaves `out` untouched on
-/// any other input.
+/// Parse "scalar"/"avx2" (case-sensitive, the spelling bench flags use).
+/// Returns false and leaves `out` untouched on any other input.
 [[nodiscard]] bool parse_simd_level(std::string_view name, SimdLevel& out) noexcept;
 
 /// Stable lower-case name for reports and JSON artifacts.

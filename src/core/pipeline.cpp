@@ -1,7 +1,6 @@
 #include "core/pipeline.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <istream>
 #include <iterator>
 #include <stdexcept>
@@ -41,75 +40,14 @@ PipelineEngine::PipelineEngine(const Dl2FenceConfig& cfg, std::istream& detector
   }
 }
 
-void PipelineEngine::quantize() {
-  detector_quant_ = nn::QuantizedSequential::from_model(detector_.model(), detector_.input_shape());
-  localizer_quant_ =
-      nn::QuantizedSequential::from_model(localizer_.model(), localizer_.input_shape());
-}
-
-void PipelineEngine::load_quantized(std::istream& detector_blob, std::istream& localizer_blob) {
-  if (!detector_quant_.load(detector_blob, detector_.model(), detector_.input_shape()) ||
-      !localizer_quant_.load(localizer_blob, localizer_.model(), localizer_.input_shape())) {
-    throw std::runtime_error("PipelineEngine: quantized blob does not match the architecture");
-  }
-}
-
-PipelineSession::PipelineSession(const PipelineEngine& engine, std::int32_t max_batch,
-                                 Precision precision)
-    : engine_(&engine), max_batch_(std::max(max_batch, 1)),
-      quantized_(precision == Precision::Int8),
-      staged_probs_(static_cast<std::size_t>(std::max(max_batch, 1)), 0.0F) {
+PipelineSession::PipelineSession(const PipelineEngine& engine, std::int32_t max_batch)
+    : engine_(&engine), max_batch_(std::max(max_batch, 1)) {
   detector_ctx_.bind(engine.detector().model(), engine.detector().input_shape(), max_batch_);
   localizer_ctx_.bind(engine.localizer().model(), engine.localizer().input_shape(),
                       static_cast<std::int32_t>(kNumMeshDirections));
   if (engine.has_temporal()) {
     temporal_ctx_.bind(engine.temporal().model(), engine.temporal().input_shape(), 1);
   }
-  if (quantized_) {
-    if (!engine.has_quantized()) {
-      throw std::runtime_error("PipelineSession: Int8 precision requires engine.quantize()");
-    }
-    // Reserve the int8/int32 staging up front — scoring runs under
-    // NoAllocScope, same as the float path.
-    detector_ctx_.reserve_bytes(engine.detector_quant().scratch_bytes());
-    localizer_ctx_.reserve_bytes(engine.localizer_quant().scratch_bytes());
-  }
-}
-
-const float* PipelineSession::score_staged(std::int32_t n) {
-  windows_scored_ += static_cast<std::uint64_t>(n);
-  if (!quantized_) {
-    const nn::Tensor4& out = engine_->detector().model().infer_batch(detector_ctx_);
-    for (std::int32_t i = 0; i < n; ++i) {
-      staged_probs_[static_cast<std::size_t>(i)] = out.sample(i)[0];
-    }
-    return staged_probs_.data();
-  }
-  const nn::Tensor4& q = engine_->detector_quant().infer_batch(detector_ctx_);
-  for (std::int32_t i = 0; i < n; ++i) {
-    staged_probs_[static_cast<std::size_t>(i)] = q.sample(i)[0];
-  }
-  // Guard band (kInt8FallbackMargin): re-score near-threshold windows
-  // through the float model. The staged input (acts[0]) is untouched by
-  // inference, so the float pass reuses it directly; confident windows
-  // keep their int8 score, so every window's probability still depends
-  // only on that window.
-  const float thr = engine_->config().detector.threshold;
-  bool any_ambiguous = false;
-  for (std::int32_t i = 0; i < n; ++i) {
-    any_ambiguous |= std::fabs(staged_probs_[static_cast<std::size_t>(i)] - thr) <=
-                     kInt8FallbackMargin;
-  }
-  if (any_ambiguous) {
-    const nn::Tensor4& f = engine_->detector().model().infer_batch(detector_ctx_);
-    for (std::int32_t i = 0; i < n; ++i) {
-      if (std::fabs(staged_probs_[static_cast<std::size_t>(i)] - thr) <= kInt8FallbackMargin) {
-        staged_probs_[static_cast<std::size_t>(i)] = f.sample(i)[0];
-        ++int8_fallback_windows_;
-      }
-    }
-  }
-  return staged_probs_.data();
 }
 
 void PipelineSession::localize_into(const monitor::FrameSample& sample, RoundResult& r) {
@@ -129,38 +67,7 @@ void PipelineSession::localize_into(const monitor::FrameSample& sample, RoundRes
     for (std::size_t d = 0; d < kNumMeshDirections; ++d) {
       localizer.preprocess_into(frames[d], in, static_cast<std::int32_t>(d));
     }
-    if (quantized_) {
-      ++frames_localized_;
-      const nn::Tensor4& qseg = engine_->localizer_quant().infer_batch(localizer_ctx_);
-      // Guard band, segmentation side: the campaign loop is CLOSED —
-      // fences raised off these maps reshape the traffic every later
-      // window sees, so one pixel thresholded differently from float
-      // cascades into a diverged trajectory. If any pixel is within
-      // the margin of the localizer threshold, re-score the frame in
-      // float; otherwise the int8 binary maps (and the fences) match
-      // float's exactly whenever the int8 pixel error stays under the
-      // margin.
-      const float lthr = cfg.localizer.threshold;
-      bool ambiguous = false;
-      for (std::size_t d = 0; d < kNumMeshDirections && !ambiguous; ++d) {
-        const float* soft = qseg.sample(static_cast<std::int32_t>(d));
-        const std::size_t pixels = qseg.sample_size();
-        for (std::size_t i = 0; i < pixels; ++i) {
-          if (std::fabs(soft[i] - lthr) <= kInt8FallbackMargin) {
-            ambiguous = true;
-            break;
-          }
-        }
-      }
-      if (ambiguous) {
-        ++int8_fallback_frames_;
-        seg_out = &localizer.model().infer_batch(localizer_ctx_);
-      } else {
-        seg_out = &qseg;
-      }
-    } else {
-      seg_out = &localizer.model().infer_batch(localizer_ctx_);
-    }
+    seg_out = &localizer.model().infer_batch(localizer_ctx_);
   }
   const nn::Tensor4& seg = *seg_out;
 
@@ -194,8 +101,10 @@ void PipelineSession::detect_chunk(monitor::WindowBatch chunk, std::size_t base,
   for (std::size_t i = 0; i < chunk.size(); ++i) {
     detector.preprocess_into(chunk[i], in, static_cast<std::int32_t>(i));
   }
-  const float* scores = score_staged(static_cast<std::int32_t>(chunk.size()));
-  for (std::size_t i = 0; i < chunk.size(); ++i) probabilities[base + i] = scores[i];
+  const nn::Tensor4& out = detector.model().infer_batch(detector_ctx_);
+  for (std::size_t i = 0; i < chunk.size(); ++i) {
+    probabilities[base + i] = out.sample(static_cast<std::int32_t>(i))[0];
+  }
 }
 
 RoundResult PipelineSession::process(const monitor::FrameSample& sample) {
@@ -203,7 +112,7 @@ RoundResult PipelineSession::process(const monitor::FrameSample& sample) {
   nn::Tensor4& in = detector_ctx_.input(1);
   detector.preprocess_into(sample, in, 0);
   RoundResult r;
-  r.probability = score_staged(1)[0];
+  r.probability = detector.model().infer_batch(detector_ctx_).sample(0)[0];
   r.detected = r.probability > engine_->config().detector.threshold;
   if (r.detected) localize_into(sample, r);
   return r;
@@ -248,7 +157,7 @@ RoundResult PipelineSession::process_sequence(monitor::SequenceView seq) {
   nn::Tensor4& in = detector_ctx_.input(1);
   detector.preprocess_into(newest, in, 0);
   RoundResult r;
-  r.probability = score_staged(1)[0];
+  r.probability = detector.model().infer_batch(detector_ctx_).sample(0)[0];
   const bool single = r.probability > engine_->config().detector.threshold;
 
   const temporal::TemporalDetectorConfig& tcfg = engine_->config().temporal;

@@ -290,69 +290,9 @@ void avx2_conv_grad_input(const float* g, const float* w, std::int32_t in_c, std
   impl_conv_grad_input(avx2_axpy, g, w, in_c, ih, iw, k, pad, out_c, gi);
 }
 
-void avx2_gemm_s8_s32(std::int32_t m, std::int32_t n, std::int32_t k, const std::int8_t* a,
-                      std::int32_t lda, const std::int8_t* b, std::int32_t ldb, std::int32_t* c,
-                      std::int32_t ldc) {
-  // int32 accumulation is exact, so any lane scheme matches the scalar
-  // kernel bit for bit. Widening is sign-extension + 32-bit multiplies
-  // (no maddubs: its intermediate i16 saturation would break exactness).
-  for (std::int32_t i = 0; i < m; ++i) {
-    const std::int8_t* ar = a + static_cast<std::size_t>(i) * static_cast<std::size_t>(lda);
-    std::int32_t* cr = c + static_cast<std::size_t>(i) * static_cast<std::size_t>(ldc);
-    std::int32_t j = 0;
-    for (; j + 8 <= n; j += 8) {
-      __m256i acc = _mm256_setzero_si256();
-      for (std::int32_t p = 0; p < k; ++p) {
-        const std::int32_t s = ar[p];
-        if (s == 0) continue;
-        const __m128i raw = _mm_loadl_epi64(reinterpret_cast<const __m128i*>(
-            b + static_cast<std::size_t>(p) * static_cast<std::size_t>(ldb) + j));
-        const __m256i vb = _mm256_cvtepi8_epi32(raw);
-        acc = _mm256_add_epi32(acc, _mm256_mullo_epi32(_mm256_set1_epi32(s), vb));
-      }
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(cr + j), acc);
-    }
-    for (; j < n; ++j) {
-      std::int32_t acc = 0;
-      for (std::int32_t p = 0; p < k; ++p) {
-        const std::int32_t s = ar[p];
-        if (s == 0) continue;
-        acc += s * static_cast<std::int32_t>(
-                       b[static_cast<std::size_t>(p) * static_cast<std::size_t>(ldb) + j]);
-      }
-      cr[j] = acc;
-    }
-  }
-}
-
-void avx2_quantize_s8(const float* src, std::int32_t n, float inv_scale, std::int8_t* dst) {
-  // clamp-then-convert: _mm256_cvtps_epi32 rounds to nearest-even
-  // (default MXCSR) and clamping at the integral bounds +/-127 before
-  // rounding yields the same integer as the scalar round-then-clamp for
-  // every finite input — both paths are monotone and agree inside the
-  // bounds, and values at or beyond them land on +/-127 either way.
-  const __m256 vinv = _mm256_set1_ps(inv_scale);
-  const __m256 vlo = _mm256_set1_ps(-127.0F);
-  const __m256 vhi = _mm256_set1_ps(127.0F);
-  std::int32_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256 v =
-        _mm256_min_ps(vhi, _mm256_max_ps(vlo, _mm256_mul_ps(_mm256_loadu_ps(src + i), vinv)));
-    const __m256i q = _mm256_cvtps_epi32(v);
-    const __m128i w16 = _mm_packs_epi32(_mm256_castsi256_si128(q), _mm256_extracti128_si256(q, 1));
-    const __m128i w8 = _mm_packs_epi16(w16, w16);
-    _mm_storel_epi64(reinterpret_cast<__m128i*>(dst + i), w8);
-  }
-  for (; i < n; ++i) {
-    float r = std::nearbyintf(src[i] * inv_scale);
-    r = std::min(127.0F, std::max(-127.0F, r));
-    dst[i] = static_cast<std::int8_t>(static_cast<std::int32_t>(r));
-  }
-}
-
 constexpr GemmKernels kAvx2Kernels = {
-    avx2_gemm_bias,         impl_im2col,          impl_im2row,      avx2_skipzero,
-    avx2_conv_forward_valid, avx2_conv_grad_input, avx2_gemm_s8_s32, avx2_quantize_s8,
+    avx2_gemm_bias,          impl_im2col,          impl_im2row, avx2_skipzero,
+    avx2_conv_forward_valid, avx2_conv_grad_input,
 };
 
 #else  // non-x86: the tier aliases the portable bodies of this TU.
@@ -376,8 +316,8 @@ void fallback_conv_grad_input(const float* g, const float* w, std::int32_t in_c,
 }
 
 constexpr GemmKernels kAvx2Kernels = {
-    fallback_gemm_bias,      impl_im2col,              impl_im2row,      fallback_skipzero,
-    impl_conv_forward_valid, fallback_conv_grad_input, impl_gemm_s8_s32, impl_quantize_s8,
+    fallback_gemm_bias,      impl_im2col,              impl_im2row, fallback_skipzero,
+    impl_conv_forward_valid, fallback_conv_grad_input,
 };
 
 #endif

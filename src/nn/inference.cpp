@@ -62,10 +62,6 @@ void InferenceContext::bind(const Sequential& model, const Tensor3& input_shape,
 #endif
 }
 
-void InferenceContext::reserve_bytes(std::size_t bytes) {
-  if (byte_scratch_.size() < bytes) byte_scratch_.assign(bytes, std::byte{0});
-}
-
 void InferenceContext::bind_train(const Sequential& model, const Tensor3& input_shape,
                                   std::int32_t max_batch) {
   const bool was_train = train_;

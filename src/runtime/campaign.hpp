@@ -31,20 +31,18 @@ struct ModelSnapshot {
   /// Temporal sequence head blob; empty when the engine has none (the
   /// config's enable_temporal flag and this blob travel together).
   std::string temporal_weights;
-  /// Int8 twins (nn::QuantizedSequential::save blobs); empty when the
-  /// captured engine was never quantized. Round-trip exactly: restoring
-  /// reloads the serialized int8 tensors rather than re-deriving them.
-  std::string detector_quant_weights;
-  std::string localizer_quant_weights;
 
   static ModelSnapshot capture(const core::PipelineEngine& engine);
   static ModelSnapshot capture(const core::Dl2Fence& fence);
 
   /// Deserialize into a shareable engine (the one weight load a campaign
-  /// performs). Throws std::runtime_error on an architecture mismatch.
+  /// performs). Throws std::runtime_error on an architecture mismatch,
+  /// including a temporal blob without config.enable_temporal or the
+  /// reverse.
   [[nodiscard]] core::PipelineEngine make_engine() const;
 
   /// Deprecated: rebuild a live shim pipeline from the frozen weights.
+  /// Throws like make_engine().
   [[nodiscard]] core::Dl2Fence restore() const;
 };
 

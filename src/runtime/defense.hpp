@@ -46,10 +46,6 @@ struct DefenseConfig {
   /// systematic false positive. Any attacker the fence missed still
   /// floods the current window and is caught by the single-window path.
   std::int32_t temporal_cooldown_windows = 1;
-  /// Score windows through the engine's int8 quantized detector/localizer
-  /// instead of float32. Requires an engine carrying quantized weights
-  /// (PipelineEngine::quantize() or a snapshot with quant blobs).
-  core::PipelineSession::Precision precision = core::PipelineSession::Precision::Float32;
 };
 
 /// Everything observed and done in one monitoring window.

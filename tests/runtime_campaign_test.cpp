@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
 
 namespace dl2f::runtime {
 namespace {
@@ -49,6 +50,22 @@ TEST(ModelSnapshot, RoundTripsWeightsExactly) {
   }
   EXPECT_FLOAT_EQ(a.detector().predict_probability(sample),
                   b.detector().predict_probability(sample));
+}
+
+TEST(ModelSnapshot, TemporalFlagAndBlobMustTravelTogether) {
+  // Config enables the temporal head, but the blob is missing: loading
+  // must fail instead of scoring with an untrained head.
+  ModelSnapshot missing_blob = deterministic_snapshot();
+  missing_blob.config.enable_temporal = true;
+  missing_blob.config.temporal.mesh = missing_blob.config.detector.mesh;
+  EXPECT_THROW((void)missing_blob.make_engine(), std::runtime_error);
+  EXPECT_THROW((void)missing_blob.restore(), std::runtime_error);
+
+  // The reverse mismatch: a temporal blob the config cannot hold.
+  ModelSnapshot stray_blob = deterministic_snapshot();
+  stray_blob.temporal_weights = "not empty";
+  EXPECT_THROW((void)stray_blob.make_engine(), std::runtime_error);
+  EXPECT_THROW((void)stray_blob.restore(), std::runtime_error);
 }
 
 TEST(Campaign, JobsComeBackInGridOrder) {
