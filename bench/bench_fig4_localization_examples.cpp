@@ -67,8 +67,8 @@ monitor::FrameSample capture_window(const MeshShape& mesh,
   return s;
 }
 
-void report(const char* label, core::Dl2Fence& framework, const monitor::FrameSample& s) {
-  const auto r = framework.localize(s);
+void report(const char* label, const core::PipelineEngine& engine, const monitor::FrameSample& s) {
+  const auto r = core::PipelineSession(engine).localize(s);
   core::LocalizationScore score;
   score.add(r.victims, s.victim_truth);
   const auto m = score.metrics();
@@ -78,7 +78,7 @@ void report(const char* label, core::Dl2Fence& framework, const monitor::FrameSa
   for (NodeId a : r.tlm.attackers) std::cout << ' ' << a;
   std::cout << '\n';
   if (std::string_view(label) == "BOC") {
-    print_node_map(framework.geometry().mesh(), r.victims, s.victim_truth, s.scenario);
+    print_node_map(engine.geometry().mesh(), r.victims, s.victim_truth, s.scenario);
   }
 }
 
@@ -105,13 +105,13 @@ int main() {
 
   core::Dl2FenceConfig vco_cfg = core::Dl2FenceConfig::paper_default(mesh);
   vco_cfg.localizer.feature = core::Feature::Vco;
-  core::Dl2Fence vco_framework(vco_cfg);
-  core::Dl2Fence boc_framework(core::Dl2FenceConfig::paper_default(mesh));
+  core::PipelineEngine vco_engine(vco_cfg);
+  core::PipelineEngine boc_engine(core::Dl2FenceConfig::paper_default(mesh));
 
   core::LocalizerTrainConfig loc_cfg;
   loc_cfg.epochs = preset.localizer_epochs;
-  core::train_localizer(vco_framework.localizer(), train, loc_cfg);
-  core::train_localizer(boc_framework.localizer(), train, loc_cfg);
+  core::train_localizer(vco_engine.mutable_localizer(), train, loc_cfg);
+  core::train_localizer(boc_engine.mutable_localizer(), train, loc_cfg);
 
   // The paper's two showcase scenarios.
   traffic::AttackScenario one;
@@ -125,13 +125,13 @@ int main() {
 
   std::cout << "\nExample 1: attacker node 104, victim node 0\n";
   const auto w1 = capture_window(mesh, one, 0xE1);
-  report("VCO", vco_framework, w1);
-  report("BOC", boc_framework, w1);
+  report("VCO", vco_engine, w1);
+  report("BOC", boc_engine, w1);
 
   std::cout << "\nExample 2: attacker nodes 192, 15, victim node 85\n";
   const auto w2 = capture_window(mesh, two, 0xE2);
-  report("VCO", vco_framework, w2);
-  report("BOC", boc_framework, w2);
+  report("VCO", vco_engine, w2);
+  report("BOC", boc_engine, w2);
 
   std::cout << "\nPaper reference: example 1 BOC acc/prec/recall = 1/1/1; "
                "example 2 BOC = 0.96/1/0.96; VCO shows incomplete routes.\n";

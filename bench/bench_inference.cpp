@@ -135,11 +135,10 @@ int main(int argc, char** argv) {
 
   // Deterministically initialized weights: throughput does not care about
   // model quality, parity checks care about determinism.
-  core::Dl2Fence fence(cfg);
+  core::PipelineEngine engine(cfg);
   Rng det_rng(7), loc_rng(8);
-  fence.detector().model().init_weights(det_rng);
-  fence.localizer().model().init_weights(loc_rng);
-  const core::PipelineEngine& engine = fence.engine();
+  engine.mutable_detector().model().init_weights(det_rng);
+  engine.mutable_localizer().model().init_weights(loc_rng);
 
   const monitor::FrameGeometry geom(mesh);
   Rng data_rng(0x5eed);
@@ -161,7 +160,7 @@ int main(int argc, char** argv) {
     core::PipelineSession session(engine);
     const std::vector<float> batched = session.detect_batch(batch);
     for (std::size_t i = 0; i < windows.size(); ++i) {
-      const float legacy = fence.detector().predict_probability(windows[i]);
+      const float legacy = engine.mutable_detector().predict_probability(windows[i]);
       if (std::memcmp(&legacy, &batched[i], sizeof(float)) != 0) {
         std::cerr << "PARITY FAILURE at window " << i << ": legacy " << legacy << " vs batched "
                   << batched[i] << "\n";
@@ -176,7 +175,7 @@ int main(int argc, char** argv) {
 
   // Arm 1: the seed's per-window cost (mutable forward, allocates per layer).
   const double single_wps = throughput(num_windows, repeats, [&] {
-    for (const auto& w : windows) checksum += fence.detector().predict_probability(w);
+    for (const auto& w : windows) checksum += engine.mutable_detector().predict_probability(w);
   });
 
   // Arm 2: session batch sizes 1 / 8 / 32.

@@ -36,22 +36,14 @@ int main() {
   const auto split = monitor::split_dataset(data, preset.test_fraction, 0x7B);
 
   // DL2Fence: CNN detector (VCO) + CNN segmenter (BOC) + MFF/TLM.
-  core::Dl2Fence framework(core::Dl2FenceConfig::paper_default(mesh));
+  core::PipelineEngine engine(core::Dl2FenceConfig::paper_default(mesh));
   core::TrainConfig det_cfg;
   det_cfg.epochs = preset.detector_epochs;
-  core::train_detector(framework.detector(), split.train, det_cfg);
+  core::train_detector(engine.mutable_detector(), split.train, det_cfg);
   core::LocalizerTrainConfig loc_cfg;
   loc_cfg.epochs = preset.localizer_epochs;
-  core::train_localizer(framework.localizer(), split.train, loc_cfg);
-
-  const auto cnn_detection =
-      core::detection_metrics(core::evaluate_detector(framework.detector(), split.test));
-  core::LocalizationScore loc_score;
-  for (const auto& s : split.test.samples) {
-    if (!s.under_attack) continue;
-    loc_score.add(framework.localize(s).victims, s.victim_truth);
-  }
-  const auto cnn_localization = loc_score.metrics();
+  core::train_localizer(engine.mutable_localizer(), split.train, loc_cfg);
+  const core::BenchmarkScore cnn = core::score_benchmark(engine, "STP", split.test);
 
   // Baselines on identical flattened VCO features.
   const auto train_flat = baseline::to_labeled_data(split.train, core::Feature::Vco);
@@ -75,10 +67,10 @@ int main() {
   }
   table.add_row({"CNN Classifier+Segmentor (ours)",
                  TextTable::cell(ours8, 2) + "%@8x8 / " + TextTable::cell(ours16, 2) + "%@16x16",
-                 TextTable::cell(cnn_detection.accuracy, 3),
-                 TextTable::cell(cnn_detection.precision, 3),
-                 TextTable::cell(cnn_localization.accuracy, 3),
-                 TextTable::cell(cnn_localization.precision, 3)});
+                 TextTable::cell(cnn.detection.accuracy, 3),
+                 TextTable::cell(cnn.detection.precision, 3),
+                 TextTable::cell(cnn.localization.accuracy, 3),
+                 TextTable::cell(cnn.localization.precision, 3)});
   std::cout << table << "\n";
   std::cout << "Paper reference: [2] D-acc 97.6% @8x8; [13] D-acc 95.5% @4x4; [8] D-acc ~96% "
                "@4x4; ours D-acc 95.8% / D-prec 98.5% / L-acc 91.7% / L-prec 99.3% @16x16.\n"

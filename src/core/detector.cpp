@@ -1,7 +1,6 @@
 #include "core/detector.hpp"
 
 #include <algorithm>
-#include <iostream>
 #include <numeric>
 
 #include "nn/train.hpp"
@@ -65,10 +64,6 @@ float DoSDetector::predict_probability(const monitor::FrameSample& sample) {
   return model_.forward(preprocess(sample)).data()[0];
 }
 
-bool DoSDetector::predict(const monitor::FrameSample& sample) {
-  return predict_probability(sample) > cfg_.threshold;
-}
-
 TrainReport train_detector(DoSDetector& detector, const monitor::Dataset& data,
                            const TrainConfig& cfg) {
   Rng rng(cfg.seed);
@@ -89,10 +84,9 @@ TrainReport train_detector(DoSDetector& detector, const monitor::Dataset& data,
     const float target = data.samples[item].under_attack ? 1.0F : 0.0F;
     return {nn::bce_loss_into(pred, &target, n, 1.0F, grad), 0.0};
   };
-  const auto on_epoch = [&](std::int32_t epoch, float mean_loss, double /*metric*/) {
+  const auto on_epoch = [&](std::int32_t /*epoch*/, float mean_loss, double /*metric*/) {
     report.final_loss = mean_loss;
     ++report.epochs_run;
-    if (cfg.verbose) std::cout << "detector epoch " << epoch << " loss " << mean_loss << '\n';
   };
   nn::batch_train(detector.model(), optimizer, detector.input_shape(), data.samples.size(), stage,
                   loss, bt, rng, on_epoch);
@@ -128,19 +122,8 @@ TrainReport train_detector_reference(DoSDetector& detector, const monitor::Datas
     }
     report.final_loss = epoch_loss / static_cast<float>(std::max<std::size_t>(order.size(), 1));
     ++report.epochs_run;
-    if (cfg.verbose) {
-      std::cout << "detector epoch " << epoch << " loss " << report.final_loss << '\n';
-    }
   }
   return report;
-}
-
-ConfusionMatrix evaluate_detector(DoSDetector& detector, const monitor::Dataset& data) {
-  ConfusionMatrix cm;
-  for (const auto& sample : data.samples) {
-    cm.add(detector.predict(sample), sample.under_attack);
-  }
-  return cm;
 }
 
 }  // namespace dl2f::core

@@ -11,7 +11,6 @@
 // 14 x 13 x 8 and pooled output 7 x 6 x 8 ("(R-9) x (R-10) x 8").
 #pragma once
 
-#include "common/metrics.hpp"
 #include "core/feature.hpp"
 #include "monitor/dataset.hpp"
 #include "nn/layers.hpp"
@@ -52,10 +51,10 @@ class DoSDetector {
                        cfg_.mesh.cols() - 1);
   }
 
-  /// Training-path prediction (mutable forward). The inference path goes
-  /// through core::PipelineSession instead.
+  /// Training-path prediction (mutable per-sample forward), kept as the
+  /// parity oracle for the batched path. Inference goes through
+  /// core::PipelineSession instead.
   [[nodiscard]] float predict_probability(const monitor::FrameSample& sample);
-  [[nodiscard]] bool predict(const monitor::FrameSample& sample);
 
   [[nodiscard]] nn::Sequential& model() noexcept { return model_; }
   [[nodiscard]] const nn::Sequential& model() const noexcept { return model_; }
@@ -70,7 +69,6 @@ struct TrainConfig {
   std::int32_t batch_size = 8;
   float learning_rate = 1e-3F;
   std::uint64_t seed = 42;
-  bool verbose = false;
   /// Data-parallel training workers (nn::batch_train). Trained weights are
   /// byte-identical for a given seed at ANY thread count — the gradient
   /// reduction runs over fixed-size slices in fixed order.
@@ -94,9 +92,5 @@ TrainReport train_detector(DoSDetector& detector, const monitor::Dataset& data,
 /// is benchmarked against (bench_train) — cfg.threads is ignored.
 TrainReport train_detector_reference(DoSDetector& detector, const monitor::Dataset& data,
                                      const TrainConfig& cfg);
-
-/// Per-sample detection confusion matrix over a dataset.
-[[nodiscard]] ConfusionMatrix evaluate_detector(DoSDetector& detector,
-                                                const monitor::Dataset& data);
 
 }  // namespace dl2f::core

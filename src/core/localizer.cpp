@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <iostream>
 #include <numeric>
 
 #include "nn/train.hpp"
@@ -48,23 +47,6 @@ void DoSLocalizer::preprocess_into(const Frame& frame, nn::Tensor4& batch,
       for (std::size_t i = 0; i < data.size(); ++i) dst[i] /= m;
     }
   }
-}
-
-Frame DoSLocalizer::segment(const Frame& frame) {
-  return model_.forward(preprocess(frame)).to_frame();
-}
-
-Frame DoSLocalizer::segment_binary(const Frame& frame) {
-  return segment(frame).binarized(cfg_.threshold);
-}
-
-monitor::DirectionalFrames DoSLocalizer::segment_all(const monitor::FrameSample& sample) {
-  const auto& frames = cfg_.feature == Feature::Vco ? sample.vco : sample.boc;
-  monitor::DirectionalFrames out;
-  for (Direction d : kMeshDirections) {
-    monitor::frame_of(out, d) = segment_binary(monitor::frame_of(frames, d));
-  }
-  return out;
 }
 
 namespace {
@@ -116,14 +98,10 @@ LocalizerTrainReport train_localizer(DoSLocalizer& localizer, const monitor::Dat
     r.metric = nn::dice_score_raw(pred, target, n);
     return r;
   };
-  const auto on_epoch = [&](std::int32_t epoch, float mean_loss, double mean_dice) {
+  const auto on_epoch = [&](std::int32_t /*epoch*/, float mean_loss, double mean_dice) {
     report.final_loss = mean_loss;
     report.final_dice = mean_dice;
     ++report.epochs_run;
-    if (cfg.verbose) {
-      std::cout << "localizer epoch " << epoch << " loss " << mean_loss << " dice " << mean_dice
-                << '\n';
-    }
   };
   nn::batch_train(localizer.model(), optimizer, localizer.input_shape(), items.size(), stage,
                   loss, bt, rng, on_epoch);
@@ -168,29 +146,8 @@ LocalizerTrainReport train_localizer_reference(DoSLocalizer& localizer,
     report.final_loss = epoch_loss / n;
     report.final_dice = epoch_dice / n;
     ++report.epochs_run;
-    if (cfg.verbose) {
-      std::cout << "localizer epoch " << epoch << " loss " << report.final_loss << " dice "
-                << report.final_dice << '\n';
-    }
   }
   return report;
-}
-
-double evaluate_localizer_dice(DoSLocalizer& localizer, const monitor::Dataset& data) {
-  const auto feature = localizer.config().feature;
-  double total = 0.0;
-  std::int64_t count = 0;
-  for (const auto& s : data.samples) {
-    if (!s.under_attack) continue;
-    const auto& frames = feature == Feature::Vco ? s.vco : s.boc;
-    for (Direction d : kMeshDirections) {
-      const Frame seg = localizer.segment_binary(monitor::frame_of(frames, d));
-      const auto target = nn::Tensor3::from_frame(monitor::frame_of(s.port_truth, d));
-      total += nn::dice_score(nn::Tensor3::from_frame(seg), target);
-      ++count;
-    }
-  }
-  return count == 0 ? 1.0 : total / static_cast<double>(count);
 }
 
 }  // namespace dl2f::core

@@ -53,13 +53,6 @@ class DoSLocalizer {
     return nn::Tensor3(1, cfg_.mesh.rows(), cfg_.mesh.cols() - 1);
   }
 
-  /// Soft segmentation (sigmoid map) of one directional frame.
-  [[nodiscard]] Frame segment(const Frame& frame);
-  /// Binarized segmentation of one directional frame.
-  [[nodiscard]] Frame segment_binary(const Frame& frame);
-  /// Segment all four directional frames of a sample's configured feature.
-  [[nodiscard]] monitor::DirectionalFrames segment_all(const monitor::FrameSample& sample);
-
   [[nodiscard]] nn::Sequential& model() noexcept { return model_; }
   [[nodiscard]] const nn::Sequential& model() const noexcept { return model_; }
 
@@ -75,7 +68,6 @@ struct LocalizerTrainConfig {
   float dice_weight = 1.0F;     ///< loss = weighted BCE + dice_weight * Dice
   float positive_weight = 8.0F; ///< BCE class weight for route pixels (<10% of a frame)
   std::uint64_t seed = 43;
-  bool verbose = false;
   /// Data-parallel training workers (nn::batch_train). Trained weights are
   /// byte-identical for a given seed at ANY thread count.
   std::int32_t threads = 1;
@@ -100,10 +92,5 @@ LocalizerTrainReport train_localizer(DoSLocalizer& localizer, const monitor::Dat
 LocalizerTrainReport train_localizer_reference(DoSLocalizer& localizer,
                                                const monitor::Dataset& data,
                                                const LocalizerTrainConfig& cfg);
-
-/// Mean dice score of binarized segmentations against port truth across
-/// all attack-sample directional frames.
-[[nodiscard]] double evaluate_localizer_dice(DoSLocalizer& localizer,
-                                             const monitor::Dataset& data);
 
 }  // namespace dl2f::core

@@ -11,9 +11,15 @@ namespace dl2f::core {
 
 PipelineEngine::PipelineEngine(const Dl2FenceConfig& cfg)
     : cfg_(cfg), geom_(cfg.detector.mesh), detector_(cfg.detector), localizer_(cfg.localizer) {
-  assert(cfg.detector.mesh == cfg.localizer.mesh);
+  // Sessions size each arena from its own model but walk every frame with
+  // the detector's geometry, so a mismatch would overrun the arenas.
+  if (!(cfg.localizer.mesh == cfg.detector.mesh)) {
+    throw std::invalid_argument("PipelineEngine: localizer mesh differs from detector mesh");
+  }
   if (cfg.enable_temporal) {
-    assert(cfg.temporal.mesh == cfg.detector.mesh);
+    if (!(cfg.temporal.mesh == cfg.detector.mesh)) {
+      throw std::invalid_argument("PipelineEngine: temporal mesh differs from detector mesh");
+    }
     temporal_.emplace(cfg.temporal);
   }
 }
@@ -85,6 +91,7 @@ void PipelineSession::localize_into(const monitor::FrameSample& sample, RoundRes
   r.detected = true;
   r.fusion = multi_frame_fusion(geom, binary, threshold);
   r.tlm = trace_attackers(geom, binary);
+  r.segmentation = std::move(binary);
   r.victims = r.fusion.victims;
   if (cfg.enable_vce) {
     r.victims = victim_complementing_enhancement(geom.mesh(), r.tlm, std::move(r.victims));
@@ -188,12 +195,6 @@ RoundResult PipelineSession::localize(const monitor::FrameSample& sample) {
   RoundResult r;
   localize_into(sample, r);
   return r;
-}
-
-std::vector<RoundResult> PipelineSession::localize_batch(monitor::WindowBatch samples) {
-  std::vector<RoundResult> out(samples.size());
-  for (std::size_t i = 0; i < samples.size(); ++i) localize_into(samples[i], out[i]);
-  return out;
 }
 
 }  // namespace dl2f::core

@@ -35,20 +35,13 @@
 // train_detector/train_localizer run batched (minibatches packed into
 // nn::Tensor4, per-worker nn::InferenceContext arenas, fixed-order sliced
 // gradient reduction) and produce byte-identical weights for a given seed
-// at any TrainConfig::threads value. The per-sample reference trainers
+// at any TrainConfig::threads value. A training flow builds an untrained
+// PipelineEngine(cfg) and trains its models in place through the
+// engine's mutable_detector()/mutable_localizer()/mutable_temporal()
+// accessors before any session is opened (runtime::train_model_snapshot
+// does exactly this). The per-sample reference trainers
 // (train_*_reference) are retained as the golden baseline bench_train
 // measures against.
-//
-// Dl2Fence — the seed's one-window-per-call mutable class — remains as a
-// thin deprecated shim over an engine + session pair. Migration:
-//
-//     Dl2Fence fence(cfg);                PipelineEngine engine(cfg, det, loc);
-//     fence.process(sample);       ->     PipelineSession session(engine);
-//                                         session.process(sample);
-//
-// Training flows keep using Dl2Fence (its detector()/localizer() expose
-// the mutable models); deployment hands the trained engine (or a
-// runtime::ModelSnapshot) to sessions.
 #pragma once
 
 #include <iosfwd>
@@ -95,6 +88,9 @@ struct RoundResult {
   FusionResult fusion;         ///< MFF over the segmented frames
   std::vector<NodeId> victims; ///< fused victims, VCE-completed if enabled
   TlmResult tlm;               ///< attackers and target victims
+  /// The localizer's binarized (0/1) directional frames, R x (R-1) each,
+  /// that fusion and TLM read.
+  monitor::DirectionalFrames segmentation;
 
   /// Temporal head sigmoid over the window sequence (0 when the engine has
   /// no temporal head or the round was single-window).
@@ -108,12 +104,13 @@ struct RoundResult {
 /// The immutable half: trained detector + localizer weights and geometry.
 /// Every accessor is const; one engine serves any number of concurrent
 /// PipelineSessions. Mutable model access exists only for training flows
-/// (the Dl2Fence shim, weight loading) and must not run concurrently with
-/// session scoring.
+/// and weight loading, and must not run concurrently with session scoring.
 class PipelineEngine {
  public:
   /// Architecture only — weights are uninitialized until a training flow
-  /// (or load) fills them through the mutable accessors.
+  /// (or load) fills them through the mutable accessors. Throws
+  /// std::invalid_argument when the detector, localizer and (if enabled)
+  /// temporal meshes disagree.
   explicit PipelineEngine(const Dl2FenceConfig& cfg);
 
   /// Trained engine: architecture from `cfg`, weights from the serialized
@@ -199,7 +196,6 @@ class PipelineSession {
   /// Localization only (used when scoring the localizer independently of
   /// detector verdicts, as the per-feature Tables 1-2 do).
   [[nodiscard]] RoundResult localize(const monitor::FrameSample& sample);
-  [[nodiscard]] std::vector<RoundResult> localize_batch(monitor::WindowBatch samples);
 
  private:
   void detect_chunk(monitor::WindowBatch chunk, std::size_t base,
@@ -213,47 +209,6 @@ class PipelineSession {
   /// Bound only when the engine has a temporal head (batch capacity 1 —
   /// the online loop scores one sequence per window).
   nn::InferenceContext temporal_ctx_;
-};
-
-/// Deprecated shim: the seed's mutable one-window-per-call API, now a
-/// thin wrapper coupling one engine with one session. Kept so training
-/// flows and existing callers keep working; new code should hold a
-/// PipelineEngine and construct PipelineSessions per thread.
-class Dl2Fence {
- public:
-  explicit Dl2Fence(const Dl2FenceConfig& cfg) : engine_(cfg), session_(engine_, 1) {}
-  // Not noexcept: the fresh session binds (allocates) its arenas against
-  // the engine's new address.
-  Dl2Fence(Dl2Fence&& other) : engine_(std::move(other.engine_)), session_(engine_, 1) {}
-  Dl2Fence& operator=(Dl2Fence&&) = delete;
-
-  [[nodiscard]] const Dl2FenceConfig& config() const noexcept { return engine_.config(); }
-  [[nodiscard]] DoSDetector& detector() noexcept { return engine_.mutable_detector(); }
-  [[nodiscard]] DoSLocalizer& localizer() noexcept { return engine_.mutable_localizer(); }
-  [[nodiscard]] bool has_temporal() const noexcept { return engine_.has_temporal(); }
-  [[nodiscard]] temporal::TemporalDetector& temporal() noexcept {
-    return engine_.mutable_temporal();
-  }
-  [[nodiscard]] const monitor::FrameGeometry& geometry() const noexcept {
-    return engine_.geometry();
-  }
-
-  /// The shareable engine behind this shim (e.g. to spawn more sessions).
-  [[nodiscard]] const PipelineEngine& engine() const noexcept { return engine_; }
-
-  /// Run the full round on one monitoring window.
-  [[nodiscard]] RoundResult process(const monitor::FrameSample& sample) {
-    return session_.process(sample);
-  }
-
-  /// Localization only (see PipelineSession::localize).
-  [[nodiscard]] RoundResult localize(const monitor::FrameSample& sample) {
-    return session_.localize(sample);
-  }
-
- private:
-  PipelineEngine engine_;
-  PipelineSession session_;
 };
 
 }  // namespace dl2f::core

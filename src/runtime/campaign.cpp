@@ -1,7 +1,6 @@
 #include "runtime/campaign.hpp"
 
 #include <atomic>
-#include <cassert>
 #include <iomanip>
 #include <mutex>
 #include <sstream>
@@ -42,8 +41,11 @@ JobResult run_job(const CampaignConfig& cfg, const core::PipelineEngine& engine,
   noc::MeshConfig mesh_cfg;
   mesh_cfg.shape = cfg.params.mesh;
   mesh_cfg.router = cfg.router;
-  mesh_cfg.shards = cfg.mesh_shards;
-  mesh_cfg.step_threads = cfg.mesh_step_threads;
+  // One stepping thread per mesh: campaigns already parallelize across
+  // jobs, so per-mesh threads would only oversubscribe the pool. Shards
+  // stay at the mesh's auto default (results are bitwise identical at any
+  // shard count).
+  mesh_cfg.step_threads = 1;
   traffic::Simulation sim(mesh_cfg);
   scenario->install(sim, job_seed ^ 0x9e3779b97f4a7c15ULL);
 
@@ -72,10 +74,6 @@ ModelSnapshot ModelSnapshot::capture(const core::PipelineEngine& engine) {
   return snap;
 }
 
-ModelSnapshot ModelSnapshot::capture(const core::Dl2Fence& fence) {
-  return capture(fence.engine());
-}
-
 core::PipelineEngine ModelSnapshot::make_engine() const {
   std::istringstream det(detector_weights), loc(localizer_weights);
   if (!temporal_weights.empty()) {
@@ -89,26 +87,6 @@ core::PipelineEngine ModelSnapshot::make_engine() const {
                              "but the snapshot carries no temporal blob");
   }
   return core::PipelineEngine(config, det, loc);
-}
-
-core::Dl2Fence ModelSnapshot::restore() const {
-  core::Dl2Fence fence(config);
-  std::istringstream det(detector_weights), loc(localizer_weights);
-  if (!fence.detector().model().load(det) || !fence.localizer().model().load(loc)) {
-    // A silently garbage-weighted pipeline would run the whole campaign
-    // and emit meaningless metrics; fail loudly instead.
-    throw std::runtime_error("ModelSnapshot::restore: weight blob does not match the model");
-  }
-  if (!temporal_weights.empty()) {
-    std::istringstream tmp(temporal_weights);
-    if (!fence.has_temporal() || !fence.temporal().model().load(tmp)) {
-      throw std::runtime_error("ModelSnapshot::restore: temporal blob does not match the model");
-    }
-  } else if (fence.has_temporal()) {
-    throw std::runtime_error("ModelSnapshot::restore: config enables the temporal head "
-                             "but the snapshot carries no temporal blob");
-  }
-  return fence;
 }
 
 ModelSnapshot train_model_snapshot(const MeshShape& mesh, const monitor::Benchmark& benign,
@@ -130,17 +108,17 @@ ModelSnapshot train_model_snapshot(const MeshShape& mesh,
   core::Dl2FenceConfig fence_cfg = core::Dl2FenceConfig::paper_default(mesh);
   fence_cfg.enable_temporal = preset.temporal;
   fence_cfg.temporal.sequence_length = preset.sequence_length;
-  core::Dl2Fence fence(fence_cfg);
+  core::PipelineEngine engine(fence_cfg);
   core::TrainConfig det_cfg;
   det_cfg.epochs = preset.detector_epochs;
   det_cfg.seed = preset.seed ^ 0x42;
   det_cfg.threads = preset.threads;
-  core::train_detector(fence.detector(), data, det_cfg);
+  core::train_detector(engine.mutable_detector(), data, det_cfg);
   core::LocalizerTrainConfig loc_cfg;
   loc_cfg.epochs = preset.localizer_epochs;
   loc_cfg.seed = preset.seed ^ 0x43;
   loc_cfg.threads = preset.threads;
-  core::train_localizer(fence.localizer(), data, loc_cfg);
+  core::train_localizer(engine.mutable_localizer(), data, loc_cfg);
 
   if (preset.temporal) {
     // Adversarial retraining preset: the sequence grid mixes every
@@ -164,9 +142,9 @@ ModelSnapshot train_model_snapshot(const MeshShape& mesh,
     tmp_cfg.epochs = preset.temporal_epochs;
     tmp_cfg.seed = preset.seed ^ 0x44;
     tmp_cfg.threads = preset.threads;
-    temporal::train_temporal_detector(fence.temporal(), seq_data, tmp_cfg);
+    temporal::train_temporal_detector(engine.mutable_temporal(), seq_data, tmp_cfg);
   }
-  return ModelSnapshot::capture(fence);
+  return ModelSnapshot::capture(engine);
 }
 
 CampaignResult run_campaign(const CampaignConfig& cfg, const ModelSnapshot& model) {

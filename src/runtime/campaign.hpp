@@ -33,17 +33,11 @@ struct ModelSnapshot {
   std::string temporal_weights;
 
   static ModelSnapshot capture(const core::PipelineEngine& engine);
-  static ModelSnapshot capture(const core::Dl2Fence& fence);
 
-  /// Deserialize into a shareable engine (the one weight load a campaign
-  /// performs). Throws std::runtime_error on an architecture mismatch,
-  /// including a temporal blob without config.enable_temporal or the
-  /// reverse.
+  /// Deserialize into a shareable engine — the one way to load a snapshot.
+  /// Throws std::runtime_error on an architecture mismatch, including a
+  /// temporal blob without config.enable_temporal or the reverse.
   [[nodiscard]] core::PipelineEngine make_engine() const;
-
-  /// Deprecated: rebuild a live shim pipeline from the frozen weights.
-  /// Throws like make_engine().
-  [[nodiscard]] core::Dl2Fence restore() const;
 };
 
 /// Dataset/training budget for train_model_snapshot (defaults sized for
@@ -109,13 +103,6 @@ struct CampaignConfig {
   DefenseConfig defense;
   noc::RouterConfig router;
   double recovery_ratio = 2.0;
-  /// Row-band shards for each job's Mesh::step (noc::MeshConfig::shards);
-  /// 0 = auto. Results are bitwise identical at any value.
-  std::int32_t mesh_shards = 0;
-  /// Stepping threads per mesh (noc::MeshConfig::step_threads). Defaults
-  /// to 1 — campaigns already parallelize across jobs, so per-mesh threads
-  /// would only oversubscribe the pool. Bitwise identical at any value.
-  std::int32_t mesh_step_threads = 1;
 };
 
 struct JobResult {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
 
 namespace dl2f::runtime {
 
@@ -9,7 +10,9 @@ DefenseRuntime::DefenseRuntime(traffic::Simulation& sim, const core::PipelineEng
                                DefenseConfig cfg)
     : sim_(sim), session_(engine, /*max_batch=*/1), cfg_(cfg), sampler_(sim.mesh().shape()),
       windows_(engine.has_temporal() ? engine.config().temporal.sequence_length : 1) {
-  assert(engine.config().detector.mesh == sim.mesh().shape());
+  if (!(engine.config().detector.mesh == sim.mesh().shape())) {
+    throw std::invalid_argument("DefenseRuntime: engine mesh differs from the simulation's");
+  }
   const auto n = static_cast<std::size_t>(sim.mesh().shape().node_count());
   votes_.assign(n, 0);
   clean_streak_.assign(n, 0);
@@ -22,9 +25,6 @@ DefenseRuntime::DefenseRuntime(traffic::Simulation& sim, const core::PipelineEng
   prev_benign_count_ = bs.packets_ejected();
   prev_hist_ = bs.packet_latency_histogram();
 }
-
-DefenseRuntime::DefenseRuntime(traffic::Simulation& sim, core::Dl2Fence& fence, DefenseConfig cfg)
-    : DefenseRuntime(sim, fence.engine(), cfg) {}
 
 WindowRecord DefenseRuntime::run_window() {
   auto& mesh = sim_.mesh();

@@ -126,15 +126,13 @@ struct DefenseSummary {
 
 class DefenseRuntime {
  public:
-  /// `sim` and `engine` are borrowed and must outlive the runtime; the
-  /// engine is expected to be trained for sim's mesh shape. The runtime
-  /// owns its own PipelineSession, so any number of runtimes (one per
-  /// worker, say) can share one engine.
+  /// `sim` and `engine` are borrowed and must outlive the runtime. The
+  /// runtime owns its own PipelineSession, so any number of runtimes (one
+  /// per worker, say) can share one engine. Throws std::invalid_argument
+  /// when the engine's mesh differs from sim's: sampled frames would
+  /// overrun the session's arenas.
   DefenseRuntime(traffic::Simulation& sim, const core::PipelineEngine& engine,
                  DefenseConfig cfg = {});
-
-  /// Deprecated shim overload: borrows the fence's engine.
-  DefenseRuntime(traffic::Simulation& sim, core::Dl2Fence& fence, DefenseConfig cfg = {});
 
   /// Optional: attach the scenario driving the attack. Enables ground-truth
   /// scoring and lets the runtime advance the scenario's dynamics. Borrowed.

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cassert>
-#include <iostream>
 #include <stdexcept>
 #include <utility>
 
@@ -184,10 +183,9 @@ TemporalTrainReport train_temporal_detector(TemporalDetector& detector,
     const float weight = attack ? 1.0F : cfg.benign_weight;
     return {nn::bce_loss_into(pred, &target, n, weight, grad), 0.0};
   };
-  const auto on_epoch = [&](std::int32_t epoch, float mean_loss, double /*metric*/) {
+  const auto on_epoch = [&](std::int32_t /*epoch*/, float mean_loss, double /*metric*/) {
     report.final_loss = mean_loss;
     ++report.epochs_run;
-    if (cfg.verbose) std::cout << "temporal epoch " << epoch << " loss " << mean_loss << '\n';
   };
   nn::batch_train(detector.model(), optimizer, detector.input_shape(), data.samples.size(), stage,
                   loss, bt, rng, on_epoch);

@@ -118,7 +118,6 @@ struct TemporalTrainConfig {
   /// trades evasive-family recall for no static-precision gain.
   float benign_weight = 1.0F;
   std::uint64_t seed = 42;
-  bool verbose = false;
   /// Worker threads for batched training; results are byte-identical at
   /// any value (nn::batch_train's fixed-order gradient reduction).
   std::int32_t threads = 1;

@@ -399,8 +399,11 @@ TEST(BatchTrainDeterminism, TrainingConvergesOnSeparableLabels) {
   tc.seed = 5;
   tc.threads = 2;
   (void)core::train_detector(det, data, tc);
-  const ConfusionMatrix cm = core::evaluate_detector(det, data);
-  EXPECT_GE(cm.accuracy(), 0.9);
+  std::size_t correct = 0;
+  for (const auto& s : data.samples) {
+    correct += (det.predict_probability(s) > cfg.threshold) == s.under_attack ? 1 : 0;
+  }
+  EXPECT_GE(static_cast<double>(correct), 0.9 * static_cast<double>(data.samples.size()));
 }
 
 }  // namespace

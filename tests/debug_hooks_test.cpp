@@ -62,11 +62,10 @@ TEST(DebugHooksDeathTest, ViolationAborts) {
 // localize_into — a violation there aborts this whole test.
 TEST(DebugHooks, BoundArenaInferenceIsAllocationFree) {
   const MeshShape mesh = MeshShape::square(4);
-  core::Dl2Fence fence(core::Dl2FenceConfig::paper_default(mesh));
+  core::PipelineEngine engine(core::Dl2FenceConfig::paper_default(mesh));
   Rng det_rng(7), loc_rng(8);
-  fence.detector().model().init_weights(det_rng);
-  fence.localizer().model().init_weights(loc_rng);
-  const core::PipelineEngine& engine = fence.engine();
+  engine.mutable_detector().model().init_weights(det_rng);
+  engine.mutable_localizer().model().init_weights(loc_rng);
 
   const monitor::FrameGeometry geom(mesh);
   monitor::FrameSample sample;

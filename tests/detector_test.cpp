@@ -107,8 +107,11 @@ TEST(Detector, LearnsSyntheticSeparableData) {
   EXPECT_LT(report.final_loss, 0.3F);
   EXPECT_EQ(report.epochs_run, 50);
 
-  const auto cm = evaluate_detector(det, train);
-  EXPECT_GE(cm.accuracy(), 0.95);
+  std::size_t correct = 0;
+  for (const auto& s : train.samples) {
+    correct += (det.predict_probability(s) > det.config().threshold) == s.under_attack ? 1 : 0;
+  }
+  EXPECT_GE(static_cast<double>(correct), 0.95 * static_cast<double>(train.samples.size()));
 }
 
 TEST(Detector, TrainingIsDeterministicPerSeed) {

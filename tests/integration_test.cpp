@@ -24,43 +24,44 @@ class EndToEnd : public ::testing::Test {
     data_ = new monitor::Dataset(generate_dataset(cfg, benchmarks));
     split_ = new monitor::DatasetSplit(split_dataset(*data_, 0.3, 77));
 
-    framework_ = new core::Dl2Fence(core::Dl2FenceConfig::paper_default(mesh));
+    engine_ = new core::PipelineEngine(core::Dl2FenceConfig::paper_default(mesh));
     core::TrainConfig det_cfg;
     det_cfg.epochs = 80;
-    core::train_detector(framework_->detector(), split_->train, det_cfg);
+    core::train_detector(engine_->mutable_detector(), split_->train, det_cfg);
     core::LocalizerTrainConfig loc_cfg;
     loc_cfg.epochs = 40;
-    core::train_localizer(framework_->localizer(), split_->train, loc_cfg);
+    core::train_localizer(engine_->mutable_localizer(), split_->train, loc_cfg);
   }
 
   static void TearDownTestSuite() {
-    delete framework_;
+    delete engine_;
     delete split_;
     delete data_;
-    framework_ = nullptr;
+    engine_ = nullptr;
     split_ = nullptr;
     data_ = nullptr;
   }
 
   static monitor::Dataset* data_;
   static monitor::DatasetSplit* split_;
-  static core::Dl2Fence* framework_;
+  static core::PipelineEngine* engine_;
 };
 
 monitor::Dataset* EndToEnd::data_ = nullptr;
 monitor::DatasetSplit* EndToEnd::split_ = nullptr;
-core::Dl2Fence* EndToEnd::framework_ = nullptr;
+core::PipelineEngine* EndToEnd::engine_ = nullptr;
 
 TEST_F(EndToEnd, DetectionBeatsChanceByAWideMargin) {
-  const auto cm = core::evaluate_detector(framework_->detector(), split_->test);
-  EXPECT_GE(cm.accuracy(), 0.8) << cm;
+  const auto score = core::score_benchmark(*engine_, "uniform", split_->test);
+  EXPECT_GE(score.detection.accuracy, 0.8);
 }
 
 TEST_F(EndToEnd, LocalizationRecoversMostOfTheRoute) {
+  core::PipelineSession session(*engine_);
   core::LocalizationScore score;
   for (const auto& s : split_->test.samples) {
     if (!s.under_attack) continue;
-    const auto r = framework_->localize(s);
+    const auto r = session.localize(s);
     score.add(r.victims, s.victim_truth);
   }
   const auto m = score.metrics();
@@ -70,8 +71,9 @@ TEST_F(EndToEnd, LocalizationRecoversMostOfTheRoute) {
 
 TEST_F(EndToEnd, PipelineGatesLocalizationOnDetection) {
   // Benign windows that the detector clears must produce empty results.
+  core::PipelineSession session(*engine_);
   for (const auto& s : split_->test.samples) {
-    const auto r = framework_->process(s);
+    const auto r = session.process(s);
     if (!r.detected) {
       EXPECT_TRUE(r.victims.empty());
       EXPECT_TRUE(r.tlm.attackers.empty());
@@ -80,11 +82,12 @@ TEST_F(EndToEnd, PipelineGatesLocalizationOnDetection) {
 }
 
 TEST_F(EndToEnd, AttackerLocalizationFindsTrueAttackerInMostWindows) {
+  core::PipelineSession session(*engine_);
   int windows = 0, hit = 0;
   for (const auto& s : split_->test.samples) {
     if (!s.under_attack) continue;
     ++windows;
-    const auto r = framework_->localize(s);
+    const auto r = session.localize(s);
     for (NodeId a : r.tlm.attackers) {
       if (std::find(s.scenario.attackers.begin(), s.scenario.attackers.end(), a) !=
           s.scenario.attackers.end()) {
@@ -98,23 +101,25 @@ TEST_F(EndToEnd, AttackerLocalizationFindsTrueAttackerInMostWindows) {
 }
 
 TEST_F(EndToEnd, VceImprovesOrMatchesRecall) {
-  core::Dl2FenceConfig no_vce_cfg = framework_->config();
+  core::Dl2FenceConfig no_vce_cfg = engine_->config();
   no_vce_cfg.enable_vce = false;
   // Share trained weights by copying them over.
-  core::Dl2Fence no_vce(no_vce_cfg);
+  core::PipelineEngine no_vce(no_vce_cfg);
   {
     std::stringstream det_buf, loc_buf;
-    framework_->detector().model().save(det_buf);
-    framework_->localizer().model().save(loc_buf);
-    ASSERT_TRUE(no_vce.detector().model().load(det_buf));
-    ASSERT_TRUE(no_vce.localizer().model().load(loc_buf));
+    engine_->detector().model().save(det_buf);
+    engine_->localizer().model().save(loc_buf);
+    ASSERT_TRUE(no_vce.mutable_detector().model().load(det_buf));
+    ASSERT_TRUE(no_vce.mutable_localizer().model().load(loc_buf));
   }
 
+  core::PipelineSession with_session(*engine_);
+  core::PipelineSession without_session(no_vce);
   core::LocalizationScore with, without;
   for (const auto& s : split_->test.samples) {
     if (!s.under_attack) continue;
-    with.add(framework_->localize(s).victims, s.victim_truth);
-    without.add(no_vce.localize(s).victims, s.victim_truth);
+    with.add(with_session.localize(s).victims, s.victim_truth);
+    without.add(without_session.localize(s).victims, s.victim_truth);
   }
   EXPECT_GE(with.metrics().recall, without.metrics().recall);
 }

@@ -87,52 +87,7 @@ TEST(Localizer, LearnsToSegmentSyntheticRoutes) {
   const auto report = train_localizer(loc, data, tc);
   EXPECT_EQ(report.epochs_run, 30);
   EXPECT_GT(report.final_dice, 0.85);
-
-  const double eval_dice = evaluate_localizer_dice(loc, data);
-  EXPECT_GT(eval_dice, 0.85);
 }
-
-TEST(Localizer, SegmentBinaryIsBinary) {
-  LocalizerConfig cfg;
-  cfg.mesh = MeshShape::square(8);
-  DoSLocalizer loc(cfg);
-  Rng rng(3);
-  loc.model().init_weights(rng);
-  Frame f(8, 7);
-  for (float& v : f.data()) v = static_cast<float>(rng.uniform(0.0, 1000.0));
-  const Frame seg = loc.segment_binary(f);
-  for (float v : seg.data()) EXPECT_TRUE(v == 0.0F || v == 1.0F);
-}
-
-TEST(Localizer, SegmentAllProcessesFourDirections) {
-  const auto mesh = MeshShape::square(8);
-  const monitor::FrameGeometry geom(mesh);
-  LocalizerConfig cfg;
-  cfg.mesh = mesh;
-  DoSLocalizer loc(cfg);
-  Rng rng(3);
-  loc.model().init_weights(rng);
-
-  monitor::FrameSample s;
-  for (Direction d : kMeshDirections) {
-    monitor::frame_of(s.boc, d) = geom.make_frame();
-    monitor::frame_of(s.vco, d) = geom.make_frame();
-  }
-  const auto seg = loc.segment_all(s);
-  for (Direction d : kMeshDirections) {
-    EXPECT_EQ(monitor::frame_of(seg, d).rows(), 8);
-    EXPECT_EQ(monitor::frame_of(seg, d).cols(), 7);
-  }
-}
-
-TEST(Localizer, EvaluateDiceOnEmptyDatasetIsOne) {
-  LocalizerConfig cfg;
-  cfg.mesh = MeshShape::square(8);
-  DoSLocalizer loc(cfg);
-  monitor::Dataset empty;
-  EXPECT_DOUBLE_EQ(evaluate_localizer_dice(loc, empty), 1.0);
-}
-
 
 TEST(Localizer, MobileNetVariantShrinksInteriorLayers) {
   // §6 extension: depthwise-separable interior blocks for >32x32 NoCs.

@@ -1,5 +1,5 @@
 // Engine/session split: batched scoring must be bitwise-identical to the
-// per-window shim path (and to the training-time forward pass), and one
+// per-window session path (and to the training-time forward pass), and one
 // immutable PipelineEngine must be safely shareable across concurrent
 // sessions with deterministic results.
 #include "core/pipeline.hpp"
@@ -8,6 +8,7 @@
 
 #include <cstring>
 #include <sstream>
+#include <stdexcept>
 #include <thread>
 
 #include "core/evaluation.hpp"
@@ -47,14 +48,14 @@ std::vector<monitor::FrameSample> synthetic_windows(std::size_t count, std::uint
   return windows;
 }
 
-/// Deterministically initialized (untrained) shim; parity does not care
+/// Deterministically initialized (untrained) engine; parity does not care
 /// about model quality, only that both paths see identical weights.
-core::Dl2Fence deterministic_fence() {
-  core::Dl2Fence fence(core::Dl2FenceConfig::paper_default(MeshShape::square(kMeshSide)));
+core::PipelineEngine deterministic_engine() {
+  core::PipelineEngine engine(core::Dl2FenceConfig::paper_default(MeshShape::square(kMeshSide)));
   Rng det_rng(7), loc_rng(8);
-  fence.detector().model().init_weights(det_rng);
-  fence.localizer().model().init_weights(loc_rng);
-  return fence;
+  engine.mutable_detector().model().init_weights(det_rng);
+  engine.mutable_localizer().model().init_weights(loc_rng);
+  return engine;
 }
 
 void expect_bitwise_equal(const core::RoundResult& a, const core::RoundResult& b,
@@ -67,58 +68,77 @@ void expect_bitwise_equal(const core::RoundResult& a, const core::RoundResult& b
   EXPECT_EQ(a.tlm.target_victims, b.tlm.target_victims) << "window " << index;
   EXPECT_EQ(a.fusion.victims, b.fusion.victims) << "window " << index;
   EXPECT_EQ(a.fusion.mff, b.fusion.mff) << "window " << index;
+  EXPECT_EQ(a.segmentation, b.segmentation) << "window " << index;
 }
 
-TEST(PipelineEngine, ProcessBatchBitwiseIdenticalToShimProcess) {
-  core::Dl2Fence fence = deterministic_fence();
-  const auto windows = synthetic_windows(21, 0x1234);  // odd count: exercises chunk tails
-
-  core::PipelineSession session(fence.engine(), /*max_batch=*/8);
-  const auto batched = session.process_batch({windows.data(), windows.size()});
+/// process_batch over `windows` at `max_batch` vs one process() call per
+/// window on a batch-1 session.
+void expect_batch_matches_per_window(const core::PipelineEngine& engine,
+                                     const std::vector<monitor::FrameSample>& windows,
+                                     std::int32_t max_batch) {
+  core::PipelineSession batched_session(engine, max_batch);
+  const auto batched = batched_session.process_batch({windows.data(), windows.size()});
   ASSERT_EQ(batched.size(), windows.size());
-
-  std::size_t detected = 0;
+  core::PipelineSession single(engine, 1);
   for (std::size_t i = 0; i < windows.size(); ++i) {
-    const core::RoundResult single = fence.process(windows[i]);
-    expect_bitwise_equal(batched[i], single, i);
-    detected += batched[i].detected ? 1 : 0;
+    expect_bitwise_equal(batched[i], single.process(windows[i]), i);
   }
+}
+
+TEST(PipelineEngine, ProcessBatchBitwiseIdenticalToPerWindowProcess) {
+  const core::PipelineEngine engine = deterministic_engine();
+  const auto windows = synthetic_windows(21, 0x1234);  // odd count: exercises chunk tails
+  expect_batch_matches_per_window(engine, windows, 8);
+
   // The synthetic set must exercise both branches for the parity claim to
   // mean anything.
+  core::PipelineSession session(engine);
+  std::size_t detected = 0;
+  for (const auto& r : session.process_batch({windows.data(), windows.size()})) {
+    detected += r.detected ? 1 : 0;
+  }
   EXPECT_GT(detected, 0U);
   EXPECT_LT(detected, windows.size());
+}
+
+TEST(PipelineEngine, DetectedWindowsCarryFourBinarySegmentationFrames) {
+  const core::PipelineEngine engine = deterministic_engine();
+  const auto windows = synthetic_windows(21, 0x1234);
+  core::PipelineSession session(engine);
+  const auto rounds = session.process_batch({windows.data(), windows.size()});
+  std::size_t detected = 0;
+  for (std::size_t i = 0; i < rounds.size(); ++i) {
+    detected += rounds[i].detected ? 1 : 0;
+    for (const Frame& f : rounds[i].segmentation) {
+      if (!rounds[i].detected) {
+        EXPECT_EQ(f.size(), 0U) << "window " << i;
+        continue;
+      }
+      EXPECT_EQ(f.rows(), kMeshSide) << "window " << i;
+      EXPECT_EQ(f.cols(), kMeshSide - 1) << "window " << i;
+      for (const float v : f.data()) EXPECT_TRUE(v == 0.0F || v == 1.0F) << "window " << i;
+    }
+  }
+  EXPECT_GT(detected, 0U);
 }
 
 TEST(PipelineEngine, InferencePathMatchesTrainingForwardBitwise) {
   // Deployment verdicts must never drift from what training measured: the
   // const batched path reproduces Sequential::forward exactly.
-  core::Dl2Fence fence = deterministic_fence();
+  core::PipelineEngine engine = deterministic_engine();
   const auto windows = synthetic_windows(9, 0x777);
 
-  core::PipelineSession session(fence.engine());
+  core::PipelineSession session(engine);
   const auto probs = session.detect_batch({windows.data(), windows.size()});
   for (std::size_t i = 0; i < windows.size(); ++i) {
-    const float training = fence.detector().predict_probability(windows[i]);
+    const float training = engine.mutable_detector().predict_probability(windows[i]);
     EXPECT_EQ(std::memcmp(&training, &probs[i], sizeof(float)), 0)
         << "window " << i << ": " << training << " vs " << probs[i];
   }
 }
 
-TEST(PipelineEngine, LocalizeBatchMatchesShimLocalize) {
-  core::Dl2Fence fence = deterministic_fence();
-  const auto windows = synthetic_windows(6, 0xabcd);
-
-  core::PipelineSession session(fence.engine());
-  const auto batched = session.localize_batch({windows.data(), windows.size()});
-  for (std::size_t i = 0; i < windows.size(); ++i) {
-    const core::RoundResult single = fence.localize(windows[i]);
-    expect_bitwise_equal(batched[i], single, i);
-  }
-}
-
 TEST(PipelineEngine, OneEngineSharedByFourConcurrentSessionsIsDeterministic) {
-  core::Dl2Fence fence = deterministic_fence();
-  const core::PipelineEngine& engine = fence.engine();
+  const core::PipelineEngine engine = deterministic_engine();
   const auto windows = synthetic_windows(24, 0xbeef);
   const monitor::WindowBatch batch{windows.data(), windows.size()};
 
@@ -145,20 +165,13 @@ TEST(PipelineEngine, OneEngineSharedByFourConcurrentSessionsIsDeterministic) {
 }
 
 TEST(PipelineEngine, BatchLargerThanSessionCapacityIsChunked) {
-  core::Dl2Fence fence = deterministic_fence();
-  const auto windows = synthetic_windows(5, 0x5150);
-
   // A batch larger than the session capacity is scored in max_batch-sized
   // chunks (2+2+1 here) and must stay identical to the per-window path.
-  core::PipelineSession tiny(fence.engine(), /*max_batch=*/2);
-  const auto batched = tiny.process_batch({windows.data(), windows.size()});
-  for (std::size_t i = 0; i < windows.size(); ++i) {
-    expect_bitwise_equal(batched[i], fence.process(windows[i]), i);
-  }
+  expect_batch_matches_per_window(deterministic_engine(), synthetic_windows(5, 0x5150), 2);
 }
 
-TEST(PipelineEngine, EngineScoreBenchmarkMatchesShimScores) {
-  core::Dl2Fence fence = deterministic_fence();
+TEST(PipelineEngine, ScoreBenchmarkEqualsPerWindowSessionLoop) {
+  const core::PipelineEngine engine = deterministic_engine();
 
   monitor::Dataset test;
   test.mesh = MeshShape::square(kMeshSide);
@@ -167,12 +180,28 @@ TEST(PipelineEngine, EngineScoreBenchmarkMatchesShimScores) {
     if (s.under_attack) s.victim_truth = {1, 2, 3};
   }
 
-  const auto via_engine = core::score_benchmark(fence.engine(), "synthetic", test);
-  const auto via_shim = core::score_benchmark(fence, "synthetic", test);
-  EXPECT_EQ(via_engine.detection.accuracy, via_shim.detection.accuracy);
-  EXPECT_EQ(via_engine.detection.f1, via_shim.detection.f1);
-  EXPECT_EQ(via_engine.localization.accuracy, via_shim.localization.accuracy);
-  EXPECT_EQ(via_engine.localization.f1, via_shim.localization.f1);
+  // The tables' protocol, one window at a time: detection over every
+  // window, localization over the attack windows regardless of verdict.
+  core::PipelineSession session(engine, 1);
+  ConfusionMatrix detection;
+  core::LocalizationScore localization;
+  for (const auto& s : test.samples) {
+    detection.add(session.process(s).detected, s.under_attack);
+    if (s.under_attack) localization.add(session.localize(s).victims, s.victim_truth);
+  }
+  const core::Metrics4 det = core::detection_metrics(detection);
+  const core::Metrics4 loc = localization.metrics();
+
+  const core::BenchmarkScore score = core::score_benchmark(engine, "synthetic", test);
+  EXPECT_EQ(score.benchmark, "synthetic");
+  EXPECT_EQ(score.detection.accuracy, det.accuracy);
+  EXPECT_EQ(score.detection.precision, det.precision);
+  EXPECT_EQ(score.detection.recall, det.recall);
+  EXPECT_EQ(score.detection.f1, det.f1);
+  EXPECT_EQ(score.localization.accuracy, loc.accuracy);
+  EXPECT_EQ(score.localization.precision, loc.precision);
+  EXPECT_EQ(score.localization.recall, loc.recall);
+  EXPECT_EQ(score.localization.f1, loc.f1);
 }
 
 TEST(PipelineEngine, SnapshotMakeEngineRejectsMismatchedBlobs) {
@@ -180,6 +209,21 @@ TEST(PipelineEngine, SnapshotMakeEngineRejectsMismatchedBlobs) {
       core::Dl2FenceConfig::paper_default(MeshShape::square(kMeshSide));
   std::istringstream det("garbage"), loc("garbage");
   EXPECT_THROW(core::PipelineEngine(cfg, det, loc), std::runtime_error);
+}
+
+TEST(PipelineEngine, RejectsModelsBuiltForDifferentMeshes) {
+  // Sessions walk every model's frames with the detector's geometry; a
+  // smaller localizer or temporal head would overrun its arena.
+  core::Dl2FenceConfig small_localizer =
+      core::Dl2FenceConfig::paper_default(MeshShape::square(kMeshSide));
+  small_localizer.localizer.mesh = MeshShape::square(4);
+  EXPECT_THROW(core::PipelineEngine{small_localizer}, std::invalid_argument);
+
+  core::Dl2FenceConfig small_temporal =
+      core::Dl2FenceConfig::paper_default(MeshShape::square(kMeshSide));
+  small_temporal.enable_temporal = true;
+  small_temporal.temporal.mesh = MeshShape::square(4);
+  EXPECT_THROW(core::PipelineEngine{small_temporal}, std::invalid_argument);
 }
 
 }  // namespace

@@ -15,11 +15,11 @@ constexpr std::int32_t kMeshSide = 8;
 /// Deterministically initialized (but untrained) pipeline: campaign
 /// mechanics do not care about model quality, only about determinism.
 ModelSnapshot deterministic_snapshot() {
-  core::Dl2Fence fence(core::Dl2FenceConfig::paper_default(MeshShape::square(kMeshSide)));
+  core::PipelineEngine engine(core::Dl2FenceConfig::paper_default(MeshShape::square(kMeshSide)));
   Rng det_rng(7), loc_rng(8);
-  fence.detector().model().init_weights(det_rng);
-  fence.localizer().model().init_weights(loc_rng);
-  return ModelSnapshot::capture(fence);
+  engine.mutable_detector().model().init_weights(det_rng);
+  engine.mutable_localizer().model().init_weights(loc_rng);
+  return ModelSnapshot::capture(engine);
 }
 
 CampaignConfig small_campaign() {
@@ -38,18 +38,11 @@ TEST(ModelSnapshot, RoundTripsWeightsExactly) {
   EXPECT_FALSE(snap.detector_weights.empty());
   EXPECT_FALSE(snap.localizer_weights.empty());
 
-  core::Dl2Fence a = snap.restore();
-  core::Dl2Fence b = snap.restore();
-
-  // Identical weights -> identical predictions on the same frames.
-  monitor::FrameSample sample;
-  const monitor::FrameGeometry geom(MeshShape::square(kMeshSide));
-  for (Direction d : kMeshDirections) {
-    monitor::frame_of(sample.vco, d) = geom.make_frame();
-    monitor::frame_of(sample.boc, d) = geom.make_frame();
-  }
-  EXPECT_FLOAT_EQ(a.detector().predict_probability(sample),
-                  b.detector().predict_probability(sample));
+  // Loading and re-capturing reproduces every blob byte for byte.
+  const ModelSnapshot again = ModelSnapshot::capture(snap.make_engine());
+  EXPECT_EQ(again.detector_weights, snap.detector_weights);
+  EXPECT_EQ(again.localizer_weights, snap.localizer_weights);
+  EXPECT_EQ(again.temporal_weights, snap.temporal_weights);
 }
 
 TEST(ModelSnapshot, TemporalFlagAndBlobMustTravelTogether) {
@@ -59,13 +52,11 @@ TEST(ModelSnapshot, TemporalFlagAndBlobMustTravelTogether) {
   missing_blob.config.enable_temporal = true;
   missing_blob.config.temporal.mesh = missing_blob.config.detector.mesh;
   EXPECT_THROW((void)missing_blob.make_engine(), std::runtime_error);
-  EXPECT_THROW((void)missing_blob.restore(), std::runtime_error);
 
   // The reverse mismatch: a temporal blob the config cannot hold.
   ModelSnapshot stray_blob = deterministic_snapshot();
   stray_blob.temporal_weights = "not empty";
   EXPECT_THROW((void)stray_blob.make_engine(), std::runtime_error);
-  EXPECT_THROW((void)stray_blob.restore(), std::runtime_error);
 }
 
 TEST(Campaign, JobsComeBackInGridOrder) {

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "runtime/campaign.hpp"
 #include "runtime/scenario.hpp"
@@ -45,8 +46,17 @@ class DefenseLoop : public ::testing::Test {
 
 ModelSnapshot* DefenseLoop::model_ = nullptr;
 
+/// Deterministically initialized (untrained) engine for loop mechanics.
+core::PipelineEngine untrained_engine(const MeshShape& mesh) {
+  core::PipelineEngine engine(core::Dl2FenceConfig::paper_default(mesh));
+  Rng det_rng(7), loc_rng(8);
+  engine.mutable_detector().model().init_weights(det_rng);
+  engine.mutable_localizer().model().init_weights(loc_rng);
+  return engine;
+}
+
 TEST_F(DefenseLoop, MitigationFencesAttackersAndRestoresLatency) {
-  core::Dl2Fence fence = model_->restore();
+  const core::PipelineEngine engine = model_->make_engine();
   const ScenarioParams params = static_attack_params();
   const auto scenario = ScenarioRegistry::instance().make("static", params, 2024);
 
@@ -56,7 +66,7 @@ TEST_F(DefenseLoop, MitigationFencesAttackersAndRestoresLatency) {
   scenario->install(sim, 7);
 
   DefenseConfig cfg;  // 1000-cycle windows, probation 3
-  DefenseRuntime runtime(sim, fence, cfg);
+  DefenseRuntime runtime(sim, engine, cfg);
   runtime.attach_scenario(scenario.get());
   runtime.run_windows(10);
 
@@ -94,7 +104,7 @@ TEST_F(DefenseLoop, MitigationFencesAttackersAndRestoresLatency) {
 }
 
 TEST_F(DefenseLoop, MonitorOnlyModeObservesButNeverFences) {
-  core::Dl2Fence fence = model_->restore();
+  const core::PipelineEngine engine = model_->make_engine();
   const ScenarioParams params = static_attack_params();
   const auto scenario = ScenarioRegistry::instance().make("static", params, 2024);
 
@@ -105,7 +115,7 @@ TEST_F(DefenseLoop, MonitorOnlyModeObservesButNeverFences) {
 
   DefenseConfig cfg;
   cfg.mitigation_enabled = false;
-  DefenseRuntime runtime(sim, fence, cfg);
+  DefenseRuntime runtime(sim, engine, cfg);
   runtime.attach_scenario(scenario.get());
   runtime.run_windows(8);
 
@@ -120,7 +130,7 @@ TEST_F(DefenseLoop, MonitorOnlyModeObservesButNeverFences) {
 }
 
 TEST_F(DefenseLoop, ProbationReleasesAFalselyFencedNodeEvenInMonitorOnlyMode) {
-  core::Dl2Fence fence = model_->restore();
+  const core::PipelineEngine engine = model_->make_engine();
   ScenarioParams params = static_attack_params();
   params.attack_start = 1'000'000;  // benign for the whole test
   const auto scenario = ScenarioRegistry::instance().make("static", params, 2024);
@@ -133,7 +143,7 @@ TEST_F(DefenseLoop, ProbationReleasesAFalselyFencedNodeEvenInMonitorOnlyMode) {
   DefenseConfig cfg;
   cfg.probation_windows = 2;
   cfg.mitigation_enabled = false;  // probation must run regardless
-  DefenseRuntime runtime(sim, fence, cfg);
+  DefenseRuntime runtime(sim, engine, cfg);
   runtime.attach_scenario(scenario.get());
 
   const NodeId innocent = 27;
@@ -154,7 +164,7 @@ TEST_F(DefenseLoop, ProbationReleasesAFalselyFencedNodeEvenInMonitorOnlyMode) {
 TEST_F(DefenseLoop, OngoingAttackDoesNotBlockAnUnimplicatedNodesRelease) {
   // Probation is per-node evidence: while a real flood keeps the detector
   // dirty, a fenced node the TLM never names must still be released.
-  core::Dl2Fence fence = model_->restore();
+  const core::PipelineEngine engine = model_->make_engine();
   ScenarioParams params = static_attack_params();
   params.attack_start = 0;  // attack from the first cycle, never mitigated
   const auto scenario = ScenarioRegistry::instance().make("static", params, 2024);
@@ -167,7 +177,7 @@ TEST_F(DefenseLoop, OngoingAttackDoesNotBlockAnUnimplicatedNodesRelease) {
   DefenseConfig cfg;
   cfg.mitigation_enabled = false;  // flood stays live -> windows stay dirty
   cfg.probation_windows = 2;
-  DefenseRuntime runtime(sim, fence, cfg);
+  DefenseRuntime runtime(sim, engine, cfg);
   runtime.attach_scenario(scenario.get());
 
   const NodeId innocent = 63;  // mesh corner, never on the flooding route
@@ -187,10 +197,7 @@ TEST(DefenseGroundTruth, MitigationInADormantWindowStillCountsAsMitigated) {
   // bursts (truth_attack false); the summary must still certify
   // mitigation once every attacker that has flooded is fenced.
   const MeshShape mesh = MeshShape::square(kMeshSide);
-  core::Dl2Fence fence(core::Dl2FenceConfig::paper_default(mesh));
-  Rng det_rng(7), loc_rng(8);
-  fence.detector().model().init_weights(det_rng);
-  fence.localizer().model().init_weights(loc_rng);
+  const core::PipelineEngine engine = untrained_engine(mesh);
 
   ScenarioParams params;
   params.mesh = mesh;
@@ -206,7 +213,7 @@ TEST(DefenseGroundTruth, MitigationInADormantWindowStillCountsAsMitigated) {
 
   DefenseConfig cfg;
   cfg.mitigation_enabled = false;  // fence manually, in a dormant window
-  DefenseRuntime runtime(sim, fence, cfg);
+  DefenseRuntime runtime(sim, engine, cfg);
   runtime.attach_scenario(scenario.get());
   runtime.run_windows(3);  // benign, burst, off-phase
   for (const NodeId a : scenario->all_attackers()) runtime.quarantine_now(a);
@@ -223,10 +230,7 @@ TEST(DefenseGroundTruth, WindowTruthIntegratesBurstsThatDodgeTheMidpoint) {
   // 1000-cycle window is invisible to a midpoint (or boundary) sample;
   // the window truth must still mark these windows as attacked.
   const MeshShape mesh = MeshShape::square(kMeshSide);
-  core::Dl2Fence fence(core::Dl2FenceConfig::paper_default(mesh));
-  Rng det_rng(7), loc_rng(8);
-  fence.detector().model().init_weights(det_rng);
-  fence.localizer().model().init_weights(loc_rng);
+  const core::PipelineEngine engine = untrained_engine(mesh);
 
   ScenarioParams params;
   params.mesh = mesh;
@@ -242,7 +246,7 @@ TEST(DefenseGroundTruth, WindowTruthIntegratesBurstsThatDodgeTheMidpoint) {
 
   DefenseConfig cfg;
   cfg.mitigation_enabled = false;  // untrained model: keep the fence out of the truth
-  DefenseRuntime runtime(sim, fence, cfg);
+  DefenseRuntime runtime(sim, engine, cfg);
   runtime.attach_scenario(scenario.get());
   runtime.run_windows(4);
 
@@ -252,6 +256,15 @@ TEST(DefenseGroundTruth, WindowTruthIntegratesBurstsThatDodgeTheMidpoint) {
     EXPECT_TRUE(windows[w].truth_attack) << "window " << w;
     EXPECT_EQ(windows[w].truth_attackers, scenario->all_attackers()) << "window " << w;
   }
+}
+
+TEST(DefenseRuntimeConfig, EngineMeshMustMatchTheSimulation) {
+  // A 4x4 engine on an 8x8 mesh would stage 8x8 frames into 4x4 arenas.
+  const core::PipelineEngine engine = untrained_engine(MeshShape::square(4));
+  noc::MeshConfig mesh_cfg;
+  mesh_cfg.shape = MeshShape::square(kMeshSide);
+  traffic::Simulation sim(mesh_cfg);
+  EXPECT_THROW((void)DefenseRuntime(sim, engine), std::invalid_argument);
 }
 
 }  // namespace

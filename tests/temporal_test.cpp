@@ -180,39 +180,33 @@ TEST(SourceSuspects, FlagsCollusionAndRespectsTheMinSourcesGate) {
   EXPECT_TRUE(source_suspects({view.data(), view.size()}, mesh, cfg).empty());
 }
 
-TEST(TemporalSnapshot, CaptureRestoreRoundTripsTemporalWeightsExactly) {
+/// Deterministically initialized (untrained) engine with a temporal head.
+core::PipelineEngine temporal_engine() {
   core::Dl2FenceConfig cfg = core::Dl2FenceConfig::paper_default(MeshShape::square(kMeshSide));
   cfg.enable_temporal = true;
   cfg.temporal.mesh = MeshShape::square(kMeshSide);
-  core::Dl2Fence fence(cfg);
+  core::PipelineEngine engine(cfg);
   Rng det_rng(7), loc_rng(8), tmp_rng(9);
-  fence.detector().model().init_weights(det_rng);
-  fence.localizer().model().init_weights(loc_rng);
-  ASSERT_TRUE(fence.has_temporal());
-  fence.temporal().model().init_weights(tmp_rng);
+  engine.mutable_detector().model().init_weights(det_rng);
+  engine.mutable_localizer().model().init_weights(loc_rng);
+  engine.mutable_temporal().model().init_weights(tmp_rng);
+  return engine;
+}
 
-  const runtime::ModelSnapshot snap = runtime::ModelSnapshot::capture(fence);
+TEST(TemporalSnapshot, CaptureMakeEngineRoundTripsTemporalWeightsExactly) {
+  const core::PipelineEngine engine = temporal_engine();
+  const runtime::ModelSnapshot snap = runtime::ModelSnapshot::capture(engine);
   EXPECT_FALSE(snap.temporal_weights.empty());
+  EXPECT_EQ(snap.temporal_weights, weights_of(engine.temporal()));
 
-  core::Dl2Fence restored = snap.restore();
-  ASSERT_TRUE(restored.has_temporal());
-  EXPECT_EQ(weights_of(restored.temporal()), weights_of(fence.temporal()));
-
-  // A second capture of the restored fence is byte-identical.
-  EXPECT_EQ(runtime::ModelSnapshot::capture(restored).temporal_weights, snap.temporal_weights);
+  const core::PipelineEngine loaded = snap.make_engine();
+  ASSERT_TRUE(loaded.has_temporal());
+  // Re-capturing the loaded engine reproduces the blob byte for byte.
+  EXPECT_EQ(runtime::ModelSnapshot::capture(loaded).temporal_weights, snap.temporal_weights);
 }
 
 TEST(TemporalCampaign, ByteIdenticalAcrossWorkerThreadCountsWithSequenceHead) {
-  core::Dl2FenceConfig fence_cfg =
-      core::Dl2FenceConfig::paper_default(MeshShape::square(kMeshSide));
-  fence_cfg.enable_temporal = true;
-  fence_cfg.temporal.mesh = MeshShape::square(kMeshSide);
-  core::Dl2Fence fence(fence_cfg);
-  Rng det_rng(7), loc_rng(8), tmp_rng(9);
-  fence.detector().model().init_weights(det_rng);
-  fence.localizer().model().init_weights(loc_rng);
-  fence.temporal().model().init_weights(tmp_rng);
-  const runtime::ModelSnapshot snap = runtime::ModelSnapshot::capture(fence);
+  const runtime::ModelSnapshot snap = runtime::ModelSnapshot::capture(temporal_engine());
 
   runtime::CampaignConfig cfg;
   cfg.families = {"static", "colluding"};
