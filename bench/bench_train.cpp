@@ -8,7 +8,7 @@
 //     the seed's per-sample mutable forward/backward trainer (what every
 //     training run cost before this backend existed);
 //   * batched x {1, 2, 4} threads — nn::batch_train through the im2col+
-//     GEMM forward_batch/backward_batch with sliced, fixed-order gradient
+//     GEMM infer_batch/backward_batch with sliced, fixed-order gradient
 //     reduction.
 //
 // The determinism gate serializes the trained weights of every batched

@@ -82,7 +82,7 @@ struct TrainReport {
 
 /// Mini-batch Adam training with BCE loss on the attack label, on the
 /// batched GEMM path (nn::batch_train): minibatches packed into Tensor4,
-/// per-layer forward_batch/backward_batch, deterministic sliced gradient
+/// per-layer infer_batch/backward_batch, deterministic sliced gradient
 /// reduction across cfg.threads workers.
 TrainReport train_detector(DoSDetector& detector, const monitor::Dataset& data,
                            const TrainConfig& cfg);

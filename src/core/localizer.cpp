@@ -12,14 +12,7 @@ DoSLocalizer::DoSLocalizer(const LocalizerConfig& cfg) : cfg_(cfg) {
   assert(cfg.conv_layers >= 2);
   std::int32_t in_ch = 1;
   for (std::int32_t l = 0; l + 1 < cfg.conv_layers; ++l) {
-    if (cfg.depthwise_separable && in_ch > 1) {
-      // Depthwise-separable interior blocks (MobileNet extension, §6).
-      // The first layer stays a standard conv: with one input channel a
-      // DS block degenerates and loses cross-pixel mixing capacity.
-      model_.emplace<nn::DepthwiseSeparableConv2D>(in_ch, cfg.filters, cfg.kernel);
-    } else {
-      model_.emplace<nn::Conv2D>(in_ch, cfg.filters, cfg.kernel, nn::Padding::Same);
-    }
+    model_.emplace<nn::Conv2D>(in_ch, cfg.filters, cfg.kernel, nn::Padding::Same);
     model_.emplace<nn::ReLU>();
     in_ch = cfg.filters;
   }

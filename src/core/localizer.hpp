@@ -27,11 +27,6 @@ struct LocalizerConfig {
   std::int32_t filters = 8;
   std::int32_t conv_layers = 3;  ///< >= 2; last layer always maps to 1 channel
   float threshold = 0.5F;        ///< binarization threshold on sigmoid output
-  /// §6 extension hook: replace the interior standard convolutions with
-  /// MobileNet-style depthwise-separable blocks. For NoCs beyond 32x32
-  /// the paper proposes a MobileNet segmenter to keep the accelerator
-  /// under ~2.5% overhead; the DS blocks cut interior-layer weights ~5x.
-  bool depthwise_separable = false;
 };
 
 class DoSLocalizer {

@@ -38,8 +38,7 @@ void InferenceContext::bind(const Sequential& model, const Tensor3& input_shape,
   std::size_t scratch = 0;
   for (std::size_t l = 0; l < model.layer_count(); ++l) {
     const Layer& layer = model.layer(l);
-    scratch = std::max(scratch, train_ ? layer.train_scratch_floats(shape)
-                                       : layer.infer_scratch_floats(shape));
+    scratch = std::max(scratch, layer.infer_scratch_floats(shape));
     shape = layer.output_shape(shape);
     acts_.emplace_back(capacity_, shape.channels(), shape.height(), shape.width());
   }
@@ -67,8 +66,8 @@ void InferenceContext::bind_train(const Sequential& model, const Tensor3& input_
   const bool was_train = train_;
   train_ = true;
   if (!was_train) {
-    // Force a rebind so the gradient mirrors and the (larger) training
-    // scratch are allocated even when the infer binding already matches.
+    // Force a rebind so the gradient mirrors are allocated even when the
+    // infer binding already matches.
     model_ = nullptr;
   }
   bind(model, input_shape, max_batch);

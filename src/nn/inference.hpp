@@ -11,9 +11,9 @@
 // same-or-smaller requests are no-ops.
 //
 // bind_train() additionally allocates a mirror gradient buffer per layer
-// boundary (and the larger training scratch), turning the context into a
-// complete per-worker training arena: Sequential::forward_batch fills the
-// activations, the caller writes dLoss/dOut into loss_grad(), and
+// boundary, turning the context into a complete per-worker training
+// arena: Sequential::infer_batch fills the activations, the caller writes
+// dLoss/dOut into loss_grad(), and
 // Sequential::backward_batch drains the gradients — all allocation-free.
 //
 // The context is the mutable half of the const-shared/mutable-scratch
@@ -46,8 +46,8 @@ class InferenceContext {
   /// the context (or be re-bound).
   void bind(const Sequential& model, const Tensor3& input_shape, std::int32_t max_batch);
 
-  /// bind() plus the per-layer gradient mirrors and training scratch the
-  /// batched backward pass needs. Idempotent like bind().
+  /// bind() plus the per-layer gradient mirrors the batched backward pass
+  /// needs. Idempotent like bind().
   void bind_train(const Sequential& model, const Tensor3& input_shape, std::int32_t max_batch);
 
   [[nodiscard]] bool bound() const noexcept { return model_ != nullptr; }
@@ -64,7 +64,7 @@ class InferenceContext {
   [[nodiscard]] const Tensor4& activation(std::size_t i) const { return acts_[i]; }
 
   /// The loss-gradient staging buffer (dLoss/dOut of the model), sized to
-  /// the active batch of the last forward_batch. Requires bind_train.
+  /// the active batch of the last infer_batch. Requires bind_train.
   [[nodiscard]] Tensor4& loss_grad();
 
  private:

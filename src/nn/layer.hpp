@@ -7,14 +7,15 @@
 // the bitwise ground truth the batched paths are tested against.
 //
 // Batched paths (const, allocation-free, the production compute):
-//  * infer_batch / forward_batch read a preallocated input batch and
-//    write a preallocated output batch; per-sample temporaries (im2col
-//    panels, depthwise intermediates) live in caller-provided scratch,
-//    never in layer members. Per sample they perform the exact
-//    floating-point operations of forward() in the exact same order
-//    (convolutions and dense layers are lowered onto the nn/gemm.hpp
-//    kernels, whose accumulation-order invariants guarantee this), so
-//    batched outputs are bitwise-identical to the reference forward.
+//  * infer_batch reads a preallocated input batch and writes a
+//    preallocated output batch; per-sample temporaries (im2col panels)
+//    live in caller-provided scratch, never in layer members. It is both
+//    the inference pass and the batched training forward. Per sample it
+//    performs the exact floating-point operations of forward() in the
+//    exact same order (convolutions and dense layers are lowered onto the
+//    nn/gemm.hpp kernels, whose accumulation-order invariants guarantee
+//    this), so batched outputs are bitwise-identical to the reference
+//    forward.
 //  * backward_batch consumes the batch the caller forwarded (input and
 //    output activations are handed back in) and accumulates parameter
 //    gradients into caller-owned buffers, samples in ascending order —
@@ -59,35 +60,24 @@ class Layer {
   /// floats, reused sample by sample. Must not touch any member state.
   virtual void infer_batch(const Tensor4& in, Tensor4& out, float* scratch) const = 0;
 
-  /// The batched training forward IS the batched inference pass: both are
-  /// bitwise-identical per sample to forward(), and backward_batch takes
-  /// the input/output activations back in instead of caching them.
-  void forward_batch(const Tensor4& in, Tensor4& out, float* scratch) const {
-    infer_batch(in, out, scratch);
-  }
-
   /// Const, allocation-free batched backward. `grad_out` is dLoss/d(out);
-  /// `in`/`out` are the activations forward_batch consumed and produced
+  /// `in`/`out` are the activations infer_batch consumed and produced
   /// for this batch. Writes dLoss/d(in) into `grad_in` (fully overwritten;
   /// skipped entirely when `need_input_grad` is false — e.g. for the first
   /// layer of a model) and ACCUMULATES parameter gradients into
   /// `param_grads`, one float buffer per params() entry, in params()
-  /// order. `scratch` points at train_scratch_floats(...) floats.
+  /// order. `scratch` points at infer_scratch_floats(...) floats: one
+  /// arena serves the whole forward+backward pass.
   /// Bitwise-identical to running backward() per sample in batch order.
   virtual void backward_batch(const Tensor4& grad_out, const Tensor4& in, const Tensor4& out,
                               Tensor4& grad_in, std::span<float* const> param_grads,
                               float* scratch, bool need_input_grad) const = 0;
 
-  /// Per-sample scratch floats infer_batch needs for the given input
-  /// shape (0 for layers that stream input to output directly).
+  /// Per-sample scratch floats infer_batch and backward_batch need for
+  /// the given input shape (0 for layers that stream input to output
+  /// directly).
   [[nodiscard]] virtual std::size_t infer_scratch_floats(const Tensor3& /*input_shape*/) const {
     return 0;
-  }
-
-  /// Scratch floats backward_batch needs (>= infer_scratch_floats so one
-  /// arena serves the whole forward+backward pass).
-  [[nodiscard]] virtual std::size_t train_scratch_floats(const Tensor3& input_shape) const {
-    return infer_scratch_floats(input_shape);
   }
 
   /// Learnable parameter blocks (empty for activations/pooling).

@@ -21,45 +21,48 @@ void he_uniform(std::vector<float>& w, std::size_t fan_in, Rng& rng) {
 // ---------------------------------------------------------------- Conv2D
 
 Conv2D::Conv2D(std::int32_t in_channels, std::int32_t out_channels, std::int32_t kernel,
-               Padding padding)
-    : in_c_(in_channels), out_c_(out_channels), k_(kernel), padding_(padding),
-      pad_(padding == Padding::Same ? (kernel - 1) / 2 : 0),
+               Padding padding, std::int32_t steps)
+    : in_c_(in_channels), out_c_(out_channels), k_(kernel),
+      pad_(padding == Padding::Same ? (kernel - 1) / 2 : 0), steps_(steps),
       weights_(static_cast<std::size_t>(out_channels * in_channels * kernel * kernel)),
       bias_(static_cast<std::size_t>(out_channels)) {
-  assert(kernel >= 1 && (padding != Padding::Same || kernel % 2 == 1));
+  assert(steps >= 1 && kernel >= 1 && (padding != Padding::Same || kernel % 2 == 1));
 }
 
 Tensor3 Conv2D::output_shape(const Tensor3& s) const {
   const auto oh = s.height() + 2 * pad_ - k_ + 1;
   const auto ow = s.width() + 2 * pad_ - k_ + 1;
-  return Tensor3(out_c_, oh, ow);
+  return Tensor3(steps_ * out_c_, oh, ow);
 }
 
 void Conv2D::init_weights(Rng& rng) {
+  // Fan-in is one step's receptive field: the bank is shared across steps.
   he_uniform(weights_.value, static_cast<std::size_t>(in_c_ * k_ * k_), rng);
   std::fill(bias_.value.begin(), bias_.value.end(), 0.0F);
 }
 
 Tensor3 Conv2D::forward(const Tensor3& input) {
-  assert(input.channels() == in_c_);
+  assert(input.channels() == steps_ * in_c_);
   cached_input_ = input;
   Tensor3 out = output_shape(input);
-  for (std::int32_t o = 0; o < out_c_; ++o) {
-    for (std::int32_t y = 0; y < out.height(); ++y) {
-      for (std::int32_t x = 0; x < out.width(); ++x) {
-        float acc = bias_.value[static_cast<std::size_t>(o)];
-        for (std::int32_t i = 0; i < in_c_; ++i) {
-          for (std::int32_t dy = 0; dy < k_; ++dy) {
-            const std::int32_t iy = y + dy - pad_;
-            if (iy < 0 || iy >= input.height()) continue;
-            for (std::int32_t dx = 0; dx < k_; ++dx) {
-              const std::int32_t ix = x + dx - pad_;
-              if (ix < 0 || ix >= input.width()) continue;
-              acc += w(o, i, dy, dx) * input.at(i, iy, ix);
+  for (std::int32_t t = 0; t < steps_; ++t) {
+    for (std::int32_t o = 0; o < out_c_; ++o) {
+      for (std::int32_t y = 0; y < out.height(); ++y) {
+        for (std::int32_t x = 0; x < out.width(); ++x) {
+          float acc = bias_.value[static_cast<std::size_t>(o)];
+          for (std::int32_t i = 0; i < in_c_; ++i) {
+            for (std::int32_t dy = 0; dy < k_; ++dy) {
+              const std::int32_t iy = y + dy - pad_;
+              if (iy < 0 || iy >= input.height()) continue;
+              for (std::int32_t dx = 0; dx < k_; ++dx) {
+                const std::int32_t ix = x + dx - pad_;
+                if (ix < 0 || ix >= input.width()) continue;
+                acc += w(o, i, dy, dx) * input.at(t * in_c_ + i, iy, ix);
+              }
             }
           }
+          out.at(t * out_c_ + o, y, x) = acc;
         }
-        out.at(o, y, x) = acc;
       }
     }
   }
@@ -69,21 +72,25 @@ Tensor3 Conv2D::forward(const Tensor3& input) {
 Tensor3 Conv2D::backward(const Tensor3& grad_out) {
   const Tensor3& in = cached_input_;
   Tensor3 grad_in(in.channels(), in.height(), in.width());
-  for (std::int32_t o = 0; o < out_c_; ++o) {
-    for (std::int32_t y = 0; y < grad_out.height(); ++y) {
-      for (std::int32_t x = 0; x < grad_out.width(); ++x) {
-        const float g = grad_out.at(o, y, x);
-        if (g == 0.0F) continue;
-        bias_.grad[static_cast<std::size_t>(o)] += g;
-        for (std::int32_t i = 0; i < in_c_; ++i) {
-          for (std::int32_t dy = 0; dy < k_; ++dy) {
-            const std::int32_t iy = y + dy - pad_;
-            if (iy < 0 || iy >= in.height()) continue;
-            for (std::int32_t dx = 0; dx < k_; ++dx) {
-              const std::int32_t ix = x + dx - pad_;
-              if (ix < 0 || ix >= in.width()) continue;
-              gw(o, i, dy, dx) += g * in.at(i, iy, ix);
-              grad_in.at(i, iy, ix) += g * w(o, i, dy, dx);
+  // Steps ascending, then the (o, y, x) sweep: the shared bank accumulates
+  // its gradient in this fixed order, which backward_batch reproduces.
+  for (std::int32_t t = 0; t < steps_; ++t) {
+    for (std::int32_t o = 0; o < out_c_; ++o) {
+      for (std::int32_t y = 0; y < grad_out.height(); ++y) {
+        for (std::int32_t x = 0; x < grad_out.width(); ++x) {
+          const float g = grad_out.at(t * out_c_ + o, y, x);
+          if (g == 0.0F) continue;
+          bias_.grad[static_cast<std::size_t>(o)] += g;
+          for (std::int32_t i = 0; i < in_c_; ++i) {
+            for (std::int32_t dy = 0; dy < k_; ++dy) {
+              const std::int32_t iy = y + dy - pad_;
+              if (iy < 0 || iy >= in.height()) continue;
+              for (std::int32_t dx = 0; dx < k_; ++dx) {
+                const std::int32_t ix = x + dx - pad_;
+                if (ix < 0 || ix >= in.width()) continue;
+                gw(o, i, dy, dx) += g * in.at(t * in_c_ + i, iy, ix);
+                grad_in.at(t * in_c_ + i, iy, ix) += g * w(o, i, dy, dx);
+              }
             }
           }
         }
@@ -94,8 +101,9 @@ Tensor3 Conv2D::backward(const Tensor3& grad_out) {
 }
 
 std::size_t Conv2D::infer_scratch_floats(const Tensor3& input_shape) const {
-  // The im2col panel: (in_c * k * k) rows by (oh * ow) output pixels. The
-  // backward im2row panel is the transpose, so the same arena serves both.
+  // One step's im2col panel: (in_c * k * k) rows by (oh * ow) output
+  // pixels, reused across (sample, step) groups. The backward im2row panel
+  // is the transpose, so the same arena serves both.
   const Tensor3 out = output_shape(input_shape);
   return static_cast<std::size_t>(in_c_ * k_ * k_) *
          static_cast<std::size_t>(out.height() * out.width());
@@ -140,6 +148,10 @@ Tensor3 MaxPool2D::backward(const Tensor3& grad_out) {
   Tensor3 grad_in(cached_input_shape_.channels(), cached_input_shape_.height(),
                   cached_input_shape_.width());
   for (std::size_t i = 0; i < grad_out.size(); ++i) {
+    // argmax is -1 only for an all-NaN window (diverged training): no
+    // input element was selected, so its gradient is dropped, as in
+    // backward_batch.
+    if (argmax_[i] < 0) continue;
     grad_in.data()[static_cast<std::size_t>(argmax_[i])] += grad_out.data()[i];
   }
   return grad_in;
@@ -199,198 +211,48 @@ Tensor3 Flatten::backward(const Tensor3& grad_out) {
 
 // ----------------------------------------------------------------- Dense
 
-Dense::Dense(std::int32_t in_features, std::int32_t out_features)
-    : in_f_(in_features), out_f_(out_features),
-      weights_(static_cast<std::size_t>(in_features * out_features)),
-      bias_(static_cast<std::size_t>(out_features)) {}
+Dense::Dense(std::int32_t in_features, std::int32_t out_features, std::int32_t steps,
+             std::int32_t window)
+    : in_f_(in_features), out_f_(out_features), steps_(steps), window_(window),
+      weights_(static_cast<std::size_t>(out_features * window * in_features)),
+      bias_(static_cast<std::size_t>(out_features)) {
+  assert(window >= 1 && steps >= window);
+}
 
-Tensor3 Dense::output_shape(const Tensor3&) const { return Tensor3(out_f_, 1, 1); }
+Tensor3 Dense::output_shape(const Tensor3&) const { return Tensor3(positions() * out_f_, 1, 1); }
 
 void Dense::init_weights(Rng& rng) {
-  he_uniform(weights_.value, static_cast<std::size_t>(in_f_), rng);
+  he_uniform(weights_.value, static_cast<std::size_t>(window_ * in_f_), rng);
   std::fill(bias_.value.begin(), bias_.value.end(), 0.0F);
 }
 
 Tensor3 Dense::forward(const Tensor3& input) {
-  assert(static_cast<std::int32_t>(input.size()) == in_f_);
+  assert(static_cast<std::int32_t>(input.size()) == steps_ * in_f_);
   cached_input_ = input;
-  Tensor3 out(out_f_, 1, 1);
-  for (std::int32_t o = 0; o < out_f_; ++o) {
-    float acc = bias_.value[static_cast<std::size_t>(o)];
-    const auto row = static_cast<std::size_t>(o * in_f_);
-    for (std::int32_t i = 0; i < in_f_; ++i) {
-      acc += weights_.value[row + static_cast<std::size_t>(i)] *
-             input.data()[static_cast<std::size_t>(i)];
-    }
-    out.data()[static_cast<std::size_t>(o)] = acc;
-  }
-  return out;
-}
-
-Tensor3 Dense::backward(const Tensor3& grad_out) {
-  Tensor3 grad_in(cached_input_.channels(), cached_input_.height(), cached_input_.width());
-  for (std::int32_t o = 0; o < out_f_; ++o) {
-    const float g = grad_out.data()[static_cast<std::size_t>(o)];
-    bias_.grad[static_cast<std::size_t>(o)] += g;
-    const auto row = static_cast<std::size_t>(o * in_f_);
-    for (std::int32_t i = 0; i < in_f_; ++i) {
-      weights_.grad[row + static_cast<std::size_t>(i)] +=
-          g * cached_input_.data()[static_cast<std::size_t>(i)];
-      grad_in.data()[static_cast<std::size_t>(i)] +=
-          g * weights_.value[row + static_cast<std::size_t>(i)];
-    }
-  }
-  return grad_in;
-}
-
-std::size_t Dense::infer_scratch_floats(const Tensor3& /*input_shape*/) const {
-  // One transposed sample panel (in_f x kSampleBlock) plus the GEMM output
-  // panel (out_f x kSampleBlock).
-  return static_cast<std::size_t>(in_f_ + out_f_) *
-         static_cast<std::size_t>(gemm::kSampleBlock);
-}
-
-// --------------------------------------------- TimeDistributedConv2D
-
-TimeDistributedConv2D::TimeDistributedConv2D(std::int32_t steps, std::int32_t in_channels,
-                                             std::int32_t out_channels, std::int32_t kernel,
-                                             Padding padding)
-    : steps_(steps), in_c_(in_channels), out_c_(out_channels), k_(kernel), padding_(padding),
-      pad_(padding == Padding::Same ? (kernel - 1) / 2 : 0),
-      weights_(static_cast<std::size_t>(out_channels * in_channels * kernel * kernel)),
-      bias_(static_cast<std::size_t>(out_channels)) {
-  assert(steps >= 1 && kernel >= 1 && (padding != Padding::Same || kernel % 2 == 1));
-}
-
-Tensor3 TimeDistributedConv2D::output_shape(const Tensor3& s) const {
-  assert(s.channels() == steps_ * in_c_);
-  const auto oh = s.height() + 2 * pad_ - k_ + 1;
-  const auto ow = s.width() + 2 * pad_ - k_ + 1;
-  return Tensor3(steps_ * out_c_, oh, ow);
-}
-
-void TimeDistributedConv2D::init_weights(Rng& rng) {
-  // Shared filter bank: fan-in is one timestep's receptive field, exactly
-  // as for the plain Conv2D it replicates over time.
-  he_uniform(weights_.value, static_cast<std::size_t>(in_c_ * k_ * k_), rng);
-  std::fill(bias_.value.begin(), bias_.value.end(), 0.0F);
-}
-
-Tensor3 TimeDistributedConv2D::forward(const Tensor3& input) {
-  assert(input.channels() == steps_ * in_c_);
-  cached_input_ = input;
+  const std::int32_t kd = window_ * in_f_;
   Tensor3 out = output_shape(input);
-  for (std::int32_t t = 0; t < steps_; ++t) {
-    for (std::int32_t o = 0; o < out_c_; ++o) {
-      for (std::int32_t y = 0; y < out.height(); ++y) {
-        for (std::int32_t x = 0; x < out.width(); ++x) {
-          float acc = bias_.value[static_cast<std::size_t>(o)];
-          for (std::int32_t i = 0; i < in_c_; ++i) {
-            for (std::int32_t dy = 0; dy < k_; ++dy) {
-              const std::int32_t iy = y + dy - pad_;
-              if (iy < 0 || iy >= input.height()) continue;
-              for (std::int32_t dx = 0; dx < k_; ++dx) {
-                const std::int32_t ix = x + dx - pad_;
-                if (ix < 0 || ix >= input.width()) continue;
-                acc += w(o, i, dy, dx) * input.at(t * in_c_ + i, iy, ix);
-              }
-            }
-          }
-          out.at(t * out_c_ + o, y, x) = acc;
-        }
-      }
-    }
-  }
-  return out;
-}
-
-Tensor3 TimeDistributedConv2D::backward(const Tensor3& grad_out) {
-  const Tensor3& in = cached_input_;
-  Tensor3 grad_in(in.channels(), in.height(), in.width());
-  // Timesteps ascending, then the Conv2D reference's (o, y, x) sweep —
-  // the shared weight bank accumulates its gradient over time in this
-  // fixed order, which the batched path reproduces exactly.
-  for (std::int32_t t = 0; t < steps_; ++t) {
-    for (std::int32_t o = 0; o < out_c_; ++o) {
-      for (std::int32_t y = 0; y < grad_out.height(); ++y) {
-        for (std::int32_t x = 0; x < grad_out.width(); ++x) {
-          const float g = grad_out.at(t * out_c_ + o, y, x);
-          if (g == 0.0F) continue;
-          bias_.grad[static_cast<std::size_t>(o)] += g;
-          for (std::int32_t i = 0; i < in_c_; ++i) {
-            for (std::int32_t dy = 0; dy < k_; ++dy) {
-              const std::int32_t iy = y + dy - pad_;
-              if (iy < 0 || iy >= in.height()) continue;
-              for (std::int32_t dx = 0; dx < k_; ++dx) {
-                const std::int32_t ix = x + dx - pad_;
-                if (ix < 0 || ix >= in.width()) continue;
-                gw(o, i, dy, dx) += g * in.at(t * in_c_ + i, iy, ix);
-                grad_in.at(t * in_c_ + i, iy, ix) += g * w(o, i, dy, dx);
-              }
-            }
-          }
-        }
-      }
-    }
-  }
-  return grad_in;
-}
-
-std::size_t TimeDistributedConv2D::infer_scratch_floats(const Tensor3& input_shape) const {
-  // One timestep's im2col panel, reused across (sample, timestep) pairs.
-  const auto oh = input_shape.height() + 2 * pad_ - k_ + 1;
-  const auto ow = input_shape.width() + 2 * pad_ - k_ + 1;
-  return static_cast<std::size_t>(in_c_ * k_ * k_) * static_cast<std::size_t>(oh * ow);
-}
-
-// --------------------------------------------------------- TemporalConv1D
-
-TemporalConv1D::TemporalConv1D(std::int32_t steps, std::int32_t in_dim, std::int32_t out_dim,
-                               std::int32_t kernel_t)
-    : steps_(steps), in_d_(in_dim), out_d_(out_dim), kt_(kernel_t),
-      weights_(static_cast<std::size_t>(out_dim * kernel_t * in_dim)),
-      bias_(static_cast<std::size_t>(out_dim)) {
-  assert(kernel_t >= 1 && steps >= kernel_t);
-}
-
-Tensor3 TemporalConv1D::output_shape(const Tensor3& s) const {
-  assert(static_cast<std::int32_t>(s.channels() * s.height() * s.width()) == steps_ * in_d_);
-  (void)s;
-  return Tensor3(out_steps() * out_d_, 1, 1);
-}
-
-void TemporalConv1D::init_weights(Rng& rng) {
-  he_uniform(weights_.value, static_cast<std::size_t>(kt_ * in_d_), rng);
-  std::fill(bias_.value.begin(), bias_.value.end(), 0.0F);
-}
-
-Tensor3 TemporalConv1D::forward(const Tensor3& input) {
-  assert(static_cast<std::int32_t>(input.size()) == steps_ * in_d_);
-  cached_input_ = input;
-  const std::int32_t kd = kt_ * in_d_;
-  Tensor3 out(out_steps() * out_d_, 1, 1);
-  for (std::int32_t u = 0; u < out_steps(); ++u) {
-    const float* x = input.data().data() + static_cast<std::size_t>(u * in_d_);
-    for (std::int32_t o = 0; o < out_d_; ++o) {
+  for (std::int32_t u = 0; u < positions(); ++u) {
+    const float* x = input.data().data() + static_cast<std::size_t>(u * in_f_);
+    for (std::int32_t o = 0; o < out_f_; ++o) {
       float acc = bias_.value[static_cast<std::size_t>(o)];
       const auto row = static_cast<std::size_t>(o * kd);
       for (std::int32_t q = 0; q < kd; ++q) {
         acc += weights_.value[row + static_cast<std::size_t>(q)] * x[q];
       }
-      out.data()[static_cast<std::size_t>(u * out_d_ + o)] = acc;
+      out.data()[static_cast<std::size_t>(u * out_f_ + o)] = acc;
     }
   }
   return out;
 }
 
-Tensor3 TemporalConv1D::backward(const Tensor3& grad_out) {
-  const std::int32_t kd = kt_ * in_d_;
+Tensor3 Dense::backward(const Tensor3& grad_out) {
+  const std::int32_t kd = window_ * in_f_;
   Tensor3 grad_in(cached_input_.channels(), cached_input_.height(), cached_input_.width());
-  for (std::int32_t u = 0; u < out_steps(); ++u) {
-    const float* x = cached_input_.data().data() + static_cast<std::size_t>(u * in_d_);
-    float* gi = grad_in.data().data() + static_cast<std::size_t>(u * in_d_);
-    for (std::int32_t o = 0; o < out_d_; ++o) {
-      const float g = grad_out.data()[static_cast<std::size_t>(u * out_d_ + o)];
+  for (std::int32_t u = 0; u < positions(); ++u) {
+    const float* x = cached_input_.data().data() + static_cast<std::size_t>(u * in_f_);
+    float* gi = grad_in.data().data() + static_cast<std::size_t>(u * in_f_);
+    for (std::int32_t o = 0; o < out_f_; ++o) {
+      const float g = grad_out.data()[static_cast<std::size_t>(u * out_f_ + o)];
       bias_.grad[static_cast<std::size_t>(o)] += g;
       const auto row = static_cast<std::size_t>(o * kd);
       for (std::int32_t q = 0; q < kd; ++q) {
@@ -402,126 +264,11 @@ Tensor3 TemporalConv1D::backward(const Tensor3& grad_out) {
   return grad_in;
 }
 
-// --------------------------------------------- DepthwiseSeparableConv2D
-
-DepthwiseSeparableConv2D::DepthwiseSeparableConv2D(std::int32_t in_channels,
-                                                   std::int32_t out_channels, std::int32_t kernel)
-    : in_c_(in_channels), out_c_(out_channels), k_(kernel), pad_((kernel - 1) / 2),
-      depth_weights_(static_cast<std::size_t>(in_channels * kernel * kernel)),
-      point_weights_(static_cast<std::size_t>(out_channels * in_channels)),
-      bias_(static_cast<std::size_t>(out_channels)) {
-  assert(kernel % 2 == 1);
-}
-
-Tensor3 DepthwiseSeparableConv2D::output_shape(const Tensor3& s) const {
-  return Tensor3(out_c_, s.height(), s.width());
-}
-
-void DepthwiseSeparableConv2D::init_weights(Rng& rng) {
-  he_uniform(depth_weights_.value, static_cast<std::size_t>(k_ * k_), rng);
-  he_uniform(point_weights_.value, static_cast<std::size_t>(in_c_), rng);
-  std::fill(bias_.value.begin(), bias_.value.end(), 0.0F);
-}
-
-Tensor3 DepthwiseSeparableConv2D::forward(const Tensor3& input) {
-  assert(input.channels() == in_c_);
-  cached_input_ = input;
-
-  // Depthwise: each input channel convolved with its own k x k filter.
-  Tensor3 depth(in_c_, input.height(), input.width());
-  for (std::int32_t c = 0; c < in_c_; ++c) {
-    for (std::int32_t y = 0; y < input.height(); ++y) {
-      for (std::int32_t x = 0; x < input.width(); ++x) {
-        float acc = 0.0F;
-        for (std::int32_t dy = 0; dy < k_; ++dy) {
-          const std::int32_t iy = y + dy - pad_;
-          if (iy < 0 || iy >= input.height()) continue;
-          for (std::int32_t dx = 0; dx < k_; ++dx) {
-            const std::int32_t ix = x + dx - pad_;
-            if (ix < 0 || ix >= input.width()) continue;
-            acc += depth_weights_.value[static_cast<std::size_t>((c * k_ + dy) * k_ + dx)] *
-                   input.at(c, iy, ix);
-          }
-        }
-        depth.at(c, y, x) = acc;
-      }
-    }
-  }
-  cached_depth_out_ = depth;
-
-  // Pointwise: 1x1 channel mix.
-  Tensor3 out(out_c_, input.height(), input.width());
-  for (std::int32_t o = 0; o < out_c_; ++o) {
-    for (std::int32_t y = 0; y < out.height(); ++y) {
-      for (std::int32_t x = 0; x < out.width(); ++x) {
-        float acc = bias_.value[static_cast<std::size_t>(o)];
-        for (std::int32_t c = 0; c < in_c_; ++c) {
-          acc += point_weights_.value[static_cast<std::size_t>(o * in_c_ + c)] * depth.at(c, y, x);
-        }
-        out.at(o, y, x) = acc;
-      }
-    }
-  }
-  return out;
-}
-
-std::size_t DepthwiseSeparableConv2D::infer_scratch_floats(const Tensor3& input_shape) const {
-  // The depthwise intermediate (one sample, reused across the batch).
-  return static_cast<std::size_t>(in_c_) *
-         static_cast<std::size_t>(input_shape.height() * input_shape.width());
-}
-
-std::size_t DepthwiseSeparableConv2D::train_scratch_floats(const Tensor3& input_shape) const {
-  // The recomputed depthwise intermediate plus its gradient, one sample at
-  // a time.
-  return 2 * static_cast<std::size_t>(in_c_) *
-         static_cast<std::size_t>(input_shape.height() * input_shape.width());
-}
-
-Tensor3 DepthwiseSeparableConv2D::backward(const Tensor3& grad_out) {
-  const Tensor3& in = cached_input_;
-  Tensor3 grad_depth(in_c_, in.height(), in.width());
-
-  // Pointwise backward.
-  for (std::int32_t o = 0; o < out_c_; ++o) {
-    for (std::int32_t y = 0; y < grad_out.height(); ++y) {
-      for (std::int32_t x = 0; x < grad_out.width(); ++x) {
-        const float g = grad_out.at(o, y, x);
-        if (g == 0.0F) continue;
-        bias_.grad[static_cast<std::size_t>(o)] += g;
-        for (std::int32_t c = 0; c < in_c_; ++c) {
-          point_weights_.grad[static_cast<std::size_t>(o * in_c_ + c)] +=
-              g * cached_depth_out_.at(c, y, x);
-          grad_depth.at(c, y, x) +=
-              g * point_weights_.value[static_cast<std::size_t>(o * in_c_ + c)];
-        }
-      }
-    }
-  }
-
-  // Depthwise backward.
-  Tensor3 grad_in(in_c_, in.height(), in.width());
-  for (std::int32_t c = 0; c < in_c_; ++c) {
-    for (std::int32_t y = 0; y < in.height(); ++y) {
-      for (std::int32_t x = 0; x < in.width(); ++x) {
-        const float g = grad_depth.at(c, y, x);
-        if (g == 0.0F) continue;
-        for (std::int32_t dy = 0; dy < k_; ++dy) {
-          const std::int32_t iy = y + dy - pad_;
-          if (iy < 0 || iy >= in.height()) continue;
-          for (std::int32_t dx = 0; dx < k_; ++dx) {
-            const std::int32_t ix = x + dx - pad_;
-            if (ix < 0 || ix >= in.width()) continue;
-            depth_weights_.grad[static_cast<std::size_t>((c * k_ + dy) * k_ + dx)] +=
-                g * in.at(c, iy, ix);
-            grad_in.at(c, iy, ix) +=
-                g * depth_weights_.value[static_cast<std::size_t>((c * k_ + dy) * k_ + dx)];
-          }
-        }
-      }
-    }
-  }
-  return grad_in;
+std::size_t Dense::infer_scratch_floats(const Tensor3& /*input_shape*/) const {
+  // One transposed column panel ((window * in_f) x kSampleBlock) plus the
+  // GEMM output panel (out_f x kSampleBlock).
+  return static_cast<std::size_t>(window_ * in_f_ + out_f_) *
+         static_cast<std::size_t>(gemm::kSampleBlock);
 }
 
 }  // namespace dl2f::nn

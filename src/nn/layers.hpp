@@ -1,6 +1,5 @@
-// The concrete layers DL2Fence's two models are built from (Fig. 2), plus
-// the depthwise-separable convolution used by the paper's MobileNet
-// extension hook for >32x32 NoCs (§6).
+// The concrete layers DL2Fence's two models are built from (Fig. 2); the
+// temporal head reuses Conv2D and Dense with their `steps` arguments.
 //
 // All convolutions are stride-1; Padding::Valid shrinks by k-1 per side
 // pair (the detector), Padding::Same preserves H x W (the localizer).
@@ -13,10 +12,16 @@ namespace dl2f::nn {
 
 enum class Padding : std::uint8_t { Valid, Same };
 
+/// With steps > 1 the one filter bank is applied independently to each of
+/// `steps` channel groups: input (steps*in_c, H, W) -> output
+/// (steps*out_c, OH, OW), group t of the input mapping to group t of the
+/// output. The temporal detector embeds every window of a sequence this
+/// way. Steps ascend inside each sample on every path, so each (sample,
+/// step) group runs exactly the steps = 1 computation.
 class Conv2D final : public Layer {
  public:
   Conv2D(std::int32_t in_channels, std::int32_t out_channels, std::int32_t kernel,
-         Padding padding);
+         Padding padding, std::int32_t steps = 1);
 
   [[nodiscard]] std::string name() const override { return "Conv2D"; }
   Tensor3 forward(const Tensor3& input) override;
@@ -32,10 +37,8 @@ class Conv2D final : public Layer {
   [[nodiscard]] Tensor3 output_shape(const Tensor3& input_shape) const override;
 
   [[nodiscard]] std::int32_t kernel() const noexcept { return k_; }
+  /// Input channels of one step's group.
   [[nodiscard]] std::int32_t in_channels() const noexcept { return in_c_; }
-  [[nodiscard]] std::int32_t out_channels() const noexcept { return out_c_; }
-  /// Zero-padding per side (0 for Valid, (k-1)/2 for Same).
-  [[nodiscard]] std::int32_t pad() const noexcept { return pad_; }
 
  private:
   [[nodiscard]] float& w(std::int32_t o, std::int32_t i, std::int32_t dy, std::int32_t dx) {
@@ -46,9 +49,9 @@ class Conv2D final : public Layer {
   }
 
   std::int32_t in_c_, out_c_, k_;
-  Padding padding_;
   std::int32_t pad_;  ///< zero-padding per side (0 for Valid, (k-1)/2 for Same)
-  Param weights_;
+  std::int32_t steps_;
+  Param weights_;  ///< out_c x in_c x k x k, shared across steps
   Param bias_;
   Tensor3 cached_input_;
 };
@@ -119,9 +122,16 @@ class Flatten final : public Layer {
   std::int32_t c_ = 0, h_ = 0, w_ = 0;
 };
 
+/// With steps > 1 the input is `steps` contiguous in_f-float blocks (time
+/// major) and the layer slides over them: output position u, of
+/// steps - window + 1, is the bias plus one dot product over blocks
+/// [u, u + window), the reduction index ascending. Weights are then
+/// out_f x (window * in_f). This is the temporal detector's convolution
+/// over time; with steps = window = 1 it is the plain dense layer.
 class Dense final : public Layer {
  public:
-  Dense(std::int32_t in_features, std::int32_t out_features);
+  Dense(std::int32_t in_features, std::int32_t out_features, std::int32_t steps = 1,
+        std::int32_t window = 1);
 
   [[nodiscard]] std::string name() const override { return "Dense"; }
   Tensor3 forward(const Tensor3& input) override;
@@ -140,130 +150,13 @@ class Dense final : public Layer {
   [[nodiscard]] std::int32_t out_features() const noexcept { return out_f_; }
 
  private:
-  std::int32_t in_f_, out_f_;
-  Param weights_;  ///< out_f x in_f, row-major
+  /// Output positions (steps - window + 1).
+  [[nodiscard]] std::int32_t positions() const noexcept { return steps_ - window_ + 1; }
+
+  std::int32_t in_f_, out_f_, steps_, window_;
+  Param weights_;  ///< out_f x (window * in_f), row-major
   Param bias_;
   Tensor3 cached_input_;
-};
-
-/// One shared stride-1 Conv2D applied independently to each of `steps`
-/// time groups of channels: input (steps*in_c, H, W) -> output
-/// (steps*out_c, OH, OW), where group t of the input (channels
-/// [t*in_c, (t+1)*in_c)) maps to group t of the output through the SAME
-/// weight bank. This is how the temporal detector embeds every window of
-/// a sequence with one set of filters before the conv-over-time head
-/// mixes the time axis. Per (sample, timestep) the math is exactly
-/// Conv2D's — same im2col + SGEMM lowering, same accumulation chains — so
-/// the batched path inherits the bitwise-parity contract unchanged.
-class TimeDistributedConv2D final : public Layer {
- public:
-  TimeDistributedConv2D(std::int32_t steps, std::int32_t in_channels, std::int32_t out_channels,
-                        std::int32_t kernel, Padding padding);
-
-  [[nodiscard]] std::string name() const override { return "TimeDistributedConv2D"; }
-  Tensor3 forward(const Tensor3& input) override;
-  Tensor3 backward(const Tensor3& grad_output) override;
-  void infer_batch(const Tensor4& in, Tensor4& out, float* scratch) const override;
-  void backward_batch(const Tensor4& grad_out, const Tensor4& in, const Tensor4& out,
-                      Tensor4& grad_in, std::span<float* const> param_grads, float* scratch,
-                      bool need_input_grad) const override;
-  [[nodiscard]] std::size_t infer_scratch_floats(const Tensor3& input_shape) const override;
-  [[nodiscard]] std::vector<Param*> params() override { return {&weights_, &bias_}; }
-  [[nodiscard]] std::size_t num_params() const override { return 2; }
-  void init_weights(Rng& rng) override;
-  [[nodiscard]] Tensor3 output_shape(const Tensor3& input_shape) const override;
-
-  [[nodiscard]] std::int32_t steps() const noexcept { return steps_; }
-  [[nodiscard]] std::int32_t kernel() const noexcept { return k_; }
-  [[nodiscard]] std::int32_t in_channels() const noexcept { return in_c_; }
-  [[nodiscard]] std::int32_t out_channels() const noexcept { return out_c_; }
-
- private:
-  [[nodiscard]] float& w(std::int32_t o, std::int32_t i, std::int32_t dy, std::int32_t dx) {
-    return weights_.value[static_cast<std::size_t>(((o * in_c_ + i) * k_ + dy) * k_ + dx)];
-  }
-  [[nodiscard]] float& gw(std::int32_t o, std::int32_t i, std::int32_t dy, std::int32_t dx) {
-    return weights_.grad[static_cast<std::size_t>(((o * in_c_ + i) * k_ + dy) * k_ + dx)];
-  }
-
-  std::int32_t steps_, in_c_, out_c_, k_;
-  Padding padding_;
-  std::int32_t pad_;
-  Param weights_;  ///< out_c x in_c x k x k, shared across timesteps
-  Param bias_;
-  Tensor3 cached_input_;
-};
-
-/// Stride-1 1-D convolution over the TIME axis of a time-major flat
-/// embedding: input (steps*in_dim, 1, 1) — timestep t's embedding at
-/// [t*in_dim, (t+1)*in_dim) — output ((steps-kernel_t+1)*out_dim, 1, 1),
-/// where output position u mixes the embeddings of timesteps
-/// [u, u+kernel_t). Each output element is one Dense-style dot product
-/// over a kernel_t*in_dim window, lowered onto gemm_bias with the
-/// reduction index ascending — the same single-chain accumulation
-/// contract as every other layer, so temporal training stays bitwise
-/// thread-count-independent.
-class TemporalConv1D final : public Layer {
- public:
-  TemporalConv1D(std::int32_t steps, std::int32_t in_dim, std::int32_t out_dim,
-                 std::int32_t kernel_t);
-
-  [[nodiscard]] std::string name() const override { return "TemporalConv1D"; }
-  Tensor3 forward(const Tensor3& input) override;
-  Tensor3 backward(const Tensor3& grad_output) override;
-  void infer_batch(const Tensor4& in, Tensor4& out, float* scratch) const override;
-  void backward_batch(const Tensor4& grad_out, const Tensor4& in, const Tensor4& out,
-                      Tensor4& grad_in, std::span<float* const> param_grads, float* scratch,
-                      bool need_input_grad) const override;
-  [[nodiscard]] std::vector<Param*> params() override { return {&weights_, &bias_}; }
-  [[nodiscard]] std::size_t num_params() const override { return 2; }
-  void init_weights(Rng& rng) override;
-  [[nodiscard]] Tensor3 output_shape(const Tensor3& input_shape) const override;
-
-  [[nodiscard]] std::int32_t steps() const noexcept { return steps_; }
-  [[nodiscard]] std::int32_t in_dim() const noexcept { return in_d_; }
-  [[nodiscard]] std::int32_t out_dim() const noexcept { return out_d_; }
-  [[nodiscard]] std::int32_t kernel_t() const noexcept { return kt_; }
-  /// Output timesteps (steps - kernel_t + 1).
-  [[nodiscard]] std::int32_t out_steps() const noexcept { return steps_ - kt_ + 1; }
-
- private:
-  std::int32_t steps_, in_d_, out_d_, kt_;
-  Param weights_;  ///< out_dim x (kernel_t * in_dim), row-major
-  Param bias_;
-  Tensor3 cached_input_;
-};
-
-/// Depthwise (k x k per channel) followed by pointwise (1x1) convolution,
-/// Same padding — the MobileNet building block (extension hook, §6).
-class DepthwiseSeparableConv2D final : public Layer {
- public:
-  DepthwiseSeparableConv2D(std::int32_t in_channels, std::int32_t out_channels,
-                           std::int32_t kernel);
-
-  [[nodiscard]] std::string name() const override { return "DepthwiseSeparableConv2D"; }
-  Tensor3 forward(const Tensor3& input) override;
-  Tensor3 backward(const Tensor3& grad_output) override;
-  void infer_batch(const Tensor4& in, Tensor4& out, float* scratch) const override;
-  void backward_batch(const Tensor4& grad_out, const Tensor4& in, const Tensor4& out,
-                      Tensor4& grad_in, std::span<float* const> param_grads, float* scratch,
-                      bool need_input_grad) const override;
-  [[nodiscard]] std::size_t infer_scratch_floats(const Tensor3& input_shape) const override;
-  [[nodiscard]] std::size_t train_scratch_floats(const Tensor3& input_shape) const override;
-  [[nodiscard]] std::vector<Param*> params() override {
-    return {&depth_weights_, &point_weights_, &bias_};
-  }
-  [[nodiscard]] std::size_t num_params() const override { return 3; }
-  void init_weights(Rng& rng) override;
-  [[nodiscard]] Tensor3 output_shape(const Tensor3& input_shape) const override;
-
- private:
-  std::int32_t in_c_, out_c_, k_, pad_;
-  Param depth_weights_;  ///< in_c x k x k
-  Param point_weights_;  ///< out_c x in_c
-  Param bias_;           ///< out_c
-  Tensor3 cached_input_;
-  Tensor3 cached_depth_out_;
 };
 
 }  // namespace dl2f::nn

@@ -1,10 +1,10 @@
-// Batched (GEMM-lowered) compute paths for every layer: infer_batch /
-// forward_batch and backward_batch, split out of layers.cpp so this TU
-// can carry the kernel optimization flags (see CMakeLists.txt) while the
-// per-sample reference forward/backward in layers.cpp keeps the project
-// defaults — the reference must stay the honest pre-GEMM baseline that
-// bench_train measures speedups against. Every function here is bitwise-
-// identical per sample to its layers.cpp reference counterpart.
+// Batched (GEMM-lowered) compute paths for every layer: infer_batch and
+// backward_batch, split out of layers.cpp so this TU can carry the kernel
+// optimization flags (see CMakeLists.txt) while the per-sample reference
+// forward/backward in layers.cpp keeps the project defaults — the
+// reference must stay the honest pre-GEMM baseline that bench_train
+// measures speedups against. Every function here is bitwise-identical per
+// sample to its layers.cpp reference counterpart.
 //
 // ACCUM-ORDER: every lowering in this TU preserves the reference tap
 // order exactly — im2col/im2row rows are packed in forward()'s (i, dy,
@@ -21,28 +21,36 @@
 namespace dl2f::nn {
 
 void Conv2D::infer_batch(const Tensor4& in, Tensor4& out, float* scratch) const {
-  assert(in.channels() == in_c_ && out.channels() == out_c_ && in.batch() == out.batch());
-  // im2col + GEMM lowering: each sample's receptive fields are packed into
-  // a (in_c*k*k) x (oh*ow) panel whose row order is forward()'s exact
-  // (i, dy, dx) tap order, then one cache-blocked GEMM against the weight
-  // matrix produces the sample's full OC x (oh*ow) output plane in place.
-  // The gemm.hpp kernels accumulate the reduction index strictly
-  // ascending per element, so every output scalar is bitwise-identical to
-  // forward() (padding taps pack as 0 and add +/-0 — see gemm.hpp).
-  const std::int32_t oh = out.height(), ow = out.width();
-  const std::int32_t p = oh * ow;
+  assert(in.channels() == steps_ * in_c_ && out.channels() == steps_ * out_c_ &&
+         in.batch() == out.batch());
+  // im2col + GEMM lowering: each (sample, step) group's receptive fields
+  // are packed into a (in_c*k*k) x (oh*ow) panel whose row order is
+  // forward()'s exact (i, dy, dx) tap order, then one cache-blocked GEMM
+  // against the weight matrix produces the group's full OC x (oh*ow)
+  // output plane in place. The gemm.hpp kernels accumulate the reduction
+  // index strictly ascending per element, so every output scalar is
+  // bitwise-identical to forward() (padding taps pack as 0 and add +/-0 —
+  // see gemm.hpp). Groups are contiguous, samples ascending and steps
+  // ascending within each, as in forward().
+  const std::int32_t ih = in.height(), iw = in.width();
+  const std::int32_t p = out.height() * out.width();
   const std::int32_t ckk = in_c_ * k_ * k_;
-  for (std::int32_t s = 0; s < in.batch(); ++s) {
+  const std::size_t in_group = static_cast<std::size_t>(in_c_) * static_cast<std::size_t>(ih * iw);
+  const std::size_t out_group = static_cast<std::size_t>(out_c_) * static_cast<std::size_t>(p);
+  const std::size_t groups = static_cast<std::size_t>(in.batch()) * static_cast<std::size_t>(steps_);
+  for (std::size_t g = 0; g < groups; ++g) {
+    const float* src = in.data().data() + g * in_group;
+    float* dst = out.data().data() + g * out_group;
     if (pad_ == 0) {
       // Valid padding: the pack-free direct kernel walks the same
       // (i, dy, dx)-ascending chain per output element as im2col + GEMM
       // would, minus the panel traffic — bitwise the same, just faster.
-      gemm::conv_forward_valid(in.sample(s), in_c_, in.height(), in.width(), k_, out_c_,
-                               weights_.value.data(), bias_.value.data(), out.sample(s));
+      gemm::conv_forward_valid(src, in_c_, ih, iw, k_, out_c_, weights_.value.data(),
+                               bias_.value.data(), dst);
     } else {
-      gemm::im2col(in.sample(s), in_c_, in.height(), in.width(), k_, pad_, scratch);
+      gemm::im2col(src, in_c_, ih, iw, k_, pad_, scratch);
       gemm::gemm_bias(out_c_, p, ckk, weights_.value.data(), ckk, scratch, p, bias_.value.data(),
-                      out.sample(s), p);
+                      dst, p);
     }
   }
 }
@@ -50,17 +58,23 @@ void Conv2D::infer_batch(const Tensor4& in, Tensor4& out, float* scratch) const 
 void Conv2D::backward_batch(const Tensor4& grad_out, const Tensor4& in, const Tensor4& /*out*/,
                             Tensor4& grad_in, std::span<float* const> param_grads, float* scratch,
                             bool need_input_grad) const {
-  assert(grad_out.channels() == out_c_ && in.channels() == in_c_ && param_grads.size() == 2);
+  assert(grad_out.channels() == steps_ * out_c_ && in.channels() == steps_ * in_c_ &&
+         param_grads.size() == 2);
   float* const gw = param_grads[0];
   float* const gb = param_grads[1];
   const std::int32_t ih = in.height(), iw = in.width();
-  const std::int32_t oh = grad_out.height(), ow = grad_out.width();
-  const std::int32_t p = oh * ow;
+  const std::int32_t p = grad_out.height() * grad_out.width();
   const float* wt = weights_.value.data();
+  const std::size_t in_group = static_cast<std::size_t>(in_c_) * static_cast<std::size_t>(ih * iw);
+  const std::size_t out_group = static_cast<std::size_t>(out_c_) * static_cast<std::size_t>(p);
+  const std::size_t groups = static_cast<std::size_t>(in.batch()) * static_cast<std::size_t>(steps_);
 
-  for (std::int32_t s = 0; s < in.batch(); ++s) {
-    const float* g = grad_out.sample(s);
-    const float* src = in.sample(s);
+  // Groups ascending (samples, then steps within each): the order the
+  // reference backward accumulates the shared bank's gradient when run
+  // sequentially over the batch.
+  for (std::size_t grp = 0; grp < groups; ++grp) {
+    const float* g = grad_out.data().data() + grp * out_group;
+    const float* src = in.data().data() + grp * in_group;
 
     // Weight + bias gradients, pixels ascending per accumulator (the
     // reference backward's order) with its g == 0 skip. Dense, wide
@@ -68,9 +82,8 @@ void Conv2D::backward_batch(const Tensor4& grad_out, const Tensor4& in, const Te
     // (ReLU/MaxPool upstream zeroes most of the detector's plane) or
     // narrow filter banks (the localizer's 1-filter head) take the
     // pack-free direct sweep — both orders are the reference's, so the
-    // per-sample choice cannot change a single bit.
-    const std::int64_t nnz = gemm::nonzero_count(g, static_cast<std::size_t>(out_c_) *
-                                                        static_cast<std::size_t>(p));
+    // per-group choice cannot change a single bit.
+    const std::int64_t nnz = gemm::nonzero_count(g, out_group);
     if (out_c_ >= 4 && nnz * 4 >= static_cast<std::int64_t>(out_c_) * p) {
       const std::int32_t ckk = in_c_ * k_ * k_;
       gemm::im2row(src, in_c_, ih, iw, k_, pad_, scratch);
@@ -82,7 +95,8 @@ void Conv2D::backward_batch(const Tensor4& grad_out, const Tensor4& in, const Te
     // Input gradient: the transposed-convolution axpy kernel (bitwise the
     // reference's accumulation order — see gemm.hpp).
     if (!need_input_grad) continue;
-    gemm::conv_grad_input(g, wt, in_c_, ih, iw, k_, pad_, out_c_, grad_in.sample(s));
+    gemm::conv_grad_input(g, wt, in_c_, ih, iw, k_, pad_, out_c_,
+                          grad_in.data().data() + grp * in_group);
   }
 }
 
@@ -205,25 +219,32 @@ void Flatten::backward_batch(const Tensor4& grad_out, const Tensor4& /*in*/,
 }
 
 void Dense::infer_batch(const Tensor4& in, Tensor4& out, float* scratch) const {
-  assert(static_cast<std::int32_t>(in.sample_size()) == in_f_ && out.channels() == out_f_);
-  // Sample-panel GEMM: up to kSampleBlock samples are transposed into a
-  // (in_f x panel) matrix so the kernel's innermost loop runs across
-  // samples; per (output, sample) element the features still accumulate
-  // in forward()'s ascending-i order, bitwise-identical per sample.
+  assert(static_cast<std::int32_t>(in.sample_size()) == steps_ * in_f_ &&
+         static_cast<std::int32_t>(out.sample_size()) == positions() * out_f_);
+  // Column-panel GEMM: up to kSampleBlock (sample, position) columns are
+  // transposed into a (window*in_f x panel) matrix so the kernel's
+  // innermost loop runs across columns; per (output, column) element the
+  // window still accumulates in forward()'s ascending order, bitwise-
+  // identical per sample.
+  const std::int32_t kd = window_ * in_f_;
+  const std::int32_t npos = positions();
+  const std::int32_t cols = in.batch() * npos;
   const float* wt = weights_.value.data();
-  float* const xt = scratch;                                            // in_f x panel
-  float* const cp = scratch + static_cast<std::size_t>(in_f_) *
+  float* const xt = scratch;                                            // kd x panel
+  float* const cp = scratch + static_cast<std::size_t>(kd) *
                                   static_cast<std::size_t>(gemm::kSampleBlock);  // out_f x panel
-  for (std::int32_t s0 = 0; s0 < in.batch(); s0 += gemm::kSampleBlock) {
-    const std::int32_t bn = std::min(gemm::kSampleBlock, in.batch() - s0);
-    for (std::int32_t t = 0; t < bn; ++t) {
-      const float* src = in.sample(s0 + t);
-      for (std::int32_t i = 0; i < in_f_; ++i) xt[static_cast<std::size_t>(i) * bn + t] = src[i];
+  for (std::int32_t c0 = 0; c0 < cols; c0 += gemm::kSampleBlock) {
+    const std::int32_t bn = std::min(gemm::kSampleBlock, cols - c0);
+    for (std::int32_t j = 0; j < bn; ++j) {
+      const std::int32_t c = c0 + j;
+      const float* src = in.sample(c / npos) + static_cast<std::size_t>((c % npos) * in_f_);
+      for (std::int32_t q = 0; q < kd; ++q) xt[static_cast<std::size_t>(q) * bn + j] = src[q];
     }
-    gemm::gemm_bias(out_f_, bn, in_f_, wt, in_f_, xt, bn, bias_.value.data(), cp, bn);
-    for (std::int32_t t = 0; t < bn; ++t) {
-      float* dst = out.sample(s0 + t);
-      for (std::int32_t o = 0; o < out_f_; ++o) dst[o] = cp[static_cast<std::size_t>(o) * bn + t];
+    gemm::gemm_bias(out_f_, bn, kd, wt, kd, xt, bn, bias_.value.data(), cp, bn);
+    for (std::int32_t j = 0; j < bn; ++j) {
+      const std::int32_t c = c0 + j;
+      float* dst = out.sample(c / npos) + static_cast<std::size_t>((c % npos) * out_f_);
+      for (std::int32_t o = 0; o < out_f_; ++o) dst[o] = cp[static_cast<std::size_t>(o) * bn + j];
     }
   }
 }
@@ -231,141 +252,25 @@ void Dense::infer_batch(const Tensor4& in, Tensor4& out, float* scratch) const {
 void Dense::backward_batch(const Tensor4& grad_out, const Tensor4& in, const Tensor4& /*out*/,
                            Tensor4& grad_in, std::span<float* const> param_grads,
                            float* /*scratch*/, bool need_input_grad) const {
-  assert(grad_out.channels() == out_f_ && param_grads.size() == 2);
-  float* const gw = param_grads[0];
-  float* const gb = param_grads[1];
-  const float* wt = weights_.value.data();
-  for (std::int32_t s = 0; s < in.batch(); ++s) {
-    const float* g = grad_out.sample(s);
-    const float* x = in.sample(s);
-    float* gi = need_input_grad ? grad_in.sample(s) : nullptr;
-    if (gi != nullptr) std::fill(gi, gi + grad_in.sample_size(), 0.0F);
-    for (std::int32_t o = 0; o < out_f_; ++o) {
-      const float gv = g[o];
-      gb[o] += gv;
-      float* __restrict gw_row = gw + static_cast<std::size_t>(o) * static_cast<std::size_t>(in_f_);
-      const float* __restrict w_row = wt + static_cast<std::size_t>(o) * static_cast<std::size_t>(in_f_);
-      for (std::int32_t i = 0; i < in_f_; ++i) gw_row[i] += gv * x[i];
-      if (gi != nullptr) {
-        for (std::int32_t i = 0; i < in_f_; ++i) gi[i] += gv * w_row[i];
-      }
-    }
-  }
-}
-
-void TimeDistributedConv2D::infer_batch(const Tensor4& in, Tensor4& out, float* scratch) const {
-  assert(in.channels() == steps_ * in_c_ && out.channels() == steps_ * out_c_ &&
-         in.batch() == out.batch());
-  // Per (sample, timestep) this is exactly Conv2D's im2col + GEMM lowering
-  // on one channel group: the shared weight bank is applied to group t of
-  // the input, writing group t of the output. Timesteps ascend inside each
-  // sample, matching the reference forward's loop order.
-  const std::int32_t oh = out.height(), ow = out.width();
-  const std::int32_t p = oh * ow;
-  const std::int32_t ckk = in_c_ * k_ * k_;
-  const std::size_t in_group = static_cast<std::size_t>(in_c_) *
-                               static_cast<std::size_t>(in.height() * in.width());
-  const std::size_t out_group = static_cast<std::size_t>(out_c_) * static_cast<std::size_t>(p);
-  for (std::int32_t s = 0; s < in.batch(); ++s) {
-    for (std::int32_t t = 0; t < steps_; ++t) {
-      if (pad_ == 0) {
-        gemm::conv_forward_valid(in.sample(s) + static_cast<std::size_t>(t) * in_group, in_c_,
-                                 in.height(), in.width(), k_, out_c_, weights_.value.data(),
-                                 bias_.value.data(),
-                                 out.sample(s) + static_cast<std::size_t>(t) * out_group);
-      } else {
-        gemm::im2col(in.sample(s) + static_cast<std::size_t>(t) * in_group, in_c_, in.height(),
-                     in.width(), k_, pad_, scratch);
-        gemm::gemm_bias(out_c_, p, ckk, weights_.value.data(), ckk, scratch, p, bias_.value.data(),
-                        out.sample(s) + static_cast<std::size_t>(t) * out_group, p);
-      }
-    }
-  }
-}
-
-void TimeDistributedConv2D::backward_batch(const Tensor4& grad_out, const Tensor4& in,
-                                           const Tensor4& /*out*/, Tensor4& grad_in,
-                                           std::span<float* const> param_grads, float* scratch,
-                                           bool need_input_grad) const {
-  assert(grad_out.channels() == steps_ * out_c_ && in.channels() == steps_ * in_c_ &&
+  assert(static_cast<std::int32_t>(grad_out.sample_size()) == positions() * out_f_ &&
          param_grads.size() == 2);
+  // The reference backward's loops verbatim, samples ascending: the layers
+  // are narrow, so plain axpy loops beat a pack + GEMM round-trip and keep
+  // the accumulation chains identical.
   float* const gw = param_grads[0];
   float* const gb = param_grads[1];
-  const std::int32_t ih = in.height(), iw = in.width();
-  const std::int32_t oh = grad_out.height(), ow = grad_out.width();
-  const std::int32_t p = oh * ow;
-  const float* wt = weights_.value.data();
-  const std::size_t in_group = static_cast<std::size_t>(in_c_) * static_cast<std::size_t>(ih * iw);
-  const std::size_t out_group = static_cast<std::size_t>(out_c_) * static_cast<std::size_t>(p);
-
-  // Samples ascending, timesteps ascending within each — the order the
-  // reference backward accumulates the shared weight bank's gradient when
-  // run sequentially over the batch. Each (sample, timestep) pair then
-  // takes Conv2D's per-sample path choice verbatim.
-  for (std::int32_t s = 0; s < in.batch(); ++s) {
-    for (std::int32_t t = 0; t < steps_; ++t) {
-      const float* g = grad_out.sample(s) + static_cast<std::size_t>(t) * out_group;
-      const float* src = in.sample(s) + static_cast<std::size_t>(t) * in_group;
-
-      const std::int64_t nnz = gemm::nonzero_count(g, static_cast<std::size_t>(out_c_) *
-                                                          static_cast<std::size_t>(p));
-      if (out_c_ >= 4 && nnz * 4 >= static_cast<std::int64_t>(out_c_) * p) {
-        const std::int32_t ckk = in_c_ * k_ * k_;
-        gemm::im2row(src, in_c_, ih, iw, k_, pad_, scratch);
-        gemm::gemm_accumulate_skipzero(out_c_, ckk, p, g, p, scratch, ckk, gw, ckk, gb);
-      } else {
-        gemm::conv_weight_bias_grad_direct(g, src, in_c_, ih, iw, k_, pad_, out_c_, gw, gb);
-      }
-
-      if (!need_input_grad) continue;
-      gemm::conv_grad_input(g, wt, in_c_, ih, iw, k_, pad_, out_c_,
-                            grad_in.sample(s) + static_cast<std::size_t>(t) * in_group);
-    }
-  }
-}
-
-void TemporalConv1D::infer_batch(const Tensor4& in, Tensor4& out, float* /*scratch*/) const {
-  assert(static_cast<std::int32_t>(in.sample_size()) == steps_ * in_d_ &&
-         static_cast<std::int32_t>(out.sample_size()) == out_steps() * out_d_);
-  // Each temporal position is one (out_d x 1) = (out_d x kd) . (kd x 1)
-  // GEMM against the sliding embedding window; gemm_bias accumulates the
-  // reduction index ascending, which IS the reference forward's chain
-  // (bias, then q ascending over the window).
-  const std::int32_t kd = kt_ * in_d_;
-  const float* wt = weights_.value.data();
-  for (std::int32_t s = 0; s < in.batch(); ++s) {
-    const float* x = in.sample(s);
-    float* dst = out.sample(s);
-    for (std::int32_t u = 0; u < out_steps(); ++u) {
-      gemm::gemm_bias(out_d_, 1, kd, wt, kd, x + static_cast<std::size_t>(u * in_d_), 1,
-                      bias_.value.data(), dst + static_cast<std::size_t>(u * out_d_), 1);
-    }
-  }
-}
-
-void TemporalConv1D::backward_batch(const Tensor4& grad_out, const Tensor4& in,
-                                    const Tensor4& /*out*/, Tensor4& grad_in,
-                                    std::span<float* const> param_grads, float* /*scratch*/,
-                                    bool need_input_grad) const {
-  assert(static_cast<std::int32_t>(grad_out.sample_size()) == out_steps() * out_d_ &&
-         param_grads.size() == 2);
-  // The reference backward's loops verbatim, samples ascending (the Dense
-  // precedent: the temporal head is narrow, so plain axpy loops beat a
-  // pack + GEMM round-trip and keep the accumulation chains identical).
-  float* const gw = param_grads[0];
-  float* const gb = param_grads[1];
-  const std::int32_t kd = kt_ * in_d_;
+  const std::int32_t kd = window_ * in_f_;
   const float* wt = weights_.value.data();
   for (std::int32_t s = 0; s < in.batch(); ++s) {
     const float* xs = in.sample(s);
     const float* gs = grad_out.sample(s);
     float* gi_s = need_input_grad ? grad_in.sample(s) : nullptr;
     if (gi_s != nullptr) std::fill(gi_s, gi_s + grad_in.sample_size(), 0.0F);
-    for (std::int32_t u = 0; u < out_steps(); ++u) {
-      const float* x = xs + static_cast<std::size_t>(u * in_d_);
-      float* gi = gi_s == nullptr ? nullptr : gi_s + static_cast<std::size_t>(u * in_d_);
-      for (std::int32_t o = 0; o < out_d_; ++o) {
-        const float gv = gs[static_cast<std::size_t>(u * out_d_ + o)];
+    for (std::int32_t u = 0; u < positions(); ++u) {
+      const float* x = xs + static_cast<std::size_t>(u * in_f_);
+      float* gi = gi_s == nullptr ? nullptr : gi_s + static_cast<std::size_t>(u * in_f_);
+      for (std::int32_t o = 0; o < out_f_; ++o) {
+        const float gv = gs[static_cast<std::size_t>(u * out_f_ + o)];
         gb[o] += gv;
         float* __restrict gw_row = gw + static_cast<std::size_t>(o) * static_cast<std::size_t>(kd);
         const float* __restrict w_row =
@@ -373,136 +278,6 @@ void TemporalConv1D::backward_batch(const Tensor4& grad_out, const Tensor4& in,
         for (std::int32_t q = 0; q < kd; ++q) gw_row[q] += gv * x[q];
         if (gi != nullptr) {
           for (std::int32_t q = 0; q < kd; ++q) gi[q] += gv * w_row[q];
-        }
-      }
-    }
-  }
-}
-
-void DepthwiseSeparableConv2D::infer_batch(const Tensor4& in, Tensor4& out,
-                                           float* scratch) const {
-  assert(in.channels() == in_c_ && out.channels() == out_c_ && scratch != nullptr);
-  const std::int32_t h = in.height(), w = in.width();
-  for (std::int32_t s = 0; s < in.batch(); ++s) {
-    const float* src = in.sample(s);
-    float* dst = out.sample(s);
-
-    // Depthwise into scratch: each channel convolved with its own filter,
-    // same accumulation order as forward() with the border clipping hoisted.
-    for (std::int32_t c = 0; c < in_c_; ++c) {
-      const float* dwt = depth_weights_.value.data() + static_cast<std::size_t>(c * k_ * k_);
-      for (std::int32_t y = 0; y < h; ++y) {
-        const std::int32_t dy_lo = std::max(0, pad_ - y);
-        const std::int32_t dy_hi = std::min(k_, h + pad_ - y);
-        for (std::int32_t x = 0; x < w; ++x) {
-          const std::int32_t dx_lo = std::max(0, pad_ - x);
-          const std::int32_t dx_hi = std::min(k_, w + pad_ - x);
-          float acc = 0.0F;
-          for (std::int32_t dy = dy_lo; dy < dy_hi; ++dy) {
-            const float* in_row = src + (c * h + y + dy - pad_) * w + (x - pad_);
-            const float* w_row = dwt + dy * k_;
-            for (std::int32_t dx = dx_lo; dx < dx_hi; ++dx) acc += w_row[dx] * in_row[dx];
-          }
-          scratch[(c * h + y) * w + x] = acc;
-        }
-      }
-    }
-
-    // Pointwise 1x1 channel mix out of scratch.
-    for (std::int32_t o = 0; o < out_c_; ++o) {
-      const float* pwt = point_weights_.value.data() + static_cast<std::size_t>(o * in_c_);
-      const float b = bias_.value[static_cast<std::size_t>(o)];
-      for (std::int32_t y = 0; y < h; ++y) {
-        for (std::int32_t x = 0; x < w; ++x) {
-          float acc = b;
-          for (std::int32_t c = 0; c < in_c_; ++c) acc += pwt[c] * scratch[(c * h + y) * w + x];
-          dst[(o * h + y) * w + x] = acc;
-        }
-      }
-    }
-  }
-}
-
-void DepthwiseSeparableConv2D::backward_batch(const Tensor4& grad_out, const Tensor4& in,
-                                              const Tensor4& /*out*/, Tensor4& grad_in,
-                                              std::span<float* const> param_grads, float* scratch,
-                                              bool need_input_grad) const {
-  assert(param_grads.size() == 3);
-  float* const gdw = param_grads[0];
-  float* const gpw = param_grads[1];
-  float* const gb = param_grads[2];
-  const std::int32_t h = in.height(), w = in.width();
-  const std::size_t chw = static_cast<std::size_t>(in_c_) * static_cast<std::size_t>(h * w);
-  float* const depth = scratch;             // recomputed depthwise intermediate
-  float* const grad_depth = scratch + chw;  // dLoss/d(depth)
-
-  for (std::int32_t s = 0; s < in.batch(); ++s) {
-    const float* src = in.sample(s);
-    const float* g = grad_out.sample(s);
-
-    // Recompute the depthwise intermediate (bitwise equal to the forward
-    // pass — same taps, same order as infer_batch's depthwise stage).
-    for (std::int32_t c = 0; c < in_c_; ++c) {
-      const float* dwt = depth_weights_.value.data() + static_cast<std::size_t>(c * k_ * k_);
-      for (std::int32_t y = 0; y < h; ++y) {
-        const std::int32_t dy_lo = std::max(0, pad_ - y);
-        const std::int32_t dy_hi = std::min(k_, h + pad_ - y);
-        for (std::int32_t x = 0; x < w; ++x) {
-          const std::int32_t dx_lo = std::max(0, pad_ - x);
-          const std::int32_t dx_hi = std::min(k_, w + pad_ - x);
-          float acc = 0.0F;
-          for (std::int32_t dy = dy_lo; dy < dy_hi; ++dy) {
-            const float* in_row = src + (c * h + y + dy - pad_) * w + (x - pad_);
-            const float* w_row = dwt + dy * k_;
-            for (std::int32_t dx = dx_lo; dx < dx_hi; ++dx) acc += w_row[dx] * in_row[dx];
-          }
-          depth[(c * h + y) * w + x] = acc;
-        }
-      }
-    }
-
-    // Pointwise backward (reference loop order).
-    std::fill(grad_depth, grad_depth + chw, 0.0F);
-    for (std::int32_t o = 0; o < out_c_; ++o) {
-      const float* pwt = point_weights_.value.data() + static_cast<std::size_t>(o * in_c_);
-      float* gpw_row = gpw + static_cast<std::size_t>(o * in_c_);
-      for (std::int32_t y = 0; y < h; ++y) {
-        for (std::int32_t x = 0; x < w; ++x) {
-          const float gv = g[(o * h + y) * w + x];
-          if (gv == 0.0F) continue;
-          gb[o] += gv;
-          for (std::int32_t c = 0; c < in_c_; ++c) {
-            gpw_row[c] += gv * depth[(c * h + y) * w + x];
-            grad_depth[(c * h + y) * w + x] += gv * pwt[c];
-          }
-        }
-      }
-    }
-
-    // Depthwise backward (reference loop order, borders hoisted).
-    float* gi = need_input_grad ? grad_in.sample(s) : nullptr;
-    if (gi != nullptr) std::fill(gi, gi + grad_in.sample_size(), 0.0F);
-    for (std::int32_t c = 0; c < in_c_; ++c) {
-      const float* dwt = depth_weights_.value.data() + static_cast<std::size_t>(c * k_ * k_);
-      float* gdw_row = gdw + static_cast<std::size_t>(c * k_ * k_);
-      for (std::int32_t y = 0; y < h; ++y) {
-        const std::int32_t dy_lo = std::max(0, pad_ - y);
-        const std::int32_t dy_hi = std::min(k_, h + pad_ - y);
-        for (std::int32_t x = 0; x < w; ++x) {
-          const float gv = grad_depth[(c * h + y) * w + x];
-          if (gv == 0.0F) continue;
-          const std::int32_t dx_lo = std::max(0, pad_ - x);
-          const std::int32_t dx_hi = std::min(k_, w + pad_ - x);
-          for (std::int32_t dy = dy_lo; dy < dy_hi; ++dy) {
-            const float* in_row = src + (c * h + y + dy - pad_) * w + (x - pad_);
-            float* gi_row = gi == nullptr ? nullptr : gi + (c * h + y + dy - pad_) * w + (x - pad_);
-            const float* w_row = dwt + dy * k_;
-            float* gdw_krow = gdw_row + dy * k_;
-            for (std::int32_t dx = dx_lo; dx < dx_hi; ++dx) {
-              gdw_krow[dx] += gv * in_row[dx];
-              if (gi_row != nullptr) gi_row[dx] += gv * w_row[dx];
-            }
-          }
         }
       }
     }

@@ -35,11 +35,6 @@ const Tensor4& Sequential::infer_batch(InferenceContext& ctx) const {
   return ctx.acts_.back();
 }
 
-const Tensor4& Sequential::forward_batch(InferenceContext& ctx) const {
-  assert(ctx.train_bound());
-  return infer_batch(ctx);
-}
-
 void Sequential::backward_batch(InferenceContext& ctx, GradientBuffer& grads) const {
   assert(ctx.model() == this && ctx.train_bound());
   const std::int32_t n = ctx.acts_.front().batch();
@@ -51,8 +46,8 @@ void Sequential::backward_batch(InferenceContext& ctx, GradientBuffer& grads) co
     const std::size_t nparams = layer.num_params();
     assert(block >= nparams);
     block -= nparams;
-    float* param_ptrs[4] = {nullptr, nullptr, nullptr, nullptr};
-    assert(nparams <= 4);
+    float* param_ptrs[2] = {nullptr, nullptr};
+    assert(nparams <= 2);
     for (std::size_t j = 0; j < nparams; ++j) param_ptrs[j] = grads.blocks[block + j].data();
     ctx.grads_[l].set_batch(n);
     layer.backward_batch(ctx.grads_[l + 1], ctx.acts_[l], ctx.acts_[l + 1], ctx.grads_[l],

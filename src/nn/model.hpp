@@ -58,23 +58,20 @@ class Sequential {
   /// Const, allocation-free batched inference through a context bound to
   /// this model: stage samples via ctx.input(n), then call; returns the
   /// last layer's activations (valid until the context is next used).
-  /// Bitwise-identical per sample to forward().
+  /// Bitwise-identical per sample to forward(). It is also the batched
+  /// training forward: every layer activation stays in the context for
+  /// backward_batch.
   const Tensor4& infer_batch(InferenceContext& ctx) const;
 
-  /// The batched training forward: identical compute to infer_batch (both
-  /// are bitwise-identical per sample to forward()); the name marks the
-  /// training flow, which keeps every layer activation in the context for
-  /// backward_batch. Requires a bind_train'd context.
-  const Tensor4& forward_batch(InferenceContext& ctx) const;
-
-  /// Const, allocation-free batched backprop. Expects forward_batch to
-  /// have just run on `ctx` and ctx.loss_grad() to hold dLoss/dOut for the
-  /// active batch. Accumulates parameter gradients into `grads` (bound to
-  /// this model), samples in ascending order — bitwise-identical to
-  /// running backward() per sample sequentially. The first layer's input
-  /// gradient is not computed (no consumer). Layer members are never
-  /// touched, so any number of workers may run this concurrently against
-  /// one shared model, each with its own context and gradient buffer.
+  /// Const, allocation-free batched backprop. Expects infer_batch to have
+  /// just run on a bind_train'd `ctx` and ctx.loss_grad() to hold
+  /// dLoss/dOut for the active batch. Accumulates parameter gradients
+  /// into `grads` (bound to this model), samples in ascending order —
+  /// bitwise-identical to running backward() per sample sequentially.
+  /// The first layer's input gradient is not computed (no consumer).
+  /// Layer members are never touched, so any number of workers may run
+  /// this concurrently against one shared model, each with its own
+  /// context and gradient buffer.
   void backward_batch(InferenceContext& ctx, GradientBuffer& grads) const;
 
   void init_weights(Rng& rng);

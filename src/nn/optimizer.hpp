@@ -1,4 +1,6 @@
-// Optimizers over the Param blocks of a Sequential model.
+// Adam (Kingma & Ba) over the Param blocks of a Sequential model — the
+// trainer of every CNN here; the tiny models converge in a few dozen
+// epochs without tuning.
 //
 // Both the per-sample reference trainer and the batched data-parallel
 // trainer feed the same contract: gradients are accumulated into
@@ -8,51 +10,23 @@
 // thread count — determinism is settled before it runs.
 #pragma once
 
-#include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "nn/layer.hpp"
 
 namespace dl2f::nn {
 
-class Optimizer {
+class Adam {
  public:
-  explicit Optimizer(std::vector<Param*> params) : params_(std::move(params)) {}
-  virtual ~Optimizer() = default;
+  Adam(std::vector<Param*> params, float lr);
 
   /// Apply one update from the accumulated gradients, then clear them.
-  virtual void step() = 0;
+  void step();
 
-  void zero_grad() {
-    for (auto* p : params_) p->zero_grad();
-  }
-
- protected:
+ private:
   std::vector<Param*> params_;
-};
-
-/// Plain SGD with optional momentum.
-class Sgd final : public Optimizer {
- public:
-  Sgd(std::vector<Param*> params, float lr, float momentum = 0.0F);
-  void step() override;
-
- private:
   float lr_;
-  float momentum_;
-  std::vector<std::vector<float>> velocity_;
-};
-
-/// Adam (Kingma & Ba) — the default trainer for both CNNs; the tiny models
-/// converge in a few dozen epochs without tuning.
-class Adam final : public Optimizer {
- public:
-  Adam(std::vector<Param*> params, float lr, float beta1 = 0.9F, float beta2 = 0.999F,
-       float eps = 1e-8F);
-  void step() override;
-
- private:
-  float lr_, beta1_, beta2_, eps_;
   std::int64_t t_ = 0;
   std::vector<std::vector<float>> m_;
   std::vector<std::vector<float>> v_;

@@ -10,7 +10,7 @@
 // windows into one Tensor4 and pushes them through
 // Sequential::infer_batch without allocating, and the batched trainer
 // (nn/train.hpp) packs minibatches the same way for
-// forward_batch/backward_batch through the GEMM backend (nn/gemm.hpp).
+// infer_batch/backward_batch through the GEMM backend (nn/gemm.hpp).
 #pragma once
 
 #include <cassert>

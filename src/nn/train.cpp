@@ -108,7 +108,7 @@ class WorkerPool {
 
 }  // namespace
 
-void batch_train(Sequential& model, Optimizer& optimizer, const Tensor3& input_shape,
+void batch_train(Sequential& model, Adam& optimizer, const Tensor3& input_shape,
                  std::size_t item_count, const StageFn& stage, const LossFn& loss,
                  const BatchTrainConfig& cfg, Rng& rng, const EpochFn& on_epoch) {
   if (item_count == 0 || cfg.epochs <= 0) return;
@@ -158,7 +158,7 @@ void batch_train(Sequential& model, Optimizer& optimizer, const Tensor3& input_s
             for (std::int32_t j = 0; j < n; ++j) {
               stage(order[base + static_cast<std::size_t>(lo + j)], in, j);
             }
-            const Tensor4& out = model.forward_batch(ctx);
+            const Tensor4& out = model.infer_batch(ctx);
             Tensor4& lg = ctx.loss_grad();
             float lsum = 0.0F;
             double msum = 0.0;

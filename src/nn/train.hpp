@@ -3,7 +3,7 @@
 //
 // Each epoch shuffles the item order (same RNG consumption as the legacy
 // per-sample trainer), packs every minibatch into nn::Tensor4 batches,
-// runs the GEMM-lowered forward_batch/backward_batch through per-worker
+// runs the GEMM-lowered infer_batch/backward_batch through per-worker
 // InferenceContext arenas, and steps the optimizer once per minibatch.
 //
 // Determinism contract (the same guarantee runtime::run_campaign makes):
@@ -62,7 +62,7 @@ using EpochFn = std::function<void(std::int32_t epoch, float mean_loss, double m
 /// Run cfg.epochs of sliced minibatch SGD over items [0, item_count).
 /// `rng` drives the per-epoch shuffle only (weight init is the caller's).
 /// `optimizer` must be bound to `model`'s params.
-void batch_train(Sequential& model, Optimizer& optimizer, const Tensor3& input_shape,
+void batch_train(Sequential& model, Adam& optimizer, const Tensor3& input_shape,
                  std::size_t item_count, const StageFn& stage, const LossFn& loss,
                  const BatchTrainConfig& cfg, Rng& rng, const EpochFn& on_epoch = {});
 

@@ -10,24 +10,21 @@ namespace dl2f::temporal {
 
 TemporalDetector::TemporalDetector(const TemporalDetectorConfig& cfg) : cfg_(cfg) {
   assert(cfg.sequence_length >= 1 && cfg.sequence_length <= kMaxSequenceLength);
-  const auto rows = cfg.mesh.rows();
-  const auto cols = cfg.mesh.cols() - 1;
-  model_.emplace<nn::TimeDistributedConv2D>(cfg.sequence_length, kChannelsPerWindow, cfg.filters,
-                                            cfg.kernel, nn::Padding::Valid);
+  model_.emplace<nn::Conv2D>(kChannelsPerWindow, cfg.filters, cfg.kernel, nn::Padding::Valid,
+                             cfg.sequence_length);
   model_.emplace<nn::ReLU>();
   model_.emplace<nn::MaxPool2D>(cfg.pool);
   model_.emplace<nn::Flatten>();
-  // Flatten's channel-major layout is time-major here: TimeDistributedConv2D
+  // Flatten's channel-major layout is time-major here: the stepped Conv2D
   // emits channel t*filters+f, so each window's embedding is one contiguous
-  // D-float block — exactly the (steps, in_dim) layout TemporalConv1D wants.
-  model_.emplace<nn::TemporalConv1D>(cfg.sequence_length, embedding_dim(), cfg.temporal_filters,
-                                     cfg.temporal_kernel);
+  // D-float block — exactly the (steps, in_f) layout the windowed Dense
+  // slides over.
+  model_.emplace<nn::Dense>(embedding_dim(), cfg.temporal_filters, cfg.sequence_length,
+                            cfg.temporal_kernel);
   model_.emplace<nn::ReLU>();
   const auto out_steps = cfg.sequence_length - cfg.temporal_kernel + 1;
   model_.emplace<nn::Dense>(out_steps * cfg.temporal_filters, 1);
   model_.emplace<nn::Sigmoid>();
-  (void)rows;
-  (void)cols;
 }
 
 nn::Tensor3 TemporalDetector::input_shape() const {

@@ -3,11 +3,11 @@
 // Architecture (mirrors the single-window DoSDetector's conv->pool->dense
 // shape, then adds a conv-over-time stage):
 //
-//   TimeDistributedConv2D(T, 8ch -> filters, k, Valid)   weights shared
-//   ReLU                                                 across timesteps
+//   Conv2D(8ch -> filters, k, Valid, steps = T)          one filter bank
+//   ReLU                                                 for every window
 //   MaxPool2D(pool)                                      (spatial only)
 //   Flatten          -> T contiguous per-window embeddings, time-major
-//   TemporalConv1D(T, D -> temporal_filters, kt)         conv over time
+//   Dense(D -> temporal_filters, steps = T, window = kt) conv over time
 //   ReLU
 //   Dense((T - kt + 1) * temporal_filters, 1)
 //   Sigmoid
@@ -84,8 +84,8 @@ class TemporalDetector {
   /// Shape of one preprocessed sequence: (T * 8, rows, cols - 1).
   [[nodiscard]] nn::Tensor3 input_shape() const;
 
-  /// Flattened per-window embedding width D after conv/pool (the
-  /// TemporalConv1D input dimension).
+  /// Flattened per-window embedding width D after conv/pool (the input
+  /// features of the windowed Dense).
   [[nodiscard]] std::int32_t embedding_dim() const noexcept;
 
   /// Stage one sequence (exactly sequence_length windows, oldest first)

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -27,6 +28,17 @@ std::int64_t parse_int(std::size_t line_no, const std::string& token, const char
     fail(line_no, std::string("trailing characters in ") + field + " '" + token + "'");
   }
   return value;
+}
+
+/// parse_int for the 32-bit fields: rejects a value outside int32 before
+/// narrowing, so an oversized token cannot wrap into a valid one.
+std::int32_t parse_int32(std::size_t line_no, const std::string& token, const char* field) {
+  const std::int64_t value = parse_int(line_no, token, field);
+  if (value < std::numeric_limits<std::int32_t>::min() ||
+      value > std::numeric_limits<std::int32_t>::max()) {
+    fail(line_no, std::string(field) + " '" + token + "' out of 32-bit range");
+  }
+  return static_cast<std::int32_t>(value);
 }
 
 bool is_blank_or_comment(const std::string& line) {
@@ -71,8 +83,8 @@ std::vector<TraceRecord> parse_trace(std::istream& in, const MeshShape* shape) {
 
     TraceRecord rec;
     rec.cycle = parse_int(line_no, cycle_s, "cycle");
-    rec.src = static_cast<NodeId>(parse_int(line_no, src_s, "src"));
-    rec.dst = static_cast<NodeId>(parse_int(line_no, dst_s, "dst"));
+    rec.src = parse_int32(line_no, src_s, "src");
+    rec.dst = parse_int32(line_no, dst_s, "dst");
     if (kind_s == "REQ") {
       rec.kind = TraceKind::Request;
     } else if (kind_s == "REPLY") {
@@ -80,7 +92,7 @@ std::vector<TraceRecord> parse_trace(std::istream& in, const MeshShape* shape) {
     } else {
       fail(line_no, "unknown kind '" + kind_s + "' (expected REQ or REPLY)");
     }
-    rec.size_flits = static_cast<std::int32_t>(parse_int(line_no, size_s, "size"));
+    rec.size_flits = parse_int32(line_no, size_s, "size");
 
     if (rec.cycle < 0) fail(line_no, "negative cycle");
     if (rec.size_flits <= 0) fail(line_no, "size must be >= 1 flit");

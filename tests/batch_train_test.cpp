@@ -2,10 +2,10 @@
 // retained per-sample reference path, plus the batched trainer's
 // byte-identical-weights determinism contract.
 //
-// Layer-level: for every layer type (conv same/valid, dense, activations,
-// pooling, depthwise-separable) and edge batch sizes {1, 7,
-// kSampleBlock+1}, infer_batch/forward_batch must reproduce forward()
-// bit-for-bit per sample, and backward_batch must reproduce the exact
+// Layer-level: for every layer type (conv same/valid, dense, the stepped
+// conv and windowed dense of the temporal head, activations, pooling) and
+// edge batch sizes {1, 7, kSampleBlock+1}, infer_batch must reproduce
+// forward() bit-for-bit per sample, and backward_batch must reproduce the exact
 // parameter gradients and input gradients of running backward() sample by
 // sample in batch order.
 //
@@ -49,7 +49,7 @@ Tensor3 sample_view(const Tensor4& batch, std::int32_t s, const Tensor3& shape) 
   return t;
 }
 
-/// Forward parity: infer_batch (== forward_batch) vs forward per sample.
+/// Forward parity: infer_batch vs forward per sample.
 void check_forward_parity(Layer& layer, const Tensor3& in_shape, std::uint64_t seed) {
   Rng rng(seed);
   layer.init_weights(rng);
@@ -58,7 +58,7 @@ void check_forward_parity(Layer& layer, const Tensor3& in_shape, std::uint64_t s
     Tensor4 in = random_batch(n, in_shape, rng);
     Tensor4 out(n, out_shape.channels(), out_shape.height(), out_shape.width());
     std::vector<float> scratch(layer.infer_scratch_floats(in_shape), 0.0F);
-    layer.forward_batch(in, out, scratch.data());
+    layer.infer_batch(in, out, scratch.data());
     for (std::int32_t s = 0; s < n; ++s) {
       const Tensor3 ref = layer.forward(sample_view(in, s, in_shape));
       ASSERT_EQ(ref.size(), out.sample_size());
@@ -91,11 +91,9 @@ void check_backward_parity(Layer& layer, const Tensor3& in_shape, std::uint64_t 
     std::vector<std::vector<float>> ref_grads;
     for (auto* p : layer.params()) ref_grads.push_back(p->grad);
 
-    // Batched: forward_batch then backward_batch into external buffers.
-    const std::size_t scratch_floats =
-        std::max(layer.infer_scratch_floats(in_shape), layer.train_scratch_floats(in_shape));
-    std::vector<float> scratch(scratch_floats, 0.0F);
-    layer.forward_batch(in, out, scratch.data());
+    // Batched: infer_batch then backward_batch into external buffers.
+    std::vector<float> scratch(layer.infer_scratch_floats(in_shape), 0.0F);
+    layer.infer_batch(in, out, scratch.data());
     std::vector<std::vector<float>> grads;
     std::vector<float*> grad_ptrs;
     for (auto* p : layer.params()) {
@@ -136,6 +134,19 @@ TEST(BatchParity, DenseForward) {
   check_forward_parity(dense, Tensor3(336, 1, 1), 13);
 }
 
+TEST(BatchParity, SteppedConv2DForward) {
+  // The temporal head's per-window embedding: one bank over 4 windows.
+  Conv2D conv(8, 8, 3, Padding::Valid, /*steps=*/4);
+  check_forward_parity(conv, Tensor3(32, 8, 7), 19);
+}
+
+TEST(BatchParity, WindowedDenseForward) {
+  // The temporal head's convolution over time: 3 positions per sample, so
+  // column panels straddle samples at every edge batch size.
+  Dense dense(48, 16, /*steps=*/4, /*window=*/2);
+  check_forward_parity(dense, Tensor3(192, 1, 1), 20);
+}
+
 TEST(BatchParity, ActivationAndPoolForward) {
   ReLU relu;
   check_forward_parity(relu, Tensor3(3, 5, 4), 14);
@@ -145,8 +156,6 @@ TEST(BatchParity, ActivationAndPoolForward) {
   check_forward_parity(pool, Tensor3(3, 6, 6), 16);
   Flatten flat;
   check_forward_parity(flat, Tensor3(3, 4, 2), 17);
-  DepthwiseSeparableConv2D dsc(3, 5, 3);
-  check_forward_parity(dsc, Tensor3(3, 6, 5), 18);
 }
 
 TEST(BatchParity, Conv2DValidBackward) {
@@ -171,6 +180,16 @@ TEST(BatchParity, DenseBackward) {
   check_backward_parity(dense, Tensor3(48, 1, 1), 24);
 }
 
+TEST(BatchParity, SteppedConv2DBackward) {
+  Conv2D conv(8, 8, 3, Padding::Valid, /*steps=*/4);
+  check_backward_parity(conv, Tensor3(32, 8, 7), 30);
+}
+
+TEST(BatchParity, WindowedDenseBackward) {
+  Dense dense(48, 16, /*steps=*/4, /*window=*/2);
+  check_backward_parity(dense, Tensor3(192, 1, 1), 33);
+}
+
 TEST(BatchParity, ActivationAndPoolBackward) {
   ReLU relu;
   check_backward_parity(relu, Tensor3(3, 5, 4), 25);
@@ -180,12 +199,10 @@ TEST(BatchParity, ActivationAndPoolBackward) {
   check_backward_parity(pool, Tensor3(3, 6, 6), 27);
   Flatten flat;
   check_backward_parity(flat, Tensor3(3, 4, 2), 28);
-  DepthwiseSeparableConv2D dsc(3, 5, 3);
-  check_backward_parity(dsc, Tensor3(3, 6, 5), 29);
 }
 
 /// Whole-model parity through the InferenceContext/GradientBuffer arena:
-/// forward_batch + backward_batch vs the reference loop, detector-shaped.
+/// infer_batch + backward_batch vs the reference loop, detector-shaped.
 TEST(BatchParity, DetectorStackForwardBackward) {
   Sequential model;
   model.emplace<Conv2D>(4, 8, 3, Padding::Valid);
@@ -204,7 +221,7 @@ TEST(BatchParity, DetectorStackForwardBackward) {
   Tensor4& in = ctx.input(n);
   for (float& v : in.data()) v = static_cast<float>(rng.uniform(-1.0, 1.0));
 
-  const Tensor4& out = model.forward_batch(ctx);
+  const Tensor4& out = model.infer_batch(ctx);
   Tensor4& lg = ctx.loss_grad();
   for (float& v : lg.data()) v = static_cast<float>(rng.uniform(-1.0, 1.0));
 
@@ -261,7 +278,7 @@ TEST(BatchParity, LocalizerStackForwardBackward) {
   Tensor4& in = ctx.input(n);
   for (float& v : in.data()) v = static_cast<float>(rng.uniform(0.0, 1.0));
 
-  const Tensor4& out = model.forward_batch(ctx);
+  const Tensor4& out = model.infer_batch(ctx);
   Tensor4& lg = ctx.loss_grad();
   for (float& v : lg.data()) v = static_cast<float>(rng.uniform(-1.0, 1.0));
 

@@ -84,9 +84,16 @@ TEST(GradCheck, FlattenLayer) {
   check_layer(flat, Tensor3(2, 3, 2));
 }
 
-TEST(GradCheck, DepthwiseSeparable) {
-  DepthwiseSeparableConv2D dsc(2, 3, 3);
-  check_layer(dsc, Tensor3(2, 4, 4));
+TEST(GradCheck, SteppedConv2D) {
+  // The temporal head's per-window embedding: one bank shared by 3 steps.
+  Conv2D conv(2, 3, 3, Padding::Valid, /*steps=*/3);
+  check_layer(conv, Tensor3(6, 5, 5));
+}
+
+TEST(GradCheck, WindowedDense) {
+  // The temporal head's convolution over time: 3 overlapping windows.
+  Dense dense(4, 3, /*steps=*/4, /*window=*/2);
+  check_layer(dense, Tensor3(16, 1, 1));
 }
 
 TEST(GradCheck, MaxPoolAwayFromTies) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+
 namespace dl2f::nn {
 namespace {
 
@@ -102,6 +105,39 @@ TEST(MaxPool2D, BackwardRoutesGradientToArgmax) {
   EXPECT_FLOAT_EQ(gin.at(0, 1, 0), 0.0F);
 }
 
+TEST(MaxPool2D, AllNaNWindowDropsItsGradient) {
+  // No NaN compares greater than -inf, so an all-NaN window selects no
+  // input element: both backward paths must drop its gradient (instead of
+  // scattering it out of bounds) and agree on every other window.
+  MaxPool2D pool(2);
+  Tensor3 in(1, 4, 4);
+  for (std::int32_t h = 0; h < 4; ++h) {
+    for (std::int32_t w = 0; w < 4; ++w) in.at(0, h, w) = static_cast<float>(h * 4 + w);
+  }
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  in.at(0, 0, 2) = in.at(0, 0, 3) = in.at(0, 1, 2) = in.at(0, 1, 3) = nan;
+  (void)pool.forward(in);
+  Tensor3 g(1, 2, 2);
+  g.data() = {1.0F, 2.0F, 3.0F, 4.0F};
+  const Tensor3 ref = pool.backward(g);
+
+  Tensor4 in_b(1, 1, 4, 4), out_b(1, 1, 2, 2), g_b(1, 1, 2, 2), gi_b(1, 1, 4, 4);
+  std::copy(in.data().begin(), in.data().end(), in_b.data().begin());
+  std::copy(g.data().begin(), g.data().end(), g_b.data().begin());
+  pool.infer_batch(in_b, out_b, nullptr);
+  pool.backward_batch(g_b, in_b, out_b, gi_b, {}, nullptr, /*need_input_grad=*/true);
+
+  for (std::int32_t i = 0; i < 16; ++i) {
+    EXPECT_EQ(ref.data()[static_cast<std::size_t>(i)], gi_b.sample(0)[i]) << "element " << i;
+  }
+  EXPECT_FLOAT_EQ(ref.at(0, 1, 1), 1.0F);
+  EXPECT_FLOAT_EQ(ref.at(0, 3, 1), 3.0F);
+  EXPECT_FLOAT_EQ(ref.at(0, 3, 3), 4.0F);
+  float total = 0.0F;
+  for (float v : ref.data()) total += v;
+  EXPECT_FLOAT_EQ(total, 8.0F);  // the NaN window's 2.0 is dropped
+}
+
 TEST(ReLU, ClampsNegativesForwardAndBackward) {
   ReLU relu;
   Tensor3 in(1, 1, 3);
@@ -156,19 +192,6 @@ TEST(DenseLayer, LinearMap) {
   EXPECT_FLOAT_EQ(out.at(1, 0, 0), 6.5F);
 }
 
-TEST(DepthwiseSeparable, OutputShapeAndParamCount) {
-  DepthwiseSeparableConv2D dsc(8, 16, 3);
-  const auto out = dsc.output_shape(Tensor3(8, 10, 10));
-  EXPECT_EQ(out.channels(), 16);
-  EXPECT_EQ(out.height(), 10);
-  // 8*9 depthwise + 16*8 pointwise + 16 bias = 72 + 128 + 16.
-  EXPECT_EQ(dsc.param_count(), 216U);
-  // A standard conv would need 8*16*9 + 16 = 1168 weights: the MobileNet
-  // block is >5x smaller, which is the paper's §6 extension argument.
-  Conv2D standard(8, 16, 3, Padding::Same);
-  EXPECT_GT(standard.param_count(), 5 * dsc.param_count());
-}
-
 TEST(Layers, InitWeightsIsDeterministicPerSeed) {
   Conv2D a(1, 4, 3, Padding::Same), b(1, 4, 3, Padding::Same);
   Rng ra(5), rb(5);
@@ -182,19 +205,17 @@ TEST(Layers, NumParamsMatchesParamsVectorForEveryLayerKind) {
   // num_params(); a layer whose override drifts from params() corrupts
   // the flat gradient-block layout. Pin every layer kind.
   Conv2D conv(4, 8, 3, Padding::Valid);
+  Conv2D stepped_conv(4, 8, 3, Padding::Same, /*steps=*/4);
   Dense dense(336, 1);
-  TimeDistributedConv2D tdc(4, 4, 8, 3, Padding::Same);
-  TemporalConv1D tc1(4, 8, 8, 3);
-  DepthwiseSeparableConv2D dsc(8, 16, 3);
+  Dense windowed_dense(8, 8, /*steps=*/4, /*window=*/3);
   MaxPool2D pool(2);
   ReLU relu;
   Sigmoid sigmoid;
   Flatten flatten;
-  for (Layer* layer : {static_cast<Layer*>(&conv), static_cast<Layer*>(&dense),
-                       static_cast<Layer*>(&tdc), static_cast<Layer*>(&tc1),
-                       static_cast<Layer*>(&dsc), static_cast<Layer*>(&pool),
-                       static_cast<Layer*>(&relu), static_cast<Layer*>(&sigmoid),
-                       static_cast<Layer*>(&flatten)}) {
+  for (Layer* layer : {static_cast<Layer*>(&conv), static_cast<Layer*>(&stepped_conv),
+                       static_cast<Layer*>(&dense), static_cast<Layer*>(&windowed_dense),
+                       static_cast<Layer*>(&pool), static_cast<Layer*>(&relu),
+                       static_cast<Layer*>(&sigmoid), static_cast<Layer*>(&flatten)}) {
     EXPECT_EQ(layer->num_params(), layer->params().size()) << layer->name();
   }
 }

@@ -89,62 +89,5 @@ TEST(Localizer, LearnsToSegmentSyntheticRoutes) {
   EXPECT_GT(report.final_dice, 0.85);
 }
 
-TEST(Localizer, MobileNetVariantShrinksInteriorLayers) {
-  // §6 extension: depthwise-separable interior blocks for >32x32 NoCs.
-  LocalizerConfig std_cfg;
-  std_cfg.mesh = MeshShape::square(16);
-  LocalizerConfig mobile_cfg = std_cfg;
-  mobile_cfg.depthwise_separable = true;
-  mobile_cfg.conv_layers = 4;  // one extra interior block, still smaller
-  std_cfg.conv_layers = 4;
-
-  DoSLocalizer standard(std_cfg);
-  DoSLocalizer mobile(mobile_cfg);
-  EXPECT_LT(mobile.model().param_count(), standard.model().param_count());
-  // Shape contract unchanged.
-  const auto out = mobile.model().output_shape(nn::Tensor3(1, 16, 15));
-  EXPECT_EQ(out.channels(), 1);
-  EXPECT_EQ(out.height(), 16);
-  EXPECT_EQ(out.width(), 15);
-}
-
-TEST(Localizer, MobileNetVariantStillLearnsRoutes) {
-  const auto mesh = MeshShape::square(8);
-  const monitor::FrameGeometry geom(mesh);
-  LocalizerConfig cfg;
-  cfg.mesh = mesh;
-  cfg.depthwise_separable = true;
-  DoSLocalizer loc(cfg);
-
-  monitor::Dataset data;
-  data.mesh = mesh;
-  Rng rng(23);
-  for (int i = 0; i < 24; ++i) {
-    monitor::FrameSample s;
-    s.under_attack = true;
-    const auto row = static_cast<std::int32_t>(rng.uniform_int(0, 7));
-    for (Direction d : kMeshDirections) {
-      monitor::frame_of(s.vco, d) = geom.make_frame();
-      Frame boc = geom.make_frame();
-      Frame mask = geom.make_frame();
-      for (float& v : boc.data()) v = static_cast<float>(rng.uniform(0.0, 300.0));
-      if (d == Direction::East) {
-        for (std::int32_t c = 0; c < boc.cols(); ++c) {
-          boc.at(row, c) = static_cast<float>(rng.uniform(3200.0, 4000.0));
-          mask.at(row, c) = 1.0F;
-        }
-      }
-      monitor::frame_of(s.boc, d) = std::move(boc);
-      monitor::frame_of(s.port_truth, d) = std::move(mask);
-    }
-    data.samples.push_back(std::move(s));
-  }
-
-  LocalizerTrainConfig tc;
-  tc.epochs = 30;
-  const auto report = train_localizer(loc, data, tc);
-  EXPECT_GT(report.final_dice, 0.8);
-}
-
 }  // namespace
 }  // namespace dl2f::core

@@ -8,8 +8,7 @@ namespace dl2f::nn {
 namespace {
 
 /// Minimize f(w) = 0.5 * sum((w - target)^2) with gradient w - target.
-template <typename Opt>
-double minimize(Opt& opt, Param& p, const std::vector<float>& target, int steps) {
+double minimize(Adam& opt, Param& p, const std::vector<float>& target, int steps) {
   for (int s = 0; s < steps; ++s) {
     for (std::size_t i = 0; i < p.size(); ++i) p.grad[i] = p.value[i] - target[i];
     opt.step();
@@ -19,25 +18,6 @@ double minimize(Opt& opt, Param& p, const std::vector<float>& target, int steps)
     err += std::abs(p.value[i] - target[i]);
   }
   return err;
-}
-
-TEST(Sgd, ConvergesOnQuadratic) {
-  Param p(3);
-  p.value = {5.0F, -3.0F, 0.5F};
-  const std::vector<float> target{1.0F, 2.0F, -1.0F};
-  Sgd opt({&p}, 0.1F);
-  EXPECT_LT(minimize(opt, p, target, 200), 1e-3);
-}
-
-TEST(Sgd, MomentumAcceleratesConvergence) {
-  const std::vector<float> target{1.0F, 2.0F};
-  Param plain(2), mom(2);
-  plain.value = mom.value = {10.0F, -10.0F};
-  Sgd opt_plain({&plain}, 0.01F, 0.0F);
-  Sgd opt_mom({&mom}, 0.01F, 0.9F);
-  const double err_plain = minimize(opt_plain, plain, target, 50);
-  const double err_mom = minimize(opt_mom, mom, target, 50);
-  EXPECT_LT(err_mom, err_plain);
 }
 
 TEST(Adam, ConvergesOnQuadratic) {
@@ -63,35 +43,29 @@ TEST(Adam, HandlesBadlyScaledGradients) {
   EXPECT_NEAR(p.value[1], 1.0F, 0.5F);
 }
 
-TEST(Optimizer, StepClearsGradients) {
+TEST(Adam, StepClearsGradients) {
   Param p(2);
   p.grad = {1.0F, 2.0F};
-  Sgd opt({&p}, 0.1F);
+  Adam opt({&p}, 0.1F);
   opt.step();
   EXPECT_FLOAT_EQ(p.grad[0], 0.0F);
   EXPECT_FLOAT_EQ(p.grad[1], 0.0F);
 }
 
-TEST(Optimizer, ZeroGradClears) {
-  Param p(2);
-  p.grad = {1.0F, 2.0F};
-  Adam opt({&p}, 0.1F);
-  opt.zero_grad();
-  EXPECT_FLOAT_EQ(p.grad[0], 0.0F);
-}
-
-TEST(Optimizer, MultipleParamBlocks) {
+TEST(Adam, MultipleParamBlocks) {
+  // Mirror-image blocks: each keeps its own moment estimates, so every
+  // update of one is the exact negation of the other's.
   Param a(1), b(1);
   a.value = {4.0F};
   b.value = {-4.0F};
-  Sgd opt({&a, &b}, 0.5F);
-  for (int s = 0; s < 100; ++s) {
+  Adam opt({&a, &b}, 0.1F);
+  for (int s = 0; s < 300; ++s) {
     a.grad[0] = a.value[0];
     b.grad[0] = b.value[0];
     opt.step();
   }
-  EXPECT_NEAR(a.value[0], 0.0F, 1e-4F);
-  EXPECT_NEAR(b.value[0], 0.0F, 1e-4F);
+  EXPECT_NEAR(a.value[0], 0.0F, 1e-2F);
+  EXPECT_EQ(b.value[0], -a.value[0]);
 }
 
 }  // namespace

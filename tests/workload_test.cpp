@@ -60,6 +60,10 @@ TEST(TraceFormat, MalformedLinesAreRejectedWithLineNumbers) {
       {"-3 1 2 REQ 1\n", "negative cycle"},
       {"9 1 2 REQ 1\n5 2 3 REQ 1\n", "out of order"},
       {"0 99 2 REQ 1\n", "outside the mesh"},
+      // Out-of-int32 values must not wrap into valid ones (each narrows to 1).
+      {"0 4294967297 2 REQ 5\n", "out of 32-bit range"},
+      {"0 -4294967295 2 REQ 5\n", "out of 32-bit range"},
+      {"0 1 2 REQ 4294967297\n", "out of 32-bit range"},
   };
   const MeshShape mesh = MeshShape::square(4);
   for (const auto& c : cases) {
