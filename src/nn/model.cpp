@@ -139,19 +139,28 @@ bool Sequential::save(std::ostream& os) const {
 }
 
 bool Sequential::load(std::istream& is) {
+  // Stage every block; commit only once all are whole and the stream is
+  // exhausted, so a rejected blob leaves the parameters untouched.
   std::uint32_t magic = 0, count = 0;
   is.read(reinterpret_cast<char*>(&magic), sizeof magic);
   is.read(reinterpret_cast<char*>(&count), sizeof count);
   const auto blocks = params();
   if (!is || magic != kMagic || count != blocks.size()) return false;
-  for (auto* p : blocks) {
+  std::vector<std::vector<float>> staged(blocks.size());
+  for (std::size_t b = 0; b < blocks.size(); ++b) {
     std::uint64_t n = 0;
     is.read(reinterpret_cast<char*>(&n), sizeof n);
-    if (!is || n != p->size()) return false;
-    is.read(reinterpret_cast<char*>(p->value.data()),
+    if (!is || n != blocks[b]->size()) return false;
+    staged[b].resize(n);
+    is.read(reinterpret_cast<char*>(staged[b].data()),
             static_cast<std::streamsize>(n * sizeof(float)));
+    if (!is) return false;
   }
-  return static_cast<bool>(is);
+  if (is.peek() != std::istream::traits_type::eof()) return false;
+  for (std::size_t b = 0; b < blocks.size(); ++b) {
+    std::copy(staged[b].begin(), staged[b].end(), blocks[b]->value.begin());
+  }
+  return true;
 }
 
 bool Sequential::save_file(const std::string& path) const {

@@ -86,7 +86,9 @@ class Sequential {
   /// Weight serialization: little-endian stream of all parameter blocks in
   /// layer order, preceded by a magic/count header. The architecture
   /// itself is code, not data — loading into a mismatched architecture is
-  /// rejected via the scalar-count check.
+  /// rejected via the scalar-count check. load() returns false and leaves
+  /// every parameter unchanged unless the whole stream is exactly one blob
+  /// for this architecture (no truncated block, no trailing bytes).
   bool save(std::ostream& os) const;
   bool load(std::istream& is);
   bool save_file(const std::string& path) const;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cassert>
 #include <condition_variable>
 #include <mutex>
@@ -27,6 +28,26 @@ std::int32_t resolve_step_threads(const MeshConfig& cfg, std::int32_t shard_coun
     t = std::max(1, static_cast<std::int32_t>(std::thread::hardware_concurrency()));
   }
   return std::clamp(t, 1, shard_count);
+}
+
+/// Call visit(i) for every set bit i, lowest first. Each word is read once
+/// before its bits are visited, so visit may clear bit i (or any bit) of
+/// `bits`; bits set during the walk are not visited.
+template <typename Visit>
+void for_each_bit(const std::vector<std::uint64_t>& bits, Visit&& visit) {
+  for (std::size_t w = 0; w < bits.size(); ++w) {
+    for (std::uint64_t word = bits[w]; word != 0; word &= word - 1) {
+      visit(static_cast<NodeId>(w * 64 + static_cast<std::size_t>(std::countr_zero(word))));
+    }
+  }
+}
+
+void set_bit(std::vector<std::uint64_t>& bits, NodeId i) {
+  bits[static_cast<std::size_t>(i) / 64] |= std::uint64_t{1} << (i % 64);
+}
+
+void clear_bit(std::vector<std::uint64_t>& bits, NodeId i) {
+  bits[static_cast<std::size_t>(i) / 64] &= ~(std::uint64_t{1} << (i % 64));
 }
 
 }  // namespace
@@ -144,8 +165,6 @@ Mesh::Mesh(const MeshConfig& cfg) : cfg_(cfg) {
   inject_vc_.assign(n, -1);
   quarantined_.assign(n, 0);
   ni_injected_flits_.assign(n, 0);
-  router_active_.assign(n, 0);
-  source_active_.assign(n, 0);
 
   neighbors_.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -183,9 +202,8 @@ Mesh::Mesh(const MeshConfig& cfg) : cfg_(cfg) {
     // boundary router may owe up to kNumPorts cross-edge credits.
     const auto shard_n = static_cast<std::size_t>(sh.end - sh.first);
     const auto cross = static_cast<std::size_t>(cols);
-    sh.active_routers.reserve(shard_n);
-    sh.active_sources.reserve(shard_n);
-    sh.order_scratch.reserve(shard_n);
+    sh.router_bits.assign((shard_n + 63) / 64, 0);
+    sh.source_bits.assign((shard_n + 63) / 64, 0);
     sh.transfers.reserve(kNumPorts - 1);
     sh.credit_scratch.reserve(kNumPorts);
     sh.arrivals_local.reserve(shard_n * (kNumPorts - 1));
@@ -229,38 +247,31 @@ PacketId Mesh::inject(NodeId src, NodeId dst, std::int32_t length_flits, bool ma
   return p.id;
 }
 
-void Mesh::order_worklist(std::vector<NodeId>& list, std::vector<NodeId>& scratch,
-                          const std::vector<char>& flags, NodeId first, NodeId end) {
-  // The flags mirror list membership exactly, so an ascending scan of the
-  // flag range reproduces the sorted list; at high occupancy (saturated
-  // attack meshes) that linear rebuild is far cheaper than re-sorting the
-  // list every cycle. Sparse lists keep the O(m log m) sort.
-  const auto span = static_cast<std::size_t>(end - first);
-  if (list.size() * 8 >= span) {
-    scratch.clear();
-    for (NodeId id = first; id < end; ++id) {
-      if (flags[static_cast<std::size_t>(id)] != 0) scratch.push_back(id);
-    }
-    assert(scratch.size() == list.size());
-    list.swap(scratch);
-  } else {
-    std::sort(list.begin(), list.end());
-  }
+void Mesh::activate_router(NodeId id) {
+  Shard& sh = shards_[static_cast<std::size_t>(shard_of_[static_cast<std::size_t>(id)])];
+  set_bit(sh.router_bits, id - sh.first);
+}
+
+void Mesh::activate_source(NodeId id) {
+  Shard& sh = shards_[static_cast<std::size_t>(shard_of_[static_cast<std::size_t>(id)])];
+  set_bit(sh.source_bits, id - sh.first);
 }
 
 void Mesh::ni_phase(Shard& sh) {
   // Each NI serializes the packet at the head of its source queue into a
   // local-input virtual channel, one flit per cycle (injection bandwidth of
-  // one flit/cycle, as in Garnet's NetworkInterface). Only nodes with a
-  // non-empty source queue are on the worklist; visiting in ascending node
+  // one flit/cycle, as in Garnet's NetworkInterface). Every node with a
+  // non-empty source queue has its bit set; visiting in ascending node
   // order keeps the sweep deterministic. NIs touch only their own node's
   // queue and router, so shards never interact here.
-  if (sh.active_sources.empty()) return;
-  order_worklist(sh.active_sources, sh.order_scratch, source_active_, sh.first, sh.end);
-  for (const NodeId node_id : sh.active_sources) {
+  for_each_bit(sh.source_bits, [&](NodeId i) {
+    const NodeId node_id = sh.first + i;
     const auto node = static_cast<std::size_t>(node_id);
     auto& q = source_queues_[node];
-    if (q.empty()) continue;  // drained by a quarantine flush; compacted below
+    if (q.empty()) {  // drained by a quarantine flush
+      clear_bit(sh.source_bits, i);
+      return;
+    }
     auto& router = routers_[node];
     auto& local = router.input(Direction::Local);
     auto& pkt = q.front();
@@ -274,11 +285,11 @@ void Mesh::ni_phase(Shard& sh) {
           break;
         }
       }
-      if (inject_vc_[node] < 0) continue;  // all local VCs busy
+      if (inject_vc_[node] < 0) return;  // all local VCs busy
     }
 
     auto& vc = local.vcs[static_cast<std::size_t>(inject_vc_[node])];
-    if (vc.buffer.size() >= cfg_.router.vc_depth) continue;
+    if (vc.buffer.size() >= cfg_.router.vc_depth) return;
 
     Flit flit;
     flit.packet = pkt.id;
@@ -304,17 +315,9 @@ void Mesh::ni_phase(Shard& sh) {
     if (pkt.flits_sent == pkt.length_flits) {
       q.pop_front();
       inject_vc_[node] = -1;
+      if (q.empty()) clear_bit(sh.source_bits, i);
     }
-  }
-  // Compact: nodes whose queue emptied leave the worklist.
-  sh.active_sources.erase(
-      std::remove_if(sh.active_sources.begin(), sh.active_sources.end(),
-                     [&](NodeId id) {
-                       if (!source_queues_[static_cast<std::size_t>(id)].empty()) return false;
-                       source_active_[static_cast<std::size_t>(id)] = 0;
-                       return true;
-                     }),
-      sh.active_sources.end());
+  });
 }
 
 void Mesh::route_phase(Shard& sh) {
@@ -328,16 +331,17 @@ void Mesh::route_phase(Shard& sh) {
   sh.credits_prev.clear();
   sh.credits_next.clear();
   sh.ejected.clear();
-  if (sh.active_routers.empty()) return;
-
-  order_worklist(sh.active_routers, sh.order_scratch, router_active_, sh.first, sh.end);
   const std::int32_t my_shard = shard_of_[static_cast<std::size_t>(sh.first)];
 
-  for (const NodeId id : sh.active_routers) {
+  for_each_bit(sh.router_bits, [&](NodeId i) {
+    const NodeId id = sh.first + i;
     sh.transfers.clear();
     sh.credit_scratch.clear();
     Router& r = routers_[static_cast<std::size_t>(id)];
     r.step(cfg_.shape, sh.transfers, sh.credit_scratch, sh.ejected, now_);
+    // A router its step leaves empty leaves the set; an arrival in this
+    // cycle's apply phase re-enters it.
+    if (r.buffered_flits() == 0) clear_bit(sh.router_bits, i);
 
     for (const auto& t : sh.transfers) {
       const NodeId to = neighbors_[static_cast<std::size_t>(id)][static_cast<std::size_t>(
@@ -362,7 +366,7 @@ void Mesh::route_phase(Shard& sh) {
                                           : sh.credits_next;
       stage.push_back(PendingCredit{to, opposite(c.in_dir), c.vc});
     }
-  }
+  });
 }
 
 void Mesh::apply_phase(std::size_t s) {
@@ -392,20 +396,6 @@ void Mesh::apply_phase(std::size_t s) {
   if (s > 0) apply_credits(shards_[s - 1].credits_next);
   apply_credits(sh.credits_local);
   if (s + 1 < shards_.size()) apply_credits(shards_[s + 1].credits_prev);
-
-  // Compact: routers that drained completely leave the worklist. A router
-  // with an Active-but-empty VC holds no flits and has nothing to do until
-  // the next arrival re-activates it.
-  sh.active_routers.erase(
-      std::remove_if(sh.active_routers.begin(), sh.active_routers.end(),
-                     [&](NodeId id) {
-                       if (routers_[static_cast<std::size_t>(id)].buffered_flits() > 0) {
-                         return false;
-                       }
-                       router_active_[static_cast<std::size_t>(id)] = 0;
-                       return true;
-                     }),
-      sh.active_routers.end());
 }
 
 void Mesh::step_shards(std::int32_t participant) {
@@ -483,7 +473,7 @@ void Mesh::set_quarantined(NodeId id, bool quarantined) {
   // whole windows after the fence. A packet already mid-serialization must
   // finish (dropping it would strand a tail-less wormhole packet that
   // holds its virtual channels forever); everything behind it is dropped.
-  // An emptied queue leaves the source worklist at the next NI compaction.
+  // An emptied queue leaves the source set at the next NI sweep.
   auto& q = source_queues_[static_cast<std::size_t>(id)];
   const std::size_t keep = (!q.empty() && q.front().flits_sent > 0) ? 1 : 0;
   packets_dropped_ += static_cast<std::int64_t>(q.size() - keep);
@@ -499,13 +489,13 @@ std::vector<NodeId> Mesh::quarantined_nodes() const {
 }
 
 std::int64_t Mesh::flits_in_network() const {
-  // Between steps every router holding flits is on its shard's worklist,
-  // so the sum over the worklists is the sum over the whole mesh.
+  // Between steps every router holding flits has its bit set, so the sum
+  // over the set bits is the sum over the whole mesh.
   std::int64_t total = 0;
   for (const auto& sh : shards_) {
-    for (const NodeId id : sh.active_routers) {
-      total += routers_[static_cast<std::size_t>(id)].buffered_flits();
-    }
+    for_each_bit(sh.router_bits, [&](NodeId i) {
+      total += routers_[static_cast<std::size_t>(sh.first + i)].buffered_flits();
+    });
   }
   return total;
 }

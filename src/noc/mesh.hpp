@@ -31,9 +31,8 @@
 //   3. Apply phase, per shard (parallelizable): each shard applies the
 //      arrivals addressed TO it — previous shard's down-list, own local
 //      list, next shard's up-list, i.e. ascending source-router order —
-//      then credits, then compacts its worklists. Only the owning shard
-//      ever writes its routers, so phases 1 and 3 are data-race-free by
-//      partition.
+//      then credits. Only the owning shard ever writes its routers, so
+//      phases 1 and 3 are data-race-free by partition.
 //   4. Serial coordinator phase: ejection statistics and the delivery
 //      listener run on the calling thread, shards in ascending order —
 //      so the order-sensitive floating-point latency accumulation and
@@ -43,27 +42,27 @@
 //      lists is state-equivalent: at most one flit per (router, port,
 //      VC) arrives per cycle and credit increments commute.)
 //
-// Two worklists per shard keep idle structure off the per-cycle path:
-//  * active_routers — a router ENTERS when a flit is delivered to it
-//    (NI injection or link arrival) while not already listed, and LEAVES
-//    at the end-of-step compaction once `buffered_flits() == 0`. A router
-//    with an Active-but-empty VC (wormhole body flits still upstream) has
-//    buffered == 0 and correctly leaves: only a new flit arrival — which
-//    re-activates it — can give it work. Credit returns never activate:
-//    credits matter only to routers that hold flits, which are listed.
-//    Invariant between steps: buffered_flits(r) > 0  =>  r is listed.
-//  * active_sources — a node ENTERS when inject() lands a packet in its
-//    empty source queue and LEAVES at the network-interface compaction
-//    once the queue is empty (including after a quarantine flush).
-//    Invariant between steps: !source_queue_empty(n)  =>  n is listed.
-//  In both lists the membership flag (router_active_ / source_active_)
-//  mirrors list membership exactly, and a list may transiently hold
-//  already-drained entries until its next compaction. Before each sweep a
-//  list is brought into ascending order — by sorting when sparse, or by
-//  rebuilding from the membership flags when dense (cheaper than
-//  sort at saturation) — so every sweep visits routers in id order. A
-//  shard whose worklists are empty costs nothing: quiescent regions of a
-//  large mesh are skipped wholesale (the activity-driven fast path).
+// Two activity bitsets per shard keep idle structure off the per-cycle
+// path. Bit i of a shard's set stands for router / NI `first + i`, so each
+// word belongs to one shard and only that shard's worker writes it. Sweeps
+// walk the set lowest bit first, i.e. in ascending id order, so the step,
+// ejection and latency-accumulation order is the same at any occupancy.
+//  * router bits — a router ENTERS when a flit is delivered to it (NI
+//    injection or link arrival) and LEAVES when its own step leaves it
+//    with `buffered_flits() == 0` (an arrival later in the same cycle
+//    re-enters it). A router with an Active-but-empty VC (wormhole body
+//    flits still upstream) has buffered == 0 and correctly leaves: only a
+//    new flit arrival — which re-activates it — can give it work. Credit
+//    returns never activate: credits matter only to routers that hold
+//    flits, which are set.
+//    Invariant between steps: buffered_flits(r) > 0  <=>  r's bit is set.
+//  * source bits — a node ENTERS when inject() lands a packet in its
+//    source queue and LEAVES when the NI sweep finds its queue empty
+//    (after serializing the last flit, or after a quarantine flush).
+//    Invariant between steps: !source_queue_empty(n)  =>  n's bit is set.
+//  A shard whose sets are empty costs one scan of its words: quiescent
+//  regions of a large mesh are skipped wholesale (the activity-driven fast
+//  path).
 //
 // Mesh::step performs ZERO steady-state heap allocations: every arena —
 // per-shard staging lists included — is reserved at its physical per-cycle
@@ -247,10 +246,9 @@ class Mesh {
     NodeId first = 0;  ///< first router id of the band (inclusive)
     NodeId end = 0;    ///< one past the band's last router id
 
-    // Worklists (per-shard restriction of the former global lists).
-    std::vector<NodeId> active_routers;
-    std::vector<NodeId> active_sources;
-    std::vector<NodeId> order_scratch;  ///< dense-mode ascending rebuild
+    // Activity bitsets: bit i = router / NI `first + i` (header block).
+    std::vector<std::uint64_t> router_bits;
+    std::vector<std::uint64_t> source_bits;
 
     // Per-router step scratch (cleared per router, capacity kept).
     std::vector<LinkTransfer> transfers;
@@ -277,27 +275,9 @@ class Mesh {
   void finish_cycle();
   /// Phases 1-3 for every shard owned by `participant` (strided).
   void step_shards(std::int32_t participant);
-  /// Bring a worklist into ascending order (sort when sparse, rebuild from
-  /// the membership flags when dense).
-  void order_worklist(std::vector<NodeId>& list, std::vector<NodeId>& scratch,
-                      const std::vector<char>& flags, NodeId first, NodeId end);
-
-  /// Put a router on its shard's active worklist (idempotent).
-  void activate_router(NodeId id) {
-    if (router_active_[static_cast<std::size_t>(id)] == 0) {
-      router_active_[static_cast<std::size_t>(id)] = 1;
-      shards_[static_cast<std::size_t>(shard_of_[static_cast<std::size_t>(id)])]
-          .active_routers.push_back(id);
-    }
-  }
-  /// Put a source queue on its shard's active worklist (idempotent).
-  void activate_source(NodeId id) {
-    if (source_active_[static_cast<std::size_t>(id)] == 0) {
-      source_active_[static_cast<std::size_t>(id)] = 1;
-      shards_[static_cast<std::size_t>(shard_of_[static_cast<std::size_t>(id)])]
-          .active_sources.push_back(id);
-    }
-  }
+  /// Set a router's / source queue's bit in its shard (idempotent).
+  void activate_router(NodeId id);
+  void activate_source(NodeId id);
 
   MeshConfig cfg_;
   Cycle now_ = 0;
@@ -323,11 +303,6 @@ class Mesh {
   std::vector<std::array<NodeId, kNumMeshDirections>> neighbors_;
   std::int32_t step_threads_ = 1;
   std::unique_ptr<StepPool> pool_;  ///< nullptr when step_threads_ == 1
-
-  // Worklist membership flags (global, indexed by node id; each entry is
-  // only written by the node's owning shard during parallel phases).
-  std::vector<char> router_active_;
-  std::vector<char> source_active_;
 };
 
 /// Full XY route from src to dst, inclusive of both endpoints.

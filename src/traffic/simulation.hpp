@@ -42,8 +42,8 @@ class Simulation {
     for (std::int64_t i = 0; i < cycles; ++i) step();
   }
   /// Step without injecting (lets the network drain). The drained() probe
-  /// per cycle is cheap: it sums buffered flits over the active-router
-  /// worklist, not the whole mesh.
+  /// per cycle is cheap: it sums buffered flits over the routers whose
+  /// activity bit is set, not the whole mesh.
   void run_drain(std::int64_t max_cycles) {
     for (std::int64_t i = 0; i < max_cycles && !mesh_.drained(); ++i) mesh_.step();
   }

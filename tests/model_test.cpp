@@ -4,6 +4,8 @@
 
 #include <cstdio>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "nn/layers.hpp"
 #include "nn/loss.hpp"
@@ -78,6 +80,40 @@ TEST(Sequential, LoadRejectsGarbage) {
   std::stringstream buf("not a model file at all");
   Sequential m = make_tiny_model();
   EXPECT_FALSE(m.load(buf));
+}
+
+TEST(Sequential, LoadRejectsTrailingBytes) {
+  Sequential a = make_tiny_model();
+  Rng rng(42);
+  a.init_weights(rng);
+  std::stringstream buf;
+  ASSERT_TRUE(a.save(buf));
+  buf.seekp(0, std::ios::end);
+  buf.put('\0');
+
+  Sequential b = make_tiny_model();
+  EXPECT_FALSE(b.load(buf));
+}
+
+TEST(Sequential, LoadOfTruncatedBlobLeavesEveryParameterUnchanged) {
+  Sequential a = make_tiny_model();
+  Rng rng(42);
+  a.init_weights(rng);
+  std::stringstream full;
+  ASSERT_TRUE(a.save(full));
+  // Cut inside the last block, after the earlier blocks are complete.
+  const std::string blob = full.str();
+  std::stringstream cut(blob.substr(0, blob.size() - 2));
+
+  Sequential b = make_tiny_model();
+  Rng other(7);
+  b.init_weights(other);
+  std::vector<std::vector<float>> before;
+  for (const auto* p : b.params()) before.push_back(p->value);
+  EXPECT_FALSE(b.load(cut));
+  const auto after = b.params();
+  ASSERT_EQ(after.size(), before.size());
+  for (std::size_t i = 0; i < after.size(); ++i) EXPECT_EQ(after[i]->value, before[i]) << i;
 }
 
 TEST(Sequential, SaveLoadRoundTripFile) {

@@ -13,9 +13,14 @@ the fixture tests in tools/lint/tests/.
 Rules
 -----
 DL001  banned nondeterminism source: std::rand/srand/rand(),
-       std::random_device, any static Clock::now() call, getenv/setenv.
+       std::random_device, any static Clock::now() call, getenv/setenv,
+       and any std:: random engine or distribution (std::mt19937_64,
+       std::*_engine, std::*_distribution, std::generate_canonical, ...).
        Randomness must come from dl2f's seeded Rng; time must come from
-       the simulated Cycle clock.
+       the simulated Cycle clock. The std distributions are
+       implementation-defined and tests/rng_test.cpp pins only Rng's own
+       engine, so src/common/rng.hpp is the one file that may use them,
+       each use carrying a lint-allow.
 DL002  pointer-keyed ordered container (std::map/std::set keyed on a
        pointer type): iteration order is address order, which varies
        run to run under ASLR and across allocators.
@@ -95,6 +100,10 @@ BANNED_CALLS = [
      "Clock::now(): wall-clock time is nondeterministic; use the simulated Cycle clock"),
     (re.compile(r"\b(?:secure_)?getenv\b|\b(?:un)?setenv\b|\bputenv\b"),
      "environment access: behavior must not depend on ambient environment variables"),
+    (re.compile(r"\bstd::(?:mt19937(?:_64)?|minstd_rand0?|ranlux(?:24|48)(?:_base)?|knuth_b|"
+                r"\w+_engine|\w+_distribution|generate_canonical)\b"),
+     "std random engine/distribution: draw through dl2f::Rng (common/rng.hpp) — std "
+     "distributions are implementation-defined and only Rng's engine is pinned by rng_test"),
 ]
 
 PTR_KEYED_RE = re.compile(r"\bstd::(?:multi)?(?:map|set)\s*<\s*(?:const\s+)?[\w:]+\s*\*")

@@ -16,3 +16,8 @@ long bad_clock() {
 const char* bad_env() {
   return std::getenv("DL2F_SECRET_KNOB");  // finding: getenv
 }
+
+unsigned long bad_std_random(unsigned long seed) {
+  std::mt19937_64 engine(seed);  // finding: std engine (draw through dl2f::Rng)
+  return std::uniform_int_distribution<unsigned long>(0, 9)(engine);  // finding: std distribution
+}

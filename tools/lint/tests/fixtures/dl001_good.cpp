@@ -3,7 +3,8 @@
 #include <cstdint>
 
 // std::rand and random_device are banned; std::chrono::steady_clock::now()
-// too — this comment must not trip DL001.
+// and std::mt19937_64 / std::normal_distribution too — this comment must
+// not trip DL001.
 const char* kDoc = "never call getenv or std::rand in src/";
 
 struct Rng {

@@ -40,8 +40,20 @@ class FixtureTests(unittest.TestCase):
     def test_dl001_bad_catches_every_banned_source(self):
         findings = run_fixture("dl001_bad.cpp")
         self.assertEqual(rules_of(findings), ["DL001"])
-        # random_device, std::rand, ::now(, getenv — four distinct lines.
-        self.assertEqual(len({f.line for f in findings}), 4)
+        # random_device, std::rand, ::now(, getenv, a std engine and a std
+        # distribution — six distinct lines.
+        self.assertEqual(len({f.line for f in findings}), 6)
+
+    def test_dl001_flags_std_random_engines_and_distributions(self):
+        text = ("std::mt19937_64 a(1);\n"
+                "std::mersenne_twister_engine<unsigned, 32, 624, 397, 31, 0, 11, 0, 7, 0, 15,"
+                " 0, 18, 0> b;\n"
+                "double c = std::normal_distribution<double>(0.0, 1.0)(a);\n"
+                "double d = std::generate_canonical<double, 53>(a);\n"
+                "dl2f::Rng rng(7); double e = rng.normal(0.0, 1.0);\n")
+        findings = lint.lint_text("src/traffic/x.cpp", text)
+        self.assertEqual([(f.rule, f.line) for f in findings],
+                         [("DL001", 1), ("DL001", 2), ("DL001", 3), ("DL001", 4)])
 
     def test_dl001_good_ignores_comments_and_strings(self):
         self.assert_clean("dl001_good.cpp")
