@@ -96,13 +96,9 @@ int main() {
     }
 
     sim.run(kPeriod);
-    // Each feature restarts its own window after the read, matching the
-    // training-time sampling in monitor::generate_dataset.
-    monitor::FrameSample window;
-    window.vco = sampler.sample_vco(sim.mesh(), /*reset=*/true);
-    window.boc = sampler.sample_boc(sim.mesh(), /*reset=*/true);
-
-    const core::RoundResult r = session.process(window);
+    // The same window sampler monitor::generate_dataset trains on.
+    const core::RoundResult r =
+        session.process(monitor::sample_window(sampler, sim.mesh(), kPeriod));
     std::cout << "round " << round << " @cycle " << sim.mesh().now() << ": P(DoS)="
               << r.probability;
     if (!r.detected) {

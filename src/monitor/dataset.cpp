@@ -13,6 +13,16 @@ std::size_t Dataset::attack_count() const noexcept {
 
 std::size_t Dataset::benign_count() const noexcept { return samples.size() - attack_count(); }
 
+FrameSample sample_window(const FeatureSampler& sampler, noc::Mesh& mesh,
+                          std::int64_t window_cycles) {
+  FrameSample s;
+  s.vco = sampler.sample_vco(mesh, /*reset=*/true);
+  s.boc = sampler.sample_boc(mesh, /*reset=*/true);
+  s.ni_load = sampler.sample_ni_load(mesh, /*reset=*/true);
+  s.window_cycles = window_cycles;
+  return s;
+}
+
 DirectionalFrames ground_truth_masks(const FrameGeometry& geom,
                                      const traffic::AttackScenario& scenario) {
   DirectionalFrames masks;
@@ -33,11 +43,7 @@ void collect_samples(traffic::Simulation& sim, const FeatureSampler& sampler,
   const FrameGeometry& geom = sampler.geometry();
   for (std::int32_t k = 0; k < count; ++k) {
     sim.run(period);
-    FrameSample s;
-    s.vco = sampler.sample_vco(sim.mesh(), /*reset=*/true);
-    s.boc = sampler.sample_boc(sim.mesh(), /*reset=*/true);
-    s.ni_load = sampler.sample_ni_load(sim.mesh(), /*reset=*/true);
-    s.window_cycles = period;
+    FrameSample s = sample_window(sampler, sim.mesh(), period);
     s.under_attack = under_attack;
     if (under_attack) {
       s.scenario = scenario;

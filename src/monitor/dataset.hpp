@@ -38,6 +38,13 @@ struct FrameSample {
   traffic::AttackScenario scenario;
 };
 
+/// Sample one monitoring window off `mesh`: the VCO, BOC and NI-load
+/// frames, each reset after its read (in that order), with window_cycles
+/// set. Training sets and the live runtime both sample through this, so a
+/// deployed model sees windows exactly like the ones it trained on.
+[[nodiscard]] FrameSample sample_window(const FeatureSampler& sampler, noc::Mesh& mesh,
+                                        std::int64_t window_cycles);
+
 /// Non-owning view of contiguous monitoring windows — the batch unit the
 /// inference API (core::PipelineSession::process_batch) consumes. Any
 /// contiguous FrameSample storage (a Dataset, a vector of live windows, a

@@ -30,13 +30,7 @@ JobResult run_job(const CampaignConfig& cfg, const core::PipelineEngine& engine,
   const std::uint64_t job_seed = seed ^ fnv1a(family) ^ mix64(fnv1a(result.workload));
   ScenarioParams params = cfg.params;
   params.benign = workload;
-  auto scenario = ScenarioRegistry::instance().make(family, params, job_seed);
-  if (scenario == nullptr) {
-    // A registered factory may still return nullptr for params it cannot
-    // serve; surface that as a diagnosable error, not a worker crash.
-    throw std::invalid_argument("run_campaign: scenario factory '" + family +
-                                "' returned nullptr for the campaign params");
-  }
+  Scenario scenario(family, params, job_seed);
 
   noc::MeshConfig mesh_cfg;
   mesh_cfg.shape = cfg.params.mesh;
@@ -47,10 +41,10 @@ JobResult run_job(const CampaignConfig& cfg, const core::PipelineEngine& engine,
   // shard count).
   mesh_cfg.step_threads = 1;
   traffic::Simulation sim(mesh_cfg);
-  scenario->install(sim, job_seed ^ 0x9e3779b97f4a7c15ULL);
+  scenario.install(sim, job_seed ^ 0x9e3779b97f4a7c15ULL);
 
   DefenseRuntime runtime(sim, engine, cfg.defense);
-  runtime.attach_scenario(scenario.get());
+  runtime.attach_scenario(&scenario);
   runtime.run_windows(cfg.windows);
   result.summary = runtime.summarize(cfg.recovery_ratio);
   return result;
@@ -182,10 +176,6 @@ CampaignResult run_campaign(const CampaignConfig& cfg, const ModelSnapshot& mode
   result.jobs.resize(jobs.size());
   if (jobs.empty()) return result;
 
-  // Touch the registry singleton before spawning workers so its lazy
-  // construction never races.
-  (void)ScenarioRegistry::instance().names();
-
   // The campaign's single weight deserialization: one const engine, shared
   // by reference across the whole pool (each job's DefenseRuntime carries
   // its own PipelineSession scratch).
@@ -201,7 +191,7 @@ CampaignResult run_campaign(const CampaignConfig& cfg, const ModelSnapshot& mode
   const auto worker = [&]() {
     // Workers share the one engine read-only; scoring state lives in each
     // job's session, so reuse is safe and deterministic. A worker
-    // exception (factory refusing the params) stops the pool and is
+    // exception (a scenario refusing its params) stops the pool and is
     // rethrown to the caller instead of terminating the process.
     try {
       while (!failed.load(std::memory_order_relaxed)) {

@@ -90,7 +90,7 @@ struct TrainPreset {
                                                  const TrainPreset& preset);
 
 struct CampaignConfig {
-  /// Grid axes: every family must exist in ScenarioRegistry.
+  /// Grid axes: every family must be a ScenarioRegistry name.
   std::vector<std::string> families = builtin_scenario_families();
   /// Third grid axis: benign workloads each (family, seed) cell runs
   /// against. Empty keeps the two-axis grid, running every job on

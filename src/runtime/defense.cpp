@@ -32,33 +32,17 @@ WindowRecord DefenseRuntime::run_window() {
   rec.index = static_cast<std::int64_t>(history_.size());
   rec.start = mesh.now();
 
-  // Union of attackers active at any cycle of the window: a midpoint (or
+  // Ground truth covers every cycle of the window: a midpoint (or
   // boundary) sample would alias with periodic attacks whose bursts dodge
   // the sample instant.
-  std::vector<NodeId> active_union;
-  for (std::int64_t c = 0; c < cfg_.window_cycles; ++c) {
-    if (scenario_ != nullptr) {
-      scenario_->on_cycle(mesh.now());
-      for (const NodeId a : scenario_->active_attackers(mesh.now())) {
-        if (std::find(active_union.begin(), active_union.end(), a) == active_union.end()) {
-          active_union.push_back(a);
-        }
-      }
-    }
-    sim_.step();
+  bool attacked = false;
+  if (scenario_ != nullptr) {
+    attacked = scenario_->advance(sim_, cfg_.window_cycles);
+  } else {
+    sim_.run(cfg_.window_cycles);
   }
   rec.end = mesh.now();
-
-  // Sample the window exactly as the training datasets do (VCO averaged
-  // since the last reset, BOC accumulated since the last reset; each
-  // feature restarts its own window after the read, so the order here is
-  // immaterial).
-  monitor::FrameSample sample;
-  sample.vco = sampler_.sample_vco(mesh, /*reset=*/true);
-  sample.boc = sampler_.sample_boc(mesh, /*reset=*/true);
-  sample.ni_load = sampler_.sample_ni_load(mesh, /*reset=*/true);
-  sample.window_cycles = cfg_.window_cycles;
-  windows_.push(std::move(sample));
+  windows_.push(monitor::sample_window(sampler_, mesh, cfg_.window_cycles));
   // Temporal engines score the sliding sequence (single-window verdict
   // OR temporal verdict, plus the colluding-source assist); single-window
   // engines score the newest window exactly as before. While a post-fence
@@ -101,9 +85,8 @@ WindowRecord DefenseRuntime::run_window() {
   // seen here is the one that held throughout the window (fencing only
   // changes at window boundaries), so an attacker quarantined all along
   // put no traffic on the wire and does not count.
-  if (scenario_ != nullptr) {
-    std::sort(active_union.begin(), active_union.end());
-    for (const NodeId a : active_union) {
+  if (attacked) {
+    for (const NodeId a : scenario_->all_attackers()) {
       if (!mesh.quarantined(a)) rec.truth_attackers.push_back(a);
     }
     rec.truth_attack = !rec.truth_attackers.empty();

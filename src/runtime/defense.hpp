@@ -5,9 +5,10 @@
 // DefenseRuntime runs it *against a live simulation* and acts on the
 // result — it owns a session of its own, so many runtimes can share one
 // trained engine. Each monitoring window it
-//   (1) advances the Simulation window_cycles (driving the attached
-//       Scenario's dynamics cycle by cycle),
-//   (2) samples VCO/BOC frames exactly as the training datasets do,
+//   (1) advances the Simulation window_cycles (through the attached
+//       Scenario's advance(), which drives its dynamics cycle by cycle),
+//   (2) samples VCO/BOC frames through monitor::sample_window, exactly as
+//       the training datasets do,
 //   (3) runs the full detection/localization round, and
 //   (4) mitigates on per-node evidence: a node the TLM names in
 //       quarantine_votes consecutive windows is quarantined at its network

@@ -1,9 +1,10 @@
 // Adaptive-attacker robustness matrix: per (scenario family × benign
 // workload) aggregation of a three-axis campaign.
 //
-// The evasive families (traffic/evasive.hpp) are the first workload where
-// the detector is *expected* to partially fail — this report is the
-// artifact that shows where. Each cell averages the seeds of one
+// The evasive families (pulse, stealth-ramp, colluding, mimicry: the
+// traffic/fdos.hpp schedules a runtime::Scenario drives) are the first
+// workload where the detector is *expected* to partially fail — this
+// report is the artifact that shows where. Each cell averages the seeds of one
 // (family, workload) grid coordinate into the four questions the defense
 // must answer: did we detect (accuracy/F1), did we name the right nodes
 // (localization F1), how fast did we fence (time-to-mitigate), and did

@@ -1,401 +1,192 @@
 #include "runtime/scenario.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
-
-#include "traffic/evasive.hpp"
+#include <stdexcept>
 
 namespace dl2f::runtime {
 namespace {
 
-/// Shared plumbing: the attack "legs" (one AttackScenario each) are fixed
-/// at construction — ground truth is queryable before install() — and
-/// install() materializes one FloodingAttack generator per leg.
-class FdosScenarioBase : public Scenario {
- public:
-  FdosScenarioBase(std::string family, const ScenarioParams& params)
-      : Scenario(std::move(family)), params_(params) {}
+/// Grid order: the first kBuiltinFamilies are the non-adaptive families,
+/// the rest the evasive ones.
+constexpr std::array<std::string_view, 9> kFamilies{
+    "static", "transient", "victim-sweep", "multi-victim", "ramp",
+    "pulse", "stealth-ramp", "colluding", "mimicry"};
+constexpr std::size_t kBuiltinFamilies = 5;
 
-  void install(traffic::Simulation& sim, std::uint64_t seed) override {
-    assert(attacks_.empty() && "install() must be called exactly once");
-    sim.add_generator(params_.benign.make_generator(params_.mesh, mix64(seed ^ 1)));
-    for (std::size_t k = 0; k < legs_.size(); ++k) {
-      auto* attack =
-          sim.emplace_generator<traffic::FloodingAttack>(legs_[k], mix64(seed ^ (3 + k)));
-      attack->set_active(false);  // dynamics switch legs on via on_cycle
-      attacks_.push_back(attack);
-    }
-  }
+}  // namespace
 
-  [[nodiscard]] std::vector<NodeId> all_attackers() const override {
-    std::vector<NodeId> nodes;
-    for (const auto& leg : legs_) {
-      nodes.insert(nodes.end(), leg.attackers.begin(), leg.attackers.end());
-    }
-    std::sort(nodes.begin(), nodes.end());
-    nodes.erase(std::unique(nodes.begin(), nodes.end()), nodes.end());
-    return nodes;
-  }
-
- protected:
-  [[nodiscard]] bool started(noc::Cycle at) const noexcept { return at >= params_.attack_start; }
-
-  ScenarioParams params_;
-  std::vector<traffic::AttackScenario> legs_;      ///< fixed at construction
-  std::vector<traffic::FloodingAttack*> attacks_;  ///< live handles, one per leg
-};
-
-/// The paper's threat model: fixed attackers, fixed victim, fixed FIR.
-class StaticFdos final : public FdosScenarioBase {
- public:
-  StaticFdos(const ScenarioParams& params, std::uint64_t seed)
-      : FdosScenarioBase("static", params) {
-    legs_.push_back(traffic::make_scenarios(params.mesh, 1, params.num_attackers, params.fir,
+Scenario::Scenario(std::string_view family, const ScenarioParams& params, std::uint64_t seed)
+    : family_(family), mesh_(params.mesh), benign_(params.benign), start_(params.attack_start) {
+  const auto require = [&](bool ok, const char* rule) {
+    if (!ok) throw std::invalid_argument("scenario '" + family_ + "': " + rule);
+  };
+  const auto one_leg = [&](double fir) {
+    legs_.push_back(traffic::make_scenarios(params.mesh, 1, params.num_attackers, fir,
                                             mix64(seed))[0]);
-  }
+  };
 
-  void on_cycle(noc::Cycle now) override { attacks_[0]->set_active(started(now)); }
-
-  [[nodiscard]] std::vector<NodeId> active_attackers(noc::Cycle at) const override {
-    return started(at) ? legs_[0].attackers : std::vector<NodeId>{};
-  }
-};
-
-/// On/off square-wave flooding: `burst_duty` of every `burst_period` on.
-/// Stresses probation — a defense that releases too eagerly re-admits the
-/// attacker exactly when the next burst fires.
-class TransientFdos final : public FdosScenarioBase {
- public:
-  TransientFdos(const ScenarioParams& params, std::uint64_t seed)
-      : FdosScenarioBase("transient", params) {
-    assert(params.burst_period > 0);
-    legs_.push_back(traffic::make_scenarios(params.mesh, 1, params.num_attackers, params.fir,
-                                            mix64(seed))[0]);
-  }
-
-  void on_cycle(noc::Cycle now) override { attacks_[0]->set_active(burst_on(now)); }
-
-  [[nodiscard]] std::vector<NodeId> active_attackers(noc::Cycle at) const override {
-    return burst_on(at) ? legs_[0].attackers : std::vector<NodeId>{};
-  }
-
- private:
-  [[nodiscard]] bool burst_on(noc::Cycle at) const noexcept {
-    if (!started(at)) return false;
-    const auto phase = (at - params_.attack_start) % params_.burst_period;
-    return static_cast<double>(phase) <
-           params_.burst_duty * static_cast<double>(params_.burst_period);
-  }
-};
-
-/// The same attackers retarget a new victim every `sweep_period` cycles —
-/// the flooding route, and therefore the segmentation signature, moves.
-class VictimSweepFdos final : public FdosScenarioBase {
- public:
-  VictimSweepFdos(const ScenarioParams& params, std::uint64_t seed)
-      : FdosScenarioBase("victim-sweep", params) {
-    assert(params.sweep_period > 0 && params.sweep_victims >= 1);
+  if (family_ == "static") {
+    // The paper's threat model: fixed attackers, fixed victim, fixed FIR.
+    one_leg(params.fir);
+  } else if (family_ == "transient") {
+    // On/off bursts stress probation: a defense that releases too eagerly
+    // re-admits the attacker exactly when the next burst fires.
+    require(params.burst_period > 0, "burst_period must be > 0");
+    require(params.burst_duty >= 0.0 && params.burst_duty <= 1.0, "burst_duty must be in [0, 1]");
+    one_leg(params.fir);
+    pulse_ = traffic::PulseSchedule{start_, params.burst_period, params.burst_duty, 0};
+  } else if (family_ == "victim-sweep") {
+    // The same attackers retarget a new victim every sweep_period cycles,
+    // so the flooding route (the segmentation signature) moves.
+    require(params.sweep_period > 0, "sweep_period must be > 0");
+    require(params.sweep_victims >= 1, "sweep_victims must be >= 1");
+    rotate_period_ = params.sweep_period;
     Rng rng(mix64(seed));
     const auto base = traffic::make_scenarios(params.mesh, 1, params.num_attackers, params.fir,
                                               rng.engine()())[0];
     legs_.push_back(base);
-    // Further victims: distinct, off the attacker set, >= 2 hops from every
-    // attacker so each leg leaves a localizable route. Bounded attempts —
-    // a small mesh may not hold sweep_victims such victims, in which case
-    // the sweep degrades to the legs that fit.
+    // Further victims: distinct and >= 2 hops from every attacker, so each
+    // leg leaves a localizable route. Bounded attempts: a small mesh may
+    // not hold sweep_victims such victims, and the sweep then degrades to
+    // the legs that fit.
     const auto n = params.mesh.node_count();
     for (std::int64_t attempt = 0; attempt < 64LL * params.sweep_victims &&
                                    static_cast<std::int32_t>(legs_.size()) < params.sweep_victims;
          ++attempt) {
       const auto cand = static_cast<NodeId>(rng.uniform_int(0, n - 1));
-      const bool is_attacker = std::find(base.attackers.begin(), base.attackers.end(), cand) !=
-                               base.attackers.end();
       const bool used = std::any_of(legs_.begin(), legs_.end(),
                                     [&](const auto& leg) { return leg.victim == cand; });
       const bool too_close = std::any_of(base.attackers.begin(), base.attackers.end(),
                                          [&](NodeId a) {
                                            return params.mesh.hop_distance(a, cand) < 2;
                                          });
-      if (is_attacker || used || too_close) continue;
-      traffic::AttackScenario leg = base;
-      leg.victim = cand;
-      legs_.push_back(std::move(leg));
+      if (used || too_close) continue;
+      legs_.push_back(base);
+      legs_.back().victim = cand;
     }
-  }
-
-  void on_cycle(noc::Cycle now) override {
-    const auto idx = current_target(now);
-    for (std::size_t k = 0; k < attacks_.size(); ++k) {
-      attacks_[k]->set_active(idx == static_cast<std::int64_t>(k));
-    }
-  }
-
-  [[nodiscard]] std::vector<NodeId> active_attackers(noc::Cycle at) const override {
-    return started(at) ? legs_[0].attackers : std::vector<NodeId>{};
-  }
-
- private:
-  /// Active target index at `at`, or -1 before the attack starts.
-  [[nodiscard]] std::int64_t current_target(noc::Cycle at) const noexcept {
-    if (!started(at)) return -1;
-    return ((at - params_.attack_start) / params_.sweep_period) %
-           static_cast<std::int64_t>(legs_.size());
-  }
-};
-
-/// Colluding attackers flooding *different* victims simultaneously — the
-/// multi-route case the single-victim TLM table only covers via the flow
-/// graph generalization.
-class MultiVictimFdos final : public FdosScenarioBase {
- public:
-  MultiVictimFdos(const ScenarioParams& params, std::uint64_t seed)
-      : FdosScenarioBase("multi-victim", params) {
-    // Draw independent single-attacker legs, keeping attacker nodes
-    // distinct across legs (victims may repeat — that is allowed
-    // collusion). Bounded attempts: on a mesh too small for
-    // num_attackers distinct placements, fewer legs result.
+  } else if (family_ == "multi-victim") {
+    // Independent single-attacker legs with distinct attacker nodes,
+    // flooding different victims at once (victims may repeat). Bounded
+    // attempts: on a mesh too small for num_attackers distinct
+    // placements, fewer legs result.
     Rng rng(mix64(seed));
-    std::vector<NodeId> used;
     for (std::int64_t attempt = 0; attempt < 64LL * params.num_attackers &&
                                    static_cast<std::int32_t>(legs_.size()) < params.num_attackers;
          ++attempt) {
-      const auto cand = traffic::make_scenarios(params.mesh, 1, 1, params.fir, rng.engine()())[0];
-      if (std::find(used.begin(), used.end(), cand.attackers[0]) != used.end()) continue;
-      used.push_back(cand.attackers[0]);
-      legs_.push_back(cand);
+      auto cand = traffic::make_scenarios(params.mesh, 1, 1, params.fir, rng.engine()())[0];
+      const bool used = std::any_of(legs_.begin(), legs_.end(), [&](const auto& leg) {
+        return leg.attackers[0] == cand.attackers[0];
+      });
+      if (!used) legs_.push_back(std::move(cand));
     }
-  }
-
-  void on_cycle(noc::Cycle now) override {
-    for (auto* a : attacks_) a->set_active(started(now));
-  }
-
-  [[nodiscard]] std::vector<NodeId> active_attackers(noc::Cycle at) const override {
-    if (!started(at)) return {};
-    return all_attackers();
-  }
-};
-
-/// FIR climbs linearly from ramp_start_fir to the full rate — a stealthy
-/// attacker probing how much pressure goes undetected.
-class RampFdos final : public FdosScenarioBase {
- public:
-  RampFdos(const ScenarioParams& params, std::uint64_t seed) : FdosScenarioBase("ramp", params) {
-    legs_.push_back(traffic::make_scenarios(params.mesh, 1, params.num_attackers, params.fir,
-                                            mix64(seed))[0]);
-  }
-
-  void on_cycle(noc::Cycle now) override {
-    auto* attack = attacks_[0];
-    if (!started(now)) {
-      attack->set_active(false);
-      return;
-    }
-    attack->set_active(true);
-    attack->set_fir(fir_at(now));
-  }
-
-  [[nodiscard]] std::vector<NodeId> active_attackers(noc::Cycle at) const override {
-    return started(at) ? legs_[0].attackers : std::vector<NodeId>{};
-  }
-
- private:
-  [[nodiscard]] double fir_at(noc::Cycle at) const noexcept {
-    if (params_.ramp_cycles <= 0) return params_.fir;
-    const double frac = std::min(1.0, static_cast<double>(at - params_.attack_start) /
-                                          static_cast<double>(params_.ramp_cycles));
-    return params_.ramp_start_fir + (params_.fir - params_.ramp_start_fir) * frac;
-  }
-};
-
-/// Detection-aware duty cycling at sub-window scale: the attack floods
-/// pulse_duty of every pulse_period cycles (period << window_cycles), so
-/// the window-averaged VCO sees only duty * FIR pressure while queues
-/// still spike every burst. The generator gates itself off the mesh
-/// clock — on_cycle has nothing to drive.
-class PulseFdos final : public FdosScenarioBase {
- public:
-  PulseFdos(const ScenarioParams& params, std::uint64_t seed) : FdosScenarioBase("pulse", params) {
-    assert(params.pulse_period > 0);
-    legs_.push_back(traffic::make_scenarios(params.mesh, 1, params.num_attackers, params.fir,
-                                            mix64(seed))[0]);
-    schedule_.start = params.attack_start;
-    schedule_.period = params.pulse_period;
-    schedule_.duty = params.pulse_duty;
-    schedule_.phase = params.pulse_phase;
-  }
-
-  void install(traffic::Simulation& sim, std::uint64_t seed) override {
-    sim.add_generator(params_.benign.make_generator(params_.mesh, mix64(seed ^ 1)));
-    sim.emplace_generator<traffic::PulsedFloodingAttack>(legs_[0], schedule_, mix64(seed ^ 3));
-  }
-
-  void on_cycle(noc::Cycle) override {}
-
-  [[nodiscard]] std::vector<NodeId> active_attackers(noc::Cycle at) const override {
-    return schedule_.on(at) ? legs_[0].attackers : std::vector<NodeId>{};
-  }
-
- private:
-  traffic::PulseSchedule schedule_;
-};
-
-/// Sub-threshold stealth ramp: FIR creeps from ramp_start_fir to the
-/// stealth_fir ceiling and stays there — it never shows the detector the
-/// saturating rates it was trained on.
-class StealthRampFdos final : public FdosScenarioBase {
- public:
-  StealthRampFdos(const ScenarioParams& params, std::uint64_t seed)
-      : FdosScenarioBase("stealth-ramp", params) {
-    ramp_.start = params.attack_start;
-    ramp_.ramp_cycles = params.stealth_ramp_cycles;
-    ramp_.ceiling = std::clamp(params.stealth_fir, 0.0, 1.0);
-    ramp_.start_fir = std::min(params.ramp_start_fir, ramp_.ceiling);
-    traffic::AttackScenario leg = traffic::make_scenarios(
-        params.mesh, 1, params.num_attackers, ramp_.ceiling, mix64(seed))[0];
-    legs_.push_back(std::move(leg));
-  }
-
-  void on_cycle(noc::Cycle now) override {
-    auto* attack = attacks_[0];
-    attack->set_active(started(now));
-    if (started(now)) attack->set_fir(ramp_.fir_at(now));
-  }
-
-  [[nodiscard]] std::vector<NodeId> active_attackers(noc::Cycle at) const override {
-    return started(at) ? legs_[0].attackers : std::vector<NodeId>{};
-  }
-
- private:
-  traffic::StealthRamp ramp_;
-};
-
-/// Colluding low-rate multi-source flood: `colluders` distinct sources
-/// share a victim, each at aggregate/colluders — every individual source
-/// injects within the benign rate range; only the aggregate at the
-/// victim's ingress saturates.
-class ColludingFdos final : public FdosScenarioBase {
- public:
-  ColludingFdos(const ScenarioParams& params, std::uint64_t seed)
-      : FdosScenarioBase("colluding", params) {
+  } else if (family_ == "ramp") {
+    // FIR climbs from ramp_start_fir to the full rate: a stealthy attacker
+    // probing how much pressure goes undetected.
+    one_leg(params.fir);
+    ramp_ = traffic::StealthRamp{start_, params.ramp_cycles, params.ramp_start_fir, params.fir};
+  } else if (family_ == "pulse") {
+    // Duty cycling at sub-window scale (pulse_period << window_cycles): the
+    // window-averaged VCO sees only duty * FIR pressure.
+    require(params.pulse_period > 0, "pulse_period must be > 0");
+    require(params.pulse_duty >= 0.0 && params.pulse_duty <= 1.0, "pulse_duty must be in [0, 1]");
+    one_leg(params.fir);
+    pulse_ = traffic::PulseSchedule{start_, params.pulse_period, params.pulse_duty,
+                                    params.pulse_phase};
+  } else if (family_ == "stealth-ramp") {
+    // FIR creeps up to a sub-saturation ceiling and stays there: it never
+    // shows the detector the saturating rates it was trained on.
+    const double ceiling = std::clamp(params.stealth_fir, 0.0, 1.0);
+    one_leg(ceiling);
+    ramp_ = traffic::StealthRamp{start_, params.stealth_ramp_cycles,
+                                 std::min(params.ramp_start_fir, ceiling), ceiling};
+  } else if (family_ == "colluding") {
+    // Every source injects within the benign rate range; only the
+    // aggregate at the victim's ingress saturates.
     legs_.push_back(traffic::make_colluding_scenario(
         params.mesh, params.colluders, params.colluding_aggregate_fir, mix64(seed)));
+  } else if (family_ == "mimicry") {
+    // The attack's spatial signature matches the benign pattern and only
+    // the volume differs; PARSEC and trace workloads (no pattern map) are
+    // mimicked as UniformRandom. The leg's victim is unused.
+    one_leg(params.mimicry_fir);
+    const auto* stp = std::get_if<traffic::SyntheticPattern>(&params.benign.kind);
+    mimic_ = stp != nullptr ? *stp : traffic::SyntheticPattern::UniformRandom;
+  } else {
+    throw std::invalid_argument("unknown scenario family '" + family_ + "'");
   }
 
-  void on_cycle(noc::Cycle now) override { attacks_[0]->set_active(started(now)); }
-
-  [[nodiscard]] std::vector<NodeId> active_attackers(noc::Cycle at) const override {
-    return started(at) ? legs_[0].attackers : std::vector<NodeId>{};
+  for (const auto& leg : legs_) {
+    attackers_.insert(attackers_.end(), leg.attackers.begin(), leg.attackers.end());
   }
-};
-
-/// Benign mimicry: attackers inject along the benign SyntheticPattern's
-/// own destination map, so the attack's spatial signature matches the
-/// workload and only the added volume differs. PARSEC workloads (no
-/// pattern map) are mimicked as UniformRandom.
-class MimicryFdos final : public FdosScenarioBase {
- public:
-  MimicryFdos(const ScenarioParams& params, std::uint64_t seed)
-      : FdosScenarioBase("mimicry", params) {
-    // make_scenarios picks distinct, well-separated attacker nodes; the
-    // leg's victim is unused (destinations come from the pattern).
-    legs_.push_back(traffic::make_scenarios(params.mesh, 1, params.num_attackers,
-                                            params.mimicry_fir, mix64(seed))[0]);
-    if (const auto* stp = std::get_if<traffic::SyntheticPattern>(&params.benign.kind)) {
-      pattern_ = *stp;
-    }
-  }
-
-  void install(traffic::Simulation& sim, std::uint64_t seed) override {
-    sim.add_generator(params_.benign.make_generator(params_.mesh, mix64(seed ^ 1)));
-    mimic_ = sim.emplace_generator<traffic::MimicryAttack>(legs_[0].attackers, pattern_,
-                                                           params_.mimicry_fir, mix64(seed ^ 3));
-    mimic_->set_active(false);
-  }
-
-  void on_cycle(noc::Cycle now) override { mimic_->set_active(started(now)); }
-
-  [[nodiscard]] std::vector<NodeId> active_attackers(noc::Cycle at) const override {
-    return started(at) ? legs_[0].attackers : std::vector<NodeId>{};
-  }
-
- private:
-  traffic::SyntheticPattern pattern_ = traffic::SyntheticPattern::UniformRandom;
-  traffic::MimicryAttack* mimic_ = nullptr;
-};
-
-}  // namespace
-
-ScenarioRegistry::ScenarioRegistry() {
-  add("static", [](const ScenarioParams& p, std::uint64_t s) {
-    return std::make_unique<StaticFdos>(p, s);
-  });
-  add("transient", [](const ScenarioParams& p, std::uint64_t s) {
-    return std::make_unique<TransientFdos>(p, s);
-  });
-  add("victim-sweep", [](const ScenarioParams& p, std::uint64_t s) {
-    return std::make_unique<VictimSweepFdos>(p, s);
-  });
-  add("multi-victim", [](const ScenarioParams& p, std::uint64_t s) {
-    return std::make_unique<MultiVictimFdos>(p, s);
-  });
-  add("ramp", [](const ScenarioParams& p, std::uint64_t s) {
-    return std::make_unique<RampFdos>(p, s);
-  });
-  add("pulse", [](const ScenarioParams& p, std::uint64_t s) {
-    return std::make_unique<PulseFdos>(p, s);
-  });
-  add("stealth-ramp", [](const ScenarioParams& p, std::uint64_t s) {
-    return std::make_unique<StealthRampFdos>(p, s);
-  });
-  add("colluding", [](const ScenarioParams& p, std::uint64_t s) {
-    return std::make_unique<ColludingFdos>(p, s);
-  });
-  add("mimicry", [](const ScenarioParams& p, std::uint64_t s) {
-    return std::make_unique<MimicryFdos>(p, s);
-  });
+  std::sort(attackers_.begin(), attackers_.end());
+  attackers_.erase(std::unique(attackers_.begin(), attackers_.end()), attackers_.end());
 }
 
-ScenarioRegistry& ScenarioRegistry::instance() {
-  static ScenarioRegistry registry;
+void Scenario::install(traffic::Simulation& sim, std::uint64_t seed) {
+  assert(attacks_.empty() && "install() must be called exactly once");
+  sim.add_generator(benign_.make_generator(mesh_, mix64(seed ^ 1)));
+  for (std::size_t k = 0; k < legs_.size(); ++k) {
+    auto* attack =
+        sim.emplace_generator<traffic::FloodingAttack>(legs_[k], mix64(seed ^ (3 + k)), mimic_);
+    attack->set_active(false);  // on_cycle switches legs on
+    attacks_.push_back(attack);
+  }
+}
+
+bool Scenario::on_cycle(noc::Cycle now) {
+  const bool on = attack_active(now);
+  const auto leg = on && rotate_period_ > 0
+                       ? static_cast<std::size_t>(((now - start_) / rotate_period_) %
+                                                  static_cast<noc::Cycle>(legs_.size()))
+                       : 0;
+  for (std::size_t k = 0; k < attacks_.size(); ++k) {
+    attacks_[k]->set_active(on && (rotate_period_ == 0 || k == leg));
+    if (on && ramp_) attacks_[k]->set_fir(ramp_->fir_at(now));
+  }
+  return on;
+}
+
+bool Scenario::advance(traffic::Simulation& sim, std::int64_t cycles) {
+  bool attacked = false;
+  for (std::int64_t c = 0; c < cycles; ++c) {
+    if (on_cycle(sim.mesh().now())) attacked = true;
+    sim.step();
+  }
+  return attacked;
+}
+
+const ScenarioRegistry& ScenarioRegistry::instance() {
+  static const ScenarioRegistry registry;
   return registry;
 }
 
-void ScenarioRegistry::add(std::string name, Factory factory) {
-  factories_[std::move(name)] = std::move(factory);
-}
-
 bool ScenarioRegistry::contains(std::string_view name) const {
-  return factories_.find(name) != factories_.end();
+  return std::find(kFamilies.begin(), kFamilies.end(), name) != kFamilies.end();
 }
 
 std::unique_ptr<Scenario> ScenarioRegistry::make(std::string_view name,
                                                  const ScenarioParams& params,
                                                  std::uint64_t seed) const {
-  const auto it = factories_.find(name);
-  if (it == factories_.end()) return nullptr;
-  return it->second(params, seed);
+  if (!contains(name)) return nullptr;
+  return std::make_unique<Scenario>(name, params, seed);
 }
 
 std::vector<std::string> ScenarioRegistry::names() const {
-  std::vector<std::string> out;
-  out.reserve(factories_.size());
-  for (const auto& [name, factory] : factories_) out.push_back(name);
+  auto out = all_scenario_families();
+  std::sort(out.begin(), out.end());
   return out;
 }
 
 std::vector<std::string> builtin_scenario_families() {
-  return {"static", "transient", "victim-sweep", "multi-victim", "ramp"};
+  return {kFamilies.begin(), kFamilies.begin() + kBuiltinFamilies};
 }
 
 std::vector<std::string> evasive_scenario_families() {
-  return {"pulse", "stealth-ramp", "colluding", "mimicry"};
+  return {kFamilies.begin() + kBuiltinFamilies, kFamilies.end()};
 }
 
-std::vector<std::string> all_scenario_families() {
-  auto all = builtin_scenario_families();
-  for (auto& f : evasive_scenario_families()) all.push_back(std::move(f));
-  return all;
-}
+std::vector<std::string> all_scenario_families() { return {kFamilies.begin(), kFamilies.end()}; }
 
 }  // namespace dl2f::runtime

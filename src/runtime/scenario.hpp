@@ -2,21 +2,27 @@
 //
 // The paper evaluates one static threat shape: fixed attackers flooding a
 // fixed victim at a fixed FIR. A production defense must survive attacks
-// that move — so a Scenario owns the *dynamics* of an attack overlaid on a
-// benign workload: it installs generators into a Simulation once, then is
-// advanced cycle by cycle (on_cycle) to toggle, retarget or retune the
-// flooding mid-run. It also answers the ground-truth question "which
-// attacker nodes are flooding at cycle t", which the DefenseRuntime scores
-// detection and attacker-identification against.
+// that move. Every family here is still the paper's one flooder
+// (traffic::FloodingAttack) overlaid on a benign workload, driven by one
+// schedule: a start cycle, an optional on/off square wave (transient,
+// pulse), an optional FIR ramp (ramp, stealth-ramp), an optional rotation
+// over victims (victim-sweep) and an optional mimicked destination pattern
+// (mimicry). A Scenario installs its generators into a Simulation once and
+// is then advanced cycle by cycle (on_cycle, or advance() for a span) to
+// gate and retune them. The same schedule answers the ground-truth
+// question "which attacker nodes are flooding at cycle t", which the
+// DefenseRuntime scores detection and attacker identification against.
+// All of a scenario's attackers flood together, so active_attackers(t) is
+// either empty or all_attackers().
 //
-// Families ship through a string-keyed ScenarioRegistry so campaigns can
-// name their grid axes ("static", "transient", "victim-sweep",
-// "multi-victim", "ramp") and downstream users can register their own.
+// ScenarioRegistry names the nine families in one fixed table, so
+// campaigns can name their grid axes ("static", "transient",
+// "victim-sweep", "multi-victim", "ramp", "pulse", "stealth-ramp",
+// "colluding", "mimicry").
 #pragma once
 
-#include <functional>
-#include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -50,7 +56,7 @@ struct ScenarioParams {
   noc::Cycle ramp_cycles = 6000;
   double ramp_start_fir = 0.1;
 
-  // --- evasive families (traffic/evasive.hpp behaviors) ---
+  // --- evasive families (the traffic/fdos.hpp schedules) ---
 
   // pulse: detection-aware duty cycling at sub-window scale — on for
   // pulse_duty of every pulse_period cycles, offset by pulse_phase.
@@ -74,65 +80,85 @@ struct ScenarioParams {
 };
 
 /// One live attack campaign on one Simulation.
-class Scenario {
+class Scenario final {
  public:
-  explicit Scenario(std::string family) : family_(std::move(family)) {}
-  virtual ~Scenario() = default;
+  /// Builds `family`'s attack legs and schedule from `params`; the legs
+  /// are fixed here, so ground truth is queryable before install().
+  /// Throws std::invalid_argument for an unknown family or a degenerate
+  /// schedule (a period <= 0, a duty outside [0, 1], sweep_victims < 1).
+  Scenario(std::string_view family, const ScenarioParams& params, std::uint64_t seed);
   Scenario(const Scenario&) = delete;
   Scenario& operator=(const Scenario&) = delete;
 
   [[nodiscard]] const std::string& family() const noexcept { return family_; }
 
-  /// Install the benign generator and the attack generators; call exactly
-  /// once before stepping the simulation.
-  virtual void install(traffic::Simulation& sim, std::uint64_t seed) = 0;
+  /// Install the benign generator and one FloodingAttack per leg; call
+  /// exactly once before stepping the simulation.
+  void install(traffic::Simulation& sim, std::uint64_t seed);
 
-  /// Advance the attack dynamics to cycle `now`; call once per cycle
-  /// before Simulation::step().
-  virtual void on_cycle(noc::Cycle now) = 0;
+  /// Gate and retune the attack generators for cycle `now`; call once per
+  /// cycle before Simulation::step(). Returns attack_active(now).
+  bool on_cycle(noc::Cycle now);
 
-  /// Ground truth: attacker nodes whose flooding is switched on at `at`.
-  [[nodiscard]] virtual std::vector<NodeId> active_attackers(noc::Cycle at) const = 0;
+  /// Step `sim` `cycles` cycles, calling on_cycle before each step.
+  /// Returns whether the attack was on at any of those cycles.
+  bool advance(traffic::Simulation& sim, std::int64_t cycles);
 
-  [[nodiscard]] bool attack_active(noc::Cycle at) const { return !active_attackers(at).empty(); }
+  /// Ground truth: whether the attack floods at `at`.
+  [[nodiscard]] bool attack_active(noc::Cycle at) const noexcept {
+    return at >= start_ && (!pulse_ || pulse_->on(at));
+  }
 
-  /// Every attacker node the scenario ever uses (for reporting).
-  [[nodiscard]] virtual std::vector<NodeId> all_attackers() const = 0;
+  /// Ground truth: attacker nodes flooding at `at` (all or none).
+  [[nodiscard]] std::vector<NodeId> active_attackers(noc::Cycle at) const {
+    return attack_active(at) ? attackers_ : std::vector<NodeId>{};
+  }
+
+  /// Every attacker node the scenario uses, ascending.
+  [[nodiscard]] const std::vector<NodeId>& all_attackers() const noexcept { return attackers_; }
 
  private:
   std::string family_;
+  MeshShape mesh_;
+  monitor::Benchmark benign_;
+  std::vector<traffic::AttackScenario> legs_;
+  std::vector<NodeId> attackers_;  ///< sorted union of the legs' attackers
+
+  // The schedule.
+  noc::Cycle start_ = 0;                            ///< benign-only before this cycle
+  std::optional<traffic::PulseSchedule> pulse_;     ///< on/off square wave
+  std::optional<traffic::StealthRamp> ramp_;        ///< FIR retuned every on-cycle
+  noc::Cycle rotate_period_ = 0;                    ///< > 0: one leg at a time, next every period
+  std::optional<traffic::SyntheticPattern> mimic_;  ///< destinations follow this pattern
+
+  std::vector<traffic::FloodingAttack*> attacks_;  ///< live handles, one per leg
 };
 
-/// String-keyed factory registry; the built-in families are registered on
-/// first access, user families can be added (same name overwrites).
+/// The nine family names over one fixed table.
 class ScenarioRegistry {
  public:
-  using Factory =
-      std::function<std::unique_ptr<Scenario>(const ScenarioParams&, std::uint64_t seed)>;
+  static const ScenarioRegistry& instance();
 
-  static ScenarioRegistry& instance();
-
-  void add(std::string name, Factory factory);
   [[nodiscard]] bool contains(std::string_view name) const;
-  /// nullptr when `name` is not registered.
+  /// nullptr when `name` is not a family; throws like Scenario's
+  /// constructor on a degenerate schedule.
   [[nodiscard]] std::unique_ptr<Scenario> make(std::string_view name, const ScenarioParams& params,
                                                std::uint64_t seed) const;
-  /// Registered family names, ascending.
+  /// Family names, ascending.
   [[nodiscard]] std::vector<std::string> names() const;
 
  private:
-  ScenarioRegistry();
-  std::map<std::string, Factory, std::less<>> factories_;
+  ScenarioRegistry() = default;
 };
 
 /// The original five built-in family names (the non-adaptive attackers).
 [[nodiscard]] std::vector<std::string> builtin_scenario_families();
 
 /// The four evasive (detection-aware) families: "pulse", "stealth-ramp",
-/// "colluding", "mimicry" — each built on a traffic/evasive.hpp behavior.
+/// "colluding", "mimicry" — each built on a traffic/fdos.hpp schedule.
 [[nodiscard]] std::vector<std::string> evasive_scenario_families();
 
-/// All nine registered families: builtin followed by evasive.
+/// All nine families: builtin followed by evasive.
 [[nodiscard]] std::vector<std::string> all_scenario_families();
 
 }  // namespace dl2f::runtime

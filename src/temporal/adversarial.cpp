@@ -3,10 +3,9 @@
 #include <algorithm>
 #include <array>
 #include <cassert>
-#include <stdexcept>
 #include <utility>
 
-#include "monitor/sampler.hpp"
+#include "monitor/dataset.hpp"
 #include "nn/loss.hpp"
 #include "nn/train.hpp"
 #include "traffic/simulation.hpp"
@@ -39,11 +38,7 @@ void collect_run(const SequenceDatasetConfig& cfg, const std::string& family,
   runtime::ScenarioParams params = cfg.params;
   params.mesh = cfg.mesh;
   params.benign = workload;
-  auto scenario = runtime::ScenarioRegistry::instance().make(family, params, cell_seed);
-  if (scenario == nullptr) {
-    throw std::invalid_argument("generate_sequence_dataset: unknown scenario family '" + family +
-                                "'");
-  }
+  runtime::Scenario scenario(family, params, cell_seed);
 
   noc::MeshConfig mesh_cfg;
   mesh_cfg.shape = cfg.mesh;
@@ -51,7 +46,7 @@ void collect_run(const SequenceDatasetConfig& cfg, const std::string& family,
   traffic::Simulation sim(mesh_cfg);
   // Same install-seed derivation as run_job (campaign.cpp), so a training
   // cell and a campaign cell with equal coordinates replay identically.
-  scenario->install(sim, cell_seed ^ 0x9e3779b97f4a7c15ULL);
+  scenario.install(sim, cell_seed ^ 0x9e3779b97f4a7c15ULL);
 
   const monitor::FeatureSampler sampler(cfg.mesh);
   monitor::WindowHistory history(cfg.sequence_length);
@@ -83,42 +78,26 @@ void collect_run(const SequenceDatasetConfig& cfg, const std::string& family,
   for (std::int32_t w = 0; w < cfg.windows_per_run; ++w) {
     if (fence_cycle) {
       if (w == fence_at) {
-        for (const NodeId a : scenario->all_attackers()) sim.mesh().set_quarantined(a, true);
+        for (const NodeId a : scenario.all_attackers()) sim.mesh().set_quarantined(a, true);
         release_at = w + 3;  // probation_windows' live default
         fence_at = -1;
       } else if (w == release_at) {
-        for (const NodeId a : scenario->all_attackers()) sim.mesh().set_quarantined(a, false);
+        for (const NodeId a : scenario.all_attackers()) sim.mesh().set_quarantined(a, false);
         fence_at = w + 1;
         release_at = -1;
       }
     } else if (w == tail_from) {
-      for (const NodeId a : scenario->all_attackers()) sim.mesh().set_quarantined(a, true);
+      for (const NodeId a : scenario.all_attackers()) sim.mesh().set_quarantined(a, true);
     }
-    // Mirror DefenseRuntime::run_window: advance the scenario dynamics
-    // before every simulator step, and track whether attack traffic
-    // actually reached the network at any cycle of the window (the label
-    // — quarantined attackers put nothing on the wire, matching the
-    // runtime's ground-truth convention).
-    bool active = false;
-    for (std::int64_t c = 0; c < period; ++c) {
-      const auto now = sim.mesh().now();
-      scenario->on_cycle(now);
-      if (!active) {
-        for (const NodeId a : scenario->active_attackers(now)) {
-          if (!sim.mesh().quarantined(a)) {
-            active = true;
-            break;
-          }
-        }
-      }
-      sim.step();
-    }
-
-    monitor::FrameSample sample;
-    sample.vco = sampler.sample_vco(sim.mesh(), /*reset=*/true);
-    sample.boc = sampler.sample_boc(sim.mesh(), /*reset=*/true);
-    sample.ni_load = sampler.sample_ni_load(sim.mesh(), /*reset=*/true);
-    sample.window_cycles = period;
+    // Mirror DefenseRuntime::run_window: the label is whether attack
+    // traffic reached the network at any cycle of the window (quarantined
+    // attackers put nothing on the wire, matching the runtime's
+    // ground-truth convention; fencing only changes between windows).
+    const auto& attackers = scenario.all_attackers();
+    const bool active = scenario.advance(sim, period) &&
+                        std::any_of(attackers.begin(), attackers.end(),
+                                    [&](NodeId a) { return !sim.mesh().quarantined(a); });
+    monitor::FrameSample sample = monitor::sample_window(sampler, sim.mesh(), period);
     sample.under_attack = active;
     history.push(std::move(sample));
 

@@ -5,10 +5,11 @@
 // seen a pulse trough, a stealth ramp's early windows, or six colluding
 // sources each below threshold, which is exactly why the robustness matrix
 // shows blind spots. This module generates window-SEQUENCE training data
-// by running the registered scenario families (static AND evasive) over
-// benign workloads with the same per-cycle stepping the DefenseRuntime
-// uses online, labeling each sequence by the ground-truth attacker
-// activity in its newest window.
+// by running the scenario families (static AND evasive) over benign
+// workloads, stepping and sampling each window exactly as the
+// DefenseRuntime does online (runtime::Scenario::advance,
+// monitor::sample_window), and labeling each sequence by the ground-truth
+// attacker activity in its newest window.
 //
 // Seeding follows the campaign convention: each (family, workload, rep)
 // cell's randomness is a pure function of its grid coordinates, so the
@@ -78,10 +79,10 @@ struct SequenceDatasetConfig {
 };
 
 /// Run the (families x workloads x runs_per_cell) grid and collect one
-/// labeled sequence per simulated window. Families must be registered in
-/// the ScenarioRegistry (throws std::invalid_argument otherwise, matching
-/// run_campaign). The benign prefix before ScenarioParams::attack_start
-/// supplies the negative class.
+/// labeled sequence per simulated window. Families must be ScenarioRegistry
+/// names (throws std::invalid_argument otherwise, matching run_campaign).
+/// The benign prefix before ScenarioParams::attack_start supplies the
+/// negative class.
 [[nodiscard]] SequenceDataset generate_sequence_dataset(
     const SequenceDatasetConfig& cfg, const std::vector<std::string>& families,
     const std::vector<monitor::Benchmark>& workloads);

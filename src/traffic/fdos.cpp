@@ -37,8 +37,9 @@ std::vector<std::pair<NodeId, Direction>> AttackScenario::ground_truth_ports(
   return ports;
 }
 
-FloodingAttack::FloodingAttack(AttackScenario scenario, std::uint64_t seed)
-    : scenario_(std::move(scenario)), rng_(seed) {
+FloodingAttack::FloodingAttack(AttackScenario scenario, std::uint64_t seed,
+                               std::optional<SyntheticPattern> mimic)
+    : scenario_(std::move(scenario)), mimic_(mimic), rng_(seed) {
   assert(scenario_.victim >= 0);
   assert(!scenario_.attackers.empty());
   assert(scenario_.fir >= 0.0 && scenario_.fir <= 1.0);
@@ -47,14 +48,17 @@ FloodingAttack::FloodingAttack(AttackScenario scenario, std::uint64_t seed)
 void FloodingAttack::tick(noc::Mesh& mesh) {
   if (!active_) return;
   for (NodeId attacker : scenario_.attackers) {
-    if (rng_.bernoulli(scenario_.fir)) {
-      // Flooding packets are single-flit request/acknowledge packets
-      // ("unlimited requests or acknowledges", §2.3): FIR is then the
-      // fraction of the attacker's 1-flit/cycle injection bandwidth spent
-      // on flooding, so FIR < 1 is sustainable and FIR = 1 saturates the
-      // injection port outright.
-      mesh.inject(attacker, scenario_.victim, /*length_flits=*/1, /*malicious=*/true);
-    }
+    if (!rng_.bernoulli(scenario_.fir)) continue;
+    // Flooding packets are single-flit request/acknowledge packets
+    // ("unlimited requests or acknowledges", §2.3): FIR is then the
+    // fraction of the attacker's 1-flit/cycle injection bandwidth spent
+    // on flooding, so FIR < 1 is sustainable and FIR = 1 saturates the
+    // injection port outright.
+    const NodeId dst =
+        mimic_ ? pattern_destination(*mimic_, mesh.shape(), attacker, rng_) : scenario_.victim;
+    // Perfect mimicry includes mimicking what the workload does NOT send.
+    if (mimic_ && dst == attacker) continue;
+    mesh.inject(attacker, dst, /*length_flits=*/1, /*malicious=*/true);
   }
 }
 
@@ -114,6 +118,26 @@ std::vector<AttackScenario> make_scenarios(const MeshShape& mesh, std::int32_t c
     }
   }
   return scenarios;
+}
+
+AttackScenario make_colluding_scenario(const MeshShape& mesh, std::int32_t colluders,
+                                       double aggregate_fir, std::uint64_t seed) {
+  // Validate loudly in every build type: an out-of-range aggregate would
+  // silently turn the "low-rate" sources into full-rate flooders (the
+  // per-attacker FIR must stay a probability), corrupting any robustness
+  // matrix built from the config.
+  if (colluders < 1) {
+    throw std::invalid_argument("make_colluding_scenario: colluders must be >= 1, got " +
+                                std::to_string(colluders));
+  }
+  if (!(aggregate_fir >= 0.0 && aggregate_fir <= static_cast<double>(colluders))) {
+    throw std::invalid_argument(
+        "make_colluding_scenario: aggregate_fir must be in [0, colluders] so each source's "
+        "FIR is a probability; got " +
+        std::to_string(aggregate_fir) + " across " + std::to_string(colluders) + " colluders");
+  }
+  return make_scenarios(mesh, /*count=*/1, colluders,
+                        aggregate_fir / static_cast<double>(colluders), seed)[0];
 }
 
 }  // namespace dl2f::traffic

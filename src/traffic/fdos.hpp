@@ -9,11 +9,30 @@
 // benign traffic; FIR = 1 saturates the attacker's injection port and,
 // overlaid on real workloads, collapses the system (Fig. 1).
 //
+// Every attack family is this one flooder, switched on and off, retargeted
+// or retuned over time by a runtime::Scenario. The schedules here are the
+// evasive (detection-aware) shapes of that switching:
+//
+//  * PulseSchedule — on/off duty cycling. At sub-window scale a monitoring
+//    window averages VCO over its whole span, so a pulse that floods
+//    `duty` of every `period` cycles shows only `duty * FIR` average
+//    pressure while still spiking queues.
+//  * StealthRamp — an FIR ramp; held below saturation it probes how much
+//    pressure goes unflagged forever.
+//  * make_colluding_scenario — many low-rate sources aimed at one victim;
+//    no single attacker's injection rate stands out, only the aggregate
+//    at the victim's ingress saturates.
+//  * FloodingAttack's mimicked pattern — destinations drawn from the
+//    active benign SyntheticPattern's own map, so the attack's spatial
+//    signature matches the workload and only the volume differs.
+//
 // Packets carry a ground-truth `malicious` flag used ONLY for labelling
 // datasets and scoring — the detector never sees it.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "traffic/generator.hpp"
@@ -40,7 +59,12 @@ struct AttackScenario {
 /// benign generator runs alongside it.
 class FloodingAttack final : public TrafficGenerator {
  public:
-  FloodingAttack(AttackScenario scenario, std::uint64_t seed);
+  /// With `mimic` set, each packet's destination follows that pattern's
+  /// map (UniformRandom draws from the RNG after the injection trial) and
+  /// a packet that would target its own source is skipped, exactly as the
+  /// benign SyntheticTraffic does; the scenario's victim is then unused.
+  FloodingAttack(AttackScenario scenario, std::uint64_t seed,
+                 std::optional<SyntheticPattern> mimic = std::nullopt);
 
   void tick(noc::Mesh& mesh) override;
 
@@ -56,8 +80,42 @@ class FloodingAttack final : public TrafficGenerator {
 
  private:
   AttackScenario scenario_;
+  std::optional<SyntheticPattern> mimic_;
   Rng rng_;
   bool active_ = true;
+};
+
+/// Cycle-level on/off square wave. Pure function of the cycle number, so
+/// the generators' gate and ground-truth scoring agree on when the attack
+/// is live without sharing state.
+struct PulseSchedule {
+  noc::Cycle start = 0;     ///< cycles before `start` are always off
+  noc::Cycle period = 250;  ///< full on+off period (> 0)
+  double duty = 0.3;        ///< fraction of each period spent on, in [0, 1]
+  noc::Cycle phase = 0;     ///< offset into the period at cycle `start`
+
+  [[nodiscard]] bool on(noc::Cycle at) const noexcept {
+    if (at < start || period <= 0) return false;
+    const auto p = (at - start + phase) % period;
+    return static_cast<double>(p) < duty * static_cast<double>(period);
+  }
+};
+
+/// FIR ramp: climbs linearly from `start_fir` at cycle `start` to
+/// `ceiling` over `ramp_cycles`, then holds the ceiling.
+struct StealthRamp {
+  noc::Cycle start = 0;
+  noc::Cycle ramp_cycles = 8000;
+  double start_fir = 0.05;
+  double ceiling = 0.3;
+
+  [[nodiscard]] double fir_at(noc::Cycle at) const noexcept {
+    if (at < start) return 0.0;
+    if (ramp_cycles <= 0) return ceiling;
+    const double frac = std::min(1.0, static_cast<double>(at - start) /
+                                          static_cast<double>(ramp_cycles));
+    return start_fir + (ceiling - start_fir) * frac;
+  }
 };
 
 /// Deterministically generate `count` distinct attack scenarios on `mesh`
@@ -71,5 +129,15 @@ class FloodingAttack final : public TrafficGenerator {
                                                          std::int32_t count,
                                                          std::int32_t num_attackers, double fir,
                                                          std::uint64_t seed);
+
+/// Colluding low-rate flood: `colluders` distinct attackers (each >= 2
+/// hops from the shared victim) each flooding at aggregate_fir/colluders,
+/// so the victim's ingress sees `aggregate_fir` packets/cycle while every
+/// individual source stays in the benign injection-rate range. Throws
+/// std::invalid_argument (via make_scenarios) when the mesh cannot host
+/// `colluders` such placements.
+[[nodiscard]] AttackScenario make_colluding_scenario(const MeshShape& mesh,
+                                                     std::int32_t colluders,
+                                                     double aggregate_fir, std::uint64_t seed);
 
 }  // namespace dl2f::traffic

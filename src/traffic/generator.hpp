@@ -7,9 +7,6 @@
 // workload traffic" threat model (§2.3).
 #pragma once
 
-#include <memory>
-#include <vector>
-
 #include "common/rng.hpp"
 #include "noc/mesh.hpp"
 #include "traffic/patterns.hpp"
@@ -39,19 +36,6 @@ class SyntheticTraffic final : public TrafficGenerator {
   SyntheticPattern pattern_;
   double rate_;
   Rng rng_;
-};
-
-/// Runs several generators in sequence each cycle (benign + attack overlay).
-class CompositeTraffic final : public TrafficGenerator {
- public:
-  void add(std::unique_ptr<TrafficGenerator> gen) { parts_.push_back(std::move(gen)); }
-  void tick(noc::Mesh& mesh) override {
-    for (auto& g : parts_) g->tick(mesh);
-  }
-  [[nodiscard]] std::size_t size() const noexcept { return parts_.size(); }
-
- private:
-  std::vector<std::unique_ptr<TrafficGenerator>> parts_;
 };
 
 }  // namespace dl2f::traffic

@@ -1,11 +1,12 @@
 // Evasive attacker behaviors: pulse schedule period/phase determinism,
 // colluding aggregate-rate invariant, mimicry destination distribution.
-#include "traffic/evasive.hpp"
+#include "traffic/fdos.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <set>
+#include <utility>
 
 #include "traffic/simulation.hpp"
 
@@ -64,34 +65,6 @@ TEST(PulseSchedule, DutyZeroNeverOnDutyOneAlwaysOn) {
   for (noc::Cycle at = 0; at < 300; ++at) EXPECT_TRUE(sched.on(at));
 }
 
-TEST(PulsedFloodingAttack, InjectsOnlyDuringOnPhasesAndDeterministically) {
-  // One on-phase ever: on for [0, 200), then off until cycle 2^30 — every
-  // cycle the simulation below touches after 200 is off-phase. Without
-  // quarantine nothing is dropped, so after a full drain the ejected
-  // malicious count equals the injected count exactly.
-  PulseSchedule sched;
-  sched.start = 0;
-  sched.period = noc::Cycle{1} << 30;
-  sched.duty = 200.0 / static_cast<double>(sched.period);
-
-  const auto run = [&](std::uint64_t seed) {
-    noc::MeshConfig cfg;
-    cfg.shape = kMesh;
-    traffic::Simulation sim(cfg);
-    sim.emplace_generator<PulsedFloodingAttack>(corner_scenario(1.0), sched, seed);
-    sim.run(200);    // the whole on-phase
-    sim.run(1800);   // deep into the off-phase: no injections here
-    sim.run_drain(4000);
-    return malicious_ejected(sim);
-  };
-
-  // FIR 1.0: both attackers inject every on-cycle — the count is exactly
-  // attackers x on-cycles, independent of the seed, and nothing is added
-  // during off-phases.
-  EXPECT_EQ(run(1), 2 * 200);
-  EXPECT_EQ(run(99), 2 * 200);
-}
-
 TEST(Colluding, AggregateRateIsInvariantInColluderCount) {
   const double aggregate = 0.9;
   for (const std::int32_t k : {2, 3, 6, 9}) {
@@ -135,31 +108,61 @@ TEST(Colluding, SimulatedAggregateMatchesExpectation) {
   }
 }
 
+/// The (src, dst) of every delivered malicious packet, in delivery order.
+class MaliciousDeliveries final : public noc::PacketDeliveryListener {
+ public:
+  void on_packet_delivered(const noc::Flit& tail, noc::Cycle /*now*/) override {
+    if (tail.malicious) packets.emplace_back(tail.src, tail.dst);
+  }
+  std::vector<std::pair<NodeId, NodeId>> packets;
+};
+
+/// Mimicry flood from `attackers` for `cycles` cycles, drained.
+std::vector<std::pair<NodeId, NodeId>> mimic_deliveries(std::vector<NodeId> attackers,
+                                                        SyntheticPattern pattern, double fir,
+                                                        noc::Cycle cycles, std::uint64_t seed) {
+  noc::MeshConfig cfg;
+  cfg.shape = kMesh;
+  traffic::Simulation sim(cfg);
+  MaliciousDeliveries log;
+  sim.mesh().set_delivery_listener(&log);
+  AttackScenario s = corner_scenario(fir);
+  s.attackers = std::move(attackers);  // the victim goes unused under mimicry
+  sim.emplace_generator<FloodingAttack>(s, seed, pattern);
+  sim.run(cycles);
+  sim.run_drain(4000);
+  EXPECT_TRUE(sim.mesh().drained());
+  return log.packets;
+}
+
 TEST(Mimicry, DeterministicPatternsFollowTheBenignDestinationMap) {
-  // For the deterministic patterns the attack's destination must be the
-  // exact benign pattern map — that is the mimicry.
+  // For the deterministic patterns every delivered attack packet must
+  // target the exact benign pattern map of its source — that is the
+  // mimicry — and, like the benign generator, never the source itself.
   for (const SyntheticPattern p :
        {SyntheticPattern::Tornado, SyntheticPattern::Shuffle, SyntheticPattern::Neighbor,
         SyntheticPattern::BitRotation, SyntheticPattern::BitComplement}) {
-    MimicryAttack attack({0, 9, 27}, p, 0.5, /*seed=*/3);
+    const auto delivered = mimic_deliveries({0, 9, 27}, p, 0.5, 400, /*seed=*/3);
+    EXPECT_FALSE(delivered.empty()) << to_string(p);
     Rng probe(0);  // deterministic patterns never touch the RNG
-    for (const NodeId src : attack.attackers()) {
-      EXPECT_EQ(attack.draw_destination(kMesh, src), pattern_destination(p, kMesh, src, probe))
-          << to_string(p) << " src=" << src;
+    for (const auto& [src, dst] : delivered) {
+      EXPECT_NE(dst, src) << to_string(p);
+      EXPECT_EQ(dst, pattern_destination(p, kMesh, src, probe)) << to_string(p) << " src=" << src;
     }
   }
 }
 
 TEST(Mimicry, UniformRandomSpreadsDestinationsAndSkipsSelf) {
-  MimicryAttack attack({5}, SyntheticPattern::UniformRandom, 1.0, /*seed=*/17);
+  const auto delivered =
+      mimic_deliveries({5}, SyntheticPattern::UniformRandom, 1.0, 512, /*seed=*/17);
   std::set<NodeId> seen;
-  for (int i = 0; i < 512; ++i) {
-    const NodeId d = attack.draw_destination(kMesh, 5);
-    EXPECT_NE(d, 5);
-    EXPECT_TRUE(kMesh.valid(d));
-    seen.insert(d);
+  for (const auto& [src, dst] : delivered) {
+    EXPECT_EQ(src, 5);
+    EXPECT_NE(dst, 5);
+    EXPECT_TRUE(kMesh.valid(dst));
+    seen.insert(dst);
   }
-  // 512 draws over 63 candidates: essentially every destination appears.
+  // ~512 packets over 63 candidates: essentially every destination appears.
   EXPECT_GT(seen.size(), 50U);
 }
 
@@ -167,8 +170,9 @@ TEST(Mimicry, TickInjectsMaliciousVolumeAtTheConfiguredRate) {
   noc::MeshConfig cfg;
   cfg.shape = kMesh;
   traffic::Simulation sim(cfg);
-  sim.emplace_generator<MimicryAttack>(std::vector<NodeId>{0, 7, 56}, SyntheticPattern::Tornado,
-                                       0.4, /*seed=*/23);
+  AttackScenario s = corner_scenario(0.4);
+  s.attackers = {0, 7, 56};
+  sim.emplace_generator<FloodingAttack>(s, /*seed=*/23, SyntheticPattern::Tornado);
   const noc::Cycle cycles = 4000;
   sim.run(cycles);
   sim.run_drain(2000);

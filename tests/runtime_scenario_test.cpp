@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <stdexcept>
 
 #include "traffic/simulation.hpp"
 
@@ -66,6 +68,60 @@ TEST(ScenarioRegistry, InfeasiblePlacementDegradesInsteadOfSpinning) {
   ASSERT_NE(multi, nullptr);
   EXPECT_FALSE(multi->all_attackers().empty());
   EXPECT_LE(multi->all_attackers().size(), 9U);
+}
+
+TEST(ScenarioRegistry, RejectsDegenerateSchedules) {
+  // A zero period used to divide by zero on the first on_cycle at or after
+  // attack_start (transient, victim-sweep) or silently never flood (pulse).
+  const auto& registry = ScenarioRegistry::instance();
+  const auto rejects = [&](const char* family, auto mutate) {
+    ScenarioParams p = small_params();
+    mutate(p);
+    EXPECT_THROW((void)registry.make(family, p, 1), std::invalid_argument) << family;
+  };
+  rejects("transient", [](ScenarioParams& p) { p.burst_period = 0; });
+  rejects("transient", [](ScenarioParams& p) { p.burst_period = -400; });
+  rejects("transient", [](ScenarioParams& p) { p.burst_duty = -0.1; });
+  rejects("transient", [](ScenarioParams& p) { p.burst_duty = 1.5; });
+  rejects("pulse", [](ScenarioParams& p) { p.pulse_period = 0; });
+  rejects("pulse", [](ScenarioParams& p) { p.pulse_duty = 1.01; });
+  rejects("pulse", [](ScenarioParams& p) { p.pulse_duty = std::nan(""); });
+  rejects("victim-sweep", [](ScenarioParams& p) { p.sweep_period = 0; });
+  rejects("victim-sweep", [](ScenarioParams& p) { p.sweep_victims = 0; });
+
+  // Boundary duties are legal, and a family ignores the fields it does not use.
+  ScenarioParams edge = small_params();
+  edge.burst_duty = 1.0;
+  edge.pulse_duty = 0.0;
+  EXPECT_NO_THROW((void)registry.make("transient", edge, 1));
+  EXPECT_NO_THROW((void)registry.make("pulse", edge, 1));
+  edge.burst_period = edge.pulse_period = edge.sweep_period = 0;
+  edge.sweep_victims = 0;
+  EXPECT_NO_THROW((void)registry.make("static", edge, 1));
+}
+
+TEST(ScenarioSchedule, AttackersFloodTogetherAndAdvanceReportsTheSpan) {
+  // The single schedule's invariant: at every cycle a scenario's attackers
+  // are all on or all off, and advance() reports exactly whether the
+  // attack was on at some cycle of the span it stepped.
+  for (const auto& family : all_scenario_families()) {
+    const ScenarioParams p = small_params();  // attack_start = 1000
+    const auto s = ScenarioRegistry::instance().make(family, p, 5);
+    noc::MeshConfig cfg;
+    cfg.shape = p.mesh;
+    traffic::Simulation sim(cfg);
+    s->install(sim, 11);
+    for (noc::Cycle from = 0; from < 3000; from += 500) {
+      bool on = false;
+      for (noc::Cycle t = from; t < from + 500; ++t) {
+        const auto active = s->active_attackers(t);
+        EXPECT_TRUE(active.empty() || active == s->all_attackers()) << family << " t=" << t;
+        on = on || s->attack_active(t);
+      }
+      EXPECT_EQ(s->advance(sim, 500), on) << family << " span from " << from;
+      EXPECT_EQ(sim.mesh().now(), from + 500);
+    }
+  }
 }
 
 TEST(StaticScenario, ActivatesAtAttackStart) {
