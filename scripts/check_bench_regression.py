@@ -11,6 +11,7 @@ Usage:
 
 Baseline format:
     {
+      "mode": "quick" | "full",
       "threshold_ratio": 0.75,
       "benches": {
         "<bench artifact>.json": {
@@ -31,6 +32,12 @@ detector blind spots must fail CI outright).
 A baseline key that does not resolve to a number in the measured JSON is
 itself a gate failure with a message naming where the path broke — a
 typo'd key (on either side) must never silently skip a gate.
+
+"mode" names the bench mode the references were measured in. When it is
+set, every gated artifact must carry a boolean "quick" flag agreeing with
+it; an artifact from the other mode (or without the flag) fails the gate,
+and its numbers are not compared, since quick and full runs measure
+different workloads. Both committed baselines declare their mode.
 """
 import json
 import sys
@@ -72,12 +79,23 @@ def check(baseline, artifacts):
     threshold = float(baseline.get("threshold_ratio", 0.75))
     failures = []
     rows = []
+    mode = baseline.get("mode")
+    if mode not in (None, "quick", "full"):
+        failures.append(f"baseline mode is {mode!r}, expected 'quick' or 'full'")
 
     for bench_file, metrics in baseline["benches"].items():
         current = artifacts.get(bench_file)
         if current is None:
             failures.append(f"{bench_file}: artifact missing (bench did not run?)")
             continue
+        quick = current.get("quick")
+        same_mode = mode is None or (isinstance(quick, bool)
+                                     and mode == ("quick" if quick else "full"))
+        if not same_mode:
+            artifact_mode = ("quick" if quick else "full") if isinstance(quick, bool) \
+                else "unknown (no boolean 'quick' flag)"
+            failures.append(f"{bench_file}: artifact mode is {artifact_mode}, baseline "
+                            f"mode is {mode} — refusing to compare across modes")
         for path, reference in metrics.items():
             value, err = resolve(current, path)
             if err is not None:
@@ -90,6 +108,8 @@ def check(baseline, artifacts):
                 failures.append(f"{bench_file}:{path}: resolved to "
                                 f"{type(value).__name__}, expected a number")
                 continue
+            if not same_mode:
+                continue  # keys still resolve; numbers from another mode are not compared
             if isinstance(reference, dict):
                 if "max" not in reference:
                     failures.append(f"{bench_file}:{path}: baseline entry "
@@ -133,8 +153,8 @@ def main():
     rows, failures = check(baseline, artifacts)
 
     name_w = max((len(f"{b}:{p}") for b, p, *_ in rows), default=20)
-    print(f"bench-regression gate (floor = {threshold:.0%} of reference; "
-          f"'max' entries are hard ceilings)")
+    print(f"bench-regression gate ({baseline.get('mode')} mode; floor = "
+          f"{threshold:.0%} of reference; 'max' entries are hard ceilings)")
     for bench_file, path, kind, bound, value, ok in rows:
         name = f"{bench_file}:{path}"
         verdict = "ok" if ok else "REGRESSION"

@@ -101,7 +101,65 @@ class CheckTests(unittest.TestCase):
         self.assertIn("no 'max' key", failures[0])
 
 
+class ModeTests(unittest.TestCase):
+    QUICK = {**BASELINE, "mode": "quick"}
+
+    def test_matching_mode_is_compared(self):
+        rows, failures = gate.check(
+            self.QUICK, {"BENCH_x.json": {"quick": True, "wps": {"32": 90.0}, "blind_spots": 7}})
+        self.assertEqual(failures, [])
+        self.assertEqual(len(rows), 2)
+
+    def test_mismatched_mode_fails_and_is_not_compared(self):
+        # A full-mode artifact left in the workspace must not be floored
+        # against quick references, even when its numbers would pass.
+        rows, failures = gate.check(
+            self.QUICK, {"BENCH_x.json": {"quick": False, "wps": {"32": 90.0}, "blind_spots": 7}})
+        self.assertEqual(len(failures), 1)
+        self.assertIn("BENCH_x.json", failures[0])
+        self.assertIn("artifact mode is full, baseline mode is quick", failures[0])
+        self.assertEqual(rows, [])
+
+    def test_missing_quick_flag_fails(self):
+        _rows, failures = gate.check(
+            self.QUICK, {"BENCH_x.json": {"wps": {"32": 90.0}, "blind_spots": 7}})
+        self.assertEqual(len(failures), 1)
+        self.assertIn("BENCH_x.json", failures[0])
+        self.assertIn("no boolean 'quick' flag", failures[0])
+        self.assertIn("baseline mode is quick", failures[0])
+
+    def test_non_boolean_quick_flag_fails(self):
+        _rows, failures = gate.check(
+            {**BASELINE, "mode": "full"},
+            {"BENCH_x.json": {"quick": 0, "wps": {"32": 90.0}, "blind_spots": 7}})
+        self.assertEqual(len(failures), 1)
+        self.assertIn("no boolean 'quick' flag", failures[0])
+
+    def test_unknown_baseline_mode_fails(self):
+        _rows, failures = gate.check(
+            {**BASELINE, "mode": "fast"},
+            {"BENCH_x.json": {"quick": True, "wps": {"32": 90.0}, "blind_spots": 7}})
+        self.assertTrue(any("baseline mode is 'fast'" in m for m in failures))
+
+    def test_mismatched_mode_still_reports_unresolved_keys(self):
+        _rows, failures = gate.check(
+            self.QUICK, {"BENCH_x.json": {"quick": False, "blind_spots": 7}})
+        self.assertEqual(len(failures), 2)
+        self.assertIn("key 'wps' not found", failures[1])
+
+
 class RepoBaselineTests(unittest.TestCase):
+    def test_committed_baselines_declare_their_mode(self):
+        # CI gates quick artifacts against BENCH_baseline.json and the
+        # nightly gates full ones against BENCH_nightly_baseline.json.
+        import json
+        root = os.path.dirname(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))))
+        for name, mode in (("BENCH_baseline.json", "quick"),
+                           ("BENCH_nightly_baseline.json", "full")):
+            with open(os.path.join(root, name)) as f:
+                self.assertEqual(json.load(f).get("mode"), mode, name)
+
     def test_committed_baseline_paths_resolve_in_committed_artifacts(self):
         # Every key in BENCH_baseline.json must resolve in the committed
         # full-run artifacts — catches a baseline/bench key drift at

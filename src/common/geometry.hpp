@@ -139,14 +139,16 @@ class MeshShape {
 
 /// Next output direction under dimension-order XY routing (X first, then Y).
 /// Returns Direction::Local when `at == dst`.
+[[nodiscard]] constexpr Direction xy_route_step(Coord at, Coord dst) noexcept {
+  if (at.x < dst.x) return Direction::East;
+  if (at.x > dst.x) return Direction::West;
+  if (at.y < dst.y) return Direction::North;
+  if (at.y > dst.y) return Direction::South;
+  return Direction::Local;
+}
 [[nodiscard]] constexpr Direction xy_route_step(const MeshShape& mesh, NodeId at,
                                                 NodeId dst) noexcept {
-  const Coord a = mesh.coord_of(at), d = mesh.coord_of(dst);
-  if (a.x < d.x) return Direction::East;
-  if (a.x > d.x) return Direction::West;
-  if (a.y < d.y) return Direction::North;
-  if (a.y > d.y) return Direction::South;
-  return Direction::Local;
+  return xy_route_step(mesh.coord_of(at), mesh.coord_of(dst));
 }
 
 }  // namespace dl2f

@@ -121,14 +121,25 @@ class MersenneTwister64 {
   return (m << k) - half_gap + (m & 1);
 }
 
-/// The outcome of a Bernoulli(p) trial on engine word `w`: what
-/// Rng::bernoulli(p) returns when the engine emits `w`. p <= 0 and NaN
+/// A Bernoulli success probability reduced once to the engine-word test
+/// Rng::bernoulli applies: generators whose p is fixed between draws keep
+/// one and skip the threshold arithmetic on every trial. p <= 0 and NaN
 /// never succeed; p >= 1 always does.
-[[nodiscard]] constexpr bool bernoulli_outcome(std::uint64_t w, double p) noexcept {
-  if (!(p > 0.0)) return false;
-  if (p >= 1.0) return true;
-  return w < bernoulli_threshold(p);
-}
+class BernoulliP {
+ public:
+  constexpr explicit BernoulliP(double p) noexcept
+      : threshold_(p > 0.0 && p < 1.0 ? bernoulli_threshold(p) : 0), always_(p >= 1.0) {}
+
+  /// The trial's outcome on engine word `w`: what Rng::bernoulli returns
+  /// when the engine emits `w`.
+  [[nodiscard]] constexpr bool outcome(std::uint64_t w) const noexcept {
+    return (w < threshold_) | always_;
+  }
+
+ private:
+  std::uint64_t threshold_ = 0;
+  bool always_ = false;
+};
 
 /// Seeded MersenneTwister64 with convenience draws.
 class Rng {
@@ -151,7 +162,9 @@ class Rng {
   /// Bernoulli trial with success probability p: the same outcome as
   /// `uniform() < p`, decided by one integer compare of the engine word.
   /// Consumes exactly one word for every p.
-  [[nodiscard]] bool bernoulli(double p) noexcept { return bernoulli_outcome(engine_(), p); }
+  [[nodiscard]] bool bernoulli(double p) noexcept { return bernoulli(BernoulliP(p)); }
+  /// The same trial with p's threshold already computed.
+  [[nodiscard]] bool bernoulli(BernoulliP p) noexcept { return p.outcome(engine_()); }
 
   /// Normal draw with the given mean / standard deviation.
   [[nodiscard]] double normal(double mean, double stddev) {

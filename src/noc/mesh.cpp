@@ -7,6 +7,7 @@
 #include <condition_variable>
 #include <mutex>
 #include <stdexcept>
+#include <string>
 #include <thread>
 
 #include "common/debug_hooks.hpp"
@@ -155,33 +156,28 @@ Mesh::Mesh(const MeshConfig& cfg) : cfg_(cfg) {
     // roadmap's 64x64 target, so the narrow ids are a non-constraint.
     throw std::invalid_argument("MeshConfig::shape node_count must be <= 32767");
   }
+  if (cfg.packet_length_flits < 1) {
+    // A zero or negative default length would serialize body flits forever
+    // (no flit is ever the tail), silently livelocking the mesh.
+    throw std::invalid_argument("MeshConfig::packet_length_flits must be >= 1, got " +
+                                std::to_string(cfg.packet_length_flits));
+  }
   const auto n = static_cast<std::size_t>(cfg.shape.node_count());
   const std::int32_t cols = cfg.shape.cols();
-  routers_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    routers_.emplace_back(static_cast<NodeId>(i), cfg.shape, cfg.router);
-  }
   source_queues_.resize(n);
   inject_vc_.assign(n, -1);
   quarantined_.assign(n, 0);
   ni_injected_flits_.assign(n, 0);
 
-  neighbors_.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t d = 0; d < kNumMeshDirections; ++d) {
-      const auto nb = cfg.shape.neighbor(static_cast<NodeId>(i), static_cast<Direction>(d));
-      neighbors_[i][d] = nb.value_or(-1);
-    }
-  }
-
   // Row-band partition: contiguous bands of rows/k rows, the first rows%k
   // bands one row taller, so ids [first, end) are contiguous per shard.
+  // Each router is built with its band, from which it fills its link table.
   const std::int32_t k = resolve_shards(cfg);
   const std::int32_t rows = cfg.shape.rows();
   const std::int32_t base_rows = rows / k;
   const std::int32_t extra = rows % k;
   shards_.resize(static_cast<std::size_t>(k));
-  shard_of_.resize(n);
+  routers_.reserve(n);
   std::int32_t row0 = 0;
   for (std::int32_t s = 0; s < k; ++s) {
     auto& sh = shards_[static_cast<std::size_t>(s)];
@@ -190,7 +186,7 @@ Mesh::Mesh(const MeshConfig& cfg) : cfg_(cfg) {
     sh.end = (row0 + band) * cols;
     row0 += band;
     for (NodeId id = sh.first; id < sh.end; ++id) {
-      shard_of_[static_cast<std::size_t>(id)] = s;
+      routers_.emplace_back(id, cfg.shape, cfg.router, sh.first, sh.end);
     }
     // Reserve every arena at its physical per-cycle maximum so Mesh::step
     // can never allocate, not even transiently. A router latches at most
@@ -204,15 +200,13 @@ Mesh::Mesh(const MeshConfig& cfg) : cfg_(cfg) {
     const auto cross = static_cast<std::size_t>(cols);
     sh.router_bits.assign((shard_n + 63) / 64, 0);
     sh.source_bits.assign((shard_n + 63) / 64, 0);
-    sh.transfers.reserve(kNumPorts - 1);
-    sh.credit_scratch.reserve(kNumPorts);
-    sh.arrivals_local.reserve(shard_n * (kNumPorts - 1));
-    sh.arrivals_prev.reserve(cross);
-    sh.arrivals_next.reserve(cross);
-    sh.credits_local.reserve(shard_n * kNumPorts);
-    sh.credits_prev.reserve(cross * kNumPorts);
-    sh.credits_next.reserve(cross * kNumPorts);
-    sh.ejected.reserve(shard_n);
+    sh.stage.transfers[LinkStage::kOwn].reserve(shard_n * (kNumPorts - 1));
+    sh.stage.transfers[LinkStage::kPrev].reserve(cross);
+    sh.stage.transfers[LinkStage::kNext].reserve(cross);
+    sh.stage.credits[LinkStage::kOwn].reserve(shard_n * kNumPorts);
+    sh.stage.credits[LinkStage::kPrev].reserve(cross * kNumPorts);
+    sh.stage.credits[LinkStage::kNext].reserve(cross * kNumPorts);
+    sh.stage.ejected.reserve(shard_n);
   }
   assert(row0 == rows);
 
@@ -247,13 +241,10 @@ PacketId Mesh::inject(NodeId src, NodeId dst, std::int32_t length_flits, bool ma
   return p.id;
 }
 
-void Mesh::activate_router(NodeId id) {
-  Shard& sh = shards_[static_cast<std::size_t>(shard_of_[static_cast<std::size_t>(id)])];
-  set_bit(sh.router_bits, id - sh.first);
-}
-
 void Mesh::activate_source(NodeId id) {
-  Shard& sh = shards_[static_cast<std::size_t>(shard_of_[static_cast<std::size_t>(id)])];
+  // Bands are ascending id ranges: id's is the last one starting at or below it.
+  Shard& sh = *(std::upper_bound(shards_.begin(), shards_.end(), id,
+                                 [](NodeId v, const Shard& b) { return v < b.first; }) - 1);
   set_bit(sh.source_bits, id - sh.first);
 }
 
@@ -310,7 +301,7 @@ void Mesh::ni_phase(Shard& sh) {
     }
 
     router.accept_flit(Direction::Local, inject_vc_[node], flit, now_);
-    activate_router(node_id);
+    set_bit(sh.router_bits, i);
     ++pkt.flits_sent;
     if (pkt.flits_sent == pkt.length_flits) {
       q.pop_front();
@@ -321,81 +312,50 @@ void Mesh::ni_phase(Shard& sh) {
 }
 
 void Mesh::route_phase(Shard& sh) {
-  // Stage this shard's outgoing traffic. The staging lists are cleared
-  // here (not in the apply phase) so a quiescent shard still presents
-  // empty lists to its neighbors' apply phases.
-  sh.arrivals_local.clear();
-  sh.arrivals_prev.clear();
-  sh.arrivals_next.clear();
-  sh.credits_local.clear();
-  sh.credits_prev.clear();
-  sh.credits_next.clear();
-  sh.ejected.clear();
-  const std::int32_t my_shard = shard_of_[static_cast<std::size_t>(sh.first)];
-
+  // Step this shard's routers; each stages its flits and credits straight
+  // into the band list that owns the receiver. The lists are cleared here
+  // (not in the apply phase) so a quiescent shard still presents empty
+  // lists to its neighbors' apply phases.
+  sh.stage.clear();
   for_each_bit(sh.router_bits, [&](NodeId i) {
-    const NodeId id = sh.first + i;
-    sh.transfers.clear();
-    sh.credit_scratch.clear();
-    Router& r = routers_[static_cast<std::size_t>(id)];
-    r.step(cfg_.shape, sh.transfers, sh.credit_scratch, sh.ejected, now_);
+    Router& r = routers_[static_cast<std::size_t>(sh.first + i)];
+    r.step(cfg_.shape, sh.stage, now_);
     // A router its step leaves empty leaves the set; an arrival in this
     // cycle's apply phase re-enters it.
     if (r.buffered_flits() == 0) clear_bit(sh.router_bits, i);
-
-    for (const auto& t : sh.transfers) {
-      const NodeId to = neighbors_[static_cast<std::size_t>(id)][static_cast<std::size_t>(
-          t.out_dir)];
-      assert(to >= 0);
-      const std::int32_t to_shard = shard_of_[static_cast<std::size_t>(to)];
-      auto& stage = to_shard == my_shard ? sh.arrivals_local
-                    : to_shard < my_shard ? sh.arrivals_prev
-                                          : sh.arrivals_next;
-      assert(to_shard >= my_shard - 1 && to_shard <= my_shard + 1);
-      stage.push_back(PendingTransfer{to, opposite(t.out_dir), t.out_vc, t.flit});
-    }
-    for (const auto& c : sh.credit_scratch) {
-      // The flit was read from input port `c.in_dir`; the upstream router
-      // lies in that direction and regains a credit on its facing output.
-      const NodeId to = neighbors_[static_cast<std::size_t>(id)][static_cast<std::size_t>(
-          c.in_dir)];
-      assert(to >= 0);
-      const std::int32_t to_shard = shard_of_[static_cast<std::size_t>(to)];
-      auto& stage = to_shard == my_shard ? sh.credits_local
-                    : to_shard < my_shard ? sh.credits_prev
-                                          : sh.credits_next;
-      stage.push_back(PendingCredit{to, opposite(c.in_dir), c.vc});
-    }
   });
 }
 
 void Mesh::apply_phase(std::size_t s) {
   // Apply every arrival addressed to shard s: previous shard's next-list,
-  // own local list, next shard's prev-list — ascending source-router
-  // order, and only shard s's routers are written. (The apply order is
-  // also state-equivalent under any interleaving: at most one flit per
+  // own list, next shard's prev-list — ascending source-router order, and
+  // only shard s's routers are written. (The apply order is also
+  // state-equivalent under any interleaving: at most one flit per
   // (router, in_dir, vc) arrives per cycle, and credits commute.)
   Shard& sh = shards_[s];
-  const auto apply_arrivals = [&](const std::vector<PendingTransfer>& stage) {
-    for (const auto& a : stage) {
+  const auto apply_arrivals = [&](const std::vector<LinkTransfer>& list) {
+    for (const auto& a : list) {
       // Arrivals land at the end of the cycle; timestamp them at now_ + 1
       // so the occupancy integral attributes the new flit to the next
       // cycle.
+      assert(a.to >= sh.first && a.to < sh.end);
       routers_[static_cast<std::size_t>(a.to)].accept_flit(a.in_dir, a.vc, a.flit, now_ + 1);
-      activate_router(a.to);
+      set_bit(sh.router_bits, a.to - sh.first);
     }
   };
-  const auto apply_credits = [&](const std::vector<PendingCredit>& stage) {
-    for (const auto& c : stage) {
+  const auto apply_credits = [&](const std::vector<CreditReturn>& list) {
+    for (const auto& c : list) {
       routers_[static_cast<std::size_t>(c.to)].accept_credit(c.out_dir, c.vc);
     }
   };
-  if (s > 0) apply_arrivals(shards_[s - 1].arrivals_next);
-  apply_arrivals(sh.arrivals_local);
-  if (s + 1 < shards_.size()) apply_arrivals(shards_[s + 1].arrivals_prev);
-  if (s > 0) apply_credits(shards_[s - 1].credits_next);
-  apply_credits(sh.credits_local);
-  if (s + 1 < shards_.size()) apply_credits(shards_[s + 1].credits_prev);
+  const bool has_prev = s > 0;
+  const bool has_next = s + 1 < shards_.size();
+  if (has_prev) apply_arrivals(shards_[s - 1].stage.transfers[LinkStage::kNext]);
+  apply_arrivals(sh.stage.transfers[LinkStage::kOwn]);
+  if (has_next) apply_arrivals(shards_[s + 1].stage.transfers[LinkStage::kPrev]);
+  if (has_prev) apply_credits(shards_[s - 1].stage.credits[LinkStage::kNext]);
+  apply_credits(sh.stage.credits[LinkStage::kOwn]);
+  if (has_next) apply_credits(shards_[s + 1].stage.credits[LinkStage::kPrev]);
 }
 
 void Mesh::step_shards(std::int32_t participant) {
@@ -417,7 +377,7 @@ void Mesh::finish_cycle() {
   // thread, shards ascending = router ids ascending — byte-identical to
   // the single-shard sweep at any shard/thread count.
   for (const auto& sh : shards_) {
-    for (const auto& f : sh.ejected) {
+    for (const auto& f : sh.stage.ejected) {
       stats_.on_flit_ejected(f, now_);
       if (is_tail(f.type)) {
         stats_.on_packet_ejected(f, now_);

@@ -21,18 +21,24 @@
 // traffic is the North/South hops at band boundaries — each shard
 // exchanges flits and credits with at most its two neighbors.
 //
+// LINK TABLE. The constructor builds each router with its band's id range;
+// the router keeps, per mesh direction, the neighbor's id and the staging
+// list (LinkStage::kOwn, kPrev or kNext) that the neighbor's band applies.
+//
 // STEP PHASES. Every cycle runs:
 //   1. NI + route phase, per shard (parallelizable): each shard serializes
-//      its source queues, steps its active routers in ascending id order,
-//      and stages outgoing link transfers/credits into per-shard arenas —
-//      one list for same-shard targets, one per neighboring shard.
-//      Ejections are staged per shard in ascending router order.
+//      its source queues and steps its active routers in ascending id
+//      order. A router stages each winning flit and each returned credit
+//      ONCE, already addressed to the receiving router and port, into its
+//      shard's list for the receiver's band — own band, previous band or
+//      next band. Ejections are staged per shard in ascending router order.
 //   2. BARRIER (when step_threads > 1).
 //   3. Apply phase, per shard (parallelizable): each shard applies the
-//      arrivals addressed TO it — previous shard's down-list, own local
-//      list, next shard's up-list, i.e. ascending source-router order —
-//      then credits. Only the owning shard ever writes its routers, so
-//      phases 1 and 3 are data-race-free by partition.
+//      arrivals addressed TO it — previous shard's next-band list, own
+//      list, next shard's previous-band list, i.e. ascending source-router
+//      order — then credits in the same list order. Only the owning shard
+//      ever writes its routers, so phases 1 and 3 are data-race-free by
+//      partition.
 //   4. Serial coordinator phase: ejection statistics and the delivery
 //      listener run on the calling thread, shards in ascending order —
 //      so the order-sensitive floating-point latency accumulation and
@@ -71,7 +77,6 @@
 // ---------------------------------------------------------------------------
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -87,7 +92,7 @@ namespace dl2f::noc {
 struct MeshConfig {
   MeshShape shape = MeshShape::square(8);
   RouterConfig router;
-  std::int32_t packet_length_flits = 5;  ///< default packet size (1 head + 3 body + 1 tail)
+  std::int32_t packet_length_flits = 5;  ///< default packet size (1 head + 3 body + 1 tail), >= 1
   /// Row-band shards for Mesh::step. 0 = auto (rows/8, clamped to [1, 8]);
   /// explicit values are clamped to [1, rows]. Results are bitwise
   /// identical at ANY shard count — sharding only re-groups the sweep.
@@ -115,6 +120,9 @@ class PacketDeliveryListener {
 
 class Mesh {
  public:
+  /// Throws std::invalid_argument when cfg.packet_length_flits < 1, when
+  /// the mesh has more than 32767 nodes, or when cfg.router is out of
+  /// range (see Router).
   explicit Mesh(const MeshConfig& cfg);
   ~Mesh();
   Mesh(Mesh&&) noexcept;
@@ -225,20 +233,6 @@ class Mesh {
   void reset_occupancy_windows();
 
  private:
-  /// A flit crossing a link this cycle (applied after all routers step).
-  struct PendingTransfer {
-    NodeId to;
-    Direction in_dir;  ///< input port at the destination router
-    std::int32_t vc;
-    Flit flit;
-  };
-  /// A credit crossing a link this cycle.
-  struct PendingCredit {
-    NodeId to;
-    Direction out_dir;  ///< output port at the upstream router
-    std::int32_t vc;
-  };
-
   /// One contiguous row band of routers plus everything its worker needs
   /// to step them without touching another shard's state (see the phase
   /// contract in the header block).
@@ -250,21 +244,10 @@ class Mesh {
     std::vector<std::uint64_t> router_bits;
     std::vector<std::uint64_t> source_bits;
 
-    // Per-router step scratch (cleared per router, capacity kept).
-    std::vector<LinkTransfer> transfers;
-    std::vector<CreditReturn> credit_scratch;
-
-    // Staging arenas, filled by this shard's route phase and consumed by
-    // the (possibly remote) apply phases after the barrier. "prev"/"next"
-    // address the adjacent shard; row bands guarantee nothing crosses
-    // further. All reserved at physical maxima in the constructor.
-    std::vector<PendingTransfer> arrivals_local;
-    std::vector<PendingTransfer> arrivals_prev;
-    std::vector<PendingTransfer> arrivals_next;
-    std::vector<PendingCredit> credits_local;
-    std::vector<PendingCredit> credits_prev;
-    std::vector<PendingCredit> credits_next;
-    std::vector<Flit> ejected;  ///< ascending router order within the shard
+    /// This band's staged flits, credits and ejections, filled by its
+    /// route phase and read by its own and its neighbors' apply phases
+    /// after the barrier. Reserved at physical maxima in the constructor.
+    LinkStage stage;
   };
 
   class StepPool;  // persistent worker pool + barrier (mesh.cpp)
@@ -275,8 +258,7 @@ class Mesh {
   void finish_cycle();
   /// Phases 1-3 for every shard owned by `participant` (strided).
   void step_shards(std::int32_t participant);
-  /// Set a router's / source queue's bit in its shard (idempotent).
-  void activate_router(NodeId id);
+  /// Set a source queue's bit in its shard (idempotent).
   void activate_source(NodeId id);
 
   MeshConfig cfg_;
@@ -295,12 +277,7 @@ class Mesh {
   LatencyStats stats_;
   LatencyStats benign_stats_;
 
-  // Shard partition (see header block). shard_of_ maps node -> shard
-  // index; neighbors_ memoizes MeshShape::neighbor per direction (-1 at
-  // edges) so the staging loops never re-derive coordinates by division.
-  std::vector<Shard> shards_;
-  std::vector<std::int32_t> shard_of_;
-  std::vector<std::array<NodeId, kNumMeshDirections>> neighbors_;
+  std::vector<Shard> shards_;  ///< row bands, ascending (see header block)
   std::int32_t step_threads_ = 1;
   std::unique_ptr<StepPool> pool_;  ///< nullptr when step_threads_ == 1
 };

@@ -46,7 +46,9 @@ std::optional<std::int32_t> OutputPort::find_free_vc() const noexcept {
   return std::nullopt;
 }
 
-Router::Router(NodeId id, const MeshShape& mesh, const RouterConfig& cfg) : id_(id), cfg_(cfg) {
+Router::Router(NodeId id, const MeshShape& mesh, const RouterConfig& cfg, NodeId band_first,
+               NodeId band_end)
+    : id_(id), here_(mesh.coord_of(id)), cfg_(cfg) {
   if (cfg.vc_depth < 1 || cfg.vc_depth > FlitRing::kCapacity) {
     throw std::invalid_argument("RouterConfig::vc_depth must be in [1, " +
                                 std::to_string(FlitRing::kCapacity) + "], got " +
@@ -69,13 +71,18 @@ Router::Router(NodeId id, const MeshShape& mesh, const RouterConfig& cfg) : id_(
       static_cast<std::size_t>(std::bit_ceil(static_cast<std::uint32_t>(cfg.vc_depth)));
   vc_storage_.resize(kNumPorts * vcs);
   slot_storage_.resize(kNumPorts * vcs * depth_pow2);
-  const Coord here = mesh.coord_of(id);
   for (std::size_t p = 0; p < kNumPorts; ++p) {
     const auto dir = static_cast<Direction>(p);
-    const bool connected = mesh.has_port(here, dir);
+    const bool connected = mesh.has_port(here_, dir);
+    if (connected && dir != Direction::Local) {
+      const NodeId to = *mesh.neighbor(id, dir);
+      links_[p] = Link{to, to < band_first ? LinkStage::kPrev
+                           : to >= band_end ? LinkStage::kNext
+                                            : LinkStage::kOwn};
+    }
     auto& in = inputs_[p];
     in.connected = connected;
-    in.vcs = VcSpan(vc_storage_.data() + p * vcs, cfg.vcs_per_port);
+    in.vcs = std::span<VirtualChannel>(vc_storage_.data() + p * vcs, vcs);
     for (std::size_t v = 0; v < vcs; ++v) {
       in.vcs[v].buffer.bind(slot_storage_.data() + (p * vcs + v) * depth_pow2,
                             static_cast<std::int32_t>(depth_pow2));
@@ -95,7 +102,8 @@ Router::Router(NodeId id, const MeshShape& mesh, const RouterConfig& cfg) : id_(
 void Router::accept_flit(Direction d, std::int32_t vc, const Flit& flit, Cycle now) {
   auto& port = input(d);
   assert(port.connected);
-  auto& channel = port.vcs[static_cast<std::size_t>(vc)];
+  const std::size_t slot = slot_of(static_cast<std::size_t>(d), static_cast<std::size_t>(vc));
+  auto& channel = vc_storage_[slot];
   assert(channel.buffer.size() < cfg_.vc_depth);
   if (!channel.occupied()) {
     port.occ_touch(now);
@@ -103,9 +111,7 @@ void Router::accept_flit(Direction d, std::int32_t vc, const Flit& flit, Cycle n
   }
   if (channel.buffer.empty()) {
     channel.route_cached = false;  // a new front flit invalidates the memo
-    const std::uint64_t bit = std::uint64_t{1}
-                              << slot_of(static_cast<std::size_t>(d),
-                                         static_cast<std::size_t>(vc));
+    const std::uint64_t bit = std::uint64_t{1} << slot;
     nonempty_slots_ |= bit;
     if (channel.state == VirtualChannel::State::Active) {
       // Body/tail flits of a wormhole packet whose earlier flits already
@@ -156,11 +162,11 @@ void Router::allocate_vcs(const MeshShape& mesh) {
     const std::size_t slot = rotated_first_bit(candidates, va_round_robin_);
     const std::uint64_t bit = std::uint64_t{1} << slot;
     candidates &= ~bit;
-    auto& vc = inputs_[slot_port(slot)].vcs[slot_vc(slot)];
+    auto& vc = vc_storage_[slot];
     const Flit& head = vc.buffer.front();
     assert(is_head(head.type));
     if (!vc.route_cached) {
-      vc.cached_route = xy_route_step(mesh, id_, head.dst);
+      vc.cached_route = xy_route_step(here_, mesh.coord_of(head.dst));
       vc.route_cached = true;
     }
     assert(vc.cached_route == xy_route_step(mesh, id_, head.dst));
@@ -202,8 +208,7 @@ void Router::allocate_vcs(const MeshShape& mesh) {
   }
 }
 
-void Router::step(const MeshShape& mesh, std::vector<LinkTransfer>& transfers,
-                  std::vector<CreditReturn>& credits, std::vector<Flit>& ejected, Cycle now) {
+void Router::step(const MeshShape& mesh, LinkStage& out, Cycle now) {
   // Idle fast-path: with no buffered flits there is nothing to route,
   // allocate or traverse (Active-but-empty VCs just wait for more flits).
   // Most routers are idle most cycles under realistic loads, so this
@@ -240,81 +245,86 @@ void Router::step(const MeshShape& mesh, std::vector<LinkTransfer>& transfers,
   // Switch allocation: pick one winning input VC per output port, scanning
   // input (port, vc) pairs from a rotating round-robin start so no input
   // starves. An input port may also send at most one flit per cycle.
-  // routed_to_[out] is exactly the set of eligible slots (Active, routed
-  // to this output, flit buffered), so the rotated sweep walks its set
-  // bits — skipping busy input ports wholesale — in the same order the
-  // full slot scan would.
+  // credited_routed_to_[out] is exactly the set of eligible slots (Active,
+  // routed to this output, flit buffered, downstream credit), so the
+  // rotated first bit IS the winner — the slot a full scan skipping
+  // starved candidates would choose. Only outputs with a candidate are
+  // visited, lowest first: a slot routes to one output, so serving one
+  // output never gives another a candidate.
   std::uint64_t busy_input_slots = 0;  ///< every slot of inputs that already sent
-
-  for (std::size_t out_p = 0; out_p < kNumPorts; ++out_p) {
+  unsigned outputs = 0;
+  for (std::size_t p = 0; p < kNumPorts; ++p) {
+    outputs |= static_cast<unsigned>(credited_routed_to_[p] != 0) << p;
+  }
+  for (; outputs != 0; outputs &= outputs - 1) {
+    const auto out_p = static_cast<std::size_t>(std::countr_zero(outputs));
     const auto out_dir = static_cast<Direction>(out_p);
-    auto& out = outputs_[out_p];
-    // credited_routed_to_ already excludes credit-starved slots, so the
-    // rotated first bit IS the winner — same slot the pre-mask scan chose
-    // by skipping starved candidates without advancing the round-robin.
+    auto& port_out = outputs_[out_p];
     const std::uint64_t candidates = credited_routed_to_[out_p] & ~busy_input_slots;
+    if (candidates == 0) continue;
 
-    if (candidates != 0) {
-      const std::size_t slot = rotated_first_bit(candidates, sa_round_robin_[out_p]);
-      const std::uint64_t bit = std::uint64_t{1} << slot;
-      const std::size_t in_p = slot_port(slot);
-      const std::size_t in_v = slot_vc(slot);
-      auto& port = inputs_[in_p];
-      auto& vc = port.vcs[in_v];
-      assert(vc.state == VirtualChannel::State::Active && vc.out_dir == out_dir &&
-             !vc.buffer.empty());
-      assert(out_dir == Direction::Local ||
-             out.credits[static_cast<std::size_t>(vc.out_vc)] > 0);
+    const std::size_t slot = rotated_first_bit(candidates, sa_round_robin_[out_p]);
+    const std::uint64_t bit = std::uint64_t{1} << slot;
+    const std::size_t in_p = slot_port(slot);
+    auto& port = inputs_[in_p];
+    auto& vc = vc_storage_[slot];
+    assert(vc.state == VirtualChannel::State::Active && vc.out_dir == out_dir &&
+           !vc.buffer.empty());
+    assert(out_dir == Direction::Local ||
+           port_out.credits[static_cast<std::size_t>(vc.out_vc)] > 0);
 
-      // Switch + link traversal.
-      Flit flit = vc.buffer.front();
-      vc.buffer.pop_front();
-      ++port.telemetry.buffer_reads;
-      --buffered_;
-      busy_input_slots |= port_slots(in_p);
-      sa_round_robin_[out_p] = slot + 1 == all_slots ? 0 : slot + 1;
-
-      const auto in_dir = static_cast<Direction>(in_p);
-      if (in_dir != Direction::Local) {
-        credits.push_back(CreditReturn{in_dir, static_cast<std::int32_t>(in_v)});
-      }
-
-      if (out_dir == Direction::Local) {
-        ejected.push_back(flit);
-      } else {
-        if (--out.credits[static_cast<std::size_t>(vc.out_vc)] == 0) {
-          credited_routed_to_[out_p] &= ~bit;  // starved until a credit returns
-          credited_union_ &= ~bit;
-        }
-        transfers.push_back(LinkTransfer{out_dir, vc.out_vc, flit});
-        if (is_tail(flit.type)) {
-          out.vc_in_use[static_cast<std::size_t>(vc.out_vc)] = false;
-          vc_owner_[out_p][static_cast<std::size_t>(vc.out_vc)] = -1;
-          // A downstream VC just freed: every slot whose VA stalled on
-          // this output port becomes allocatable again.
-          va_blocked_union_ &= ~va_blocked_[out_p];
-          va_blocked_[out_p] = 0;
-        }
-      }
-      if (is_tail(flit.type)) {
-        vc.state = VirtualChannel::State::Idle;
-        vc.out_vc = -1;
-        vc.route_cached = false;  // the next front flit is a new packet's head
-        active_slots_ &= ~bit;
-        routed_to_[out_p] &= ~bit;
-        credited_routed_to_[out_p] &= ~bit;
+    // Switch + link traversal: stage the flit and the credit it frees
+    // where their receivers' band applies them (see the file comment).
+    const Flit& flit = vc.buffer.front();
+    const bool tail = is_tail(flit.type);
+    if (in_p != static_cast<std::size_t>(Direction::Local)) {
+      const Link& up = links_[in_p];
+      out.credits[up.band].push_back(CreditReturn{up.to, opposite(static_cast<Direction>(in_p)),
+                                                  static_cast<std::int32_t>(slot_vc(slot))});
+    }
+    if (out_dir == Direction::Local) {
+      out.ejected.push_back(flit);
+    } else {
+      const Link& down = links_[out_p];
+      out.transfers[down.band].push_back(
+          LinkTransfer{down.to, opposite(out_dir), vc.out_vc, flit});
+      if (--port_out.credits[static_cast<std::size_t>(vc.out_vc)] == 0) {
+        credited_routed_to_[out_p] &= ~bit;  // starved until a credit returns
         credited_union_ &= ~bit;
       }
-      if (vc.buffer.empty()) {
-        nonempty_slots_ &= ~bit;
-        routed_to_[out_p] &= ~bit;
-        credited_routed_to_[out_p] &= ~bit;
-        credited_union_ &= ~bit;
+      if (tail) {
+        port_out.vc_in_use[static_cast<std::size_t>(vc.out_vc)] = false;
+        vc_owner_[out_p][static_cast<std::size_t>(vc.out_vc)] = -1;
+        // A downstream VC just freed: every slot whose VA stalled on
+        // this output port becomes allocatable again.
+        va_blocked_union_ &= ~va_blocked_[out_p];
+        va_blocked_[out_p] = 0;
       }
-      if (!vc.occupied()) {
-        port.occ_touch(now);
-        --port.occupied_vcs;
-      }
+    }
+    vc.buffer.pop_front();
+    ++port.telemetry.buffer_reads;
+    --buffered_;
+    busy_input_slots |= port_slots(in_p);
+    sa_round_robin_[out_p] = slot + 1 == all_slots ? 0 : slot + 1;
+
+    if (tail) {
+      vc.state = VirtualChannel::State::Idle;
+      vc.out_vc = -1;
+      vc.route_cached = false;  // the next front flit is a new packet's head
+      active_slots_ &= ~bit;
+      routed_to_[out_p] &= ~bit;
+      credited_routed_to_[out_p] &= ~bit;
+      credited_union_ &= ~bit;
+    }
+    if (vc.buffer.empty()) {
+      nonempty_slots_ &= ~bit;
+      routed_to_[out_p] &= ~bit;
+      credited_routed_to_[out_p] &= ~bit;
+      credited_union_ &= ~bit;
+    }
+    if (!vc.occupied()) {
+      port.occ_touch(now);
+      --port.occupied_vcs;
     }
   }
 }

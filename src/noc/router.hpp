@@ -19,21 +19,32 @@
 // instantaneous virtual-channel occupancy (VCO) and accumulated buffer
 // operation counts (BOC = buffer writes + reads since the last sample).
 //
-// Storage layout (ISSUE 9): stepping a 32x32 mesh is bound by cache misses,
-// not arithmetic, so the router separates its *control* state from its
+// Storage layout: stepping a 32x32 mesh is bound by cache misses, not
+// arithmetic, so the router separates its *control* state from its
 // *payload* storage. Everything the per-cycle VA/SA scans touch — port
-// structs, VC metadata, credit arrays, occupancy bitmasks — lives inline or
-// in one small per-router vector (vc_storage_), a few hundred bytes per
-// router that stays resident in L2 for whole sweeps. The flit slots
-// themselves live in a second per-router vector (slot_storage_) sized by
-// the *configured* vc_depth, reached only when a flit is actually pushed
-// or popped. Both vectors are heap-stable, so Router is cheaply movable
-// (vector reallocation of Mesh::routers_ preserves every internal span).
+// structs, VC metadata, credit arrays, occupancy bitmasks, the link table —
+// lives inline or in one small per-router vector (vc_storage_) that stays
+// resident in L2 for whole sweeps. The flit slots live in a second
+// per-router vector (slot_storage_) sized by the *configured* vc_depth,
+// reached only when a flit is pushed or popped. Both vectors are
+// heap-stable, so Router is cheaply movable.
+//
+// Slot addressing: vc_storage_ holds input port p's VC v at slot
+// p * vcs_per_port + v, the index of that VC's bit in the occupancy masks,
+// so the hot paths go from a mask bit straight to its VC record.
+// InputPort::vcs views the same records port by port.
+//
+// Link table: per mesh direction, the neighbor's id and which of the
+// LinkStage lists (kOwn, kPrev, kNext) its band applies. step() stages each
+// winning flit and returned credit once, straight into that list and
+// addressed to the port it lands on; the mesh applies it as is.
 #pragma once
 
 #include <array>
 #include <cstdint>
+#include <limits>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "common/geometry.hpp"
@@ -73,30 +84,6 @@ struct VirtualChannel {
   }
 };
 
-/// Contiguous view of one input port's virtual channels (they live in the
-/// router's vc_storage_ arena). Iterates and indexes like the
-/// std::vector<VirtualChannel> it replaced.
-class VcSpan {
- public:
-  VcSpan() = default;
-  VcSpan(VirtualChannel* data, std::int32_t count) noexcept : data_(data), count_(count) {}
-
-  [[nodiscard]] std::size_t size() const noexcept { return static_cast<std::size_t>(count_); }
-  [[nodiscard]] bool empty() const noexcept { return count_ == 0; }
-  [[nodiscard]] VirtualChannel* begin() noexcept { return data_; }
-  [[nodiscard]] VirtualChannel* end() noexcept { return data_ + count_; }
-  [[nodiscard]] const VirtualChannel* begin() const noexcept { return data_; }
-  [[nodiscard]] const VirtualChannel* end() const noexcept { return data_ + count_; }
-  [[nodiscard]] VirtualChannel& operator[](std::size_t i) noexcept { return data_[i]; }
-  [[nodiscard]] const VirtualChannel& operator[](std::size_t i) const noexcept {
-    return data_[i];
-  }
-
- private:
-  VirtualChannel* data_ = nullptr;
-  std::int32_t count_ = 0;
-};
-
 /// Per-input-port feature counters sampled by the global monitor.
 struct PortTelemetry {
   std::int64_t buffer_writes = 0;  ///< flits enqueued since last reset
@@ -107,7 +94,7 @@ struct PortTelemetry {
 };
 
 struct InputPort {
-  VcSpan vcs;  ///< this port's virtual channels (router-owned storage)
+  std::span<VirtualChannel> vcs;  ///< this port's virtual channels (router-owned storage)
   PortTelemetry telemetry;
   bool connected = false;  ///< false for edge-facing ports that have no link
 
@@ -157,25 +144,51 @@ struct OutputPort {
   [[nodiscard]] std::optional<std::int32_t> find_free_vc() const noexcept;
 };
 
-/// A flit leaving through an output port this cycle (applied by the mesh).
+/// A flit crossing a link this cycle, addressed to the input port and VC
+/// it lands in at the downstream router.
 struct LinkTransfer {
-  Direction out_dir = Direction::Local;
-  std::int32_t out_vc = -1;
+  NodeId to = -1;
+  Direction in_dir = Direction::Local;
+  std::int32_t vc = -1;
   Flit flit;
 };
 
-/// A credit returned to the upstream router this cycle.
+/// A credit crossing a link this cycle, addressed to the output port and
+/// downstream VC it re-credits at the upstream router.
 struct CreditReturn {
-  Direction in_dir = Direction::Local;  ///< input port the flit was read from
+  NodeId to = -1;
+  Direction out_dir = Direction::Local;
   std::int32_t vc = -1;
+};
+
+/// What the routers of one row band stage in a cycle (see mesh.hpp): one
+/// list of transfers and one of credits per band that owns a receiving
+/// router, plus the flits that reached their destination.
+struct LinkStage {
+  static constexpr std::uint8_t kOwn = 0;   ///< the stepping router's own band
+  static constexpr std::uint8_t kPrev = 1;  ///< the band of lower router ids
+  static constexpr std::uint8_t kNext = 2;  ///< the band of higher router ids
+
+  std::array<std::vector<LinkTransfer>, 3> transfers;
+  std::array<std::vector<CreditReturn>, 3> credits;
+  std::vector<Flit> ejected;  ///< ascending router order
+
+  void clear() noexcept {
+    for (auto& t : transfers) t.clear();
+    for (auto& c : credits) c.clear();
+    ejected.clear();
+  }
 };
 
 class Router {
  public:
   /// Throws std::invalid_argument when `cfg` is out of range (vc_depth
   /// must fit the inline ring: 1 <= vc_depth <= FlitRing::kCapacity,
-  /// vcs_per_port >= 1).
-  Router(NodeId id, const MeshShape& mesh, const RouterConfig& cfg);
+  /// vcs_per_port >= 1). Ids [band_first, band_end) are the row band whose
+  /// LinkStage this router stages into; neighbors below it go to kPrev,
+  /// above it to kNext. The default band is the whole mesh.
+  Router(NodeId id, const MeshShape& mesh, const RouterConfig& cfg, NodeId band_first = 0,
+         NodeId band_end = std::numeric_limits<NodeId>::max());
 
   // Movable (heap-stable internal arenas; see file comment), not copyable:
   // a copy would alias the source's VC/slot storage through the spans.
@@ -209,10 +222,9 @@ class Router {
   void accept_credit(Direction out_dir, std::int32_t vc) noexcept;
 
   /// Run one cycle of RC/VA/SA/ST. Ejected flits (destination reached) are
-  /// appended to `ejected`; flits bound for neighbors to `transfers`;
-  /// credits owed upstream to `credits`.
-  void step(const MeshShape& mesh, std::vector<LinkTransfer>& transfers,
-            std::vector<CreditReturn>& credits, std::vector<Flit>& ejected, Cycle now = 0);
+  /// appended to `out.ejected`; flits bound for neighbors and credits owed
+  /// upstream to the `out` list of the band that owns the receiving router.
+  void step(const MeshShape& mesh, LinkStage& out, Cycle now = 0);
 
   /// Total flits buffered across all ports (for drain / deadlock checks).
   [[nodiscard]] std::int64_t buffered_flits() const noexcept { return buffered_; }
@@ -242,11 +254,19 @@ class Router {
                            : slot % static_cast<std::size_t>(cfg_.vcs_per_port);
   }
 
+  /// One row of the link table (see file comment); to == -1 at a mesh edge.
+  struct Link {
+    NodeId to = -1;
+    std::uint8_t band = LinkStage::kOwn;
+  };
+
   NodeId id_;
+  Coord here_;  ///< coord_of(id_), kept for route computation
   RouterConfig cfg_;
   std::int32_t vcs_shift_ = -1;  ///< log2(vcs_per_port), or -1 if not a power of two
   std::array<InputPort, kNumPorts> inputs_;
   std::array<OutputPort, kNumPorts> outputs_;
+  std::array<Link, kNumMeshDirections> links_{};
   std::array<std::size_t, kNumPorts> sa_round_robin_{};  ///< per-output priority pointer
   std::size_t va_round_robin_ = 0;  ///< rotating start for VC allocation fairness
   std::int64_t buffered_ = 0;       ///< flits currently buffered (idle fast-path)
@@ -295,11 +315,12 @@ class Router {
   std::uint64_t pending_rotations_ = 0;
 
   // Out-of-line arenas (see file comment). vc_storage_ holds the
-  // kNumPorts * vcs_per_port VirtualChannel records the input ports' spans
-  // point into; slot_storage_ holds each VC's flit slots (vc_depth rounded
-  // up to a power of two for masked ring indexing). Sized once in the
-  // constructor, never resized — every span and FlitFifo binding stays
-  // valid for the router's lifetime, across moves.
+  // kNumPorts * vcs_per_port VirtualChannel records by slot, viewed port
+  // by port through the input ports' spans; slot_storage_ holds each VC's
+  // flit slots (vc_depth rounded up to a power of two for masked ring
+  // indexing). Sized once in the constructor, never resized — every span
+  // and FlitFifo binding stays valid for the router's lifetime, across
+  // moves.
   std::vector<VirtualChannel> vc_storage_;
   std::vector<Flit> slot_storage_;
 };

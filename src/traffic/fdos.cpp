@@ -39,7 +39,7 @@ std::vector<std::pair<NodeId, Direction>> AttackScenario::ground_truth_ports(
 
 FloodingAttack::FloodingAttack(AttackScenario scenario, std::uint64_t seed,
                                std::optional<SyntheticPattern> mimic)
-    : scenario_(std::move(scenario)), mimic_(mimic), rng_(seed) {
+    : scenario_(std::move(scenario)), fir_(scenario_.fir), mimic_(mimic), rng_(seed) {
   assert(scenario_.victim >= 0);
   assert(!scenario_.attackers.empty());
   assert(scenario_.fir >= 0.0 && scenario_.fir <= 1.0);
@@ -48,7 +48,7 @@ FloodingAttack::FloodingAttack(AttackScenario scenario, std::uint64_t seed,
 void FloodingAttack::tick(noc::Mesh& mesh) {
   if (!active_) return;
   for (NodeId attacker : scenario_.attackers) {
-    if (!rng_.bernoulli(scenario_.fir)) continue;
+    if (!rng_.bernoulli(fir_)) continue;
     // Flooding packets are single-flit request/acknowledge packets
     // ("unlimited requests or acknowledges", §2.3): FIR is then the
     // fraction of the attacker's 1-flit/cycle injection bandwidth spent

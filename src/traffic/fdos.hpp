@@ -76,10 +76,12 @@ class FloodingAttack final : public TrafficGenerator {
   void set_fir(double fir) noexcept {
     assert(fir >= 0.0 && fir <= 1.0);
     scenario_.fir = fir;
+    fir_ = BernoulliP(fir);
   }
 
  private:
   AttackScenario scenario_;
+  BernoulliP fir_;  ///< scenario_.fir's trial
   std::optional<SyntheticPattern> mimic_;
   Rng rng_;
   bool active_ = true;

@@ -30,11 +30,10 @@ class SyntheticTraffic final : public TrafficGenerator {
   void tick(noc::Mesh& mesh) override;
 
   [[nodiscard]] SyntheticPattern pattern() const noexcept { return pattern_; }
-  [[nodiscard]] double injection_rate() const noexcept { return rate_; }
 
  private:
   SyntheticPattern pattern_;
-  double rate_;
+  BernoulliP rate_;
   Rng rng_;
 };
 

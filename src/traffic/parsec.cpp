@@ -51,7 +51,8 @@ ParsecTraffic::ParsecTraffic(ParsecWorkload workload, const MeshShape& shape, st
 
 ParsecTraffic::ParsecTraffic(ParsecWorkload workload, const MeshShape& shape,
                              const ParsecParams& params, std::uint64_t seed)
-    : workload_(workload), params_(params), rng_(seed) {
+    : workload_(workload), params_(params), base_rate_(params.base_rate),
+      burst_rate_(params.burst_rate), rng_(seed) {
   // Memory controllers at the four corners.
   controllers_ = {
       shape.id_of(Coord{0, 0}),
@@ -73,7 +74,8 @@ NodeId ParsecTraffic::pick_destination(const MeshShape& shape, NodeId src) {
   if (roll < params_.hotspot_fraction) {
     // Nearest memory controller 75% of the time, any controller otherwise
     // (interleaved pages).
-    if (rng_.bernoulli(0.75)) {
+    constexpr BernoulliP kNearest(0.75);
+    if (rng_.bernoulli(kNearest)) {
       NodeId best = controllers_.front();
       std::int32_t best_d = std::numeric_limits<std::int32_t>::max();
       for (NodeId mc : controllers_) {
@@ -99,7 +101,7 @@ NodeId ParsecTraffic::pick_destination(const MeshShape& shape, NodeId src) {
 }
 
 void ParsecTraffic::tick(noc::Mesh& mesh) {
-  const double rate = in_burst(mesh.now()) ? params_.burst_rate : params_.base_rate;
+  const BernoulliP rate = in_burst(mesh.now()) ? burst_rate_ : base_rate_;
   const auto n = mesh.shape().node_count();
   for (NodeId src = 0; src < n; ++src) {
     if (!rng_.bernoulli(rate)) continue;

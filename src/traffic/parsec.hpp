@@ -68,6 +68,8 @@ class ParsecTraffic final : public TrafficGenerator {
 
   ParsecWorkload workload_;
   ParsecParams params_;
+  BernoulliP base_rate_;   ///< params_.base_rate's trial
+  BernoulliP burst_rate_;  ///< params_.burst_rate's trial
   std::vector<NodeId> controllers_;
   Rng rng_;
 };

@@ -166,7 +166,8 @@ bool GeneratedTraceSource::next(TraceRecord& out) {
 }
 
 BurstyTraceSource::BurstyTraceSource(const Config& cfg, std::uint64_t seed)
-    : cfg_(cfg), clients_(client_nodes(cfg.mesh, cfg.servers)), rng_(seed) {
+    : cfg_(cfg), quiet_rate_(cfg.quiet_rate), burst_rate_(cfg.burst_rate),
+      clients_(client_nodes(cfg.mesh, cfg.servers)), rng_(seed) {
   assert(!cfg_.servers.empty());
   assert(cfg_.quiet_cycles + cfg_.burst_cycles > 0);
 }
@@ -174,7 +175,7 @@ BurstyTraceSource::BurstyTraceSource(const Config& cfg, std::uint64_t seed)
 void BurstyTraceSource::generate_cycle(noc::Cycle cycle, std::vector<TraceRecord>& out) {
   const noc::Cycle period = cfg_.quiet_cycles + cfg_.burst_cycles;
   const bool burst = (cycle % period) >= cfg_.quiet_cycles;
-  const double rate = burst ? cfg_.burst_rate : cfg_.quiet_rate;
+  const BernoulliP rate = burst ? burst_rate_ : quiet_rate_;
   for (const NodeId client : clients_) {
     if (!rng_.bernoulli(rate)) continue;
     const auto pick = rng_.uniform_int(0, static_cast<std::int64_t>(cfg_.servers.size()) - 1);
@@ -184,7 +185,8 @@ void BurstyTraceSource::generate_cycle(noc::Cycle cycle, std::vector<TraceRecord
 }
 
 MarkovOnOffTraceSource::MarkovOnOffTraceSource(const Config& cfg, std::uint64_t seed)
-    : cfg_(cfg), clients_(client_nodes(cfg.mesh, cfg.servers)), rng_(seed) {
+    : cfg_(cfg), p_on_(cfg.p_on), p_off_(cfg.p_off), on_rate_(cfg.on_rate),
+      clients_(client_nodes(cfg.mesh, cfg.servers)), rng_(seed) {
   assert(!cfg_.servers.empty());
   on_.assign(clients_.size(), 0);
 }
@@ -192,11 +194,11 @@ MarkovOnOffTraceSource::MarkovOnOffTraceSource(const Config& cfg, std::uint64_t 
 void MarkovOnOffTraceSource::generate_cycle(noc::Cycle cycle, std::vector<TraceRecord>& out) {
   for (std::size_t i = 0; i < clients_.size(); ++i) {
     if (on_[i] == 0) {
-      if (rng_.bernoulli(cfg_.p_on)) on_[i] = 1;
-    } else if (rng_.bernoulli(cfg_.p_off)) {
+      if (rng_.bernoulli(p_on_)) on_[i] = 1;
+    } else if (rng_.bernoulli(p_off_)) {
       on_[i] = 0;
     }
-    if (on_[i] == 0 || !rng_.bernoulli(cfg_.on_rate)) continue;
+    if (on_[i] == 0 || !rng_.bernoulli(on_rate_)) continue;
     const auto pick = rng_.uniform_int(0, static_cast<std::int64_t>(cfg_.servers.size()) - 1);
     out.push_back(TraceRecord{cycle, clients_[i], cfg_.servers[static_cast<std::size_t>(pick)],
                               TraceKind::Request, cfg_.request_flits});

@@ -138,6 +138,8 @@ class BurstyTraceSource final : public GeneratedTraceSource {
 
  private:
   Config cfg_;
+  BernoulliP quiet_rate_;  ///< cfg_.quiet_rate's trial
+  BernoulliP burst_rate_;  ///< cfg_.burst_rate's trial
   std::vector<NodeId> clients_;  ///< all non-server nodes, ascending
   Rng rng_;
 };
@@ -164,6 +166,7 @@ class MarkovOnOffTraceSource final : public GeneratedTraceSource {
 
  private:
   Config cfg_;
+  BernoulliP p_on_, p_off_, on_rate_;  ///< cfg_'s three trials
   std::vector<NodeId> clients_;
   std::vector<char> on_;  ///< per-client on/off state, indexed like clients_
   Rng rng_;

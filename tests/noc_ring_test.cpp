@@ -108,6 +108,19 @@ TEST(RouterConfig, RejectsVcCountsBeyondTheSlotMask) {
   EXPECT_NO_THROW(Router(0, mesh, cfg));
 }
 
+TEST(MeshConfig, RejectsNonPositivePacketLength) {
+  // A default packet length below 1 never serializes a tail flit, so the
+  // mesh would stream body flits forever; the constructor refuses it.
+  MeshConfig cfg;
+  cfg.shape = MeshShape::square(4);
+  cfg.packet_length_flits = 0;
+  EXPECT_THROW(Mesh{cfg}, std::invalid_argument);
+  cfg.packet_length_flits = -3;
+  EXPECT_THROW(Mesh{cfg}, std::invalid_argument);
+  cfg.packet_length_flits = 1;  // the boundary itself is valid
+  EXPECT_NO_THROW(Mesh{cfg});
+}
+
 TEST(MeshWorklist, RefusesSerializationBeyondVcDepth) {
   // A 6-flit packet through depth-2 VCs: flow control must hold every VC
   // at <= vc_depth flits while the packet still arrives complete.

@@ -161,7 +161,7 @@ TEST(Bernoulli, ThresholdIsTheWordWhereTheOracleFlips) {
     EXPECT_FALSE(oracle(t, p)) << p;
     EXPECT_FALSE(oracle(t + 1, p)) << p;
     for (const std::uint64_t w : {t - 1, t, t + 1}) {
-      EXPECT_EQ(bernoulli_outcome(w, p), oracle(w, p)) << p << " at word " << w;
+      EXPECT_EQ(BernoulliP(p).outcome(w), oracle(w, p)) << p << " at word " << w;
     }
   }
 }
@@ -172,7 +172,7 @@ TEST(Bernoulli, OutcomeEqualsOracleOnRandomWords) {
     std::size_t mismatches = 0;
     for (int i = 0; i < 100'000; ++i) {
       const std::uint64_t w = words();
-      mismatches += bernoulli_outcome(w, p) != oracle(w, p) ? 1 : 0;
+      mismatches += BernoulliP(p).outcome(w) != oracle(w, p) ? 1 : 0;
     }
     EXPECT_EQ(mismatches, 0U) << p;
   }
@@ -199,6 +199,31 @@ TEST(Bernoulli, DegenerateProbabilitiesConsumeExactlyOneWord) {
       (void)ref();
     }
     EXPECT_EQ(rng.engine()(), ref()) << p;
+  }
+}
+
+TEST(Bernoulli, PrecomputedThresholdDrawsEqualPerCallDraws) {
+  // Rng::bernoulli(BernoulliP) must be a drop-in for bernoulli(p): the
+  // same outcome on every word, one word per call, for every probability
+  // the repo passes, the threshold formula's edges and the degenerate p.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<double> ps = probabilities();
+  ps.insert(ps.end(), {0.0, -0.5, nan, 1.0, 1.5});
+  for (const double p : ps) {
+    const BernoulliP trial(p);
+    Rng fixed(2718);
+    Rng per_call(2718);
+    std::mt19937_64 ref(2718);
+    std::size_t mismatches = 0;
+    for (int i = 0; i < 100'000; ++i) {
+      const bool outcome = fixed.bernoulli(trial);
+      mismatches += outcome != per_call.bernoulli(p) ? 1 : 0;
+      mismatches += outcome != oracle(ref(), p) ? 1 : 0;
+    }
+    EXPECT_EQ(mismatches, 0U) << p;
+    const std::uint64_t next = ref();
+    EXPECT_EQ(fixed.engine()(), next) << p;
+    EXPECT_EQ(per_call.engine()(), next) << p;
   }
 }
 
