@@ -38,19 +38,6 @@ Frame Frame::binarized(float threshold) const {
   return out;
 }
 
-Frame Frame::zero_padded(std::int32_t rows, std::int32_t cols, std::int32_t row_off,
-                         std::int32_t col_off) const {
-  assert(row_off >= 0 && col_off >= 0);
-  assert(row_off + rows_ <= rows && col_off + cols_ <= cols);
-  Frame out(rows, cols);
-  for (std::int32_t r = 0; r < rows_; ++r) {
-    for (std::int32_t c = 0; c < cols_; ++c) {
-      out.at(r + row_off, c + col_off) = at(r, c);
-    }
-  }
-  return out;
-}
-
 Frame& Frame::operator+=(const Frame& other) {
   assert(rows_ == other.rows_ && cols_ == other.cols_);
   for (std::size_t i = 0; i < data_.size(); ++i) data_[i] += other.data_[i];

@@ -51,11 +51,6 @@ class Frame {
   /// Entries > threshold become 1, the rest 0 (Algorithm 1 line 2).
   [[nodiscard]] Frame binarized(float threshold = 0.5F) const;
 
-  /// Embed this frame into a `rows x cols` zero frame with its top-left
-  /// corner at (row_off, col_off) (Algorithm 1 line 3: Zero_Pad_R/L/T/B).
-  [[nodiscard]] Frame zero_padded(std::int32_t rows, std::int32_t cols, std::int32_t row_off,
-                                  std::int32_t col_off) const;
-
   /// Element-wise sum; shapes must match (Multi-Frame Fusion accumulate).
   Frame& operator+=(const Frame& other);
 

@@ -33,10 +33,4 @@ std::ostream& operator<<(std::ostream& os, const ConfusionMatrix& m) {
   return os << "tp=" << m.tp() << " fp=" << m.fp() << " fn=" << m.fn() << " tn=" << m.tn();
 }
 
-double dice_coefficient(std::int64_t intersection, std::int64_t a_size,
-                        std::int64_t b_size) noexcept {
-  if (a_size + b_size == 0) return 1.0;
-  return 2.0 * static_cast<double>(intersection) / static_cast<double>(a_size + b_size);
-}
-
 }  // namespace dl2f

@@ -1,6 +1,6 @@
-// Binary-classification metrics used throughout the evaluation
-// (Tables 1-4 report accuracy / precision / recall / F1, plus Dice for the
-// segmentation model).
+// Binary-classification metrics used throughout the evaluation (Tables 1-4
+// report accuracy / precision / recall / F1; the segmentation model's Dice
+// score is nn::dice_score_raw).
 #pragma once
 
 #include <cstdint>
@@ -16,12 +16,6 @@ class ConfusionMatrix {
     else if (predicted && !actual) ++fp_;
     else if (!predicted && actual) ++fn_;
     else ++tn_;
-  }
-
-  /// Merge another matrix into this one.
-  ConfusionMatrix& operator+=(const ConfusionMatrix& o) noexcept {
-    tp_ += o.tp_; fp_ += o.fp_; fn_ += o.fn_; tn_ += o.tn_;
-    return *this;
   }
 
   [[nodiscard]] std::int64_t tp() const noexcept { return tp_; }
@@ -44,9 +38,5 @@ class ConfusionMatrix {
 };
 
 std::ostream& operator<<(std::ostream& os, const ConfusionMatrix& m);
-
-/// Dice coefficient 2|A∩B| / (|A|+|B|) over binary masks; 1 when both empty.
-[[nodiscard]] double dice_coefficient(std::int64_t intersection, std::int64_t a_size,
-                                      std::int64_t b_size) noexcept;
 
 }  // namespace dl2f

@@ -26,13 +26,6 @@ void LocalizationScore::add(const std::vector<NodeId>& predicted,
   fn_ += static_cast<std::int64_t>(t.size() - inter.size());
 }
 
-LocalizationScore& LocalizationScore::operator+=(const LocalizationScore& o) noexcept {
-  tp_ += o.tp_;
-  fp_ += o.fp_;
-  fn_ += o.fn_;
-  return *this;
-}
-
 Metrics4 LocalizationScore::metrics() const noexcept {
   Metrics4 m;
   const auto union_size = tp_ + fp_ + fn_;

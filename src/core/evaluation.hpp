@@ -31,7 +31,6 @@ struct Metrics4 {
 class LocalizationScore {
  public:
   void add(const std::vector<NodeId>& predicted, const std::vector<NodeId>& truth);
-  LocalizationScore& operator+=(const LocalizationScore& o) noexcept;
 
   [[nodiscard]] Metrics4 metrics() const noexcept;
   [[nodiscard]] std::int64_t tp() const noexcept { return tp_; }

@@ -1,7 +1,5 @@
 #include "core/fusion.hpp"
 
-#include <cassert>
-
 namespace dl2f::core {
 
 Frame lift_to_node_space(const monitor::FrameGeometry& geom, Direction d,
@@ -40,12 +38,6 @@ FusionResult multi_frame_fusion(const monitor::FrameGeometry& geom,
     }
   }
   return result;
-}
-
-Frame pad_to_16x16(const Frame& node_frame) {
-  assert(node_frame.rows() <= 16 && node_frame.cols() <= 16);
-  if (node_frame.rows() == 16 && node_frame.cols() == 16) return node_frame;
-  return node_frame.zero_padded(16, 16, 0, 0);
 }
 
 }  // namespace dl2f::core

@@ -45,9 +45,4 @@ struct FusionResult {
 [[nodiscard]] Frame lift_to_node_space(const monitor::FrameGeometry& geom, Direction d,
                                        const Frame& seg_binary);
 
-/// Embed a node-space R x R frame into the paper's standard 16 x 16 canvas
-/// (bottom-left anchored; identity when R == 16). Provided for parity with
-/// Algorithm 1's fixed-size MFF frames when comparing across mesh sizes.
-[[nodiscard]] Frame pad_to_16x16(const Frame& node_frame);
-
 }  // namespace dl2f::core

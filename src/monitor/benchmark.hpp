@@ -22,9 +22,6 @@ struct Benchmark {
   [[nodiscard]] bool is_parsec() const noexcept {
     return std::holds_alternative<traffic::ParsecWorkload>(kind);
   }
-  [[nodiscard]] bool is_trace() const noexcept {
-    return std::holds_alternative<workload::TraceWorkloadKind>(kind);
-  }
   [[nodiscard]] std::string name() const;
 
   /// Benign per-node packet-injection rate for STP benchmarks. Rates sit

@@ -8,42 +8,26 @@ namespace dl2f::nn {
 
 LossResult bce_loss(const Tensor3& prediction, const Tensor3& target, float positive_weight) {
   assert(prediction.same_shape(target));
-  constexpr float kEps = 1e-7F;
   LossResult r;
   r.grad = Tensor3(prediction.channels(), prediction.height(), prediction.width());
-  const auto n = static_cast<float>(prediction.size());
-  for (std::size_t i = 0; i < prediction.size(); ++i) {
-    const float p = std::clamp(prediction.data()[i], kEps, 1.0F - kEps);
-    const float t = target.data()[i];
-    const float w = t > 0.5F ? positive_weight : 1.0F;
-    r.loss += -w * (t * std::log(p) + (1.0F - t) * std::log(1.0F - p));
-    r.grad.data()[i] = w * (p - t) / (p * (1.0F - p)) / n;
-  }
-  r.loss /= n;
+  r.loss = bce_loss_into(prediction.data().data(), target.data().data(), prediction.size(),
+                         positive_weight, r.grad.data().data());
   return r;
 }
 
 LossResult dice_loss(const Tensor3& prediction, const Tensor3& target) {
   assert(prediction.same_shape(target));
-  constexpr float kEps = 1.0F;  // Laplace smoothing keeps empty masks stable
   LossResult r;
   r.grad = Tensor3(prediction.channels(), prediction.height(), prediction.width());
-
-  float inter = 0.0F, psum = 0.0F, tsum = 0.0F;
-  for (std::size_t i = 0; i < prediction.size(); ++i) {
-    inter += prediction.data()[i] * target.data()[i];
-    psum += prediction.data()[i];
-    tsum += target.data()[i];
-  }
-  const float num = 2.0F * inter + kEps;
-  const float den = psum + tsum + kEps;
-  r.loss = 1.0F - num / den;
-
-  // d/dp_i [1 - (2*inter+eps)/(psum+tsum+eps)] = (num - 2*t_i*den) / den^2
-  for (std::size_t i = 0; i < prediction.size(); ++i) {
-    r.grad.data()[i] = (num - 2.0F * target.data()[i] * den) / (den * den);
-  }
+  r.loss = dice_loss_add(prediction.data().data(), target.data().data(), prediction.size(), 1.0F,
+                         r.grad.data().data());
   return r;
+}
+
+double dice_score(const Tensor3& prediction, const Tensor3& target, float threshold) {
+  assert(prediction.same_shape(target));
+  return dice_score_raw(prediction.data().data(), target.data().data(), prediction.size(),
+                        threshold);
 }
 
 float bce_loss_into(const float* prediction, const float* target, std::size_t n,
@@ -84,20 +68,6 @@ double dice_score_raw(const float* prediction, const float* target, std::size_t 
   for (std::size_t i = 0; i < n; ++i) {
     const bool p = prediction[i] > threshold;
     const bool t = target[i] > 0.5F;
-    inter += static_cast<std::int64_t>(p && t);
-    psum += static_cast<std::int64_t>(p);
-    tsum += static_cast<std::int64_t>(t);
-  }
-  if (psum + tsum == 0) return 1.0;
-  return 2.0 * static_cast<double>(inter) / static_cast<double>(psum + tsum);
-}
-
-double dice_score(const Tensor3& prediction, const Tensor3& target, float threshold) {
-  assert(prediction.same_shape(target));
-  std::int64_t inter = 0, psum = 0, tsum = 0;
-  for (std::size_t i = 0; i < prediction.size(); ++i) {
-    const bool p = prediction.data()[i] > threshold;
-    const bool t = target.data()[i] > 0.5F;
     inter += static_cast<std::int64_t>(p && t);
     psum += static_cast<std::int64_t>(p);
     tsum += static_cast<std::int64_t>(t);

@@ -30,10 +30,10 @@ struct LossResult {
 [[nodiscard]] double dice_score(const Tensor3& prediction, const Tensor3& target,
                                 float threshold = 0.5F);
 
-// Raw-buffer variants for the batched training path: same math as the
-// Tensor3 versions, operating on `n` contiguous floats with the gradient
-// written into a caller-owned slot (a nn::Tensor4 loss-grad sample) —
-// no allocation on the training hot path.
+// Raw-buffer kernels: the math the batched training path runs, and the
+// Tensor3 versions above wrap. They operate on `n` contiguous floats with
+// the gradient written into a caller-owned slot (a nn::Tensor4 loss-grad
+// sample) — no allocation on the training hot path.
 
 /// Mean weighted BCE over n elements; writes dLoss/dPred into grad.
 [[nodiscard]] float bce_loss_into(const float* prediction, const float* target, std::size_t n,

@@ -5,6 +5,9 @@
 // per-sample trainer), packs every minibatch into nn::Tensor4 batches,
 // runs the GEMM-lowered infer_batch/backward_batch through per-worker
 // InferenceContext arenas, and steps the optimizer once per minibatch.
+// The workers are the participants of one common::WorkerPool (the caller
+// plus threads - 1 pool threads); they take a minibatch's slices from an
+// atomic cursor, one pool run per minibatch.
 //
 // Determinism contract (the same guarantee runtime::run_campaign makes):
 // trained weights are BYTE-IDENTICAL for a given seed at any thread
@@ -36,7 +39,8 @@ inline constexpr std::int32_t kGradSliceSamples = 2;
 struct BatchTrainConfig {
   std::int32_t epochs = 1;
   std::int32_t batch_size = 8;
-  /// Worker count (1 = fully inline). Results never depend on it.
+  /// Worker count, the caller included; clamped to [1, 16] (1 = fully
+  /// inline). Results never depend on it.
   std::int32_t threads = 1;
 };
 

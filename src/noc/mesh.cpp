@@ -1,16 +1,14 @@
 #include "noc/mesh.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <cassert>
-#include <condition_variable>
-#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <thread>
 
 #include "common/debug_hooks.hpp"
+#include "common/worker_pool.hpp"
 
 namespace dl2f::noc {
 
@@ -52,103 +50,6 @@ void clear_bit(std::vector<std::uint64_t>& bits, NodeId i) {
 }
 
 }  // namespace
-
-/// Persistent worker pool for sharded stepping — the nn/train.cpp
-/// WorkerPool idiom (generation-counter start latch, caller participates)
-/// plus an in-phase barrier. One dispatch per Mesh::step: each participant
-/// runs NI+route for its shards, meets the barrier, then applies. The
-/// task is a plain function pointer + context so dispatching allocates
-/// nothing (Mesh::step runs under a NoAllocScope).
-class Mesh::StepPool {
- public:
-  using TaskFn = void (*)(Mesh*, std::int32_t);
-
-  explicit StepPool(std::int32_t workers) {
-    threads_.reserve(static_cast<std::size_t>(workers));
-    for (std::int32_t w = 0; w < workers; ++w) {
-      threads_.emplace_back([this, w] { worker_loop(w + 1); });  // participant 0 = caller
-    }
-  }
-
-  ~StepPool() {
-    {
-      const std::lock_guard<std::mutex> lock(m_);
-      stop_ = true;
-    }
-    start_cv_.notify_all();
-    for (auto& t : threads_) t.join();
-  }
-
-  StepPool(const StepPool&) = delete;
-  StepPool& operator=(const StepPool&) = delete;
-
-  /// Run fn(mesh, p) on every participant p in [0, workers]; p == 0 is the
-  /// calling thread. Returns after all participants finish.
-  void run(Mesh* mesh, TaskFn fn) {
-    {
-      const std::lock_guard<std::mutex> lock(m_);
-      mesh_ = mesh;
-      fn_ = fn;
-      done_ = 0;
-      ++generation_;
-    }
-    start_cv_.notify_all();
-    fn(mesh, 0);
-    std::unique_lock<std::mutex> lock(m_);
-    done_cv_.wait(lock, [&] { return done_ == static_cast<std::int32_t>(threads_.size()); });
-  }
-
-  /// In-phase barrier for `participants` = workers + 1 threads. Last
-  /// arriver resets the count and releases the generation; the release/
-  /// acquire pair publishes every pre-barrier write (the staging arenas)
-  /// to every post-barrier reader.
-  void barrier(std::int32_t participants) noexcept {
-    const std::uint64_t gen = barrier_gen_.load(std::memory_order_acquire);
-    if (barrier_arrived_.fetch_add(1, std::memory_order_acq_rel) + 1 == participants) {
-      barrier_arrived_.store(0, std::memory_order_relaxed);
-      barrier_gen_.store(gen + 1, std::memory_order_release);
-    } else {
-      while (barrier_gen_.load(std::memory_order_acquire) == gen) {
-        std::this_thread::yield();
-      }
-    }
-  }
-
- private:
-  void worker_loop(std::int32_t participant) {
-    std::uint64_t seen = 0;
-    for (;;) {
-      Mesh* mesh = nullptr;
-      TaskFn fn = nullptr;
-      {
-        std::unique_lock<std::mutex> lock(m_);
-        start_cv_.wait(lock, [&] { return stop_ || generation_ != seen; });
-        if (stop_) return;
-        seen = generation_;
-        mesh = mesh_;
-        fn = fn_;
-      }
-      fn(mesh, participant);
-      {
-        const std::lock_guard<std::mutex> lock(m_);
-        ++done_;
-      }
-      done_cv_.notify_one();
-    }
-  }
-
-  std::mutex m_;
-  std::condition_variable start_cv_;
-  std::condition_variable done_cv_;
-  Mesh* mesh_ = nullptr;
-  TaskFn fn_ = nullptr;
-  std::uint64_t generation_ = 0;
-  std::int32_t done_ = 0;
-  bool stop_ = false;
-  std::atomic<std::int32_t> barrier_arrived_{0};
-  std::atomic<std::uint64_t> barrier_gen_{0};
-  std::vector<std::thread> threads_;
-};
 
 Mesh::Mesh(const MeshConfig& cfg) : cfg_(cfg) {
   if (cfg.shape.node_count() > 32767) {
@@ -210,15 +111,14 @@ Mesh::Mesh(const MeshConfig& cfg) : cfg_(cfg) {
   }
   assert(row0 == rows);
 
-  step_threads_ = resolve_step_threads(cfg, k);
-  if (step_threads_ > 1) {
-    pool_ = std::make_unique<StepPool>(step_threads_ - 1);
-  }
+  pool_ = std::make_unique<common::WorkerPool>(resolve_step_threads(cfg, k) - 1);
 }
 
 Mesh::~Mesh() = default;
 Mesh::Mesh(Mesh&&) noexcept = default;
 Mesh& Mesh::operator=(Mesh&&) noexcept = default;
+
+std::int32_t Mesh::step_thread_count() const noexcept { return pool_->participants(); }
 
 PacketId Mesh::inject(NodeId src, NodeId dst, std::int32_t length_flits, bool malicious) {
   assert(cfg_.shape.valid(src) && cfg_.shape.valid(dst));
@@ -359,14 +259,19 @@ void Mesh::apply_phase(std::size_t s) {
 }
 
 void Mesh::step_shards(std::int32_t participant) {
+  // Checked form of the arena invariant above, on every participant:
+  // stepping never allocates, not even transiently (Debug-only; see
+  // common/debug_hooks.hpp).
+  const dbg::NoAllocScope no_alloc("Mesh::step_shards");
   const auto k = static_cast<std::int32_t>(shards_.size());
-  for (std::int32_t s = participant; s < k; s += step_threads_) {
+  const std::int32_t stride = pool_->participants();
+  for (std::int32_t s = participant; s < k; s += stride) {
     auto& sh = shards_[static_cast<std::size_t>(s)];
     ni_phase(sh);
     route_phase(sh);
   }
-  if (pool_) pool_->barrier(step_threads_);
-  for (std::int32_t s = participant; s < k; s += step_threads_) {
+  pool_->barrier();
+  for (std::int32_t s = participant; s < k; s += stride) {
     apply_phase(static_cast<std::size_t>(s));
   }
 }
@@ -376,6 +281,7 @@ void Mesh::finish_cycle() {
   // accumulation and the delivery-listener callbacks run on the calling
   // thread, shards ascending = router ids ascending — byte-identical to
   // the single-shard sweep at any shard/thread count.
+  const dbg::NoAllocScope no_alloc("Mesh::finish_cycle");
   for (const auto& sh : shards_) {
     for (const auto& f : sh.stage.ejected) {
       stats_.on_flit_ejected(f, now_);
@@ -398,25 +304,7 @@ void Mesh::finish_cycle() {
 }
 
 void Mesh::step() {
-  // Checked form of the arena invariant above: stepping never allocates,
-  // not even transiently — every scratch vector was reserved at its
-  // physical per-cycle maximum in the constructor. Debug-only; compiles
-  // away under NDEBUG (see common/debug_hooks.hpp). Worker threads run
-  // the same reserved-arena code; the scope instruments the coordinator.
-  const dbg::NoAllocScope no_alloc("Mesh::step");
-
-  if (pool_) {
-    pool_->run(this, [](Mesh* m, std::int32_t participant) { m->step_shards(participant); });
-  } else {
-    // Serial path: same phases, no barrier needed — route phases all
-    // complete before the first apply below.
-    for (auto& sh : shards_) {
-      ni_phase(sh);
-      route_phase(sh);
-    }
-    for (std::size_t s = 0; s < shards_.size(); ++s) apply_phase(s);
-  }
-
+  pool_->run([this](std::int32_t participant) { step_shards(participant); });
   finish_cycle();
 }
 
@@ -425,7 +313,10 @@ void Mesh::run(std::int64_t n) {
 }
 
 void Mesh::set_quarantined(NodeId id, bool quarantined) {
-  assert(cfg_.shape.valid(id));
+  if (!cfg_.shape.valid(id)) {
+    throw std::invalid_argument("Mesh::set_quarantined: node " + std::to_string(id) +
+                                " is outside the mesh");
+  }
   quarantined_[static_cast<std::size_t>(id)] = quarantined ? 1 : 0;
   if (!quarantined) return;
   // Flush the pending backlog too: a saturating attacker accumulates

@@ -32,7 +32,8 @@
 //      ONCE, already addressed to the receiving router and port, into its
 //      shard's list for the receiver's band — own band, previous band or
 //      next band. Ejections are staged per shard in ascending router order.
-//   2. BARRIER (when step_threads > 1).
+//   2. BARRIER: common::WorkerPool::barrier(), which returns at once when
+//      step_threads == 1 (the calling thread then runs every shard).
 //   3. Apply phase, per shard (parallelizable): each shard applies the
 //      arrivals addressed TO it — previous shard's next-band list, own
 //      list, next shard's previous-band list, i.e. ascending source-router
@@ -87,6 +88,10 @@
 #include "noc/router.hpp"
 #include "noc/stats.hpp"
 
+namespace dl2f::common {
+class WorkerPool;  // common/worker_pool.hpp
+}  // namespace dl2f::common
+
 namespace dl2f::noc {
 
 struct MeshConfig {
@@ -98,8 +103,8 @@ struct MeshConfig {
   /// identical at ANY shard count — sharding only re-groups the sweep.
   std::int32_t shards = 0;
   /// Worker threads stepping the shards. 0 = auto (min(shards, hardware
-  /// concurrency)); explicit values are clamped to [1, shards]. 1 = fully
-  /// serial (no pool is created). Results are bitwise identical at ANY
+  /// concurrency)); explicit values are clamped to [1, shards]; at 1 the
+  /// caller steps every shard. Results are bitwise identical at ANY
   /// thread count — see the phase contract above.
   std::int32_t step_threads = 0;
 };
@@ -138,8 +143,8 @@ class Mesh {
   [[nodiscard]] std::int32_t shard_count() const noexcept {
     return static_cast<std::int32_t>(shards_.size());
   }
-  /// Resolved stepping thread count (1 = serial).
-  [[nodiscard]] std::int32_t step_thread_count() const noexcept { return step_threads_; }
+  /// Resolved stepping thread count, the calling thread included.
+  [[nodiscard]] std::int32_t step_thread_count() const noexcept;
 
   [[nodiscard]] Router& router(NodeId id) { return routers_[static_cast<std::size_t>(id)]; }
   [[nodiscard]] const Router& router(NodeId id) const {
@@ -157,7 +162,8 @@ class Mesh {
   /// which must finish to release its virtual channels) — the runtime
   /// defense fences a suspected attacker's injection port. In-flight
   /// traffic is unaffected, so the network drains the flood instead of
-  /// freezing it.
+  /// freezing it. Throws std::invalid_argument, changing nothing, when
+  /// `id` is outside the mesh.
   void set_quarantined(NodeId id, bool quarantined);
   [[nodiscard]] bool quarantined(NodeId id) const {
     assert(cfg_.shape.valid(id));
@@ -250,13 +256,11 @@ class Mesh {
     LinkStage stage;
   };
 
-  class StepPool;  // persistent worker pool + barrier (mesh.cpp)
-
   void ni_phase(Shard& sh);
   void route_phase(Shard& sh);
   void apply_phase(std::size_t s);
   void finish_cycle();
-  /// Phases 1-3 for every shard owned by `participant` (strided).
+  /// Phases 1-3 for every shard owned by pool participant `participant`.
   void step_shards(std::int32_t participant);
   /// Set a source queue's bit in its shard (idempotent).
   void activate_source(NodeId id);
@@ -278,8 +282,7 @@ class Mesh {
   LatencyStats benign_stats_;
 
   std::vector<Shard> shards_;  ///< row bands, ascending (see header block)
-  std::int32_t step_threads_ = 1;
-  std::unique_ptr<StepPool> pool_;  ///< nullptr when step_threads_ == 1
+  std::unique_ptr<common::WorkerPool> pool_;  ///< step_thread_count() - 1 threads
 };
 
 /// Full XY route from src to dst, inclusive of both endpoints.

@@ -49,9 +49,9 @@ std::optional<std::int32_t> OutputPort::find_free_vc() const noexcept {
 Router::Router(NodeId id, const MeshShape& mesh, const RouterConfig& cfg, NodeId band_first,
                NodeId band_end)
     : id_(id), here_(mesh.coord_of(id)), cfg_(cfg) {
-  if (cfg.vc_depth < 1 || cfg.vc_depth > FlitRing::kCapacity) {
+  if (cfg.vc_depth < 1 || cfg.vc_depth > kMaxVcDepth) {
     throw std::invalid_argument("RouterConfig::vc_depth must be in [1, " +
-                                std::to_string(FlitRing::kCapacity) + "], got " +
+                                std::to_string(kMaxVcDepth) + "], got " +
                                 std::to_string(cfg.vc_depth));
   }
   if (cfg.vcs_per_port < 1 || cfg.vcs_per_port > kMaxVcsPerPort) {

@@ -54,7 +54,7 @@ namespace dl2f::noc {
 
 struct RouterConfig {
   std::int32_t vcs_per_port = 4;  ///< at most kMaxVcsPerPort (slot bitmasks are 64-bit)
-  std::int32_t vc_depth = 4;      ///< flit slots per VC; at most FlitRing::kCapacity
+  std::int32_t vc_depth = 4;      ///< flit slots per VC; at most kMaxVcDepth
 };
 
 /// Upper bound on vcs_per_port: every (input port, VC) pair is one bit in
@@ -182,11 +182,10 @@ struct LinkStage {
 
 class Router {
  public:
-  /// Throws std::invalid_argument when `cfg` is out of range (vc_depth
-  /// must fit the inline ring: 1 <= vc_depth <= FlitRing::kCapacity,
-  /// vcs_per_port >= 1). Ids [band_first, band_end) are the row band whose
-  /// LinkStage this router stages into; neighbors below it go to kPrev,
-  /// above it to kNext. The default band is the whole mesh.
+  /// Throws std::invalid_argument when `cfg` is out of range (1 <= vc_depth
+  /// <= kMaxVcDepth, vcs_per_port >= 1). Ids [band_first, band_end) are the
+  /// row band whose LinkStage this router stages into; neighbors below it
+  /// go to kPrev, above it to kNext. The default band is the whole mesh.
   Router(NodeId id, const MeshShape& mesh, const RouterConfig& cfg, NodeId band_first = 0,
          NodeId band_end = std::numeric_limits<NodeId>::max());
 

@@ -2,11 +2,10 @@
 
 #include <atomic>
 #include <iomanip>
-#include <mutex>
 #include <sstream>
 #include <stdexcept>
-#include <thread>
 
+#include "common/worker_pool.hpp"
 #include "core/detector.hpp"
 #include "core/localizer.hpp"
 #include "monitor/dataset.hpp"
@@ -181,18 +180,18 @@ CampaignResult run_campaign(const CampaignConfig& cfg, const ModelSnapshot& mode
   // its own PipelineSession scratch).
   const core::PipelineEngine engine = model.make_engine();
 
-  const auto worker_count = static_cast<std::size_t>(
-      std::max(1, std::min<std::int32_t>(cfg.threads, static_cast<std::int32_t>(jobs.size()))));
+  const std::int32_t worker_count =
+      std::max(1, std::min<std::int32_t>(cfg.threads, static_cast<std::int32_t>(jobs.size())));
   std::atomic<std::size_t> cursor{0};
   std::atomic<bool> failed{false};
-  std::exception_ptr first_error;
-  std::mutex error_mutex;
 
-  const auto worker = [&]() {
-    // Workers share the one engine read-only; scoring state lives in each
-    // job's session, so reuse is safe and deterministic. A worker
-    // exception (a scenario refusing its params) stops the pool and is
-    // rethrown to the caller instead of terminating the process.
+  // The caller is one of the worker_count workers. Workers share the one
+  // engine read-only; scoring state lives in each job's session, so reuse
+  // is safe and deterministic. A job exception (a scenario refusing its
+  // params) stops the other workers, and the pool rethrows it to the
+  // caller once every worker has returned.
+  common::WorkerPool pool(worker_count - 1);
+  pool.run([&](std::int32_t /*worker*/) {
     try {
       while (!failed.load(std::memory_order_relaxed)) {
         const std::size_t i = cursor.fetch_add(1);
@@ -200,55 +199,58 @@ CampaignResult run_campaign(const CampaignConfig& cfg, const ModelSnapshot& mode
         result.jobs[i] = run_job(cfg, engine, *jobs[i].family, *jobs[i].workload, jobs[i].seed);
       }
     } catch (...) {
-      const std::scoped_lock lock(error_mutex);
-      if (first_error == nullptr) first_error = std::current_exception();
       failed.store(true, std::memory_order_relaxed);
+      throw;
     }
-  };
-
-  if (worker_count == 1) {
-    worker();
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(worker_count);
-    for (std::size_t t = 0; t < worker_count; ++t) pool.emplace_back(worker);
-    for (auto& t : pool) t.join();
-  }
-  if (first_error != nullptr) std::rethrow_exception(first_error);
+  });
   return result;
+}
+
+CampaignCell CampaignResult::cell(std::string_view family, std::string_view workload) const {
+  CampaignCell c;
+  c.family = family;
+  c.workload = workload;
+  double acc = 0.0, det_f1 = 0.0, loc_f1 = 0.0, ttm = 0.0, ratio = 0.0;
+  std::int64_t mitigated = 0, recovered = 0;
+  for (const auto& job : jobs) {
+    if (job.family != family || (!workload.empty() && job.workload != workload)) continue;
+    ++c.jobs;
+    acc += job.summary.detection.accuracy;
+    det_f1 += job.summary.detection.f1;
+    loc_f1 += job.summary.attacker_id.f1;
+    if (job.summary.mitigated()) {
+      ++mitigated;
+      ttm += static_cast<double>(job.summary.time_to_mitigate());
+    }
+    if (job.summary.recovered() && job.summary.baseline_latency > 0.0) {
+      ++recovered;
+      ratio += job.summary.recovered_latency / job.summary.baseline_latency;
+    }
+  }
+  if (c.jobs == 0) return c;
+  const auto n = static_cast<double>(c.jobs);
+  c.detection_accuracy = acc / n;
+  c.detection_f1 = det_f1 / n;
+  c.localization_f1 = loc_f1 / n;
+  c.mitigation_rate = static_cast<double>(mitigated) / n;
+  c.recovery_rate = static_cast<double>(recovered) / n;
+  if (mitigated > 0) c.mean_time_to_mitigate = ttm / static_cast<double>(mitigated);
+  if (recovered > 0) c.mean_recovery_ratio = ratio / static_cast<double>(recovered);
+  return c;
 }
 
 TextTable CampaignResult::family_table(const std::vector<std::string>& family_order) const {
   TextTable table({"Scenario", "Jobs", "Det acc", "Det F1", "Attacker F1", "Mitigated",
                    "TTM (cyc)", "Recovered", "Lat ratio"});
   for (const auto& family : family_order) {
-    double det_acc = 0.0, det_f1 = 0.0, atk_f1 = 0.0, ttm = 0.0, ratio = 0.0;
-    std::int64_t n = 0, mitigated = 0, recovered = 0;
-    for (const auto& job : jobs) {
-      if (job.family != family) continue;
-      ++n;
-      det_acc += job.summary.detection.accuracy;
-      det_f1 += job.summary.detection.f1;
-      atk_f1 += job.summary.attacker_id.f1;
-      if (job.summary.mitigated()) {
-        ++mitigated;
-        ttm += static_cast<double>(job.summary.time_to_mitigate());
-      }
-      if (job.summary.recovered() && job.summary.baseline_latency > 0.0) {
-        ++recovered;
-        ratio += job.summary.recovered_latency / job.summary.baseline_latency;
-      }
-    }
-    if (n == 0) continue;
-    const auto dn = static_cast<double>(n);
-    table.add_row({family, std::to_string(n), TextTable::cell(det_acc / dn),
-                   TextTable::cell(det_f1 / dn), TextTable::cell(atk_f1 / dn),
-                   TextTable::cell(static_cast<double>(mitigated) / dn, 2),
-                   mitigated > 0 ? TextTable::cell(ttm / static_cast<double>(mitigated), 0)
-                                 : "-",
-                   TextTable::cell(static_cast<double>(recovered) / dn, 2),
-                   recovered > 0 ? TextTable::cell(ratio / static_cast<double>(recovered), 2)
-                                 : "-"});
+    const CampaignCell c = cell(family);
+    if (c.jobs == 0) continue;
+    table.add_row({family, std::to_string(c.jobs), TextTable::cell(c.detection_accuracy),
+                   TextTable::cell(c.detection_f1), TextTable::cell(c.localization_f1),
+                   TextTable::cell(c.mitigation_rate, 2),
+                   c.mitigation_rate > 0.0 ? TextTable::cell(c.mean_time_to_mitigate, 0) : "-",
+                   TextTable::cell(c.recovery_rate, 2),
+                   c.recovery_rate > 0.0 ? TextTable::cell(c.mean_recovery_ratio, 2) : "-"});
   }
   return table;
 }

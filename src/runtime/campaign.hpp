@@ -3,17 +3,18 @@
 // aggregate the results into the repo's TextTable reports.
 //
 // Scaling model: one complete, independent Simulation + DefenseRuntime per
-// job; a worker pool of std::threads drains the job grid through an atomic
-// cursor. The trained CNN pair is deserialized ONCE from the ModelSnapshot
-// into a single const core::PipelineEngine that every worker shares by
-// reference — each job's DefenseRuntime brings its own PipelineSession
-// scratch — so jobs never share mutable state and results are
-// byte-identical for any worker count (each job's randomness derives only
-// from its own grid coordinates).
+// job; the caller and cfg.threads - 1 common::WorkerPool threads drain the
+// job grid through an atomic cursor. The trained CNN pair is deserialized
+// ONCE from the ModelSnapshot into a single const core::PipelineEngine
+// that every worker shares by reference — each job's DefenseRuntime brings
+// its own PipelineSession scratch — so jobs never share mutable state and
+// results are byte-identical for any worker count (each job's randomness
+// derives only from its own grid coordinates).
 #pragma once
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/table.hpp"
@@ -97,6 +98,7 @@ struct CampaignConfig {
   /// params.benign (each job's workload name is still recorded).
   std::vector<monitor::Benchmark> workloads;
   std::vector<std::uint64_t> seeds = {1, 2, 3, 4};
+  /// Job workers, the caller included; clamped to [1, job count].
   std::int32_t threads = 1;
   std::int32_t windows = 12;  ///< monitoring windows per job
   ScenarioParams params;      ///< params.mesh must match the model's mesh
@@ -112,12 +114,31 @@ struct JobResult {
   DefenseSummary summary;
 };
 
+/// One grid cell's jobs, averaged (see runtime/robustness.hpp).
+struct CampaignCell {
+  std::string family;
+  std::string workload;  ///< empty for a cell over every workload
+  std::int64_t jobs = 0;
+
+  double detection_accuracy = 0.0;  ///< mean per-window verdict accuracy
+  double detection_f1 = 0.0;        ///< mean per-window verdict F1
+  double localization_f1 = 0.0;     ///< mean TLM attacker-set F1 (attack windows)
+  double mitigation_rate = 0.0;     ///< fraction of jobs fully fenced
+  double mean_time_to_mitigate = -1.0;  ///< cycles, over mitigated jobs (-1: none)
+  double recovery_rate = 0.0;           ///< fraction of jobs recovered
+  double mean_recovery_ratio = -1.0;    ///< recovered/baseline latency (-1: none)
+};
+
 struct CampaignResult {
   /// Grid order: family-major, then workload, seed-minor.
   std::vector<JobResult> jobs;
 
-  /// One aggregate row per family: detection accuracy, attacker-id F1,
-  /// mitigation/recovery rates, mean time-to-mitigate and latency ratio.
+  /// Average the jobs of (family, workload) in grid order; an empty
+  /// `workload` averages the family's jobs over every workload. A cell
+  /// with no jobs keeps jobs == 0 and the defaults above.
+  [[nodiscard]] CampaignCell cell(std::string_view family, std::string_view workload = {}) const;
+
+  /// One row per family that has jobs: cell(family) over every workload.
   [[nodiscard]] TextTable family_table(const std::vector<std::string>& family_order) const;
 
   /// Deterministic fixed-precision dump of every job — equal strings mean
@@ -127,7 +148,8 @@ struct CampaignResult {
 
 /// Run the full grid. Throws std::invalid_argument before any worker
 /// starts if a family is not registered or cfg.params.mesh differs from
-/// the snapshot's mesh.
+/// the snapshot's mesh. A job's exception stops the remaining jobs and is
+/// rethrown here once every worker has returned.
 [[nodiscard]] CampaignResult run_campaign(const CampaignConfig& cfg, const ModelSnapshot& model);
 
 }  // namespace dl2f::runtime

@@ -1,7 +1,6 @@
 #include "runtime/defense.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <stdexcept>
 
 namespace dl2f::runtime {
@@ -147,8 +146,7 @@ void DefenseRuntime::update_mitigation(const core::RoundResult& round, WindowRec
 }
 
 void DefenseRuntime::quarantine_now(NodeId node) {
-  assert(sim_.mesh().shape().valid(node));
-  sim_.mesh().set_quarantined(node, true);
+  sim_.mesh().set_quarantined(node, true);  // throws first for a node outside the mesh
   clean_streak_[static_cast<std::size_t>(node)] = 0;
   votes_[static_cast<std::size_t>(node)] =
       std::max(votes_[static_cast<std::size_t>(node)], cfg_.quarantine_votes);

@@ -147,7 +147,8 @@ class DefenseRuntime {
   void run_windows(std::int32_t count);
 
   /// Operator override: fence a node immediately (it still goes through
-  /// normal probation release).
+  /// normal probation release). Throws std::invalid_argument, changing
+  /// nothing, when `node` is outside the mesh.
   void quarantine_now(NodeId node);
 
   [[nodiscard]] const std::vector<WindowRecord>& history() const noexcept { return history_; }

@@ -29,46 +29,13 @@ RobustnessReport RobustnessReport::from_campaign(const CampaignResult& result,
   report.cells_.reserve(families.size() * workloads.size());
 
   for (const auto& family : families) {
-    for (const auto& workload : workloads) {
-      RobustnessCell cell;
-      cell.family = family;
-      cell.workload = workload;
-      double acc = 0.0, det_f1 = 0.0, loc_f1 = 0.0, ttm = 0.0, ratio = 0.0;
-      std::int64_t n = 0, mitigated = 0, recovered = 0;
-      for (const auto& job : result.jobs) {
-        if (job.family != family || job.workload != workload) continue;
-        ++n;
-        acc += job.summary.detection.accuracy;
-        det_f1 += job.summary.detection.f1;
-        loc_f1 += job.summary.attacker_id.f1;
-        if (job.summary.mitigated()) {
-          ++mitigated;
-          ttm += static_cast<double>(job.summary.time_to_mitigate());
-        }
-        if (job.summary.recovered() && job.summary.baseline_latency > 0.0) {
-          ++recovered;
-          ratio += job.summary.recovered_latency / job.summary.baseline_latency;
-        }
-      }
-      cell.jobs = n;
-      if (n > 0) {
-        const auto dn = static_cast<double>(n);
-        cell.detection_accuracy = acc / dn;
-        cell.detection_f1 = det_f1 / dn;
-        cell.localization_f1 = loc_f1 / dn;
-        cell.mitigation_rate = static_cast<double>(mitigated) / dn;
-        cell.recovery_rate = static_cast<double>(recovered) / dn;
-        if (mitigated > 0) cell.mean_time_to_mitigate = ttm / static_cast<double>(mitigated);
-        if (recovered > 0) cell.mean_recovery_ratio = ratio / static_cast<double>(recovered);
-      }
-      report.cells_.push_back(std::move(cell));
-    }
+    for (const auto& workload : workloads) report.cells_.push_back(result.cell(family, workload));
   }
   return report;
 }
 
-const RobustnessCell* RobustnessReport::cell(std::string_view family,
-                                             std::string_view workload) const {
+const CampaignCell* RobustnessReport::cell(std::string_view family,
+                                           std::string_view workload) const {
   for (const auto& c : cells_) {
     if (c.family == family && c.workload == workload) return &c;
   }
@@ -108,9 +75,9 @@ TextTable RobustnessReport::detection_matrix() const {
   return table;
 }
 
-std::vector<const RobustnessCell*> RobustnessReport::blind_spots(
+std::vector<const CampaignCell*> RobustnessReport::blind_spots(
     double detection_f1_floor) const {
-  std::vector<const RobustnessCell*> out;
+  std::vector<const CampaignCell*> out;
   for (const auto& c : cells_) {
     if (c.jobs > 0 && c.detection_f1 < detection_f1_floor) out.push_back(&c);
   }

@@ -23,26 +23,10 @@
 
 namespace dl2f::runtime {
 
-/// One (family × workload) cell, averaged over the seed axis.
-struct RobustnessCell {
-  std::string family;
-  std::string workload;
-  std::int64_t jobs = 0;
-
-  double detection_accuracy = 0.0;  ///< mean per-window verdict accuracy
-  double detection_f1 = 0.0;        ///< mean per-window verdict F1
-  double localization_f1 = 0.0;     ///< mean TLM attacker-set F1 (attack windows)
-  double mitigation_rate = 0.0;     ///< fraction of jobs fully fenced
-  double mean_time_to_mitigate = -1.0;  ///< cycles, over mitigated jobs (-1: none)
-  double recovery_rate = 0.0;           ///< fraction of jobs recovered
-  double mean_recovery_ratio = -1.0;    ///< recovered/baseline latency (-1: none)
-};
-
 class RobustnessReport {
  public:
-  /// Aggregate `result` over the given axis orders. Jobs whose family or
-  /// workload is not listed are ignored; listed cells with no jobs keep
-  /// jobs == 0 (deterministic shape regardless of campaign content).
+  /// CampaignResult::cell for every listed (family, workload), in list
+  /// order: the shape never depends on the campaign's content.
   static RobustnessReport from_campaign(const CampaignResult& result,
                                         const std::vector<std::string>& families,
                                         const std::vector<std::string>& workloads);
@@ -50,11 +34,11 @@ class RobustnessReport {
   [[nodiscard]] const std::vector<std::string>& families() const noexcept { return families_; }
   [[nodiscard]] const std::vector<std::string>& workloads() const noexcept { return workloads_; }
   /// Family-major, workload-minor; size = families × workloads.
-  [[nodiscard]] const std::vector<RobustnessCell>& cells() const noexcept { return cells_; }
+  [[nodiscard]] const std::vector<CampaignCell>& cells() const noexcept { return cells_; }
 
   /// Cell lookup; nullptr when either axis value is not in the report.
-  [[nodiscard]] const RobustnessCell* cell(std::string_view family,
-                                           std::string_view workload) const;
+  [[nodiscard]] const CampaignCell* cell(std::string_view family,
+                                         std::string_view workload) const;
 
   /// Full per-cell table: one row per (family, workload) with every metric.
   [[nodiscard]] TextTable table() const;
@@ -65,7 +49,7 @@ class RobustnessReport {
 
   /// Cells where the detector partially fails: detection F1 below
   /// `detection_f1_floor` (cells with zero jobs are skipped).
-  [[nodiscard]] std::vector<const RobustnessCell*> blind_spots(
+  [[nodiscard]] std::vector<const CampaignCell*> blind_spots(
       double detection_f1_floor = 0.5) const;
 
   /// Machine-readable JSON object (families, workloads, one record per
@@ -76,7 +60,7 @@ class RobustnessReport {
  private:
   std::vector<std::string> families_;
   std::vector<std::string> workloads_;
-  std::vector<RobustnessCell> cells_;
+  std::vector<CampaignCell> cells_;
 };
 
 }  // namespace dl2f::runtime

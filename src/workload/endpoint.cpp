@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "noc/stats.hpp"
 
 namespace dl2f::workload {
 
@@ -152,11 +151,6 @@ void RequestReplyWorkload::on_packet_delivered(const noc::Flit& tail, noc::Cycle
   }
   // Not ours: synthetic benign traffic or a flooding overlay sharing the
   // mesh — the listener only reacts to packets it issued.
-}
-
-double RequestReplyWorkload::reply_latency_percentile(double q) const noexcept {
-  return noc::histogram_percentile(latency_hist_, q,
-                                   static_cast<double>(stats_.reply_latency_max));
 }
 
 }  // namespace dl2f::workload

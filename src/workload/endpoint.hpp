@@ -81,14 +81,6 @@ class RequestReplyWorkload final : public traffic::TrafficGenerator,
     return pending_[static_cast<std::size_t>(client)].size();
   }
 
-  /// Round-trip (request issue -> reply delivery) latency percentile over
-  /// all completed replies, nearest-rank, exact overflow maximum.
-  [[nodiscard]] double reply_latency_percentile(double q) const noexcept;
-  [[nodiscard]] double reply_latency_mean() const noexcept {
-    return stats_.replies_completed > 0
-               ? stats_.reply_latency_sum / static_cast<double>(stats_.replies_completed)
-               : 0.0;
-  }
   /// 1-cycle-bucket round-trip latency histogram (overflow in last bucket);
   /// the serving bench diffs snapshots of this for per-phase percentiles.
   [[nodiscard]] const std::vector<std::int64_t>& reply_latency_histogram() const noexcept {

@@ -72,16 +72,6 @@ TEST(LocalizationScore, EmptyBothIsPerfect) {
   EXPECT_DOUBLE_EQ(s.metrics().accuracy, 1.0);
 }
 
-TEST(LocalizationScore, MergeOperator) {
-  LocalizationScore a, b;
-  a.add({1}, {1});
-  b.add({2}, {3});
-  a += b;
-  EXPECT_EQ(a.tp(), 1);
-  EXPECT_EQ(a.fp(), 1);
-  EXPECT_EQ(a.fn(), 1);
-}
-
 TEST(AverageScores, UnweightedMean) {
   BenchmarkScore a;
   a.detection = {1.0, 1.0, 1.0, 1.0};

@@ -83,18 +83,6 @@ TEST(Frame, BinarizedThreshold) {
   EXPECT_FLOAT_EQ(b.at(0, 3), 1);
 }
 
-TEST(Frame, ZeroPaddedPlacesBlockAtOffset) {
-  Frame f(2, 2, 7.0F);
-  const Frame p = f.zero_padded(5, 6, 1, 3);
-  EXPECT_EQ(p.rows(), 5);
-  EXPECT_EQ(p.cols(), 6);
-  EXPECT_FLOAT_EQ(p.sum(), 4 * 7.0F);
-  EXPECT_FLOAT_EQ(p.at(1, 3), 7.0F);
-  EXPECT_FLOAT_EQ(p.at(2, 4), 7.0F);
-  EXPECT_FLOAT_EQ(p.at(0, 0), 0.0F);
-  EXPECT_FLOAT_EQ(p.at(3, 3), 0.0F);
-}
-
 TEST(Frame, AccumulateMatchingShapes) {
   Frame a(2, 2, 1.0F);
   Frame b(2, 2, 2.0F);

@@ -113,18 +113,5 @@ TEST(Fusion, BinarizeThresholdFiltersSoftMaps) {
   EXPECT_EQ(r.victims.front(), mesh.id_of(Coord{1, 1}));
 }
 
-TEST(Fusion, PadTo16x16) {
-  Frame f(8, 8, 1.0F);
-  const Frame p = pad_to_16x16(f);
-  EXPECT_EQ(p.rows(), 16);
-  EXPECT_EQ(p.cols(), 16);
-  EXPECT_FLOAT_EQ(p.sum(), 64.0F);
-  EXPECT_FLOAT_EQ(p.at(0, 0), 1.0F);
-  EXPECT_FLOAT_EQ(p.at(8, 8), 0.0F);
-
-  Frame full(16, 16, 2.0F);
-  EXPECT_EQ(pad_to_16x16(full), full);
-}
-
 }  // namespace
 }  // namespace dl2f::core

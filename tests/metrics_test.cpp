@@ -51,25 +51,5 @@ TEST(ConfusionMatrix, F1IsHarmonicMean) {
   EXPECT_DOUBLE_EQ(cm.f1(), 2 * p * r / (p + r));
 }
 
-TEST(ConfusionMatrix, MergeAccumulates) {
-  ConfusionMatrix a, b;
-  a.add(true, true);
-  b.add(false, false);
-  b.add(true, false);
-  a += b;
-  EXPECT_EQ(a.tp(), 1);
-  EXPECT_EQ(a.tn(), 1);
-  EXPECT_EQ(a.fp(), 1);
-  EXPECT_EQ(a.total(), 3);
-}
-
-TEST(Dice, BothEmptyIsOne) { EXPECT_DOUBLE_EQ(dice_coefficient(0, 0, 0), 1.0); }
-
-TEST(Dice, DisjointIsZero) { EXPECT_DOUBLE_EQ(dice_coefficient(0, 5, 5), 0.0); }
-
-TEST(Dice, IdenticalIsOne) { EXPECT_DOUBLE_EQ(dice_coefficient(7, 7, 7), 1.0); }
-
-TEST(Dice, PartialOverlap) { EXPECT_DOUBLE_EQ(dice_coefficient(3, 4, 6), 0.6); }
-
 }  // namespace
 }  // namespace dl2f

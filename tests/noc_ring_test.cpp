@@ -1,6 +1,6 @@
-// The flat-storage datapath's new moving parts: the inline FlitRing VC
-// buffer, router-config validation, worklist activation/deactivation, and
-// the zero-steady-state-allocation contract of Mesh::step.
+// The flat-storage datapath's moving parts: the FlitFifo VC buffer,
+// router-config validation, worklist activation/deactivation, and the
+// zero-steady-state-allocation contract of Mesh::step.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
@@ -21,40 +21,9 @@ Flit numbered_flit(std::int32_t seq) {
   return f;
 }
 
-TEST(FlitRing, FifoOrderAcrossWraparound) {
-  FlitRing ring;
-  std::int32_t next_push = 0;
-  std::int32_t next_pop = 0;
-  // Repeatedly half-fill and half-drain so head_ wraps the inline array
-  // several times; FIFO order must survive every wrap.
-  for (int round = 0; round < 10; ++round) {
-    while (ring.size() < FlitRing::kCapacity) ring.push_back(numbered_flit(next_push++));
-    for (int i = 0; i < FlitRing::kCapacity / 2 + 3; ++i) {
-      ASSERT_FALSE(ring.empty());
-      EXPECT_EQ(ring.front().seq, next_pop++);
-      ring.pop_front();
-    }
-  }
-  while (!ring.empty()) {
-    EXPECT_EQ(ring.front().seq, next_pop++);
-    ring.pop_front();
-  }
-  EXPECT_EQ(next_pop, next_push);
-  EXPECT_EQ(ring.size(), 0);
-}
-
-TEST(FlitRing, ClearResetsToEmpty) {
-  FlitRing ring;
-  for (int i = 0; i < 5; ++i) ring.push_back(numbered_flit(i));
-  ring.clear();
-  EXPECT_TRUE(ring.empty());
-  ring.push_back(numbered_flit(42));
-  EXPECT_EQ(ring.front().seq, 42);
-}
-
 TEST(FlitFifo, FifoOrderAcrossWraparoundOnBoundSlots) {
-  // FlitFifo rings over router-owned slot arenas (the ISSUE-9 datapath);
-  // same wraparound contract as the inline FlitRing, external storage.
+  // FlitFifo rings over router-owned slot arenas; FIFO order must survive
+  // every wrap of the head index.
   Flit slots[8];
   FlitFifo fifo;
   fifo.bind(slots, 8);
@@ -86,14 +55,14 @@ TEST(FlitFifo, ClearResetsToEmptyKeepingBinding) {
   EXPECT_EQ(fifo.front().seq, 42);
 }
 
-TEST(RouterConfig, RejectsDepthsBeyondTheInlineRing) {
+TEST(RouterConfig, RejectsDepthsBeyondMaxVcDepth) {
   const auto mesh = MeshShape::square(4);
   RouterConfig cfg;
-  cfg.vc_depth = FlitRing::kCapacity + 1;
+  cfg.vc_depth = kMaxVcDepth + 1;
   EXPECT_THROW(Router(0, mesh, cfg), std::invalid_argument);
   cfg.vc_depth = 0;
   EXPECT_THROW(Router(0, mesh, cfg), std::invalid_argument);
-  cfg.vc_depth = FlitRing::kCapacity;  // the boundary itself is valid
+  cfg.vc_depth = kMaxVcDepth;  // the boundary itself is valid
   EXPECT_NO_THROW(Router(0, mesh, cfg));
 }
 
@@ -205,8 +174,8 @@ TEST(MeshAllocation, SteadyStateStepIsAllocationFree) {
   //
   // The counter lives in common/debug_hooks.cpp (Debug-only operator-new
   // replacement); under NDEBUG the explicit count check is skipped, but
-  // the NoAllocScope inside Mesh::step asserts the same contract live on
-  // every Debug/sanitize ctest run regardless of this test.
+  // the NoAllocScopes inside Mesh::step's phases assert the same contract
+  // live on every Debug/sanitize ctest run regardless of this test.
   MeshConfig cfg;
   cfg.shape = MeshShape::square(8);
   cfg.packet_length_flits = 5;
@@ -264,6 +233,40 @@ TEST(MeshAllocation, ShardedSteadyStateStepIsAllocationFree) {
   const std::int64_t after = dl2f::dbg::thread_allocation_count();
 #ifndef NDEBUG
   EXPECT_EQ(after - before, 0) << "sharded Mesh::step allocated in steady state";
+#else
+  EXPECT_EQ(before, -1);
+  EXPECT_EQ(after, -1);
+#endif
+  EXPECT_GT(mesh.stats().flits_ejected(), 0);
+}
+
+TEST(MeshAllocation, PooledStepIsAllocationFree) {
+  // The pooled engine: 4 shards stepped by the caller and one pool thread.
+  // The counter is thread-local, so this counts the caller's share of every
+  // step — the pool dispatch, its half of the shards, the barrier and the
+  // serial ejection phase; the pool thread's phases run under the
+  // NoAllocScope in Mesh::step_shards.
+  MeshConfig cfg;
+  cfg.shape = MeshShape::square(16);
+  cfg.packet_length_flits = 5;
+  cfg.shards = 4;
+  cfg.step_threads = 2;
+  Mesh mesh(cfg);
+  ASSERT_EQ(mesh.shard_count(), 4);
+  ASSERT_EQ(mesh.step_thread_count(), 2);
+  for (int i = 0; i < 250; ++i) {
+    for (NodeId src = 0; src < 256; src += 5) {
+      mesh.inject(src, (src * 37 + i * 11) % 256);
+    }
+  }
+  mesh.run(100);
+  ASSERT_FALSE(mesh.drained());
+
+  const std::int64_t before = dl2f::dbg::thread_allocation_count();
+  mesh.run(300);
+  const std::int64_t after = dl2f::dbg::thread_allocation_count();
+#ifndef NDEBUG
+  EXPECT_EQ(after - before, 0) << "pooled Mesh::step allocated in steady state";
 #else
   EXPECT_EQ(before, -1);
   EXPECT_EQ(after, -1);

@@ -205,6 +205,20 @@ TEST(Campaign, RejectsUnknownFamiliesAndMismatchedMeshUpfront) {
   EXPECT_THROW((void)run_campaign(wrong_mesh, snap), std::invalid_argument);
 }
 
+TEST(Campaign, AJobsExceptionReachesTheCallerAtAnyWorkerCount) {
+  // A scenario that refuses its params fails inside a worker, after the
+  // grid passed validation; the caller must see that exception, never a
+  // terminated process or a half-filled result.
+  const ModelSnapshot snap = deterministic_snapshot();
+  CampaignConfig cfg = small_campaign();
+  cfg.families = {"transient"};
+  cfg.params.burst_period = 0;
+  for (const std::int32_t threads : {1, 3}) {
+    cfg.threads = threads;
+    EXPECT_THROW((void)run_campaign(cfg, snap), std::invalid_argument) << threads << " threads";
+  }
+}
+
 TEST(Campaign, FamilyTableHasOneRowPerFamily) {
   const ModelSnapshot snap = deterministic_snapshot();
   CampaignConfig cfg = small_campaign();

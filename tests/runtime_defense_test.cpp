@@ -267,5 +267,18 @@ TEST(DefenseRuntimeConfig, EngineMeshMustMatchTheSimulation) {
   EXPECT_THROW((void)DefenseRuntime(sim, engine), std::invalid_argument);
 }
 
+TEST(DefenseRuntimeConfig, QuarantineNowRejectsNodesOutsideTheMesh) {
+  // An operator fence on a node id past either end of the mesh must fail
+  // loudly and fence nothing, in every build type.
+  const core::PipelineEngine engine = untrained_engine(MeshShape::square(kMeshSide));
+  noc::MeshConfig mesh_cfg;
+  mesh_cfg.shape = MeshShape::square(kMeshSide);
+  traffic::Simulation sim(mesh_cfg);
+  DefenseRuntime runtime(sim, engine);
+  EXPECT_THROW(runtime.quarantine_now(kMeshSide * kMeshSide), std::invalid_argument);
+  EXPECT_THROW(runtime.quarantine_now(-1), std::invalid_argument);
+  EXPECT_TRUE(runtime.quarantined().empty());
+}
+
 }  // namespace
 }  // namespace dl2f::runtime

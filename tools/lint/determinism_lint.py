@@ -42,6 +42,13 @@ DL006  a TU that defines or calls a GEMM-path kernel (gemm*/im2col*/
        skips the intermediate rounding the SIMD tiers' bitwise-parity
        contract depends on, and the kernel TUs compile with
        -ffp-contract=off on purpose (see nn/gemm.hpp).
+DL007  threads start in one place: std::thread / std::jthread objects,
+       std::async, std::condition_variable(_any) and pthread_create are
+       banned outside src/common/worker_pool.* (std::thread::
+       hardware_concurrency() stays allowed). Every parallel job runs on
+       common::WorkerPool, whose per-participant slots and caller-side
+       fixed-order reductions carry the any-thread-count determinism
+       contract; a second thread mechanism would have to re-prove it.
 
 Suppressions
 ------------
@@ -123,6 +130,14 @@ ACCUM_ORDER_RE = re.compile(r"//\s*ACCUM-ORDER:")
 # prose mentions of -ffp-contract=off in comments never trip it).
 PRAGMA_LINE_RE = re.compile(r"^\s*#\s*pragma\b|\b_Pragma\s*\(")
 FASTMATH_TOKEN_RE = re.compile(r"fast[-_]math|fp[-_]?contract|fp\s+contract", re.IGNORECASE)
+# Thread-starting and thread-parking primitives (DL007); `std::thread::`
+# static members such as hardware_concurrency() start nothing.
+THREAD_PRIMITIVE_RE = re.compile(
+    r"\bstd::j?thread\b(?!\s*::)|\bstd::async\b|\bstd::condition_variable(?:_any)?\b|"
+    r"\bpthread_create\b"
+)
+# The one file pair allowed to use them.
+WORKER_POOL_RE = re.compile(r"(?:^|/)src/common/worker_pool\.(?:cpp|hpp)$")
 
 
 @dataclass
@@ -241,6 +256,7 @@ def lint_text(relpath: str, text: str, header_text: str = "") -> list[Finding]:
         if rule not in allowed.get(idx, set()):
             findings.append(Finding(relpath, idx + 1, rule, message))
 
+    in_worker_pool = WORKER_POOL_RE.search(relpath.replace(os.sep, "/")) is not None
     for idx, line in enumerate(code_lines):
         for pattern, why in BANNED_CALLS:
             if pattern.search(line):
@@ -257,6 +273,10 @@ def lint_text(relpath: str, text: str, header_text: str = "") -> list[Finding]:
             emit(idx, "DL005",
                  "atomic on a floating type: racing FP updates have scheduler-dependent "
                  "order — accumulate per-thread and reduce in fixed order")
+        if not in_worker_pool and THREAD_PRIMITIVE_RE.search(line):
+            emit(idx, "DL007",
+                 "thread / condition-variable primitive outside src/common/worker_pool.*: "
+                 "run parallel work on common::WorkerPool")
 
     # DL003: iteration over unordered containers declared in this TU (or
     # its same-named header) when the file is in the FP/campaign scope.

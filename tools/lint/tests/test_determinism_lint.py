@@ -106,6 +106,25 @@ class FixtureTests(unittest.TestCase):
     def test_dl006_pragma_rule_ignores_comment_mentions(self):
         self.assert_clean(os.path.join("src", "nn", "dl006_pragma_good.cpp"))
 
+    def test_dl007_thread_primitives_outside_the_pool(self):
+        findings = run_fixture("dl007_bad.cpp")
+        self.assertEqual(rules_of(findings), ["DL007"])
+        # std::thread, std::jthread, condition_variable,
+        # condition_variable_any, std::async, pthread_create — six lines.
+        self.assertEqual(len({f.line for f in findings}), 6)
+
+    def test_dl007_allows_hardware_concurrency_and_mentions(self):
+        self.assert_clean("dl007_good.cpp")
+
+    def test_dl007_exempts_the_worker_pool(self):
+        self.assert_clean(os.path.join("src", "common", "worker_pool.cpp"))
+        # The same text anywhere else is a finding.
+        with open(os.path.join(FIXTURES, "src", "common", "worker_pool.cpp"),
+                  encoding="utf-8") as f:
+            text = f.read()
+        findings = lint.lint_text("src/nn/train.cpp", text)
+        self.assertEqual(rules_of(findings), ["DL007"])
+
     def test_suppression_with_reason_silences_next_line(self):
         self.assert_clean("suppression_good.cpp")
 
