@@ -1,6 +1,6 @@
 // Adaptive-attacker robustness matrix: evasive FDoS families × the full
 // benign-workload grid (6 synthetic patterns + 3 PARSEC workloads + 3
-// trace-driven request/reply families from src/workload/).
+// request/reply families from src/workload/).
 //
 // Trains one model snapshot — by default including the temporal sequence
 // head, adversarially retrained on the full family mix (src/temporal) —

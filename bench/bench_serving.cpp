@@ -2,7 +2,7 @@
 //
 // Two arms, one shared trained snapshot (temporal head included):
 //
-//  1. SLO grid — a campaign over the trace-driven request/reply workloads
+//  1. SLO grid — a campaign over the request/reply workloads
 //     ("trace-replay", "openloop-burst", "memhog") × attack families with
 //     attack arrivals mid-run, re-run at 1/2/4 worker threads (byte-dump
 //     identity enforced, exit 1 on divergence). Reports the serving SLO:

@@ -161,23 +161,27 @@ class RepoBaselineTests(unittest.TestCase):
                 self.assertEqual(json.load(f).get("mode"), mode, name)
 
     def test_committed_baseline_paths_resolve_in_committed_artifacts(self):
-        # Every key in BENCH_baseline.json must resolve in the committed
-        # full-run artifacts — catches a baseline/bench key drift at
-        # ctest time, before CI ever runs the benches.
+        # Every key in BENCH_baseline.json (quick, per-PR) and
+        # BENCH_nightly_baseline.json (full, nightly) must resolve in the
+        # committed artifacts — catches a baseline/bench key drift at
+        # ctest time, before CI ever runs the benches. The committed
+        # artifacts mix modes, so only resolution failures count here.
         import json
         root = os.path.dirname(os.path.dirname(os.path.dirname(
             os.path.abspath(__file__))))
-        with open(os.path.join(root, "BENCH_baseline.json")) as f:
-            baseline = json.load(f)
-        artifacts = {}
-        for bench_file in baseline["benches"]:
-            with open(os.path.join(root, bench_file)) as f:
-                artifacts[bench_file] = json.load(f)
-        _rows, failures = gate.check(baseline, artifacts)
-        resolution_failures = [m for m in failures if "not found" in m
-                               or "expected a number" in m]
-        self.assertEqual(resolution_failures, [],
-                         "baseline keys no longer resolve in committed artifacts")
+        for name in ("BENCH_baseline.json", "BENCH_nightly_baseline.json"):
+            with self.subTest(baseline=name):
+                with open(os.path.join(root, name)) as f:
+                    baseline = json.load(f)
+                artifacts = {}
+                for bench_file in baseline["benches"]:
+                    with open(os.path.join(root, bench_file)) as f:
+                        artifacts[bench_file] = json.load(f)
+                _rows, failures = gate.check(baseline, artifacts)
+                resolution_failures = [m for m in failures if "not found" in m
+                                       or "expected a number" in m]
+                self.assertEqual(resolution_failures, [],
+                                 f"{name} keys no longer resolve in committed artifacts")
 
     def test_committed_pass_flags_are_true(self):
         # A committed artifact whose own gate flag reads false contradicts

@@ -7,6 +7,8 @@
 #include <cstdlib>
 #include <new>
 
+#include "common/aligned.hpp"
+
 #if __has_include(<execinfo.h>)
 #include <execinfo.h>
 #define DL2F_HAVE_BACKTRACE 1
@@ -56,8 +58,9 @@ AllocBypassScope::AllocBypassScope() noexcept { ++t_bypass_depth; }
 AllocBypassScope::~AllocBypassScope() { --t_bypass_depth; }
 
 void assert_simd_aligned(const void* p, const char* what) noexcept {
-  if (reinterpret_cast<std::uintptr_t>(p) % 32 == 0) return;
-  std::fprintf(stderr, "SIMD alignment violation: %s at %p is not 32-byte aligned\n", what, p);
+  if (common::is_simd_aligned(p)) return;
+  std::fprintf(stderr, "SIMD alignment violation: %s at %p is not %zu-byte aligned\n", what, p,
+               common::kSimdAlignment);
   std::abort();
 }
 

@@ -61,8 +61,8 @@ class AllocBypassScope {
 };
 
 /// Debug assertion that `p` honors the SIMD arena alignment contract
-/// (common/aligned.hpp): aborts with `what` when `p` is not 32-byte
-/// aligned. Inert under NDEBUG.
+/// (common/aligned.hpp): aborts with `what` when common::is_simd_aligned(p)
+/// is false. Inert under NDEBUG.
 void assert_simd_aligned(const void* p, const char* what) noexcept;
 
 #else  // NDEBUG: inert stand-ins, fully inlined away.

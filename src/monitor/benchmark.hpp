@@ -1,7 +1,9 @@
 // Unified handle over the evaluation benchmarks: the paper's nine
-// (6 STP + 3 PARSEC) plus the three trace-driven request/reply families
-// from src/workload/ ("trace-replay", "openloop-burst", "memhog"), with
-// the per-benchmark defaults used across tables, benches and tests.
+// (6 STP + 3 PARSEC) plus the three request/reply families from
+// src/workload/ ("trace-replay", "openloop-burst", "memhog"; the "trace
+// workloads" below), each drawing its requests from a generated arrival
+// process, with the per-benchmark defaults used across tables, benches
+// and tests.
 #pragma once
 
 #include <memory>
@@ -29,7 +31,7 @@ struct Benchmark {
   /// flooding pressure remains the distinguishing signal; adversarial
   /// patterns (tornado, bit complement) saturate earlier and get lower
   /// rates. Unused for PARSEC (the phase machine owns its rates) and for
-  /// trace workloads (the TraceSource owns its arrival process).
+  /// trace workloads (their RequestSource owns the arrival process).
   [[nodiscard]] double stp_injection_rate() const noexcept;
 
   /// Feature sampling period in cycles (paper: 1 000 for STP, 100 000 for
@@ -50,7 +52,7 @@ struct Benchmark {
 [[nodiscard]] std::vector<Benchmark> all_benchmarks();
 [[nodiscard]] std::vector<Benchmark> stp_benchmarks();
 [[nodiscard]] std::vector<Benchmark> parsec_benchmarks();
-/// The trace-driven request/reply families from src/workload/.
+/// The request/reply families from src/workload/.
 [[nodiscard]] std::vector<Benchmark> trace_benchmarks();
 
 }  // namespace dl2f::monitor

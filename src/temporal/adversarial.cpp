@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <array>
-#include <cassert>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "monitor/dataset.hpp"
@@ -117,7 +118,7 @@ void collect_run(const SequenceDatasetConfig& cfg, const std::string& family,
 SequenceDataset generate_sequence_dataset(const SequenceDatasetConfig& cfg,
                                           const std::vector<std::string>& families,
                                           const std::vector<monitor::Benchmark>& workloads) {
-  assert(cfg.sequence_length >= 1 && cfg.sequence_length <= kMaxSequenceLength);
+  check_sequence_length(cfg.sequence_length, "generate_sequence_dataset");
   SequenceDataset out;
   out.mesh = cfg.mesh;
   out.sequence_length = cfg.sequence_length;
@@ -137,7 +138,15 @@ SequenceDataset generate_sequence_dataset(const SequenceDatasetConfig& cfg,
 TemporalTrainReport train_temporal_detector(TemporalDetector& detector,
                                             const SequenceDataset& data,
                                             const TemporalTrainConfig& cfg) {
-  assert(data.sequence_length == detector.config().sequence_length);
+  const std::int32_t t = detector.config().sequence_length;
+  const auto wrong_length = [t](const SequenceSample& seq) {
+    return !std::cmp_equal(seq.windows.size(), t);
+  };
+  if (data.sequence_length != t ||
+      std::any_of(data.samples.begin(), data.samples.end(), wrong_length)) {
+    throw std::invalid_argument("train_temporal_detector: dataset sequences are not " +
+                                std::to_string(t) + " windows long like the detector's");
+  }
   Rng rng(cfg.seed);
   detector.model().init_weights(rng);
   nn::Adam optimizer(detector.model().params(), cfg.learning_rate);
@@ -150,7 +159,6 @@ TemporalTrainReport train_temporal_detector(TemporalDetector& detector,
   TemporalTrainReport report;
   const auto stage = [&](std::size_t item, nn::Tensor4& input, std::int32_t slot) {
     const auto& seq = data.samples[item];
-    assert(seq.windows.size() <= static_cast<std::size_t>(kMaxSequenceLength));
     std::array<const monitor::FrameSample*, kMaxSequenceLength> ptrs{};
     for (std::size_t i = 0; i < seq.windows.size(); ++i) ptrs[i] = &seq.windows[i];
     detector.preprocess_into({ptrs.data(), seq.windows.size()}, input, slot);

@@ -80,16 +80,19 @@ struct SequenceDatasetConfig {
 
 /// Run the (families x workloads x runs_per_cell) grid and collect one
 /// labeled sequence per simulated window. Families must be ScenarioRegistry
-/// names (throws std::invalid_argument otherwise, matching run_campaign).
-/// The benign prefix before ScenarioParams::attack_start supplies the
-/// negative class.
+/// names (throws std::invalid_argument otherwise, matching run_campaign),
+/// and cfg.sequence_length must lie in [1, kMaxSequenceLength] (throws
+/// likewise). The benign prefix before ScenarioParams::attack_start
+/// supplies the negative class.
 [[nodiscard]] SequenceDataset generate_sequence_dataset(
     const SequenceDatasetConfig& cfg, const std::vector<std::string>& families,
     const std::vector<monitor::Benchmark>& workloads);
 
 /// Train on a SequenceDataset through nn::batch_train — same fixed-order
 /// gradient reduction as the single-window trainers, so weights are
-/// byte-identical at any cfg.threads.
+/// byte-identical at any cfg.threads. Throws std::invalid_argument, before
+/// touching the detector, unless the dataset's sequence_length and every
+/// sample's window count equal the detector's sequence_length.
 TemporalTrainReport train_temporal_detector(TemporalDetector& detector,
                                             const SequenceDataset& data,
                                             const TemporalTrainConfig& cfg);

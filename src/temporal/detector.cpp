@@ -2,14 +2,29 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "nn/layers.hpp"
 
 namespace dl2f::temporal {
 
+void check_sequence_length(std::int32_t sequence_length, const char* who) {
+  if (sequence_length < 1 || sequence_length > kMaxSequenceLength) {
+    throw std::invalid_argument(std::string(who) + ": sequence_length " +
+                                std::to_string(sequence_length) + " outside [1, " +
+                                std::to_string(kMaxSequenceLength) + "]");
+  }
+}
+
 TemporalDetector::TemporalDetector(const TemporalDetectorConfig& cfg) : cfg_(cfg) {
-  assert(cfg.sequence_length >= 1 && cfg.sequence_length <= kMaxSequenceLength);
+  check_sequence_length(cfg.sequence_length, "TemporalDetector");
+  if (cfg.temporal_kernel < 1 || cfg.temporal_kernel > cfg.sequence_length) {
+    throw std::invalid_argument("TemporalDetector: temporal_kernel " +
+                                std::to_string(cfg.temporal_kernel) + " outside [1, " +
+                                std::to_string(cfg.sequence_length) + "]");
+  }
   model_.emplace<nn::Conv2D>(kChannelsPerWindow, cfg.filters, cfg.kernel, nn::Padding::Valid,
                              cfg.sequence_length);
   model_.emplace<nn::ReLU>();

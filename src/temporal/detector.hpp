@@ -52,6 +52,10 @@ inline constexpr std::int32_t kChannelsPerWindow = 8;
 /// stage sequence views through fixed stack buffers.
 inline constexpr std::int32_t kMaxSequenceLength = 16;
 
+/// Throws std::invalid_argument naming `who` unless `sequence_length` is
+/// in [1, kMaxSequenceLength].
+void check_sequence_length(std::int32_t sequence_length, const char* who);
+
 struct TemporalDetectorConfig {
   MeshShape mesh = MeshShape::square(8);
   /// Windows per classified sequence (T).
@@ -75,6 +79,8 @@ struct TemporalDetectorConfig {
 
 class TemporalDetector {
  public:
+  /// Throws std::invalid_argument when sequence_length is outside
+  /// [1, kMaxSequenceLength] or temporal_kernel outside [1, sequence_length].
   explicit TemporalDetector(const TemporalDetectorConfig& cfg);
 
   [[nodiscard]] const TemporalDetectorConfig& config() const noexcept { return cfg_; }

@@ -3,21 +3,24 @@
 #include <algorithm>
 #include <cassert>
 
-
 namespace dl2f::workload {
 
+namespace {
+/// Every request is a single-flit read; the reply carries the payload.
+constexpr std::int32_t kRequestFlits = 1;
+}  // namespace
+
 RequestReplyWorkload::RequestReplyWorkload(const MeshShape& mesh,
-                                           std::unique_ptr<TraceSource> source,
+                                           std::unique_ptr<RequestSource> source,
                                            std::vector<NodeId> servers,
                                            const RequestReplyConfig& cfg)
     : mesh_shape_(mesh), source_(std::move(source)), servers_(std::move(servers)), cfg_(cfg) {
   assert(source_ != nullptr);
+  std::sort(servers_.begin(), servers_.end());
+  servers_.erase(std::unique(servers_.begin(), servers_.end()), servers_.end());
+  assert(std::all_of(servers_.begin(), servers_.end(),
+                     [&](NodeId s) { return mesh_shape_.valid(s); }));
   const auto n = static_cast<std::size_t>(mesh_shape_.node_count());
-  is_server_.assign(n, 0);
-  for (const NodeId s : servers_) {
-    assert(mesh_shape_.valid(s));
-    is_server_[static_cast<std::size_t>(s)] = 1;
-  }
   pending_.resize(n);
   outstanding_.assign(n, 0);
   reply_queues_.resize(n);
@@ -40,18 +43,24 @@ void RequestReplyWorkload::tick(noc::Mesh& mesh) {
   }
   const noc::Cycle now = mesh.now();
   serve_replies(mesh, now);
-  pull_due_records(now);
+  drawn_.clear();
+  source_->draw(now, drawn_);
+  for (const Request& r : drawn_) {
+    assert(mesh_shape_.valid(r.client) &&
+           std::binary_search(servers_.begin(), servers_.end(), r.server));
+    pending_[static_cast<std::size_t>(r.client)].push_back(r.server);
+  }
   issue_requests(mesh, now);
 }
 
 void RequestReplyWorkload::serve_replies(noc::Mesh& mesh, noc::Cycle now) {
-  // Ascending node order keeps the injection sequence — and therefore the
-  // whole simulation — deterministic. Requests normally land on servers_,
-  // but a file trace may address any node, so every queue is swept.
-  for (NodeId node = 0; node < mesh_shape_.node_count(); ++node) {
-    auto& q = reply_queues_[static_cast<std::size_t>(node)];
+  // Ascending server order keeps the injection sequence — and therefore
+  // the whole simulation — deterministic. Requests only ever target
+  // servers_, so no other node holds a reply queue.
+  for (const NodeId server : servers_) {
+    auto& q = reply_queues_[static_cast<std::size_t>(server)];
     while (!q.empty() && q.front().ready <= now) {
-      if (mesh.source_queue_length(node) >= cfg_.max_ni_queue) {
+      if (mesh.source_queue_length(server) >= cfg_.max_ni_queue) {
         // NI backed up: the reply stays queued (head-of-line within this
         // server only) and the wait is accounted as a stall.
         ++stats_.reply_stall_cycles;
@@ -59,7 +68,7 @@ void RequestReplyWorkload::serve_replies(noc::Mesh& mesh, noc::Cycle now) {
       }
       const PendingReply r = q.front();
       q.pop_front();
-      const noc::PacketId pid = mesh.inject(node, r.client, cfg_.reply_flits);
+      const noc::PacketId pid = mesh.inject(server, r.client, cfg_.reply_flits);
       if (pid < 0) {
         // Fenced server: the reply is lost and the client's outstanding
         // window never drains — dependents of a false fence visibly stall.
@@ -72,57 +81,28 @@ void RequestReplyWorkload::serve_replies(noc::Mesh& mesh, noc::Cycle now) {
   }
 }
 
-void RequestReplyWorkload::pull_due_records(noc::Cycle now) {
-  while (!source_done_) {
-    if (!have_peeked_) {
-      if (!source_->next(peeked_)) {
-        source_done_ = true;
-        break;
-      }
-      have_peeked_ = true;
-    }
-    if (peeked_.cycle > now) break;
-    pending_[static_cast<std::size_t>(peeked_.src)].push_back(peeked_);
-    have_peeked_ = false;
-  }
-}
-
 void RequestReplyWorkload::issue_requests(noc::Mesh& mesh, noc::Cycle now) {
   for (NodeId node = 0; node < mesh_shape_.node_count(); ++node) {
     auto& due = pending_[static_cast<std::size_t>(node)];
     while (!due.empty()) {
-      const TraceRecord& rec = due.front();
-      if (rec.kind == TraceKind::Reply) {
-        // Replayed REPLY records are unpaired: injected on the arrival
-        // clock with their recorded size, completion not tracked.
-        const noc::PacketId pid = mesh.inject(rec.src, rec.dst, rec.size_flits);
-        if (pid < 0) {
-          ++stats_.replies_dropped;
-        } else {
-          ++stats_.replies_issued;
-        }
-        due.pop_front();
-        continue;
-      }
       if (!cfg_.open_loop) {
         // Closed loop: the outstanding window and the NI queue both gate
-        // issue; a blocked head blocks only this client's later records.
+        // issue; a blocked head blocks only this client's later requests.
         if (outstanding_[static_cast<std::size_t>(node)] >= cfg_.window ||
             mesh.source_queue_length(node) >= cfg_.max_ni_queue) {
           ++stats_.issue_stall_cycles;
           break;
         }
       }
-      const noc::PacketId pid = mesh.inject(rec.src, rec.dst, rec.size_flits);
+      const noc::PacketId pid = mesh.inject(node, due.front(), kRequestFlits);
+      due.pop_front();
       if (pid < 0) {
         ++stats_.requests_dropped;
-        due.pop_front();
         continue;
       }
       request_meta_.emplace(pid, RequestMeta{now});
       ++stats_.requests_issued;
       ++outstanding_[static_cast<std::size_t>(node)];
-      due.pop_front();
     }
   }
 }

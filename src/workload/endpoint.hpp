@@ -1,14 +1,15 @@
-// Request/reply endpoint pairs driven by a TraceSource.
+// Request/reply endpoint pairs driven by a RequestSource.
 //
 // One RequestReplyWorkload models BOTH sides of the netsim cpu.cpp /
-// memory.cpp split: the CPU-side endpoints issue REQ packets from the
-// trace (closed-loop against a per-source outstanding-request window, or
-// open-loop on the pure arrival clock), and the memory-side endpoints turn
-// each delivered request into a REPLY packet after a fixed service
-// latency. It is a traffic::TrafficGenerator (ticked before the mesh
-// advances) and a noc::PacketDeliveryListener (told about every tail-flit
-// ejection), so request->reply causality flows through real delivered
-// packets — not through a schedule computed outside the network.
+// memory.cpp split: the CPU-side endpoints issue single-flit REQ packets
+// as their RequestSource draws them (closed-loop against a per-client
+// outstanding-request window, or open-loop on the pure arrival clock), and
+// the memory-side endpoints turn each delivered request into a REPLY
+// packet after a fixed service latency. It is a traffic::TrafficGenerator
+// (ticked before the mesh advances) and a noc::PacketDeliveryListener
+// (told about every tail-flit ejection), so request->reply causality flows
+// through real delivered packets — not through a schedule computed outside
+// the network.
 //
 // Backpressure is honored on both sides: a closed-loop client stops
 // issuing when its outstanding window is full OR its NI source queue is
@@ -28,9 +29,25 @@
 #include "common/geometry.hpp"
 #include "noc/mesh.hpp"
 #include "traffic/generator.hpp"
-#include "workload/trace.hpp"
 
 namespace dl2f::workload {
+
+/// One arrival: `client` asks memory tile `server` for data.
+struct Request {
+  NodeId client = 0;
+  NodeId server = 0;
+};
+
+/// An arrival process. The endpoint calls draw(now, out) once per ticked
+/// cycle, in cycle order; a source appends that cycle's requests to `out`
+/// sorted by client, every one addressed to one of the endpoint's servers.
+/// A source owns its randomness, so the stream it yields depends only on
+/// its seed and the cycles it is asked for.
+class RequestSource {
+ public:
+  virtual ~RequestSource() = default;
+  virtual void draw(noc::Cycle now, std::vector<Request>& out) = 0;
+};
 
 struct RequestReplyConfig {
   bool open_loop = false;          ///< issue on the arrival clock, no window
@@ -58,7 +75,9 @@ struct WorkloadStats {
 class RequestReplyWorkload final : public traffic::TrafficGenerator,
                                    public noc::PacketDeliveryListener {
  public:
-  RequestReplyWorkload(const MeshShape& mesh, std::unique_ptr<TraceSource> source,
+  /// `servers` are the memory tiles (kept sorted and deduplicated); every
+  /// request `source` draws must target one of them.
+  RequestReplyWorkload(const MeshShape& mesh, std::unique_ptr<RequestSource> source,
                        std::vector<NodeId> servers, const RequestReplyConfig& cfg);
   ~RequestReplyWorkload() override;
 
@@ -69,14 +88,12 @@ class RequestReplyWorkload final : public traffic::TrafficGenerator,
   void on_packet_delivered(const noc::Flit& tail, noc::Cycle now) override;
 
   [[nodiscard]] const WorkloadStats& stats() const noexcept { return stats_; }
-  [[nodiscard]] const RequestReplyConfig& config() const noexcept { return cfg_; }
-  [[nodiscard]] const std::vector<NodeId>& servers() const noexcept { return servers_; }
 
   /// Requests in flight (issued, reply not yet delivered) for one client.
   [[nodiscard]] std::int32_t outstanding(NodeId client) const {
     return outstanding_[static_cast<std::size_t>(client)];
   }
-  /// Trace records due but not yet issued at one client.
+  /// Requests drawn but not yet issued at one client.
   [[nodiscard]] std::size_t pending_requests(NodeId client) const {
     return pending_[static_cast<std::size_t>(client)].size();
   }
@@ -106,18 +123,17 @@ class RequestReplyWorkload final : public traffic::TrafficGenerator,
 
   void serve_replies(noc::Mesh& mesh, noc::Cycle now);
   void issue_requests(noc::Mesh& mesh, noc::Cycle now);
-  void pull_due_records(noc::Cycle now);
 
   MeshShape mesh_shape_;
-  std::unique_ptr<TraceSource> source_;
-  std::vector<NodeId> servers_;
-  std::vector<char> is_server_;
+  std::unique_ptr<RequestSource> source_;
+  std::vector<NodeId> servers_;  ///< ascending
   RequestReplyConfig cfg_;
   WorkloadStats stats_;
 
-  /// Due-but-unissued records per client (head-of-line blocking is per
-  /// client, never across clients).
-  std::vector<std::deque<TraceRecord>> pending_;
+  std::vector<Request> drawn_;  ///< this cycle's draw (reused)
+  /// Drawn-but-unissued requests per client, as server ids (head-of-line
+  /// blocking is per client, never across clients).
+  std::vector<std::deque<NodeId>> pending_;
   std::vector<std::int32_t> outstanding_;
   std::vector<std::deque<PendingReply>> reply_queues_;  ///< per server, FIFO by ready cycle
 
@@ -127,9 +143,6 @@ class RequestReplyWorkload final : public traffic::TrafficGenerator,
   static constexpr std::size_t kLatencyBuckets = 4096;
   std::vector<std::int64_t> latency_hist_;
 
-  TraceRecord peeked_;
-  bool have_peeked_ = false;
-  bool source_done_ = false;
   noc::Mesh* registered_mesh_ = nullptr;
 };
 

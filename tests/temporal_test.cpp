@@ -7,6 +7,8 @@
 
 #include <algorithm>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "nn/inference.hpp"
@@ -146,6 +148,50 @@ TEST(TemporalTraining, WeightsAreByteIdenticalAcrossThreadCounts) {
   EXPECT_FALSE(blobs[0].empty());
   EXPECT_EQ(blobs[0], blobs[1]);
   EXPECT_EQ(blobs[0], blobs[2]);
+}
+
+// Sequence views are staged through kMaxSequenceLength-entry stack
+// buffers, so an out-of-range shape must be refused up front in every
+// build type, not only where assert() is live.
+TEST(TemporalDetectorModel, RejectsOutOfRangeSequenceLengthAndKernel) {
+  for (const std::int32_t t : {0, kMaxSequenceLength + 1}) {
+    TemporalDetectorConfig cfg = small_config();
+    cfg.sequence_length = t;
+    cfg.temporal_kernel = 1;
+    EXPECT_THROW(TemporalDetector{cfg}, std::invalid_argument) << "sequence_length " << t;
+  }
+  for (const std::int32_t kt : {0, 5}) {
+    TemporalDetectorConfig cfg = small_config();  // sequence_length 4
+    cfg.temporal_kernel = kt;
+    EXPECT_THROW(TemporalDetector{cfg}, std::invalid_argument) << "temporal_kernel " << kt;
+  }
+  TemporalDetectorConfig longest = small_config();
+  longest.sequence_length = kMaxSequenceLength;
+  EXPECT_NO_THROW(TemporalDetector{longest});
+
+  SequenceDatasetConfig data_cfg = small_dataset_config();
+  data_cfg.sequence_length = kMaxSequenceLength + 1;
+  EXPECT_THROW((void)generate_sequence_dataset(data_cfg, {"static"}, one_workload()),
+               std::invalid_argument);
+}
+
+TEST(TemporalTraining, RejectsDatasetsOfAnotherSequenceShape) {
+  const SequenceDataset data =
+      generate_sequence_dataset(small_dataset_config(), {"static"}, one_workload());
+  ASSERT_GE(data.samples.size(), 2U);
+  TemporalTrainConfig train;
+  train.epochs = 1;
+
+  SequenceDataset wrong_length = data;
+  wrong_length.sequence_length = 5;
+  SequenceDataset short_sample = data;
+  short_sample.samples[1].windows.pop_back();
+  for (const SequenceDataset* bad : {&wrong_length, &short_sample}) {
+    TemporalDetector detector(small_config());
+    const std::string before = weights_of(detector);
+    EXPECT_THROW((void)train_temporal_detector(detector, *bad, train), std::invalid_argument);
+    EXPECT_EQ(weights_of(detector), before);
+  }
 }
 
 TEST(SourceSuspects, FlagsCollusionAndRespectsTheMinSourcesGate) {

@@ -1,101 +1,38 @@
-// Trace-driven request/reply workload subsystem: trace parse/round-trip
-// and the line-numbered error path, open- vs closed-loop injection
+// Request/reply workload subsystem: open- vs closed-loop injection
 // accounting, reply-after-service-latency timing, backpressure/quarantine
-// stalls, and determinism of the generator-backed families.
+// stalls, and determinism of the generated arrival processes and the
+// families built on them.
 #include "workload/endpoint.hpp"
 
 #include <gtest/gtest.h>
 
-#include <sstream>
+#include <array>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "traffic/simulation.hpp"
 #include "workload/families.hpp"
-#include "workload/trace.hpp"
 
 namespace dl2f::workload {
 namespace {
 
-std::vector<TraceRecord> sample_records() {
-  return {
-      {0, 5, 0, TraceKind::Request, 1},
-      {0, 6, 3, TraceKind::Request, 2},
-      {4, 9, 0, TraceKind::Reply, 5},
-      {12, 5, 12, TraceKind::Request, 1},
-  };
-}
-
-TEST(TraceFormat, WriteThenParseRoundTripsExactly) {
-  const auto records = sample_records();
-  std::stringstream ss;
-  write_trace(ss, records);
-  const auto parsed = parse_trace(ss);
-  EXPECT_EQ(parsed, records);
-}
-
-TEST(TraceFormat, HeaderIsRequired) {
-  std::istringstream in("0 1 2 REQ 1\n");
-  try {
-    (void)parse_trace(in);
-    FAIL() << "expected std::invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("line 1"), std::string::npos) << e.what();
-    EXPECT_NE(std::string(e.what()).find("header"), std::string::npos) << e.what();
-  }
-}
-
-/// Every malformed line is rejected with its 1-based line number.
-TEST(TraceFormat, MalformedLinesAreRejectedWithLineNumbers) {
-  const struct {
-    const char* body;
-    const char* expect;  ///< substring of the thrown message
-  } cases[] = {
-      {"0 1 2 REQ\n", "line 3"},              // too few fields
-      {"0 1 2 REQ 1 9\n", "trailing field"},  // too many fields
-      {"x 1 2 REQ 1\n", "integer for cycle"},
-      {"0 1 2 PUT 1\n", "unknown kind"},
-      {"0 1 2 REQ 0\n", "size"},
-      {"0 1 1 REQ 1\n", "src == dst"},
-      {"-3 1 2 REQ 1\n", "negative cycle"},
-      {"9 1 2 REQ 1\n5 2 3 REQ 1\n", "out of order"},
-      {"0 99 2 REQ 1\n", "outside the mesh"},
-      // Out-of-int32 values must not wrap into valid ones (each narrows to 1).
-      {"0 4294967297 2 REQ 5\n", "out of 32-bit range"},
-      {"0 -4294967295 2 REQ 5\n", "out of 32-bit range"},
-      {"0 1 2 REQ 4294967297\n", "out of 32-bit range"},
-  };
-  const MeshShape mesh = MeshShape::square(4);
-  for (const auto& c : cases) {
-    std::istringstream in(std::string(kTraceHeaderV1) + "\n# comment\n" + c.body);
-    try {
-      (void)parse_trace(in, &mesh);
-      FAIL() << "accepted malformed body: " << c.body;
-    } catch (const std::invalid_argument& e) {
-      const std::string what = e.what();
-      EXPECT_NE(what.find("trace line "), std::string::npos) << what;
-      EXPECT_NE(what.find(c.expect), std::string::npos) << what;
+/// Draws `cycles` consecutive cycles from `src` as (cycle, client, server)
+/// triples, checking that each cycle's clients ascend.
+std::vector<std::array<std::int64_t, 3>> draw_stream(RequestSource& src, noc::Cycle cycles) {
+  std::vector<std::array<std::int64_t, 3>> stream;
+  std::vector<Request> out;
+  for (noc::Cycle now = 0; now < cycles; ++now) {
+    out.clear();
+    src.draw(now, out);
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      if (i > 0) {
+        EXPECT_LT(out[i - 1].client, out[i].client) << "cycle " << now;
+      }
+      stream.push_back({now, out[i].client, out[i].server});
     }
   }
-}
-
-TEST(TraceFormat, CommentsAndBlankLinesAreIgnored) {
-  std::istringstream in("# leading comment\n\ndl2f-trace v1\n\n# mid comment\n0 1 2 REQ 1\n");
-  const auto parsed = parse_trace(in);
-  ASSERT_EQ(parsed.size(), 1U);
-  EXPECT_EQ(parsed[0], (TraceRecord{0, 1, 2, TraceKind::Request, 1}));
-}
-
-TEST(VectorSource, LoopShiftsEachPassByThePeriod) {
-  VectorTraceSource src({{0, 1, 2, TraceKind::Request, 1}, {5, 2, 3, TraceKind::Request, 1}},
-                        /*loop_period=*/10);
-  TraceRecord r;
-  std::vector<noc::Cycle> cycles;
-  for (int i = 0; i < 6; ++i) {
-    ASSERT_TRUE(src.next(r));
-    cycles.push_back(r.cycle);
-  }
-  EXPECT_EQ(cycles, (std::vector<noc::Cycle>{0, 5, 10, 15, 20, 25}));
+  return stream;
 }
 
 TEST(GeneratedSources, SameSeedSameStream) {
@@ -103,46 +40,55 @@ TEST(GeneratedSources, SameSeedSameStream) {
   cfg.mesh = MeshShape::square(8);
   cfg.servers = corner_servers(cfg.mesh);
   BurstyTraceSource a(cfg, 42), b(cfg, 42), c(cfg, 43);
-  bool diverged = false;
-  for (int i = 0; i < 50; ++i) {
-    TraceRecord ra, rb, rc;
-    ASSERT_TRUE(a.next(ra));
-    ASSERT_TRUE(b.next(rb));
-    ASSERT_TRUE(c.next(rc));
-    EXPECT_EQ(ra, rb);
-    if (!(rc == ra)) diverged = true;
-  }
-  EXPECT_TRUE(diverged);  // a different seed must give a different stream
+  const auto sa = draw_stream(a, 400);
+  EXPECT_GE(sa.size(), 50U);
+  EXPECT_EQ(sa, draw_stream(b, 400));
+  EXPECT_NE(sa, draw_stream(c, 400));  // a different seed must give a different stream
 }
 
-/// 4x4 simulation harness with a workload built from explicit records.
+/// Test-local arrival process: replays a fixed script of (cycle, request)
+/// arrivals, each at its cycle.
+class ScriptedSource final : public RequestSource {
+ public:
+  using Script = std::vector<std::pair<noc::Cycle, Request>>;
+  explicit ScriptedSource(Script script) : script_(std::move(script)) {}
+
+  void draw(noc::Cycle now, std::vector<Request>& out) override {
+    for (const auto& [cycle, request] : script_) {
+      if (cycle == now) out.push_back(request);
+    }
+  }
+
+ private:
+  Script script_;
+};
+
+/// 4x4 simulation harness with a workload built from a scripted source.
 struct Harness {
   static constexpr std::int32_t kSide = 4;
   traffic::Simulation sim;
   RequestReplyWorkload* wl = nullptr;
 
-  Harness(std::vector<TraceRecord> records, const RequestReplyConfig& cfg,
+  Harness(ScriptedSource::Script script, const RequestReplyConfig& cfg,
           std::vector<NodeId> servers = {0})
       : sim(noc::MeshConfig{MeshShape::square(kSide)}) {
     auto gen = std::make_unique<RequestReplyWorkload>(
-        MeshShape::square(kSide), std::make_unique<VectorTraceSource>(std::move(records)),
+        MeshShape::square(kSide), std::make_unique<ScriptedSource>(std::move(script)),
         std::move(servers), cfg);
     wl = gen.get();
     sim.add_generator(std::move(gen));
   }
 };
 
-std::vector<TraceRecord> burst_from(NodeId client, NodeId server, int count) {
-  std::vector<TraceRecord> records;
-  for (int i = 0; i < count; ++i) records.push_back({0, client, server, TraceKind::Request, 1});
-  return records;
+ScriptedSource::Script burst_from(NodeId client, NodeId server, int count) {
+  return ScriptedSource::Script(static_cast<std::size_t>(count), {0, Request{client, server}});
 }
 
 TEST(Endpoints, OpenLoopIssuesEveryDueRecordOnTheArrivalClock) {
   RequestReplyConfig cfg;
   cfg.open_loop = true;
   Harness h(burst_from(5, 0, 10), cfg);
-  h.sim.step();  // all 10 records are due at cycle 0
+  h.sim.step();  // all 10 requests arrive at cycle 0
   EXPECT_EQ(h.wl->stats().requests_issued, 10);
   EXPECT_EQ(h.wl->stats().issue_stall_cycles, 0);
 }
@@ -166,7 +112,7 @@ TEST(Endpoints, ClosedLoopNeverExceedsTheOutstandingWindow) {
 TEST(Endpoints, ReplyIsInjectedExactlyServiceLatencyAfterDelivery) {
   RequestReplyConfig cfg;
   cfg.service_latency = 7;
-  Harness h({{0, 5, 0, TraceKind::Request, 1}}, cfg);
+  Harness h({{0, Request{5, 0}}}, cfg);
 
   noc::Cycle delivered = -1, reply_issued = -1;
   for (int i = 0; i < 200; ++i) {
