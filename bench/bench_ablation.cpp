@@ -46,9 +46,8 @@ int main() {
   {
     core::Dl2FenceConfig cfg = core::Dl2FenceConfig::paper_default(mesh);
     core::PipelineEngine engine(cfg);
-    core::LocalizerTrainConfig tc;
-    tc.epochs = preset.localizer_epochs;
-    core::train_localizer(engine.mutable_localizer(), split.train, tc);
+    core::train_localizer(engine.mutable_localizer(), split.train,
+                          {.epochs = preset.localizer_epochs, .seed = 43});
 
     TextTable t({"VCE", "Bin.Threshold", "L:Accuracy", "L:Precision", "L:Recall"});
     std::stringstream weights;
@@ -77,9 +76,8 @@ int main() {
       core::Dl2FenceConfig cfg = core::Dl2FenceConfig::paper_default(mesh);
       cfg.localizer.filters = filters;
       core::PipelineEngine engine(cfg);
-      core::LocalizerTrainConfig tc;
-      tc.epochs = preset.localizer_epochs;
-      core::train_localizer(engine.mutable_localizer(), split.train, tc);
+      core::train_localizer(engine.mutable_localizer(), split.train,
+                            {.epochs = preset.localizer_epochs, .seed = 43});
       const auto m = score_localization(engine);
       hw::AcceleratorParams acc;
       acc.weight_count = static_cast<std::int32_t>(engine.localizer().model().param_count() +
@@ -99,9 +97,8 @@ int main() {
     core::Dl2FenceConfig cfg = core::Dl2FenceConfig::paper_default(mesh);
     cfg.enable_vce = false;  // isolate the fusion contribution
     core::PipelineEngine engine(cfg);
-    core::LocalizerTrainConfig tc;
-    tc.epochs = preset.localizer_epochs;
-    core::train_localizer(engine.mutable_localizer(), split.train, tc);
+    core::train_localizer(engine.mutable_localizer(), split.train,
+                          {.epochs = preset.localizer_epochs, .seed = 43});
 
     core::PipelineSession session(engine);
     core::LocalizationScore fused, single;

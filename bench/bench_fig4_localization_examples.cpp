@@ -108,8 +108,7 @@ int main() {
   core::PipelineEngine vco_engine(vco_cfg);
   core::PipelineEngine boc_engine(core::Dl2FenceConfig::paper_default(mesh));
 
-  core::LocalizerTrainConfig loc_cfg;
-  loc_cfg.epochs = preset.localizer_epochs;
+  const nn::TrainConfig loc_cfg{.epochs = preset.localizer_epochs, .seed = 43};
   core::train_localizer(vco_engine.mutable_localizer(), train, loc_cfg);
   core::train_localizer(boc_engine.mutable_localizer(), train, loc_cfg);
 

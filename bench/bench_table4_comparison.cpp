@@ -37,12 +37,10 @@ int main() {
 
   // DL2Fence: CNN detector (VCO) + CNN segmenter (BOC) + MFF/TLM.
   core::PipelineEngine engine(core::Dl2FenceConfig::paper_default(mesh));
-  core::TrainConfig det_cfg;
-  det_cfg.epochs = preset.detector_epochs;
-  core::train_detector(engine.mutable_detector(), split.train, det_cfg);
-  core::LocalizerTrainConfig loc_cfg;
-  loc_cfg.epochs = preset.localizer_epochs;
-  core::train_localizer(engine.mutable_localizer(), split.train, loc_cfg);
+  core::train_detector(engine.mutable_detector(), split.train,
+                       {.epochs = preset.detector_epochs, .seed = 42});
+  core::train_localizer(engine.mutable_localizer(), split.train,
+                        {.epochs = preset.localizer_epochs, .seed = 43});
   const core::BenchmarkScore cnn = core::score_benchmark(engine, "STP", split.test);
 
   // Baselines on identical flattened VCO features.

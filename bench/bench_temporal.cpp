@@ -4,7 +4,7 @@
 //
 //  1. Determinism gate: train the temporal detector on one adversarial
 //     sequence dataset at 1, 2 and 4 worker threads and byte-compare the
-//     serialized weights. nn::batch_train's fixed-order sliced gradient
+//     serialized weights. nn::train's fixed-order sliced gradient
 //     reduction promises bitwise-identical weights at any thread count;
 //     the process exits 1 the moment that contract breaks.
 //
@@ -60,8 +60,7 @@ int main(int argc, char** argv) {
   det_cfg.mesh = mesh;
   det_cfg.sequence_length = seq_cfg.sequence_length;
 
-  temporal::TemporalTrainConfig train_cfg;
-  train_cfg.epochs = quick ? 10 : 30;
+  nn::TrainConfig train_cfg{.epochs = quick ? 10 : 30, .seed = 42};
 
   // Determinism gate: byte-identical weights at every thread count.
   std::string reference;

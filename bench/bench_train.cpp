@@ -7,7 +7,7 @@
 //   * reference — train_detector_reference / train_localizer_reference,
 //     the seed's per-sample mutable forward/backward trainer (what every
 //     training run cost before this backend existed);
-//   * batched x {1, 2, 4} threads — nn::batch_train through the im2col+
+//   * batched x {1, 2, 4} threads — nn::train through the im2col+
 //     GEMM infer_batch/backward_batch with sliced, fixed-order gradient
 //     reduction.
 //
@@ -101,12 +101,8 @@ int main(int argc, char** argv) {
   std::cout << " " << data.samples.size() << " windows ("
             << 4 * data.samples.size() << " localizer frames)\n";
 
-  core::TrainConfig det_cfg;
-  det_cfg.epochs = quick ? 20 : 40;
-  det_cfg.seed = 0x42;
-  core::LocalizerTrainConfig loc_cfg;
-  loc_cfg.epochs = quick ? 8 : 16;
-  loc_cfg.seed = 0x43;
+  nn::TrainConfig det_cfg{.epochs = quick ? 20 : 40, .seed = 0x42};
+  nn::TrainConfig loc_cfg{.epochs = quick ? 8 : 16, .seed = 0x43};
   const std::int32_t repeats = quick ? 3 : 5;
   const core::DetectorConfig det_arch{.mesh = mesh};
   core::LocalizerConfig loc_arch;

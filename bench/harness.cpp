@@ -57,15 +57,10 @@ GroupResult run_group(const MeshShape& mesh,
     cfg.enable_vce = enable_vce;
     core::PipelineEngine engine(cfg);
 
-    core::TrainConfig det_cfg;
-    det_cfg.epochs = preset.detector_epochs;
-    det_cfg.seed = seed + 21;
-    core::train_detector(engine.mutable_detector(), split.train, det_cfg);
-
-    core::LocalizerTrainConfig loc_cfg;
-    loc_cfg.epochs = preset.localizer_epochs;
-    loc_cfg.seed = seed + 22;
-    core::train_localizer(engine.mutable_localizer(), split.train, loc_cfg);
+    core::train_detector(engine.mutable_detector(), split.train,
+                         {.epochs = preset.detector_epochs, .seed = seed + 21});
+    core::train_localizer(engine.mutable_localizer(), split.train,
+                          {.epochs = preset.localizer_epochs, .seed = seed + 22});
 
     // Score the held-out windows through the batched engine path.
     result.scores.push_back(core::score_benchmark(engine, bench.name(), split.test));

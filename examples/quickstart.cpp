@@ -34,17 +34,15 @@ int main() {
   //    BOC — Table 3's chosen combination).
   core::PipelineEngine engine(core::Dl2FenceConfig::paper_default(mesh));
   std::cout << "Training detector (CNN classifier on VCO frames)...\n";
-  core::TrainConfig det_cfg;
-  det_cfg.epochs = 25;
-  const auto det_report = core::train_detector(engine.mutable_detector(), split.train, det_cfg);
+  const auto det_report =
+      core::train_detector(engine.mutable_detector(), split.train, {.epochs = 25, .seed = 42});
   std::cout << "  final BCE loss " << det_report.final_loss << "\n";
 
   std::cout << "Training localizer (CNN segmentation on BOC frames)...\n";
-  core::LocalizerTrainConfig loc_cfg;
-  loc_cfg.epochs = 25;
-  const auto loc_report = core::train_localizer(engine.mutable_localizer(), split.train, loc_cfg);
+  const auto loc_report =
+      core::train_localizer(engine.mutable_localizer(), split.train, {.epochs = 25, .seed = 43});
   std::cout << "  final loss " << loc_report.final_loss << ", train dice "
-            << loc_report.final_dice << "\n";
+            << loc_report.final_metric << "\n";
 
   // 3. Score on held-out windows — batched through the shared engine.
   const auto score = core::score_benchmark(engine, "Uniform Random", split.test);

@@ -8,7 +8,13 @@
 //   (3) MFF + VCE + TLM -> victims and attackers;
 //   (4) repeat until no abnormal frames appear.
 //
+// The weight files live in a fresh private directory under the system's
+// temporary directory, removed before exit, so concurrent runs never
+// share them.
+//
 // Build & run:  cmake --build build && ./build/examples/train_and_deploy
+#include <cstdlib>
+#include <filesystem>
 #include <iostream>
 #include <memory>
 
@@ -18,10 +24,12 @@
 
 using namespace dl2f;
 
-int main() {
+namespace {
+
+int train_and_deploy(const std::filesystem::path& weights_dir) {
   const MeshShape mesh = MeshShape::square(8);
-  const std::string det_path = "/tmp/dl2fence_detector.bin";
-  const std::string loc_path = "/tmp/dl2fence_localizer.bin";
+  const std::string det_path = (weights_dir / "detector.bin").string();
+  const std::string loc_path = (weights_dir / "localizer.bin").string();
 
   // --- Offline phase: train and persist --------------------------------
   {
@@ -33,23 +41,20 @@ int main() {
         cfg, {monitor::Benchmark{traffic::SyntheticPattern::UniformRandom}});
 
     core::PipelineEngine trainer(core::Dl2FenceConfig::paper_default(mesh));
-    core::TrainConfig det_cfg;
-    det_cfg.epochs = 60;
     std::cout << "[offline] training detector ("
               << trainer.detector().model().param_count() << " weights)...\n";
-    core::train_detector(trainer.mutable_detector(), data, det_cfg);
-    core::LocalizerTrainConfig loc_cfg;
-    loc_cfg.epochs = 30;
+    core::train_detector(trainer.mutable_detector(), data, {.epochs = 60, .seed = 42});
     std::cout << "[offline] training localizer ("
               << trainer.localizer().model().param_count() << " weights)...\n";
-    core::train_localizer(trainer.mutable_localizer(), data, loc_cfg);
+    core::train_localizer(trainer.mutable_localizer(), data, {.epochs = 30, .seed = 43});
 
     if (!trainer.detector().model().save_file(det_path) ||
         !trainer.localizer().model().save_file(loc_path)) {
       std::cerr << "failed to persist model weights\n";
       return 1;
     }
-    std::cout << "[offline] weights saved to " << det_path << " and " << loc_path << "\n\n";
+    std::cout << "[offline] weights saved to detector.bin and localizer.bin in a temporary "
+                 "directory\n\n";
   }
 
   // --- Online phase: reload into an immutable engine and monitor --------
@@ -112,4 +117,17 @@ int main() {
     std::cout << '\n';
   }
   return 0;
+}
+
+}  // namespace
+
+int main() {
+  std::string weights_dir = (std::filesystem::temp_directory_path() / "dl2fence_XXXXXX").string();
+  if (mkdtemp(weights_dir.data()) == nullptr) {
+    std::cerr << "cannot create a temporary weights directory\n";
+    return 1;
+  }
+  const int rc = train_and_deploy(weights_dir);
+  std::filesystem::remove_all(weights_dir);
+  return rc;
 }

@@ -23,15 +23,6 @@ float Frame::mean() const {
   return data_.empty() ? 0.0F : sum() / static_cast<float>(data_.size());
 }
 
-Frame Frame::normalized() const {
-  Frame out = *this;
-  const float m = max_value();
-  if (m > 0.0F) {
-    for (float& v : out.data_) v /= m;
-  }
-  return out;
-}
-
 Frame Frame::binarized(float threshold) const {
   Frame out = *this;
   for (float& v : out.data_) v = v > threshold ? 1.0F : 0.0F;

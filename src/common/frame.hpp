@@ -1,9 +1,11 @@
 // Feature frames: the 2-D matrices DL2Fence treats as images.
 //
 // A Frame is a dense row-major float matrix. Directional VCO/BOC feature
-// frames are R x (R-1); Multi-Frame Fusion operates on 16x16 zero-padded
-// frames. Frame supports the exact operations Algorithm 1 needs:
-// normalization, binarization, zero padding and element-wise accumulation.
+// frames are R x (R-1); Multi-Frame Fusion accumulates node-space R x R
+// frames. Frame supports the operations Algorithm 1 needs on them:
+// binarization and element-wise accumulation. The BOC normalization
+// before segmentation happens as the CNNs stage their inputs
+// (DoSDetector/DoSLocalizer::preprocess_into).
 #pragma once
 
 #include <cassert>
@@ -42,11 +44,6 @@ class Frame {
   [[nodiscard]] float min_value() const;
   [[nodiscard]] float sum() const;
   [[nodiscard]] float mean() const;
-
-  /// Scale all entries so the maximum becomes 1 (no-op on an all-zero
-  /// frame). This is the normalization the paper applies to integer BOC
-  /// frames before segmentation.
-  [[nodiscard]] Frame normalized() const;
 
   /// Entries > threshold become 1, the rest 0 (Algorithm 1 line 2).
   [[nodiscard]] Frame binarized(float threshold = 0.5F) const;

@@ -8,24 +8,21 @@
 //   -> Flatten -> Dense(1) -> Sigmoid           -> P(DoS)
 //
 // For R = 16 this reproduces the paper's printed shapes: conv output
-// 14 x 13 x 8 and pooled output 7 x 6 x 8 ("(R-9) x (R-10) x 8").
+// 14 x 13 x 8 and pooled output 7 x 6 x 8 ("(R-9) x (R-10) x 8"). The
+// kernel, filter count and pool are constants of the architecture, not
+// configuration: only the mesh, input feature and threshold vary.
 #pragma once
 
 #include "core/feature.hpp"
 #include "monitor/dataset.hpp"
-#include "nn/layers.hpp"
-#include "nn/loss.hpp"
 #include "nn/model.hpp"
-#include "nn/optimizer.hpp"
+#include "nn/train.hpp"
 
 namespace dl2f::core {
 
 struct DetectorConfig {
   MeshShape mesh = MeshShape::square(16);
   Feature feature = Feature::Vco;
-  std::int32_t kernel = 3;
-  std::int32_t filters = 8;
-  std::int32_t pool = 2;
   float threshold = 0.5F;  ///< sigmoid output above this flags DoS
 };
 
@@ -35,15 +32,15 @@ class DoSDetector {
 
   [[nodiscard]] const DetectorConfig& config() const noexcept { return cfg_; }
 
-  /// Stack the configured feature's four directional frames as channels;
+  /// Stack the configured feature's four directional frames as the
+  /// channels of slot `slot` of a staged input batch (allocation-free);
   /// BOC inputs are normalized by the global max across all four frames so
   /// inter-direction contrast survives.
-  [[nodiscard]] nn::Tensor3 preprocess(const monitor::FrameSample& sample) const;
-
-  /// Allocation-free preprocess of one window into slot `slot` of a
-  /// staged input batch. Identical values to preprocess().
   void preprocess_into(const monitor::FrameSample& sample, nn::Tensor4& batch,
                        std::int32_t slot) const;
+
+  /// preprocess_into for one window, as a tensor (reference path, tests).
+  [[nodiscard]] nn::Tensor3 preprocess(const monitor::FrameSample& sample) const;
 
   /// CNN input shape: kNumMeshDirections channels of R x (R-1) frames.
   [[nodiscard]] nn::Tensor3 input_shape() const {
@@ -64,33 +61,15 @@ class DoSDetector {
   nn::Sequential model_;
 };
 
-struct TrainConfig {
-  std::int32_t epochs = 30;
-  std::int32_t batch_size = 8;
-  float learning_rate = 1e-3F;
-  std::uint64_t seed = 42;
-  /// Data-parallel training workers (nn::batch_train). Trained weights are
-  /// byte-identical for a given seed at ANY thread count — the gradient
-  /// reduction runs over fixed-size slices in fixed order.
-  std::int32_t threads = 1;
-};
+/// Train with BCE on the attack label through nn::train (Adam at learning
+/// rate 1e-3, minibatches of nn::kBatchSize): weights are byte-identical
+/// for a given cfg.seed at any cfg.threads.
+nn::TrainReport train_detector(DoSDetector& detector, const monitor::Dataset& data,
+                               const nn::TrainConfig& cfg);
 
-struct TrainReport {
-  float final_loss = 0.0F;
-  std::int32_t epochs_run = 0;
-};
-
-/// Mini-batch Adam training with BCE loss on the attack label, on the
-/// batched GEMM path (nn::batch_train): minibatches packed into Tensor4,
-/// per-layer infer_batch/backward_batch, deterministic sliced gradient
-/// reduction across cfg.threads workers.
-TrainReport train_detector(DoSDetector& detector, const monitor::Dataset& data,
-                           const TrainConfig& cfg);
-
-/// The pre-batching per-sample trainer (mutable forward/backward, one
-/// sample at a time), retained as the golden reference the batched path
-/// is benchmarked against (bench_train) — cfg.threads is ignored.
-TrainReport train_detector_reference(DoSDetector& detector, const monitor::Dataset& data,
-                                     const TrainConfig& cfg);
+/// The same staging and loss through nn::train_reference, the per-sample
+/// baseline bench_train measures against; cfg.threads is ignored.
+nn::TrainReport train_detector_reference(DoSDetector& detector, const monitor::Dataset& data,
+                                         const nn::TrainConfig& cfg);
 
 }  // namespace dl2f::core

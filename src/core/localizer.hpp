@@ -7,26 +7,25 @@
 //   -> Conv2D(3x3, 8, same) + ReLU   ("Conv2d-11", 2nd convolutional frames)
 //   -> Conv2D(3x3, 1, same) + Sigmoid ("Conv2d-12", segmentation results)
 //
-// Trained with Dice feedback (plus pixel BCE for gradient signal on the
-// heavily benign-skewed masks).
+// The three 3x3 layers are constants of the architecture; only the hidden
+// layers' filter count (8 in the paper; bench_ablation sweeps it) is
+// configuration. Trained with Dice feedback plus pixel BCE that weighs
+// route pixels 8x, for gradient signal on the heavily benign-skewed masks
+// (a flooding route covers <10% of a frame).
 #pragma once
 
 #include "core/feature.hpp"
 #include "monitor/dataset.hpp"
-#include "nn/layers.hpp"
-#include "nn/loss.hpp"
 #include "nn/model.hpp"
-#include "nn/optimizer.hpp"
+#include "nn/train.hpp"
 
 namespace dl2f::core {
 
 struct LocalizerConfig {
   MeshShape mesh = MeshShape::square(16);
   Feature feature = Feature::Boc;
-  std::int32_t kernel = 3;
-  std::int32_t filters = 8;
-  std::int32_t conv_layers = 3;  ///< >= 2; last layer always maps to 1 channel
-  float threshold = 0.5F;        ///< binarization threshold on sigmoid output
+  std::int32_t filters = 8;  ///< filters of the two hidden conv layers
+  float threshold = 0.5F;    ///< binarization threshold on sigmoid output
 };
 
 class DoSLocalizer {
@@ -35,12 +34,9 @@ class DoSLocalizer {
 
   [[nodiscard]] const LocalizerConfig& config() const noexcept { return cfg_; }
 
-  /// Single-channel tensor of one directional frame; BOC is normalized to
-  /// [0,1] per frame, VCO passes through raw (§4).
-  [[nodiscard]] nn::Tensor3 preprocess(const Frame& frame) const;
-
-  /// Allocation-free preprocess of one directional frame into slot `slot`
-  /// of a staged input batch. Identical values to preprocess().
+  /// Stage one directional frame as slot `slot` of a staged input batch
+  /// (allocation-free); BOC is normalized to [0,1] per frame, VCO passes
+  /// through raw (§4).
   void preprocess_into(const Frame& frame, nn::Tensor4& batch, std::int32_t slot) const;
 
   /// CNN input shape: one channel of R x (R-1).
@@ -56,36 +52,19 @@ class DoSLocalizer {
   nn::Sequential model_;
 };
 
-struct LocalizerTrainConfig {
-  std::int32_t epochs = 40;
-  std::int32_t batch_size = 8;
-  float learning_rate = 3e-3F;
-  float dice_weight = 1.0F;     ///< loss = weighted BCE + dice_weight * Dice
-  float positive_weight = 8.0F; ///< BCE class weight for route pixels (<10% of a frame)
-  std::uint64_t seed = 43;
-  /// Data-parallel training workers (nn::batch_train). Trained weights are
-  /// byte-identical for a given seed at ANY thread count.
-  std::int32_t threads = 1;
-};
-
-struct LocalizerTrainReport {
-  float final_loss = 0.0F;
-  double final_dice = 0.0;  ///< mean dice score over the training frames
-  std::int32_t epochs_run = 0;
-};
-
 /// Train on every directional frame of every sample (attack directions
 /// against their port-truth masks; benign/uninvolved directions against
-/// all-zero masks, which teaches suppression), on the batched GEMM path
-/// (nn::batch_train) with deterministic sliced gradient reduction across
-/// cfg.threads workers.
-LocalizerTrainReport train_localizer(DoSLocalizer& localizer, const monitor::Dataset& data,
-                                     const LocalizerTrainConfig& cfg);
+/// all-zero masks, which teaches suppression) through nn::train: Adam at
+/// learning rate 3e-3, minibatches of nn::kBatchSize, loss = route-weighted
+/// BCE + Dice. The report's final_metric is the mean dice score over the
+/// training frames. Weights are byte-identical for a given cfg.seed at
+/// any cfg.threads.
+nn::TrainReport train_localizer(DoSLocalizer& localizer, const monitor::Dataset& data,
+                                const nn::TrainConfig& cfg);
 
-/// The pre-batching per-sample trainer, retained as the golden reference
-/// for bench_train — cfg.threads is ignored.
-LocalizerTrainReport train_localizer_reference(DoSLocalizer& localizer,
-                                               const monitor::Dataset& data,
-                                               const LocalizerTrainConfig& cfg);
+/// The same staging and loss through nn::train_reference, the per-sample
+/// baseline bench_train measures against; cfg.threads is ignored.
+nn::TrainReport train_localizer_reference(DoSLocalizer& localizer, const monitor::Dataset& data,
+                                          const nn::TrainConfig& cfg);
 
 }  // namespace dl2f::core

@@ -1,7 +1,6 @@
 #include "core/pipeline.hpp"
 
 #include <algorithm>
-#include <istream>
 #include <iterator>
 #include <stdexcept>
 
@@ -21,28 +20,6 @@ PipelineEngine::PipelineEngine(const Dl2FenceConfig& cfg)
       throw std::invalid_argument("PipelineEngine: temporal mesh differs from detector mesh");
     }
     temporal_.emplace(cfg.temporal);
-  }
-}
-
-PipelineEngine::PipelineEngine(const Dl2FenceConfig& cfg, std::istream& detector_weights,
-                               std::istream& localizer_weights)
-    : PipelineEngine(cfg) {
-  if (!detector_.model().load(detector_weights) || !localizer_.model().load(localizer_weights)) {
-    // A silently garbage-weighted engine would score whole campaigns and
-    // emit meaningless metrics; fail loudly instead.
-    throw std::runtime_error("PipelineEngine: weight blob does not match the architecture");
-  }
-}
-
-PipelineEngine::PipelineEngine(const Dl2FenceConfig& cfg, std::istream& detector_weights,
-                               std::istream& localizer_weights, std::istream& temporal_weights)
-    : PipelineEngine(cfg, detector_weights, localizer_weights) {
-  if (!temporal_.has_value()) {
-    throw std::runtime_error(
-        "PipelineEngine: temporal weights supplied but cfg.enable_temporal is false");
-  }
-  if (!temporal_->model().load(temporal_weights)) {
-    throw std::runtime_error("PipelineEngine: temporal weight blob does not match the architecture");
   }
 }
 

@@ -11,8 +11,8 @@
 //   * PipelineEngine: the immutable half. Owns the trained detector and
 //     localizer weights plus the frame geometry; const after construction
 //     and safely shareable by const& across any number of threads. Built
-//     either from a config (untrained, weights initialized by a training
-//     flow) or from config + serialized weight blobs (deployment).
+//     from a config with untrained weights, which a training flow or
+//     runtime::ModelSnapshot::make_engine (deployment) then fills.
 //
 //   * PipelineSession: the mutable half. One per thread; owns the
 //     preallocated nn::InferenceContext arenas (layer activations, layer
@@ -31,20 +31,20 @@
 // session's scratch on disjoint pages, so concurrent sessions never share
 // a cache line (see nn/inference.hpp).
 //
-// Training mirrors the same split since the GEMM backend landed:
-// train_detector/train_localizer run batched (minibatches packed into
-// nn::Tensor4, per-worker nn::InferenceContext arenas, fixed-order sliced
-// gradient reduction) and produce byte-identical weights for a given seed
-// at any TrainConfig::threads value. A training flow builds an untrained
-// PipelineEngine(cfg) and trains its models in place through the
-// engine's mutable_detector()/mutable_localizer()/mutable_temporal()
+// Training mirrors the same split: train_detector, train_localizer and
+// temporal::train_temporal_detector all run nn::train (minibatches packed
+// into nn::Tensor4, per-worker nn::InferenceContext arenas, fixed-order
+// sliced gradient reduction) and produce byte-identical weights for a
+// given seed at any nn::TrainConfig::threads value. A training flow builds
+// an untrained PipelineEngine(cfg) and trains its models in place through
+// the engine's mutable_detector()/mutable_localizer()/mutable_temporal()
 // accessors before any session is opened (runtime::train_model_snapshot
-// does exactly this). The per-sample reference trainers
-// (train_*_reference) are retained as the golden baseline bench_train
-// measures against.
+// does exactly this). train_detector_reference and
+// train_localizer_reference run the same staging and losses through the
+// per-sample nn::train_reference, the baseline bench_train measures
+// against.
 #pragma once
 
-#include <iosfwd>
 #include <optional>
 
 #include "core/detector.hpp"
@@ -108,21 +108,10 @@ struct RoundResult {
 class PipelineEngine {
  public:
   /// Architecture only — weights are uninitialized until a training flow
-  /// (or load) fills them through the mutable accessors. Throws
-  /// std::invalid_argument when the detector, localizer and (if enabled)
-  /// temporal meshes disagree.
+  /// (or ModelSnapshot::make_engine) fills them through the mutable
+  /// accessors. Throws std::invalid_argument when the detector, localizer
+  /// and (if enabled) temporal meshes disagree.
   explicit PipelineEngine(const Dl2FenceConfig& cfg);
-
-  /// Trained engine: architecture from `cfg`, weights from the serialized
-  /// blobs (nn::Sequential::save format). Throws std::runtime_error when
-  /// a blob does not match the architecture.
-  PipelineEngine(const Dl2FenceConfig& cfg, std::istream& detector_weights,
-                 std::istream& localizer_weights);
-
-  /// Trained engine including the temporal head (cfg.enable_temporal must
-  /// be set). Throws std::runtime_error when a blob does not match.
-  PipelineEngine(const Dl2FenceConfig& cfg, std::istream& detector_weights,
-                 std::istream& localizer_weights, std::istream& temporal_weights);
 
   [[nodiscard]] const Dl2FenceConfig& config() const noexcept { return cfg_; }
   [[nodiscard]] const monitor::FrameGeometry& geometry() const noexcept { return geom_; }

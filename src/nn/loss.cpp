@@ -6,12 +6,12 @@
 
 namespace dl2f::nn {
 
-LossResult bce_loss(const Tensor3& prediction, const Tensor3& target, float positive_weight) {
+LossResult bce_loss(const Tensor3& prediction, const Tensor3& target, float weight) {
   assert(prediction.same_shape(target));
   LossResult r;
   r.grad = Tensor3(prediction.channels(), prediction.height(), prediction.width());
   r.loss = bce_loss_into(prediction.data().data(), target.data().data(), prediction.size(),
-                         positive_weight, r.grad.data().data());
+                         weight, r.grad.data().data());
   return r;
 }
 
@@ -19,7 +19,7 @@ LossResult dice_loss(const Tensor3& prediction, const Tensor3& target) {
   assert(prediction.same_shape(target));
   LossResult r;
   r.grad = Tensor3(prediction.channels(), prediction.height(), prediction.width());
-  r.loss = dice_loss_add(prediction.data().data(), target.data().data(), prediction.size(), 1.0F,
+  r.loss = dice_loss_add(prediction.data().data(), target.data().data(), prediction.size(),
                          r.grad.data().data());
   return r;
 }
@@ -31,22 +31,21 @@ double dice_score(const Tensor3& prediction, const Tensor3& target, float thresh
 }
 
 float bce_loss_into(const float* prediction, const float* target, std::size_t n,
-                    float positive_weight, float* grad) {
+                    float weight, float* grad) {
   constexpr float kEps = 1e-7F;
   float loss = 0.0F;
   const auto fn = static_cast<float>(n);
   for (std::size_t i = 0; i < n; ++i) {
     const float p = std::clamp(prediction[i], kEps, 1.0F - kEps);
     const float t = target[i];
-    const float w = t > 0.5F ? positive_weight : 1.0F;
+    const float w = t > 0.5F ? weight : 1.0F;
     loss += -w * (t * std::log(p) + (1.0F - t) * std::log(1.0F - p));
     grad[i] = w * (p - t) / (p * (1.0F - p)) / fn;
   }
   return loss / fn;
 }
 
-float dice_loss_add(const float* prediction, const float* target, std::size_t n, float weight,
-                    float* grad) {
+float dice_loss_add(const float* prediction, const float* target, std::size_t n, float* grad) {
   constexpr float kEps = 1.0F;  // Laplace smoothing keeps empty masks stable
   float inter = 0.0F, psum = 0.0F, tsum = 0.0F;
   for (std::size_t i = 0; i < n; ++i) {
@@ -57,7 +56,7 @@ float dice_loss_add(const float* prediction, const float* target, std::size_t n,
   const float num = 2.0F * inter + kEps;
   const float den = psum + tsum + kEps;
   for (std::size_t i = 0; i < n; ++i) {
-    grad[i] += weight * ((num - 2.0F * target[i] * den) / (den * den));
+    grad[i] += (num - 2.0F * target[i] * den) / (den * den);
   }
   return 1.0F - num / den;
 }

@@ -15,12 +15,10 @@ struct LossResult {
 
 /// Mean binary cross-entropy over all elements. Predictions are sigmoid
 /// outputs in (0,1); values are clamped away from {0,1} for stability.
-/// `positive_weight` scales the loss of target-1 elements — segmentation
-/// masks are heavily class-imbalanced (a flooding route covers <10% of a
-/// 16x15 frame) and an unweighted loss leaves the model in the all-zero
-/// basin for dozens of epochs.
+/// `weight` scales the loss of target-1 elements, the class weight of
+/// imbalanced segmentation masks.
 [[nodiscard]] LossResult bce_loss(const Tensor3& prediction, const Tensor3& target,
-                                  float positive_weight = 1.0F);
+                                  float weight = 1.0F);
 
 /// Soft Dice loss: 1 - (2*sum(p*t) + eps) / (sum(p) + sum(t) + eps).
 [[nodiscard]] LossResult dice_loss(const Tensor3& prediction, const Tensor3& target);
@@ -35,14 +33,15 @@ struct LossResult {
 // the gradient written into a caller-owned slot (a nn::Tensor4 loss-grad
 // sample) — no allocation on the training hot path.
 
-/// Mean weighted BCE over n elements; writes dLoss/dPred into grad.
+/// Mean BCE over n elements, target-1 elements weighted by `weight`;
+/// writes dLoss/dPred into grad.
 [[nodiscard]] float bce_loss_into(const float* prediction, const float* target, std::size_t n,
-                                  float positive_weight, float* grad);
-
-/// Soft Dice loss over n elements; ADDS weight * dLoss/dPred into grad
-/// (the localizer combines it with a BCE gradient already staged there).
-[[nodiscard]] float dice_loss_add(const float* prediction, const float* target, std::size_t n,
                                   float weight, float* grad);
+
+/// Soft Dice loss over n elements; ADDS dLoss/dPred into grad (the
+/// localizer combines it with a BCE gradient already staged there).
+[[nodiscard]] float dice_loss_add(const float* prediction, const float* target, std::size_t n,
+                                  float* grad);
 
 /// Dice coefficient of binarized prediction vs binary target.
 [[nodiscard]] double dice_score_raw(const float* prediction, const float* target, std::size_t n,

@@ -13,12 +13,12 @@
 // infer_batch/backward_batch through the GEMM backend (nn/gemm.hpp).
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <cstdint>
 #include <vector>
 
 #include "common/aligned.hpp"
-#include "common/frame.hpp"
 
 namespace dl2f::nn {
 
@@ -54,42 +54,6 @@ class Tensor3 {
   [[nodiscard]] const std::vector<float>& data() const noexcept { return data_; }
 
   void fill(float v) { std::fill(data_.begin(), data_.end(), v); }
-
-  /// Single-channel tensor view of a feature Frame.
-  [[nodiscard]] static Tensor3 from_frame(const Frame& f) {
-    Tensor3 t(1, f.rows(), f.cols());
-    t.data_ = f.data();
-    return t;
-  }
-
-  /// Stack frames as channels (all frames must share one shape). The
-  /// detector feeds the 4 directional VCO frames this way.
-  [[nodiscard]] static Tensor3 from_frames(const std::vector<const Frame*>& frames) {
-    assert(!frames.empty());
-    const auto rows = frames.front()->rows();
-    const auto cols = frames.front()->cols();
-    Tensor3 t(static_cast<std::int32_t>(frames.size()), rows, cols);
-    for (std::size_t ch = 0; ch < frames.size(); ++ch) {
-      assert(frames[ch]->rows() == rows && frames[ch]->cols() == cols);
-      std::copy(frames[ch]->data().begin(), frames[ch]->data().end(),
-                t.data_.begin() + static_cast<std::ptrdiff_t>(ch * t.plane_size()));
-    }
-    return t;
-  }
-
-  /// Channel 0 as a Frame (segmentation output -> fusion input).
-  [[nodiscard]] Frame to_frame(std::int32_t channel = 0) const {
-    assert(channel >= 0 && channel < c_);
-    Frame f(h_, w_);
-    const auto off = static_cast<std::ptrdiff_t>(channel * plane_size());
-    std::copy(data_.begin() + off, data_.begin() + off + static_cast<std::ptrdiff_t>(plane_size()),
-              f.data().begin());
-    return f;
-  }
-
-  [[nodiscard]] std::size_t plane_size() const noexcept {
-    return static_cast<std::size_t>(h_ * w_);
-  }
 
  private:
   std::int32_t c_ = 0, h_ = 0, w_ = 0;

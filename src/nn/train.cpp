@@ -6,17 +6,23 @@
 #include <vector>
 
 #include "common/debug_hooks.hpp"
+#include "common/rng.hpp"
 #include "common/worker_pool.hpp"
+#include "nn/inference.hpp"
+#include "nn/optimizer.hpp"
 
 namespace dl2f::nn {
 
-void batch_train(Sequential& model, Adam& optimizer, const Tensor3& input_shape,
-                 std::size_t item_count, const StageFn& stage, const LossFn& loss,
-                 const BatchTrainConfig& cfg, Rng& rng, const EpochFn& on_epoch) {
-  if (item_count == 0 || cfg.epochs <= 0) return;
+TrainReport train(Sequential& model, const Tensor3& input_shape, float learning_rate,
+                  std::size_t item_count, const StageFn& stage, const LossFn& loss,
+                  const TrainConfig& cfg) {
+  Rng rng(cfg.seed);
+  model.init_weights(rng);
+  Adam optimizer(model.params(), learning_rate);
+  TrainReport report;
+  if (item_count == 0 || cfg.epochs <= 0) return report;
   const std::int32_t threads = std::clamp(cfg.threads, 1, 16);
-  const std::int32_t bs = std::max(cfg.batch_size, 1);
-  const std::int32_t max_slices = (bs + kGradSliceSamples - 1) / kGradSliceSamples;
+  constexpr std::int32_t max_slices = (kBatchSize + kGradSliceSamples - 1) / kGradSliceSamples;
 
   // Per-worker arenas (bound lazily ON the worker thread so each worker's
   // buffers come from its own malloc arena) and per-slice gradient
@@ -39,10 +45,9 @@ void batch_train(Sequential& model, Adam& optimizer, const Tensor3& input_shape,
     float epoch_loss = 0.0F;
     double epoch_metric = 0.0;
 
-    for (std::size_t base = 0; base < order.size(); base += static_cast<std::size_t>(bs)) {
-      const auto mini =
-          static_cast<std::int32_t>(std::min<std::size_t>(static_cast<std::size_t>(bs),
-                                                          order.size() - base));
+    for (std::size_t base = 0; base < order.size(); base += static_cast<std::size_t>(kBatchSize)) {
+      const auto mini = static_cast<std::int32_t>(
+          std::min<std::size_t>(static_cast<std::size_t>(kBatchSize), order.size() - base));
       const std::int32_t slices = (mini + kGradSliceSamples - 1) / kGradSliceSamples;
 
       // Slices go out through a per-minibatch cursor; a slice writes only
@@ -58,7 +63,7 @@ void batch_train(Sequential& model, Adam& optimizer, const Tensor3& input_shape,
           // batched forward, loss kernels, batched backward — runs in
           // this worker's arena and the preallocated slice gradient
           // buffers: zero allocations, checked in Debug builds.
-          const dbg::NoAllocScope no_alloc("batch_train slice compute");
+          const dbg::NoAllocScope no_alloc("nn::train slice compute");
           const std::int32_t lo = t * kGradSliceSamples;
           const std::int32_t n = std::min(kGradSliceSamples, mini - lo);
           Tensor4& in = ctx.input(n);
@@ -95,11 +100,49 @@ void batch_train(Sequential& model, Adam& optimizer, const Tensor3& input_shape,
       optimizer.step();
     }
 
-    if (on_epoch) {
-      const auto n = static_cast<float>(std::max<std::size_t>(order.size(), 1));
-      on_epoch(epoch, epoch_loss / n, epoch_metric / static_cast<double>(order.size()));
-    }
+    report.final_loss = epoch_loss / static_cast<float>(order.size());
+    report.final_metric = epoch_metric / static_cast<double>(order.size());
+    ++report.epochs_run;
   }
+  return report;
+}
+
+TrainReport train_reference(Sequential& model, const Tensor3& input_shape, float learning_rate,
+                            std::size_t item_count, const StageFn& stage, const LossFn& loss,
+                            const TrainConfig& cfg) {
+  Rng rng(cfg.seed);
+  model.init_weights(rng);
+  Adam optimizer(model.params(), learning_rate);
+
+  std::vector<std::size_t> order(item_count);
+  std::iota(order.begin(), order.end(), 0);
+  Tensor4 staged(1, input_shape.channels(), input_shape.height(), input_shape.width());
+  Tensor3 input = input_shape;
+
+  TrainReport report;
+  for (std::int32_t epoch = 0; epoch < cfg.epochs; ++epoch) {
+    std::shuffle(order.begin(), order.end(), rng.engine());
+    float epoch_loss = 0.0F;
+    double epoch_metric = 0.0;
+    for (std::size_t i = 0; i < order.size(); ++i) {
+      stage(order[i], staged, 0);
+      std::copy(staged.data().begin(), staged.data().end(), input.data().begin());
+      const Tensor3 out = model.forward(input);
+      Tensor3 grad(out.channels(), out.height(), out.width());
+      const ItemLoss r = loss(order[i], out.data().data(), out.size(), grad.data().data());
+      epoch_loss += r.loss;
+      epoch_metric += r.metric;
+      model.backward(grad);
+      if ((i + 1) % static_cast<std::size_t>(kBatchSize) == 0 || i + 1 == order.size()) {
+        optimizer.step();
+      }
+    }
+    const auto n = std::max<std::size_t>(order.size(), 1);
+    report.final_loss = epoch_loss / static_cast<float>(n);
+    report.final_metric = epoch_metric / static_cast<double>(n);
+    ++report.epochs_run;
+  }
+  return report;
 }
 
 }  // namespace dl2f::nn

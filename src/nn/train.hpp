@@ -1,13 +1,16 @@
-// Batched, deterministic minibatch SGD: the shared training engine behind
-// core::train_detector and core::train_localizer.
+// The one trainer of every CNN here: nn::train seeds an Rng from the
+// config, initializes the model's weights, builds the Adam step and runs
+// batched, deterministic minibatch SGD. core::train_detector,
+// core::train_localizer and temporal::train_temporal_detector supply only
+// how an item is staged and what its loss is.
 //
-// Each epoch shuffles the item order (same RNG consumption as the legacy
-// per-sample trainer), packs every minibatch into nn::Tensor4 batches,
-// runs the GEMM-lowered infer_batch/backward_batch through per-worker
-// InferenceContext arenas, and steps the optimizer once per minibatch.
-// The workers are the participants of one common::WorkerPool (the caller
-// plus threads - 1 pool threads); they take a minibatch's slices from an
-// atomic cursor, one pool run per minibatch.
+// Each epoch shuffles the item order (same RNG consumption as the
+// per-sample reference trainer), packs every minibatch into nn::Tensor4
+// batches, runs the GEMM-lowered infer_batch/backward_batch through
+// per-worker InferenceContext arenas, and steps the optimizer once per
+// minibatch. The workers are the participants of one common::WorkerPool
+// (the caller plus threads - 1 pool threads); they take a minibatch's
+// slices from an atomic cursor, one pool run per minibatch.
 //
 // Determinism contract (the same guarantee runtime::run_campaign makes):
 // trained weights are BYTE-IDENTICAL for a given seed at any thread
@@ -24,24 +27,32 @@
 #include <cstdint>
 #include <functional>
 
-#include "common/rng.hpp"
-#include "nn/inference.hpp"
 #include "nn/model.hpp"
-#include "nn/optimizer.hpp"
+#include "nn/tensor.hpp"
 
 namespace dl2f::nn {
 
+/// Minibatch size of every trainer: one Adam step per kBatchSize items.
+inline constexpr std::int32_t kBatchSize = 8;
+
 /// Fixed gradient-slice width in samples — the determinism unit of the
-/// data-parallel reduction (see the header comment). With the default
-/// minibatch of 8 this yields 4 slices, so up to 4 workers see work.
+/// data-parallel reduction (see the header comment). A minibatch of
+/// kBatchSize yields 4 slices, so up to 4 workers see work.
 inline constexpr std::int32_t kGradSliceSamples = 2;
 
-struct BatchTrainConfig {
+struct TrainConfig {
   std::int32_t epochs = 1;
-  std::int32_t batch_size = 8;
+  /// Seeds the weight initialization and the per-epoch shuffle.
+  std::uint64_t seed = 0;
   /// Worker count, the caller included; clamped to [1, 16] (1 = fully
-  /// inline). Results never depend on it.
+  /// inline). Trained weights never depend on it.
   std::int32_t threads = 1;
+};
+
+struct TrainReport {
+  float final_loss = 0.0F;     ///< mean loss over the last epoch's items
+  double final_metric = 0.0;   ///< mean ItemLoss::metric over the last epoch
+  std::int32_t epochs_run = 0;
 };
 
 /// Per-item loss-stage result: the scalar loss and an optional secondary
@@ -60,14 +71,19 @@ using StageFn = std::function<void(std::size_t item, Tensor4& input, std::int32_
 using LossFn =
     std::function<ItemLoss(std::size_t item, const float* pred, std::size_t n, float* grad)>;
 
-/// End-of-epoch hook (main thread): epoch index, mean loss, mean metric.
-using EpochFn = std::function<void(std::int32_t epoch, float mean_loss, double mean_metric)>;
+/// Initialize `model` from cfg.seed and train it with Adam at
+/// `learning_rate` for cfg.epochs of sliced minibatch SGD over items
+/// [0, item_count), each staged by `stage` into an `input_shape` sample.
+TrainReport train(Sequential& model, const Tensor3& input_shape, float learning_rate,
+                  std::size_t item_count, const StageFn& stage, const LossFn& loss,
+                  const TrainConfig& cfg);
 
-/// Run cfg.epochs of sliced minibatch SGD over items [0, item_count).
-/// `rng` drives the per-epoch shuffle only (weight init is the caller's).
-/// `optimizer` must be bound to `model`'s params.
-void batch_train(Sequential& model, Adam& optimizer, const Tensor3& input_shape,
-                 std::size_t item_count, const StageFn& stage, const LossFn& loss,
-                 const BatchTrainConfig& cfg, Rng& rng, const EpochFn& on_epoch = {});
+/// The per-sample trainer nn::train replaced (mutable forward/backward, an
+/// Adam step every kBatchSize items), kept as bench_train's baseline; same
+/// arguments, cfg.threads ignored. Its weights differ from nn::train's:
+/// the sliced reduction associates gradient sums differently.
+TrainReport train_reference(Sequential& model, const Tensor3& input_shape, float learning_rate,
+                            std::size_t item_count, const StageFn& stage, const LossFn& loss,
+                            const TrainConfig& cfg);
 
 }  // namespace dl2f::nn

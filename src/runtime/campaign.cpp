@@ -68,18 +68,25 @@ ModelSnapshot ModelSnapshot::capture(const core::PipelineEngine& engine) {
 }
 
 core::PipelineEngine ModelSnapshot::make_engine() const {
-  std::istringstream det(detector_weights), loc(localizer_weights);
-  if (!temporal_weights.empty()) {
-    std::istringstream tmp(temporal_weights);
-    return core::PipelineEngine(config, det, loc, tmp);
+  // Fail loudly rather than return an engine that would score whole
+  // campaigns with garbage weights, with an untrained temporal head (no
+  // blob for it) or without the temporal head its blob was trained for.
+  if (temporal_weights.empty() == config.enable_temporal) {
+    throw std::runtime_error(
+        "ModelSnapshot::make_engine: the temporal blob and config.enable_temporal disagree");
   }
-  if (config.enable_temporal) {
-    // Otherwise the engine's temporal head would silently score with its
-    // untrained initial weights.
-    throw std::runtime_error("ModelSnapshot::make_engine: config enables the temporal head "
-                             "but the snapshot carries no temporal blob");
-  }
-  return core::PipelineEngine(config, det, loc);
+  core::PipelineEngine engine(config);
+  const auto load = [](nn::Sequential& model, const std::string& blob) {
+    std::istringstream is(blob);
+    if (!model.load(is)) {
+      throw std::runtime_error(
+          "ModelSnapshot::make_engine: weight blob does not match the architecture");
+    }
+  };
+  load(engine.mutable_detector().model(), detector_weights);
+  load(engine.mutable_localizer().model(), localizer_weights);
+  if (config.enable_temporal) load(engine.mutable_temporal().model(), temporal_weights);
+  return engine;
 }
 
 ModelSnapshot train_model_snapshot(const MeshShape& mesh, const monitor::Benchmark& benign,
@@ -102,16 +109,11 @@ ModelSnapshot train_model_snapshot(const MeshShape& mesh,
   fence_cfg.enable_temporal = preset.temporal;
   fence_cfg.temporal.sequence_length = preset.sequence_length;
   core::PipelineEngine engine(fence_cfg);
-  core::TrainConfig det_cfg;
-  det_cfg.epochs = preset.detector_epochs;
-  det_cfg.seed = preset.seed ^ 0x42;
-  det_cfg.threads = preset.threads;
-  core::train_detector(engine.mutable_detector(), data, det_cfg);
-  core::LocalizerTrainConfig loc_cfg;
-  loc_cfg.epochs = preset.localizer_epochs;
-  loc_cfg.seed = preset.seed ^ 0x43;
-  loc_cfg.threads = preset.threads;
-  core::train_localizer(engine.mutable_localizer(), data, loc_cfg);
+  const auto train_cfg = [&](std::int32_t epochs, std::uint64_t salt) {
+    return nn::TrainConfig{.epochs = epochs, .seed = preset.seed ^ salt, .threads = preset.threads};
+  };
+  core::train_detector(engine.mutable_detector(), data, train_cfg(preset.detector_epochs, 0x42));
+  core::train_localizer(engine.mutable_localizer(), data, train_cfg(preset.localizer_epochs, 0x43));
 
   if (preset.temporal) {
     // Adversarial retraining preset: the sequence grid mixes every
@@ -131,11 +133,8 @@ ModelSnapshot train_model_snapshot(const MeshShape& mesh,
     const temporal::SequenceDataset seq_data = temporal::generate_sequence_dataset(
         seq_cfg, families, preset.temporal_benigns.empty() ? benigns : preset.temporal_benigns);
 
-    temporal::TemporalTrainConfig tmp_cfg;
-    tmp_cfg.epochs = preset.temporal_epochs;
-    tmp_cfg.seed = preset.seed ^ 0x44;
-    tmp_cfg.threads = preset.threads;
-    temporal::train_temporal_detector(engine.mutable_temporal(), seq_data, tmp_cfg);
+    temporal::train_temporal_detector(engine.mutable_temporal(), seq_data,
+                                      train_cfg(preset.temporal_epochs, 0x44));
   }
   return ModelSnapshot::capture(engine);
 }

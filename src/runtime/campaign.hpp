@@ -35,14 +35,18 @@ struct ModelSnapshot {
 
   static ModelSnapshot capture(const core::PipelineEngine& engine);
 
-  /// Deserialize into a shareable engine — the one way to load a snapshot.
-  /// Throws std::runtime_error on an architecture mismatch, including a
-  /// temporal blob without config.enable_temporal or the reverse.
+  /// Deserialize into a shareable engine — the one way to load a snapshot:
+  /// builds PipelineEngine(config) and loads each blob into its model
+  /// (nn::Sequential::load). Throws std::runtime_error when a blob does not
+  /// match its architecture, or when a temporal blob is present without
+  /// config.enable_temporal or missing with it.
   [[nodiscard]] core::PipelineEngine make_engine() const;
 };
 
 /// Dataset/training budget for train_model_snapshot (defaults sized for
-/// an 8x8 mesh in a few tens of seconds).
+/// an 8x8 mesh in a few tens of seconds). Each model trains through
+/// nn::train with its own fixed architecture and recipe; the preset sets
+/// only how much data, how many epochs, the seed and the worker count.
 struct TrainPreset {
   std::int32_t scenarios = 8;
   std::int32_t benign_samples = 3;
@@ -50,9 +54,9 @@ struct TrainPreset {
   std::int32_t detector_epochs = 50;
   std::int32_t localizer_epochs = 25;
   std::uint64_t seed = 0x5eedULL;
-  /// Data-parallel training workers (nn::batch_train). The snapshot's
-  /// weights are byte-identical for a given seed at any thread count, so
-  /// this only trades wall-clock — campaigns stay reproducible.
+  /// Data-parallel training workers (nn::TrainConfig::threads). The
+  /// snapshot's weights are byte-identical for a given seed at any thread
+  /// count, so this only trades wall-clock — campaigns stay reproducible.
   std::int32_t threads = 1;
 
   // --- temporal sequence head (src/temporal) ---

@@ -19,29 +19,41 @@ constexpr std::size_t kBuiltinFamilies = 5;
 
 Scenario::Scenario(std::string_view family, const ScenarioParams& params, std::uint64_t seed)
     : family_(family), mesh_(params.mesh), benign_(params.benign), start_(params.attack_start) {
-  const auto require = [&](bool ok, const char* rule) {
+  const auto require = [&](bool ok, const std::string& rule) {
     if (!ok) throw std::invalid_argument("scenario '" + family_ + "': " + rule);
   };
-  const auto one_leg = [&](double fir) {
+  // NaN fails the comparisons, so it is refused too.
+  const auto require_unit = [&](double value, const char* field) {
+    require(value >= 0.0 && value <= 1.0, std::string(field) + " must be in [0, 1]");
+  };
+  // Every family but colluding places num_attackers attackers per leg; with
+  // none, nothing would flood while attack_active() reports the attack on.
+  const auto require_legs = [&](double fir, const char* field) {
+    require(params.num_attackers >= 1, "num_attackers must be >= 1");
+    require_unit(fir, field);
+  };
+  const auto one_leg = [&](double fir, const char* field) {
+    require_legs(fir, field);
     legs_.push_back(traffic::make_scenarios(params.mesh, 1, params.num_attackers, fir,
                                             mix64(seed))[0]);
   };
 
   if (family_ == "static") {
     // The paper's threat model: fixed attackers, fixed victim, fixed FIR.
-    one_leg(params.fir);
+    one_leg(params.fir, "fir");
   } else if (family_ == "transient") {
     // On/off bursts stress probation: a defense that releases too eagerly
     // re-admits the attacker exactly when the next burst fires.
     require(params.burst_period > 0, "burst_period must be > 0");
-    require(params.burst_duty >= 0.0 && params.burst_duty <= 1.0, "burst_duty must be in [0, 1]");
-    one_leg(params.fir);
+    require_unit(params.burst_duty, "burst_duty");
+    one_leg(params.fir, "fir");
     pulse_ = traffic::PulseSchedule{start_, params.burst_period, params.burst_duty, 0};
   } else if (family_ == "victim-sweep") {
     // The same attackers retarget a new victim every sweep_period cycles,
     // so the flooding route (the segmentation signature) moves.
     require(params.sweep_period > 0, "sweep_period must be > 0");
     require(params.sweep_victims >= 1, "sweep_victims must be >= 1");
+    require_legs(params.fir, "fir");
     rotate_period_ = params.sweep_period;
     Rng rng(mix64(seed));
     const auto base = traffic::make_scenarios(params.mesh, 1, params.num_attackers, params.fir,
@@ -71,6 +83,7 @@ Scenario::Scenario(std::string_view family, const ScenarioParams& params, std::u
     // flooding different victims at once (victims may repeat). Bounded
     // attempts: on a mesh too small for num_attackers distinct
     // placements, fewer legs result.
+    require_legs(params.fir, "fir");
     Rng rng(mix64(seed));
     for (std::int64_t attempt = 0; attempt < 64LL * params.num_attackers &&
                                    static_cast<std::int32_t>(legs_.size()) < params.num_attackers;
@@ -84,23 +97,25 @@ Scenario::Scenario(std::string_view family, const ScenarioParams& params, std::u
   } else if (family_ == "ramp") {
     // FIR climbs from ramp_start_fir to the full rate: a stealthy attacker
     // probing how much pressure goes undetected.
-    one_leg(params.fir);
+    one_leg(params.fir, "fir");
+    require_unit(params.ramp_start_fir, "ramp_start_fir");
     ramp_ = traffic::StealthRamp{start_, params.ramp_cycles, params.ramp_start_fir, params.fir};
   } else if (family_ == "pulse") {
     // Duty cycling at sub-window scale (pulse_period << window_cycles): the
     // window-averaged VCO sees only duty * FIR pressure.
     require(params.pulse_period > 0, "pulse_period must be > 0");
-    require(params.pulse_duty >= 0.0 && params.pulse_duty <= 1.0, "pulse_duty must be in [0, 1]");
-    one_leg(params.fir);
+    require_unit(params.pulse_duty, "pulse_duty");
+    one_leg(params.fir, "fir");
     pulse_ = traffic::PulseSchedule{start_, params.pulse_period, params.pulse_duty,
                                     params.pulse_phase};
   } else if (family_ == "stealth-ramp") {
     // FIR creeps up to a sub-saturation ceiling and stays there: it never
     // shows the detector the saturating rates it was trained on.
-    const double ceiling = std::clamp(params.stealth_fir, 0.0, 1.0);
-    one_leg(ceiling);
+    one_leg(params.stealth_fir, "stealth_fir");
+    require_unit(params.ramp_start_fir, "ramp_start_fir");
     ramp_ = traffic::StealthRamp{start_, params.stealth_ramp_cycles,
-                                 std::min(params.ramp_start_fir, ceiling), ceiling};
+                                 std::min(params.ramp_start_fir, params.stealth_fir),
+                                 params.stealth_fir};
   } else if (family_ == "colluding") {
     // Every source injects within the benign rate range; only the
     // aggregate at the victim's ingress saturates.
@@ -110,7 +125,7 @@ Scenario::Scenario(std::string_view family, const ScenarioParams& params, std::u
     // The attack's spatial signature matches the benign pattern and only
     // the volume differs; PARSEC and trace workloads (no pattern map) are
     // mimicked as UniformRandom. The leg's victim is unused.
-    one_leg(params.mimicry_fir);
+    one_leg(params.mimicry_fir, "mimicry_fir");
     const auto* stp = std::get_if<traffic::SyntheticPattern>(&params.benign.kind);
     mimic_ = stp != nullptr ? *stp : traffic::SyntheticPattern::UniformRandom;
   } else {

@@ -85,7 +85,10 @@ class Scenario final {
   /// Builds `family`'s attack legs and schedule from `params`; the legs
   /// are fixed here, so ground truth is queryable before install().
   /// Throws std::invalid_argument for an unknown family or a degenerate
-  /// schedule (a period <= 0, a duty outside [0, 1], sweep_victims < 1).
+  /// schedule (a period <= 0, a duty outside [0, 1], sweep_victims < 1),
+  /// for num_attackers < 1 in a family that places attackers (all but
+  /// colluding), and for a FIR the family reads (fir, ramp_start_fir,
+  /// stealth_fir, mimicry_fir) outside [0, 1] or NaN.
   Scenario(std::string_view family, const ScenarioParams& params, std::uint64_t seed);
   Scenario(const Scenario&) = delete;
   Scenario& operator=(const Scenario&) = delete;

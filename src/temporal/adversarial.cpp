@@ -8,7 +8,6 @@
 
 #include "monitor/dataset.hpp"
 #include "nn/loss.hpp"
-#include "nn/train.hpp"
 #include "traffic/simulation.hpp"
 
 namespace dl2f::temporal {
@@ -31,6 +30,8 @@ std::size_t SequenceDataset::benign_count() const noexcept {
 
 namespace {
 
+constexpr float kLearningRate = 1e-3F;
+
 /// One simulation run of one (family, workload) cell: DefenseRuntime-style
 /// per-cycle stepping, one labeled sequence per window.
 void collect_run(const SequenceDatasetConfig& cfg, const std::string& family,
@@ -43,7 +44,6 @@ void collect_run(const SequenceDatasetConfig& cfg, const std::string& family,
 
   noc::MeshConfig mesh_cfg;
   mesh_cfg.shape = cfg.mesh;
-  mesh_cfg.router = cfg.router;
   traffic::Simulation sim(mesh_cfg);
   // Same install-seed derivation as run_job (campaign.cpp), so a training
   // cell and a campaign cell with equal coordinates replay identically.
@@ -51,12 +51,13 @@ void collect_run(const SequenceDatasetConfig& cfg, const std::string& family,
 
   const monitor::FeatureSampler sampler(cfg.mesh);
   monitor::WindowHistory history(cfg.sequence_length);
-  const auto period = cfg.window_cycles;
+  const auto period = kDefaultWindowCycles;
   sim.mesh().reset_telemetry();
 
   // Mitigation tail: emulate the fence so post-mitigation sequences (attack
-  // history, benign truth) exist in the benign class. Two regimes, because a
-  // live DefenseRuntime produces both:
+  // history, benign truth) exist in the benign class; a head trained only on
+  // attack-then-more-attack runs would false-positive on them. Two regimes,
+  // because a live DefenseRuntime produces both:
   //  - even reps fence LATE (last third of the run): the attack ran long,
   //    then a drain tail — the slow-detection regime;
   //  - odd reps replay the live fence-probation CYCLE: fence one window
@@ -68,11 +69,10 @@ void collect_run(const SequenceDatasetConfig& cfg, const std::string& family,
   //    [benign, attack, drain, benign] shape and never sees a
   //    resume-after-release window labeled attack.
   const auto attack_window = static_cast<std::int32_t>(cfg.params.attack_start / period);
-  const bool fence_cycle = cfg.mitigation_tail && rep % 2 == 1;
+  const bool fence_cycle = rep % 2 == 1;
   const std::int32_t tail_from =
-      cfg.mitigation_tail && !fence_cycle
-          ? std::max(1, cfg.windows_per_run - cfg.windows_per_run / 3)
-          : cfg.windows_per_run;
+      fence_cycle ? cfg.windows_per_run
+                  : std::max(1, cfg.windows_per_run - cfg.windows_per_run / 3);
   std::int32_t fence_at = std::min(attack_window + 1, cfg.windows_per_run - 1);
   std::int32_t release_at = -1;
 
@@ -135,9 +135,8 @@ SequenceDataset generate_sequence_dataset(const SequenceDatasetConfig& cfg,
   return out;
 }
 
-TemporalTrainReport train_temporal_detector(TemporalDetector& detector,
-                                            const SequenceDataset& data,
-                                            const TemporalTrainConfig& cfg) {
+nn::TrainReport train_temporal_detector(TemporalDetector& detector, const SequenceDataset& data,
+                                        const nn::TrainConfig& cfg) {
   const std::int32_t t = detector.config().sequence_length;
   const auto wrong_length = [t](const SequenceSample& seq) {
     return !std::cmp_equal(seq.windows.size(), t);
@@ -147,36 +146,22 @@ TemporalTrainReport train_temporal_detector(TemporalDetector& detector,
     throw std::invalid_argument("train_temporal_detector: dataset sequences are not " +
                                 std::to_string(t) + " windows long like the detector's");
   }
-  Rng rng(cfg.seed);
-  detector.model().init_weights(rng);
-  nn::Adam optimizer(detector.model().params(), cfg.learning_rate);
-
-  nn::BatchTrainConfig bt;
-  bt.epochs = cfg.epochs;
-  bt.batch_size = cfg.batch_size;
-  bt.threads = cfg.threads;
-
-  TemporalTrainReport report;
   const auto stage = [&](std::size_t item, nn::Tensor4& input, std::int32_t slot) {
     const auto& seq = data.samples[item];
     std::array<const monitor::FrameSample*, kMaxSequenceLength> ptrs{};
     for (std::size_t i = 0; i < seq.windows.size(); ++i) ptrs[i] = &seq.windows[i];
     detector.preprocess_into({ptrs.data(), seq.windows.size()}, input, slot);
   };
+  // Unweighted BCE: the grid is roughly class-balanced once the mitigation
+  // tail is mixed in, and weighting benign sequences up measurably traded
+  // evasive-family recall for no static-precision gain.
   const auto loss = [&](std::size_t item, const float* pred, std::size_t n,
                         float* grad) -> nn::ItemLoss {
-    const bool attack = data.samples[item].under_attack;
-    const float target = attack ? 1.0F : 0.0F;
-    const float weight = attack ? 1.0F : cfg.benign_weight;
-    return {nn::bce_loss_into(pred, &target, n, weight, grad), 0.0};
+    const float target = data.samples[item].under_attack ? 1.0F : 0.0F;
+    return {nn::bce_loss_into(pred, &target, n, 1.0F, grad), 0.0};
   };
-  const auto on_epoch = [&](std::int32_t /*epoch*/, float mean_loss, double /*metric*/) {
-    report.final_loss = mean_loss;
-    ++report.epochs_run;
-  };
-  nn::batch_train(detector.model(), optimizer, detector.input_shape(), data.samples.size(), stage,
-                  loss, bt, rng, on_epoch);
-  return report;
+  return nn::train(detector.model(), detector.input_shape(), kLearningRate, data.samples.size(),
+                   stage, loss, cfg);
 }
 
 ConfusionMatrix evaluate_temporal_detector(TemporalDetector& detector,

@@ -22,7 +22,7 @@
 
 #include "common/metrics.hpp"
 #include "monitor/benchmark.hpp"
-#include "noc/router.hpp"
+#include "nn/train.hpp"
 #include "runtime/scenario.hpp"
 #include "temporal/detector.hpp"
 
@@ -53,49 +53,42 @@ struct SequenceDataset {
 
 struct SequenceDatasetConfig {
   MeshShape mesh = MeshShape::square(8);
-  noc::RouterConfig router;
   std::int32_t sequence_length = 4;
   /// Monitoring windows simulated (= sequences emitted) per run.
   std::int32_t windows_per_run = 12;
-  /// Cycles per monitoring window. Must match the window length the
-  /// consuming DefenseRuntime samples at (DefenseConfig::window_cycles) —
-  /// NOT the workload's dataset sample_period, which differs for PARSEC
-  /// traces and would train the head on windows twice as long as the ones
-  /// it scores online.
-  std::int64_t window_cycles = 1000;
   /// Independent runs (distinct seeds / attacker placements) per
   /// (family, workload) cell.
   std::int32_t runs_per_cell = 2;
   /// Attack knobs; mesh and benign workload are overwritten per cell.
   runtime::ScenarioParams params;
-  /// Emulate mitigation: quarantine every attacker for the final third of
-  /// each run. Those windows are truth-benign (no attack traffic reaches
-  /// the network) but their sequences still hold attack windows in the
-  /// history — exactly the post-mitigation regime a live DefenseRuntime
-  /// scores, and the one a head trained only on attack-then-more-attack
-  /// runs would false-positive on.
-  bool mitigation_tail = true;
   std::uint64_t seed = 0x7e3aULL;
 };
 
 /// Run the (families x workloads x runs_per_cell) grid and collect one
 /// labeled sequence per simulated window. Families must be ScenarioRegistry
 /// names (throws std::invalid_argument otherwise, matching run_campaign),
-/// and cfg.sequence_length must lie in [1, kMaxSequenceLength] (throws
-/// likewise). The benign prefix before ScenarioParams::attack_start
-/// supplies the negative class.
+/// and cfg.sequence_length must lie in [kTemporalKernel,
+/// kMaxSequenceLength] (throws likewise). The benign prefix before
+/// ScenarioParams::attack_start supplies the negative class.
+///
+/// Windows are kDefaultWindowCycles long, the DefenseConfig::window_cycles
+/// default the consuming DefenseRuntime samples at (not the workload's
+/// sample_period: PARSEC's is twice as long). Every run has a mitigation
+/// tail (see collect_run) that quarantines its attackers, so truth-benign
+/// windows whose sequences still hold attack history, the post-mitigation
+/// regime a live DefenseRuntime scores, join the benign class.
 [[nodiscard]] SequenceDataset generate_sequence_dataset(
     const SequenceDatasetConfig& cfg, const std::vector<std::string>& families,
     const std::vector<monitor::Benchmark>& workloads);
 
-/// Train on a SequenceDataset through nn::batch_train — same fixed-order
-/// gradient reduction as the single-window trainers, so weights are
-/// byte-identical at any cfg.threads. Throws std::invalid_argument, before
-/// touching the detector, unless the dataset's sequence_length and every
-/// sample's window count equal the detector's sequence_length.
-TemporalTrainReport train_temporal_detector(TemporalDetector& detector,
-                                            const SequenceDataset& data,
-                                            const TemporalTrainConfig& cfg);
+/// Train on a SequenceDataset with BCE on the sequence label through
+/// nn::train (Adam at learning rate 1e-3, minibatches of nn::kBatchSize),
+/// so weights are byte-identical for a given cfg.seed at any cfg.threads.
+/// Throws std::invalid_argument, before touching the detector, unless the
+/// dataset's sequence_length and every sample's window count equal the
+/// detector's sequence_length.
+nn::TrainReport train_temporal_detector(TemporalDetector& detector, const SequenceDataset& data,
+                                        const nn::TrainConfig& cfg);
 
 /// Score every sequence in `data` (reference path).
 [[nodiscard]] ConfusionMatrix evaluate_temporal_detector(TemporalDetector& detector,

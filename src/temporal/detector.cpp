@@ -9,36 +9,40 @@
 #include "nn/layers.hpp"
 
 namespace dl2f::temporal {
+namespace {
+
+constexpr std::int32_t kKernel = 3;
+constexpr std::int32_t kFilters = 8;
+constexpr std::int32_t kPool = 2;
+constexpr std::int32_t kTemporalFilters = 16;
+
+}  // namespace
 
 void check_sequence_length(std::int32_t sequence_length, const char* who) {
-  if (sequence_length < 1 || sequence_length > kMaxSequenceLength) {
+  if (sequence_length < kTemporalKernel || sequence_length > kMaxSequenceLength) {
     throw std::invalid_argument(std::string(who) + ": sequence_length " +
-                                std::to_string(sequence_length) + " outside [1, " +
+                                std::to_string(sequence_length) + " outside [" +
+                                std::to_string(kTemporalKernel) + ", " +
                                 std::to_string(kMaxSequenceLength) + "]");
   }
 }
 
 TemporalDetector::TemporalDetector(const TemporalDetectorConfig& cfg) : cfg_(cfg) {
   check_sequence_length(cfg.sequence_length, "TemporalDetector");
-  if (cfg.temporal_kernel < 1 || cfg.temporal_kernel > cfg.sequence_length) {
-    throw std::invalid_argument("TemporalDetector: temporal_kernel " +
-                                std::to_string(cfg.temporal_kernel) + " outside [1, " +
-                                std::to_string(cfg.sequence_length) + "]");
-  }
-  model_.emplace<nn::Conv2D>(kChannelsPerWindow, cfg.filters, cfg.kernel, nn::Padding::Valid,
+  model_.emplace<nn::Conv2D>(kChannelsPerWindow, kFilters, kKernel, nn::Padding::Valid,
                              cfg.sequence_length);
   model_.emplace<nn::ReLU>();
-  model_.emplace<nn::MaxPool2D>(cfg.pool);
+  model_.emplace<nn::MaxPool2D>(kPool);
   model_.emplace<nn::Flatten>();
   // Flatten's channel-major layout is time-major here: the stepped Conv2D
   // emits channel t*filters+f, so each window's embedding is one contiguous
   // D-float block — exactly the (steps, in_f) layout the windowed Dense
   // slides over.
-  model_.emplace<nn::Dense>(embedding_dim(), cfg.temporal_filters, cfg.sequence_length,
-                            cfg.temporal_kernel);
+  model_.emplace<nn::Dense>(embedding_dim(), kTemporalFilters, cfg.sequence_length,
+                            kTemporalKernel);
   model_.emplace<nn::ReLU>();
-  const auto out_steps = cfg.sequence_length - cfg.temporal_kernel + 1;
-  model_.emplace<nn::Dense>(out_steps * cfg.temporal_filters, 1);
+  const auto out_steps = cfg.sequence_length - kTemporalKernel + 1;
+  model_.emplace<nn::Dense>(out_steps * kTemporalFilters, 1);
   model_.emplace<nn::Sigmoid>();
 }
 
@@ -48,9 +52,9 @@ nn::Tensor3 TemporalDetector::input_shape() const {
 }
 
 std::int32_t TemporalDetector::embedding_dim() const noexcept {
-  const auto conv_h = cfg_.mesh.rows() - cfg_.kernel + 1;
-  const auto conv_w = (cfg_.mesh.cols() - 1) - cfg_.kernel + 1;
-  return cfg_.filters * (conv_h / cfg_.pool) * (conv_w / cfg_.pool);
+  const auto conv_h = cfg_.mesh.rows() - kKernel + 1;
+  const auto conv_w = (cfg_.mesh.cols() - 1) - kKernel + 1;
+  return kFilters * (conv_h / kPool) * (conv_w / kPool);
 }
 
 void TemporalDetector::preprocess_into(monitor::SequenceView seq, nn::Tensor4& batch,

@@ -3,14 +3,19 @@
 // Architecture (mirrors the single-window DoSDetector's conv->pool->dense
 // shape, then adds a conv-over-time stage):
 //
-//   Conv2D(8ch -> filters, k, Valid, steps = T)          one filter bank
+//   Conv2D(8ch -> 8, 3x3, Valid, steps = T)              one filter bank
 //   ReLU                                                 for every window
-//   MaxPool2D(pool)                                      (spatial only)
+//   MaxPool2D(2x2)                                       (spatial only)
 //   Flatten          -> T contiguous per-window embeddings, time-major
-//   Dense(D -> temporal_filters, steps = T, window = kt) conv over time
+//   Dense(D -> 16, steps = T, window = kTemporalKernel)  conv over time
 //   ReLU
-//   Dense((T - kt + 1) * temporal_filters, 1)
+//   Dense((T - kTemporalKernel + 1) * 16, 1)
 //   Sigmoid
+//
+// The spatial stage repeats the DoSDetector's constants (3x3, 8 filters,
+// 2x2 pool); the conv over time is kTemporalKernel = 2 windows wide with
+// 16 filters. None of them is configuration: only the mesh, the sequence
+// length T, the verdict threshold and the suspect heuristic vary.
 //
 // Input is (T * 8, rows, cols-1): each window contributes 8 channels —
 //   0..3  raw directional VCO frames (same planes the DoSDetector sees),
@@ -38,7 +43,6 @@
 #include <cstdint>
 
 #include "common/geometry.hpp"
-#include "common/rng.hpp"
 #include "monitor/window_history.hpp"
 #include "nn/model.hpp"
 #include "temporal/features.hpp"
@@ -48,25 +52,22 @@ namespace dl2f::temporal {
 /// Feature channels each window contributes to the sequence tensor.
 inline constexpr std::int32_t kChannelsPerWindow = 8;
 
+/// Width in windows of the conv over time, and so the shortest sequence
+/// the head can classify.
+inline constexpr std::int32_t kTemporalKernel = 2;
+
 /// Upper bound on TemporalDetectorConfig::sequence_length — lets callers
 /// stage sequence views through fixed stack buffers.
 inline constexpr std::int32_t kMaxSequenceLength = 16;
 
 /// Throws std::invalid_argument naming `who` unless `sequence_length` is
-/// in [1, kMaxSequenceLength].
+/// in [kTemporalKernel, kMaxSequenceLength].
 void check_sequence_length(std::int32_t sequence_length, const char* who);
 
 struct TemporalDetectorConfig {
   MeshShape mesh = MeshShape::square(8);
   /// Windows per classified sequence (T).
   std::int32_t sequence_length = 4;
-  /// Spatial conv kernel / filter count / pool, as in DetectorConfig.
-  std::int32_t kernel = 3;
-  std::int32_t filters = 8;
-  std::int32_t pool = 2;
-  /// Conv-over-time kernel width (kt) and filter count.
-  std::int32_t temporal_kernel = 2;
-  std::int32_t temporal_filters = 16;
   /// Sequence-verdict gate. Slightly stricter than the single-window
   /// detector's 0.5: the pipeline ORs this verdict into a path that
   /// already catches overt floods, so the head only needs to fire on
@@ -80,7 +81,7 @@ struct TemporalDetectorConfig {
 class TemporalDetector {
  public:
   /// Throws std::invalid_argument when sequence_length is outside
-  /// [1, kMaxSequenceLength] or temporal_kernel outside [1, sequence_length].
+  /// [kTemporalKernel, kMaxSequenceLength].
   explicit TemporalDetector(const TemporalDetectorConfig& cfg);
 
   [[nodiscard]] const TemporalDetectorConfig& config() const noexcept { return cfg_; }
@@ -109,29 +110,6 @@ class TemporalDetector {
  private:
   TemporalDetectorConfig cfg_;
   nn::Sequential model_;
-};
-
-/// Training knobs, mirroring core::TrainConfig. Defined here (not reusing
-/// core::TrainConfig) so src/temporal never includes src/core — the
-/// pipeline layer includes this header, not the other way around.
-struct TemporalTrainConfig {
-  std::int32_t epochs = 30;
-  std::int32_t batch_size = 8;
-  float learning_rate = 1e-3F;
-  /// BCE weight on benign sequences (attack sequences weigh 1.0). Keep
-  /// near 1: the adversarial grid is already roughly class-balanced once
-  /// the mitigation tail is mixed in, and overweighting benign measurably
-  /// trades evasive-family recall for no static-precision gain.
-  float benign_weight = 1.0F;
-  std::uint64_t seed = 42;
-  /// Worker threads for batched training; results are byte-identical at
-  /// any value (nn::batch_train's fixed-order gradient reduction).
-  std::int32_t threads = 1;
-};
-
-struct TemporalTrainReport {
-  float final_loss = 0.0F;
-  std::int32_t epochs_run = 0;
 };
 
 }  // namespace dl2f::temporal

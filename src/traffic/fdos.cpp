@@ -6,6 +6,18 @@
 #include <string>
 
 namespace dl2f::traffic {
+namespace {
+
+/// Throws std::invalid_argument naming `who` unless `fir` is in [0, 1] (NaN
+/// too), which the Bernoulli trial would otherwise clamp silently.
+void check_fir(double fir, const char* who) {
+  if (!(fir >= 0.0 && fir <= 1.0)) {
+    throw std::invalid_argument(std::string(who) + ": fir must be in [0, 1], got " +
+                                std::to_string(fir));
+  }
+}
+
+}  // namespace
 
 std::vector<NodeId> AttackScenario::ground_truth_victims(const MeshShape& mesh) const {
   std::vector<NodeId> victims;
@@ -41,8 +53,10 @@ FloodingAttack::FloodingAttack(AttackScenario scenario, std::uint64_t seed,
                                std::optional<SyntheticPattern> mimic)
     : scenario_(std::move(scenario)), fir_(scenario_.fir), mimic_(mimic), rng_(seed) {
   assert(scenario_.victim >= 0);
-  assert(!scenario_.attackers.empty());
-  assert(scenario_.fir >= 0.0 && scenario_.fir <= 1.0);
+  if (scenario_.attackers.empty()) {
+    throw std::invalid_argument("FloodingAttack: the scenario has no attackers");
+  }
+  check_fir(scenario_.fir, "FloodingAttack");
 }
 
 void FloodingAttack::tick(noc::Mesh& mesh) {
@@ -65,7 +79,12 @@ void FloodingAttack::tick(noc::Mesh& mesh) {
 std::vector<AttackScenario> make_scenarios(const MeshShape& mesh, std::int32_t count,
                                            std::int32_t num_attackers, double fir,
                                            std::uint64_t seed) {
-  assert(num_attackers >= 1);
+  // An attacker-less scenario would flood nothing while reporting the attack on.
+  if (num_attackers < 1) {
+    throw std::invalid_argument("make_scenarios: num_attackers must be >= 1, got " +
+                                std::to_string(num_attackers));
+  }
+  check_fir(fir, "make_scenarios");
   Rng rng(seed);
   std::vector<AttackScenario> scenarios;
   scenarios.reserve(static_cast<std::size_t>(count));

@@ -63,6 +63,8 @@ class FloodingAttack final : public TrafficGenerator {
   /// map (UniformRandom draws from the RNG after the injection trial) and
   /// a packet that would target its own source is skipped, exactly as the
   /// benign SyntheticTraffic does; the scenario's victim is then unused.
+  /// Throws std::invalid_argument when the scenario has no attackers or
+  /// its FIR is outside [0, 1] (or NaN).
   FloodingAttack(AttackScenario scenario, std::uint64_t seed,
                  std::optional<SyntheticPattern> mimic = std::nullopt);
 
@@ -123,7 +125,8 @@ struct StealthRamp {
 /// Deterministically generate `count` distinct attack scenarios on `mesh`
 /// with `num_attackers` attackers each (the paper simulates 18 scenarios
 /// per benchmark at FIR 0.8: a mix of 1- and 2-attacker cases).
-/// Throws std::invalid_argument when the mesh cannot host such a scenario
+/// Throws std::invalid_argument when num_attackers < 1, when `fir` is
+/// outside [0, 1] (or NaN), or when the mesh cannot host such a scenario
 /// at all (attackers must sit >= 2 hops from the victim, so e.g. a 1x2
 /// mesh — or asking for more attackers than eligible nodes — fails fast
 /// instead of retrying forever).

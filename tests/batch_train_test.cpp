@@ -343,11 +343,7 @@ std::string trained_detector_blob(const monitor::Dataset& data, std::int32_t thr
   core::DetectorConfig cfg;
   cfg.mesh = data.mesh;
   core::DoSDetector det(cfg);
-  core::TrainConfig tc;
-  tc.epochs = 3;
-  tc.seed = 77;
-  tc.threads = threads;
-  (void)core::train_detector(det, data, tc);
+  (void)core::train_detector(det, data, {.epochs = 3, .seed = 77, .threads = threads});
   std::ostringstream os;
   det.model().save(os);
   return os.str();
@@ -357,11 +353,7 @@ std::string trained_localizer_blob(const monitor::Dataset& data, std::int32_t th
   core::LocalizerConfig cfg;
   cfg.mesh = data.mesh;
   core::DoSLocalizer loc(cfg);
-  core::LocalizerTrainConfig tc;
-  tc.epochs = 2;
-  tc.seed = 78;
-  tc.threads = threads;
-  (void)core::train_localizer(loc, data, tc);
+  (void)core::train_localizer(loc, data, {.epochs = 2, .seed = 78, .threads = threads});
   std::ostringstream os;
   loc.model().save(os);
   return os.str();
@@ -411,11 +403,7 @@ TEST(BatchTrainDeterminism, TrainingConvergesOnSeparableLabels) {
   core::DetectorConfig cfg;
   cfg.mesh = mesh;
   core::DoSDetector det(cfg);
-  core::TrainConfig tc;
-  tc.epochs = 60;
-  tc.seed = 5;
-  tc.threads = 2;
-  (void)core::train_detector(det, data, tc);
+  (void)core::train_detector(det, data, {.epochs = 60, .seed = 5, .threads = 2});
   std::size_t correct = 0;
   for (const auto& s : data.samples) {
     correct += (det.predict_probability(s) > cfg.threshold) == s.under_attack ? 1 : 0;

@@ -101,9 +101,7 @@ TEST(Detector, LearnsSyntheticSeparableData) {
     train.samples.push_back(std::move(s));
   }
 
-  TrainConfig tc;
-  tc.epochs = 50;
-  const auto report = train_detector(det, train, tc);
+  const auto report = train_detector(det, train, {.epochs = 50, .seed = 42});
   EXPECT_LT(report.final_loss, 0.3F);
   EXPECT_EQ(report.epochs_run, 50);
 
@@ -121,8 +119,7 @@ TEST(Detector, TrainingIsDeterministicPerSeed) {
   for (int i = 0; i < 10; ++i) {
     data.samples.push_back(make_sample(mesh, i % 2 == 0, 0.9F));
   }
-  TrainConfig tc;
-  tc.epochs = 5;
+  const nn::TrainConfig tc{.epochs = 5, .seed = 42};
   DetectorConfig cfg;
   cfg.mesh = mesh;
   DoSDetector a(cfg), b(cfg);

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <stdexcept>
 
 #include "traffic/simulation.hpp"
 
@@ -164,6 +166,32 @@ TEST(MakeScenarios, ThrowsOnMeshesWithNoValidPlacement) {
   // A 2x2 mesh has exactly one node 2 hops from any victim, so two
   // distinct attackers can never be placed.
   EXPECT_THROW(make_scenarios(MeshShape::square(2), 1, 2, 0.8, 7), std::invalid_argument);
+}
+
+TEST(MakeScenarios, RejectsNoAttackersAndNonProbabilityFirs) {
+  // Checked in every build type: zero attackers would flood nothing while
+  // a scenario schedule reports the attack on, and a FIR outside [0, 1]
+  // would be clamped silently by the Bernoulli trial.
+  const auto mesh = MeshShape::square(8);
+  EXPECT_THROW((void)make_scenarios(mesh, 1, 0, 0.8, 7), std::invalid_argument);
+  for (const double fir : {-0.1, 1.5, std::nan("")}) {
+    EXPECT_THROW((void)make_scenarios(mesh, 1, 1, fir, 7), std::invalid_argument) << fir;
+  }
+  EXPECT_EQ(make_scenarios(mesh, 1, 1, 1.0, 7).size(), 1U);
+  EXPECT_EQ(make_scenarios(mesh, 1, 1, 0.0, 7).size(), 1U);
+}
+
+TEST(FloodingAttack, RejectsNoAttackersAndNonProbabilityFirs) {
+  AttackScenario none;
+  none.victim = 36;
+  EXPECT_THROW(FloodingAttack(none, 1), std::invalid_argument);
+  for (const double fir : {-0.1, 1.5, std::nan("")}) {
+    AttackScenario s;
+    s.attackers = {0};
+    s.victim = 36;
+    s.fir = fir;
+    EXPECT_THROW(FloodingAttack(s, 1), std::invalid_argument) << fir;
+  }
 }
 
 TEST(MakeScenarios, DegenerateMeshStillServesFeasibleRequests) {

@@ -54,22 +54,6 @@ TEST(Frame, EmptyStatsAreZero) {
   EXPECT_FLOAT_EQ(f.mean(), 0);
 }
 
-TEST(Frame, NormalizedScalesMaxToOne) {
-  Frame f(1, 3);
-  f.at(0, 0) = 2;
-  f.at(0, 1) = 8;
-  f.at(0, 2) = 4;
-  const Frame n = f.normalized();
-  EXPECT_FLOAT_EQ(n.at(0, 0), 0.25F);
-  EXPECT_FLOAT_EQ(n.at(0, 1), 1.0F);
-  EXPECT_FLOAT_EQ(n.at(0, 2), 0.5F);
-}
-
-TEST(Frame, NormalizedAllZeroIsNoOp) {
-  const Frame f(2, 2);
-  EXPECT_EQ(f.normalized(), f);
-}
-
 TEST(Frame, BinarizedThreshold) {
   Frame f(1, 4);
   f.at(0, 0) = 0.4F;

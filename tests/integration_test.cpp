@@ -25,12 +25,9 @@ class EndToEnd : public ::testing::Test {
     split_ = new monitor::DatasetSplit(split_dataset(*data_, 0.3, 77));
 
     engine_ = new core::PipelineEngine(core::Dl2FenceConfig::paper_default(mesh));
-    core::TrainConfig det_cfg;
-    det_cfg.epochs = 80;
-    core::train_detector(engine_->mutable_detector(), split_->train, det_cfg);
-    core::LocalizerTrainConfig loc_cfg;
-    loc_cfg.epochs = 40;
-    core::train_localizer(engine_->mutable_localizer(), split_->train, loc_cfg);
+    core::train_detector(engine_->mutable_detector(), split_->train, {.epochs = 80, .seed = 42});
+    core::train_localizer(engine_->mutable_localizer(), split_->train,
+                          {.epochs = 40, .seed = 43});
   }
 
   static void TearDownTestSuite() {

@@ -20,33 +20,30 @@ TEST(Localizer, ArchitecturePreservesFrameShape) {
   EXPECT_EQ(loc.model().param_count(), 737U);
 }
 
-TEST(Localizer, ConfigurableDepth) {
-  LocalizerConfig cfg;
-  cfg.mesh = MeshShape::square(8);
-  cfg.conv_layers = 4;
-  DoSLocalizer loc(cfg);
-  const auto out = loc.model().output_shape(nn::Tensor3(1, 8, 7));
-  EXPECT_EQ(out.height(), 8);
-  EXPECT_GT(loc.model().param_count(), 737U);
-}
-
 TEST(Localizer, PreprocessNormalizesBocOnly) {
   LocalizerConfig cfg;
   cfg.mesh = MeshShape::square(8);
   cfg.feature = Feature::Boc;
   DoSLocalizer boc_loc(cfg);
+  nn::Tensor4 staged(2, 1, 8, 7);
   Frame f(8, 7);
   f.at(0, 0) = 4000.0F;
   f.at(1, 1) = 2000.0F;
-  const auto t = boc_loc.preprocess(f);
-  EXPECT_FLOAT_EQ(t.at(0, 0, 0), 1.0F);
-  EXPECT_FLOAT_EQ(t.at(0, 1, 1), 0.5F);
+  boc_loc.preprocess_into(f, staged, 0);
+  EXPECT_FLOAT_EQ(staged.at(0, 0, 0, 0), 1.0F);
+  EXPECT_FLOAT_EQ(staged.at(0, 0, 1, 1), 0.5F);
+  // An all-zero BOC frame passes through unchanged (no division by 0).
+  staged.data().assign(staged.size(), 7.0F);
+  const Frame zero(8, 7);
+  boc_loc.preprocess_into(zero, staged, 1);
+  for (std::size_t i = 0; i < zero.size(); ++i) EXPECT_EQ(staged.sample(1)[i], 0.0F);
 
   cfg.feature = Feature::Vco;
   DoSLocalizer vco_loc(cfg);
   Frame v(8, 7);
   v.at(0, 0) = 0.5F;
-  EXPECT_FLOAT_EQ(vco_loc.preprocess(v).at(0, 0, 0), 0.5F);
+  vco_loc.preprocess_into(v, staged, 0);
+  EXPECT_FLOAT_EQ(staged.at(0, 0, 0, 0), 0.5F);
 }
 
 TEST(Localizer, LearnsToSegmentSyntheticRoutes) {
@@ -82,11 +79,9 @@ TEST(Localizer, LearnsToSegmentSyntheticRoutes) {
     data.samples.push_back(std::move(s));
   }
 
-  LocalizerTrainConfig tc;
-  tc.epochs = 30;
-  const auto report = train_localizer(loc, data, tc);
+  const auto report = train_localizer(loc, data, {.epochs = 30, .seed = 43});
   EXPECT_EQ(report.epochs_run, 30);
-  EXPECT_GT(report.final_dice, 0.85);
+  EXPECT_GT(report.final_metric, 0.85);
 }
 
 }  // namespace

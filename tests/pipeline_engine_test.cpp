@@ -1,18 +1,21 @@
 // Engine/session split: batched scoring must be bitwise-identical to the
 // per-window session path (and to the training-time forward pass), and one
 // immutable PipelineEngine must be safely shareable across concurrent
-// sessions with deterministic results.
+// sessions with deterministic results. Loading one from a ModelSnapshot
+// must refuse every malformed weight blob with a typed error.
 #include "core/pipeline.hpp"
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstring>
-#include <sstream>
 #include <stdexcept>
+#include <string>
 #include <thread>
 
 #include "core/evaluation.hpp"
 #include "monitor/dataset.hpp"
+#include "runtime/campaign.hpp"
 
 namespace dl2f {
 namespace {
@@ -205,10 +208,116 @@ TEST(PipelineEngine, ScoreBenchmarkEqualsPerWindowSessionLoop) {
 }
 
 TEST(PipelineEngine, SnapshotMakeEngineRejectsMismatchedBlobs) {
-  const core::Dl2FenceConfig cfg =
-      core::Dl2FenceConfig::paper_default(MeshShape::square(kMeshSide));
-  std::istringstream det("garbage"), loc("garbage");
-  EXPECT_THROW(core::PipelineEngine(cfg, det, loc), std::runtime_error);
+  runtime::ModelSnapshot snap;
+  snap.config = core::Dl2FenceConfig::paper_default(MeshShape::square(kMeshSide));
+  snap.detector_weights = snap.localizer_weights = "garbage";
+  EXPECT_THROW((void)snap.make_engine(), std::runtime_error);
+}
+
+/// Capture of a deterministically initialized engine with a temporal head.
+runtime::ModelSnapshot temporal_snapshot(std::int32_t side) {
+  core::Dl2FenceConfig cfg = core::Dl2FenceConfig::paper_default(MeshShape::square(side));
+  cfg.enable_temporal = true;
+  core::PipelineEngine engine(cfg);
+  Rng rng(static_cast<std::uint64_t>(side));
+  engine.mutable_detector().model().init_weights(rng);
+  engine.mutable_localizer().model().init_weights(rng);
+  engine.mutable_temporal().model().init_weights(rng);
+  return runtime::ModelSnapshot::capture(engine);
+}
+
+using Blob = std::string runtime::ModelSnapshot::*;
+constexpr std::array<Blob, 3> kBlobs{&runtime::ModelSnapshot::detector_weights,
+                                     &runtime::ModelSnapshot::localizer_weights,
+                                     &runtime::ModelSnapshot::temporal_weights};
+
+/// Byte offsets of the per-block u64 size fields of a Sequential::save
+/// blob: after the u32 magic and u32 count, each block is its size field
+/// followed by that many floats.
+std::vector<std::size_t> block_size_offsets(const std::string& blob) {
+  std::vector<std::size_t> offsets;
+  for (std::size_t off = 8; off + 8 <= blob.size();) {
+    std::uint64_t n = 0;
+    std::memcpy(&n, blob.data() + off, sizeof n);
+    offsets.push_back(off);
+    off += 8 + n * sizeof(float);
+  }
+  return offsets;
+}
+
+// Seeded mutation harness over ModelSnapshot::make_engine and
+// Sequential::load: every malformed blob must be refused with
+// std::runtime_error (never a crash or an out-of-bounds read, which the
+// sanitizer build would report), while a blob whose float payload alone
+// is corrupted is well formed and loads.
+TEST(ModelSnapshotMutation, MalformedBlobsThrowAndPayloadFlipsLoad) {
+  const runtime::ModelSnapshot good = temporal_snapshot(kMeshSide);
+  ASSERT_NO_THROW((void)good.make_engine());
+  Rng rng(0x4d17);
+  const auto expect_refused = [&](const runtime::ModelSnapshot& bad, const std::string& what) {
+    EXPECT_THROW((void)bad.make_engine(), std::runtime_error) << what;
+  };
+  for (const Blob blob : kBlobs) {
+    const std::string& bytes = good.*blob;
+    ASSERT_GT(bytes.size(), 8U);
+    for (std::size_t len = 0; len < bytes.size(); ++len) {
+      runtime::ModelSnapshot bad = good;
+      (bad.*blob).resize(len);
+      expect_refused(bad, "truncated to " + std::to_string(len));
+    }
+    for (const std::size_t extra : {1, 3, 4, 8, 64}) {
+      runtime::ModelSnapshot bad = good;
+      for (std::size_t i = 0; i < extra; ++i) {
+        (bad.*blob).push_back(static_cast<char>(rng.uniform_int(0, 255)));
+      }
+      expect_refused(bad, std::to_string(extra) + " appended bytes");
+    }
+    // Every bit of the magic and count fields and of each block-size field.
+    std::vector<std::size_t> header_bytes{0, 1, 2, 3, 4, 5, 6, 7};
+    const std::vector<std::size_t> sizes = block_size_offsets(bytes);
+    ASSERT_FALSE(sizes.empty());
+    for (const std::size_t off : sizes) {
+      for (std::size_t b = 0; b < 8; ++b) header_bytes.push_back(off + b);
+    }
+    for (const std::size_t at : header_bytes) {
+      for (int bit = 0; bit < 8; ++bit) {
+        runtime::ModelSnapshot bad = good;
+        (bad.*blob)[at] = static_cast<char>((bad.*blob)[at] ^ (1 << bit));
+        expect_refused(bad, "bit " + std::to_string(bit) + " of byte " + std::to_string(at));
+      }
+    }
+    // Flips inside the float payloads keep the blob well formed.
+    for (int trial = 0; trial < 64; ++trial) {
+      const std::size_t block = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(sizes.size()) - 1));
+      const std::size_t begin = sizes[block] + 8;
+      const std::size_t end = block + 1 < sizes.size() ? sizes[block + 1] : bytes.size();
+      ASSERT_LT(begin, end);
+      const auto at = static_cast<std::size_t>(rng.uniform_int(
+          static_cast<std::int64_t>(begin), static_cast<std::int64_t>(end) - 1));
+      runtime::ModelSnapshot flipped = good;
+      (flipped.*blob)[at] = static_cast<char>((flipped.*blob)[at] ^ (1 << rng.uniform_int(0, 7)));
+      EXPECT_NO_THROW((void)flipped.make_engine()) << "payload byte " << at;
+    }
+  }
+
+  // Blobs of another mesh's models: the detector's and the temporal head's
+  // dense layers are sized by the mesh, so a config that disagrees with
+  // either blob must be refused.
+  const runtime::ModelSnapshot other = temporal_snapshot(kMeshSide + 2);
+  for (const Blob blob : {kBlobs[0], kBlobs[2]}) {
+    runtime::ModelSnapshot mixed = other;
+    mixed.*blob = good.*blob;
+    expect_refused(mixed, "blob of another mesh");
+  }
+
+  // The temporal blob and config.enable_temporal must agree.
+  runtime::ModelSnapshot no_blob = good;
+  no_blob.temporal_weights.clear();
+  expect_refused(no_blob, "temporal head without its blob");
+  runtime::ModelSnapshot no_head = good;
+  no_head.config.enable_temporal = false;
+  expect_refused(no_head, "temporal blob without the head");
 }
 
 TEST(PipelineEngine, RejectsModelsBuiltForDifferentMeshes) {

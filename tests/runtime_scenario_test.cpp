@@ -88,8 +88,20 @@ TEST(ScenarioRegistry, RejectsDegenerateSchedules) {
   rejects("pulse", [](ScenarioParams& p) { p.pulse_duty = std::nan(""); });
   rejects("victim-sweep", [](ScenarioParams& p) { p.sweep_period = 0; });
   rejects("victim-sweep", [](ScenarioParams& p) { p.sweep_victims = 0; });
+  // No attackers would flood nothing while attack_active() reports the
+  // attack on; a FIR outside [0, 1] would be clamped silently.
+  for (const auto& family : all_scenario_families()) {
+    if (family == "colluding") continue;  // places `colluders`, not num_attackers
+    rejects(family.c_str(), [](ScenarioParams& p) { p.num_attackers = 0; });
+  }
+  rejects("static", [](ScenarioParams& p) { p.fir = 1.5; });
+  rejects("multi-victim", [](ScenarioParams& p) { p.fir = -0.1; });
+  rejects("ramp", [](ScenarioParams& p) { p.ramp_start_fir = -0.1; });
+  rejects("stealth-ramp", [](ScenarioParams& p) { p.stealth_fir = 1.5; });
+  rejects("stealth-ramp", [](ScenarioParams& p) { p.ramp_start_fir = std::nan(""); });
+  rejects("mimicry", [](ScenarioParams& p) { p.mimicry_fir = std::nan(""); });
 
-  // Boundary duties are legal, and a family ignores the fields it does not use.
+  // Boundary values are legal, and a family ignores the fields it does not use.
   ScenarioParams edge = small_params();
   edge.burst_duty = 1.0;
   edge.pulse_duty = 0.0;
@@ -97,7 +109,10 @@ TEST(ScenarioRegistry, RejectsDegenerateSchedules) {
   EXPECT_NO_THROW((void)registry.make("pulse", edge, 1));
   edge.burst_period = edge.pulse_period = edge.sweep_period = 0;
   edge.sweep_victims = 0;
+  edge.ramp_start_fir = edge.stealth_fir = edge.mimicry_fir = 2.0;
   EXPECT_NO_THROW((void)registry.make("static", edge, 1));
+  edge.num_attackers = 0;
+  EXPECT_NO_THROW((void)registry.make("colluding", edge, 1));
 }
 
 TEST(ScenarioSchedule, AttackersFloodTogetherAndAdvanceReportsTheSpan) {

@@ -73,13 +73,6 @@ TEST(TemporalDataset, GridIsLabeledAndMitigationTailIsBenign) {
     EXPECT_FALSE(data.samples[base + 4].under_attack);
     EXPECT_FALSE(data.samples[base + 5].under_attack);
   }
-
-  // With the tail disabled the same windows stay under attack.
-  SequenceDatasetConfig no_tail = cfg;
-  no_tail.mitigation_tail = false;
-  const SequenceDataset hot = generate_sequence_dataset(no_tail, {"static"}, one_workload());
-  EXPECT_TRUE(hot.samples[4].under_attack);
-  EXPECT_TRUE(hot.samples[5].under_attack);
 }
 
 TEST(TemporalDataset, GenerationIsDeterministic) {
@@ -132,16 +125,12 @@ TEST(TemporalTraining, WeightsAreByteIdenticalAcrossThreadCounts) {
   const SequenceDataset data =
       generate_sequence_dataset(small_dataset_config(), {"static", "pulse"}, one_workload());
 
-  TemporalTrainConfig train;
-  train.epochs = 2;
-  train.seed = 99;
-
   std::string blobs[3];
   const std::int32_t threads[3] = {1, 2, 4};
   for (std::size_t i = 0; i < 3; ++i) {
     TemporalDetector detector(small_config());
-    train.threads = threads[i];
-    const TemporalTrainReport report = train_temporal_detector(detector, data, train);
+    const nn::TrainReport report =
+        train_temporal_detector(detector, data, {.epochs = 2, .seed = 99, .threads = threads[i]});
     EXPECT_EQ(report.epochs_run, 2);
     blobs[i] = weights_of(detector);
   }
@@ -151,23 +140,20 @@ TEST(TemporalTraining, WeightsAreByteIdenticalAcrossThreadCounts) {
 }
 
 // Sequence views are staged through kMaxSequenceLength-entry stack
-// buffers, so an out-of-range shape must be refused up front in every
-// build type, not only where assert() is live.
-TEST(TemporalDetectorModel, RejectsOutOfRangeSequenceLengthAndKernel) {
-  for (const std::int32_t t : {0, kMaxSequenceLength + 1}) {
+// buffers, and the conv over time spans kTemporalKernel windows, so an
+// out-of-range length must be refused up front in every build type, not
+// only where assert() is live.
+TEST(TemporalDetectorModel, RejectsOutOfRangeSequenceLength) {
+  for (const std::int32_t t : {0, kTemporalKernel - 1, kMaxSequenceLength + 1}) {
     TemporalDetectorConfig cfg = small_config();
     cfg.sequence_length = t;
-    cfg.temporal_kernel = 1;
     EXPECT_THROW(TemporalDetector{cfg}, std::invalid_argument) << "sequence_length " << t;
   }
-  for (const std::int32_t kt : {0, 5}) {
-    TemporalDetectorConfig cfg = small_config();  // sequence_length 4
-    cfg.temporal_kernel = kt;
-    EXPECT_THROW(TemporalDetector{cfg}, std::invalid_argument) << "temporal_kernel " << kt;
+  for (const std::int32_t t : {kTemporalKernel, kMaxSequenceLength}) {
+    TemporalDetectorConfig cfg = small_config();
+    cfg.sequence_length = t;
+    EXPECT_NO_THROW(TemporalDetector{cfg}) << "sequence_length " << t;
   }
-  TemporalDetectorConfig longest = small_config();
-  longest.sequence_length = kMaxSequenceLength;
-  EXPECT_NO_THROW(TemporalDetector{longest});
 
   SequenceDatasetConfig data_cfg = small_dataset_config();
   data_cfg.sequence_length = kMaxSequenceLength + 1;
@@ -179,8 +165,7 @@ TEST(TemporalTraining, RejectsDatasetsOfAnotherSequenceShape) {
   const SequenceDataset data =
       generate_sequence_dataset(small_dataset_config(), {"static"}, one_workload());
   ASSERT_GE(data.samples.size(), 2U);
-  TemporalTrainConfig train;
-  train.epochs = 1;
+  const nn::TrainConfig train{.epochs = 1};
 
   SequenceDataset wrong_length = data;
   wrong_length.sequence_length = 5;

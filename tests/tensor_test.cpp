@@ -11,7 +11,6 @@ TEST(Tensor3, ShapeAndIndexing) {
   EXPECT_EQ(t.height(), 3);
   EXPECT_EQ(t.width(), 4);
   EXPECT_EQ(t.size(), 24U);
-  EXPECT_EQ(t.plane_size(), 12U);
   t.at(1, 2, 3) = 5.0F;
   EXPECT_FLOAT_EQ(t.data()[23], 5.0F);
   t.at(0, 0, 1) = 2.0F;
@@ -27,29 +26,6 @@ TEST(Tensor3, FillSetsEverything) {
   Tensor3 t(1, 2, 2);
   t.fill(3.5F);
   for (float v : t.data()) EXPECT_FLOAT_EQ(v, 3.5F);
-}
-
-TEST(Tensor3, FrameRoundTrip) {
-  Frame f(2, 3);
-  f.at(0, 1) = 1.5F;
-  f.at(1, 2) = -2.0F;
-  const Tensor3 t = Tensor3::from_frame(f);
-  EXPECT_EQ(t.channels(), 1);
-  EXPECT_EQ(t.height(), 2);
-  EXPECT_EQ(t.width(), 3);
-  EXPECT_FLOAT_EQ(t.at(0, 0, 1), 1.5F);
-  EXPECT_EQ(t.to_frame(), f);
-}
-
-TEST(Tensor3, FromFramesStacksChannels) {
-  Frame a(2, 2, 1.0F);
-  Frame b(2, 2, 2.0F);
-  const Tensor3 t = Tensor3::from_frames({&a, &b});
-  EXPECT_EQ(t.channels(), 2);
-  EXPECT_FLOAT_EQ(t.at(0, 1, 1), 1.0F);
-  EXPECT_FLOAT_EQ(t.at(1, 0, 0), 2.0F);
-  EXPECT_EQ(t.to_frame(0), a);
-  EXPECT_EQ(t.to_frame(1), b);
 }
 
 }  // namespace
