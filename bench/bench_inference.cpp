@@ -107,22 +107,7 @@ double throughput(std::size_t windows, std::int32_t repeats, Fn&& fn) {
 int main(int argc, char** argv) {
   bool quick = false;
   for (int i = 1; i < argc; ++i) {
-    const std::string_view arg(argv[i]);
-    if (arg == "--quick") quick = true;
-    if (arg == "--gemm-backend" && i + 1 < argc) {
-      common::SimdLevel level{};
-      if (!common::parse_simd_level(argv[++i], level)) {
-        std::cerr << "bench_inference: unknown --gemm-backend '" << argv[i]
-                  << "' (scalar|avx2)\n";
-        return 2;
-      }
-      const common::SimdLevel got = common::force_simd_level(level);
-      if (got != level) {
-        std::cerr << "bench_inference: --gemm-backend " << common::simd_level_name(level)
-                  << " not supported by this CPU; clamped to " << common::simd_level_name(got)
-                  << "\n";
-      }
-    }
+    if (std::string_view(argv[i]) == "--quick") quick = true;
   }
   const char* backend = common::simd_level_name(common::active_simd_level());
 

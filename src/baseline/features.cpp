@@ -1,31 +1,19 @@
 #include "baseline/features.hpp"
 
-#include <algorithm>
+#include "core/detector.hpp"
 
 namespace dl2f::baseline {
-
-std::vector<float> flatten_sample(const monitor::FrameSample& sample, core::Feature feature) {
-  const auto& frames = feature == core::Feature::Vco ? sample.vco : sample.boc;
-  std::vector<float> out;
-  for (Direction d : kMeshDirections) {
-    const auto& f = monitor::frame_of(frames, d);
-    out.insert(out.end(), f.data().begin(), f.data().end());
-  }
-  if (feature == core::Feature::Boc) {
-    const float m = *std::max_element(out.begin(), out.end());
-    if (m > 0.0F) {
-      for (float& v : out) v /= m;
-    }
-  }
-  return out;
-}
 
 LabeledData to_labeled_data(const monitor::Dataset& data, core::Feature feature) {
   LabeledData out;
   out.x.reserve(data.samples.size());
   out.y.reserve(data.samples.size());
   for (const auto& s : data.samples) {
-    out.x.push_back(flatten_sample(s, feature));
+    // Sized from the sample's own frames, so the row always holds what
+    // stack_frames copies into it.
+    std::size_t row = 0;
+    for (const auto& f : feature == core::Feature::Vco ? s.vco : s.boc) row += f.size();
+    core::stack_frames(s, feature, out.x.emplace_back(row));
     out.y.push_back(s.under_attack ? 1 : 0);
   }
   return out;

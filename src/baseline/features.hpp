@@ -1,6 +1,6 @@
-// Feature extraction shared by all baseline classifiers: flatten the four
-// directional frames of a sample into one vector (BOC jointly normalized,
-// exactly as the CNN detector's preprocessing does).
+// Feature extraction shared by all baseline classifiers: each sample's
+// four directional frames, staged by core::stack_frames (the CNN
+// detector's own staging, BOC jointly normalized) into one row.
 #pragma once
 
 #include "baseline/classifier.hpp"
@@ -8,9 +8,6 @@
 #include "monitor/dataset.hpp"
 
 namespace dl2f::baseline {
-
-[[nodiscard]] std::vector<float> flatten_sample(const monitor::FrameSample& sample,
-                                                core::Feature feature);
 
 [[nodiscard]] LabeledData to_labeled_data(const monitor::Dataset& data, core::Feature feature);
 

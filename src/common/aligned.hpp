@@ -36,9 +36,11 @@ class AlignedAllocator {
   template <typename U>
   AlignedAllocator(const AlignedAllocator<U>&) noexcept {}  // NOLINT(google-explicit-constructor)
 
+  // lint-allow(DL008): contract probe — std::vector calls it, the Allocator requirements name it
   [[nodiscard]] T* allocate(std::size_t n) {
     return static_cast<T*>(::operator new(n * sizeof(T), std::align_val_t{kSimdAlignment}));
   }
+  // lint-allow(DL008): contract probe — std::vector calls it, the Allocator requirements name it
   void deallocate(T* p, std::size_t) noexcept {
     ::operator delete(p, std::align_val_t{kSimdAlignment});
   }

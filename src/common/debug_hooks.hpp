@@ -33,6 +33,7 @@ namespace dl2f::dbg {
 /// Allocations (operator new / new[]) performed by this thread so far,
 /// excluding those made under an AllocBypassScope. Monotonic; useful for
 /// "this region allocates nothing" regression tests.
+// lint-allow(DL008): contract probe — the tests' witness that NoAllocScope allocates nothing
 [[nodiscard]] std::int64_t thread_allocation_count() noexcept;
 
 /// RAII contract: the current thread must not allocate between
@@ -67,6 +68,7 @@ void assert_simd_aligned(const void* p, const char* what) noexcept;
 
 #else  // NDEBUG: inert stand-ins, fully inlined away.
 
+// lint-allow(DL008): contract probe — the NDEBUG stand-in of the allocation counter above
 [[nodiscard]] inline std::int64_t thread_allocation_count() noexcept { return -1; }
 
 class NoAllocScope {

@@ -12,16 +12,7 @@ float Frame::max_value() const {
   return *std::max_element(data_.begin(), data_.end());
 }
 
-float Frame::min_value() const {
-  if (data_.empty()) return 0.0F;
-  return *std::min_element(data_.begin(), data_.end());
-}
-
 float Frame::sum() const { return std::accumulate(data_.begin(), data_.end(), 0.0F); }
-
-float Frame::mean() const {
-  return data_.empty() ? 0.0F : sum() / static_cast<float>(data_.size());
-}
 
 Frame Frame::binarized(float threshold) const {
   Frame out = *this;

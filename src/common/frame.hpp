@@ -41,9 +41,7 @@ class Frame {
   [[nodiscard]] std::vector<float>& data() noexcept { return data_; }
 
   [[nodiscard]] float max_value() const;
-  [[nodiscard]] float min_value() const;
   [[nodiscard]] float sum() const;
-  [[nodiscard]] float mean() const;
 
   /// Entries > threshold become 1, the rest 0 (Algorithm 1 line 2).
   [[nodiscard]] Frame binarized(float threshold = 0.5F) const;

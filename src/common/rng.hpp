@@ -166,15 +166,6 @@ class Rng {
   /// The same trial with p's threshold already computed.
   [[nodiscard]] bool bernoulli(BernoulliP p) noexcept { return p.outcome(engine_()); }
 
-  /// Normal draw with the given mean / standard deviation.
-  [[nodiscard]] double normal(double mean, double stddev) {
-    // lint-allow(DL001): Rng is the one owner of std distributions (see determinism_lint.py)
-    return std::normal_distribution<double>(mean, stddev)(engine_);
-  }
-
-  /// Derive an independent child stream (e.g. one per node) from this one.
-  [[nodiscard]] Rng fork() { return Rng(engine_()); }
-
   /// Access the underlying engine for std::shuffle and distributions.
   [[nodiscard]] MersenneTwister64& engine() noexcept { return engine_; }
 

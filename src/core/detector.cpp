@@ -32,6 +32,26 @@ nn::TrainReport run_training(Trainer trainer, DoSDetector& detector,
 
 }  // namespace
 
+void stack_frames(const monitor::FrameSample& sample, Feature feature, std::span<float> dst) {
+  const auto& frames = feature == Feature::Vco ? sample.vco : sample.boc;
+  std::size_t off = 0;
+  for (Direction d : kMeshDirections) {
+    const auto& data = monitor::frame_of(frames, d).data();
+    assert(off + data.size() <= dst.size());
+    std::copy(data.begin(), data.end(), dst.begin() + static_cast<std::ptrdiff_t>(off));
+    off += data.size();
+  }
+  if (feature == Feature::Boc) {
+    // Joint normalization: divide every channel by the global max so the
+    // relative pressure between directions is preserved (§4).
+    const auto staged = dst.first(off);
+    const float m = *std::max_element(staged.begin(), staged.end());
+    if (m > 0.0F) {
+      for (float& v : staged) v /= m;
+    }
+  }
+}
+
 DoSDetector::DoSDetector(const DetectorConfig& cfg) : cfg_(cfg) {
   const auto rows = cfg.mesh.rows();
   const auto cols = cfg.mesh.cols() - 1;
@@ -48,31 +68,13 @@ DoSDetector::DoSDetector(const DetectorConfig& cfg) : cfg_(cfg) {
 
 nn::Tensor3 DoSDetector::preprocess(const monitor::FrameSample& sample) const {
   nn::Tensor3 input = input_shape();
-  nn::Tensor4 staged(1, input.channels(), input.height(), input.width());
-  preprocess_into(sample, staged, 0);
-  std::copy(staged.data().begin(), staged.data().end(), input.data().begin());
+  stack_frames(sample, cfg_.feature, input.data());
   return input;
 }
 
 void DoSDetector::preprocess_into(const monitor::FrameSample& sample, nn::Tensor4& batch,
                                   std::int32_t slot) const {
-  const auto& frames = cfg_.feature == Feature::Vco ? sample.vco : sample.boc;
-  float* dst = batch.sample(slot);
-  std::size_t off = 0;
-  for (Direction d : kMeshDirections) {
-    const auto& data = monitor::frame_of(frames, d).data();
-    assert(off + data.size() <= batch.sample_size());
-    std::copy(data.begin(), data.end(), dst + off);
-    off += data.size();
-  }
-  if (cfg_.feature == Feature::Boc) {
-    // Joint normalization: divide every channel by the global max so the
-    // relative pressure between directions is preserved (§4).
-    const float m = *std::max_element(dst, dst + off);
-    if (m > 0.0F) {
-      for (std::size_t i = 0; i < off; ++i) dst[i] /= m;
-    }
-  }
+  stack_frames(sample, cfg_.feature, {batch.sample(slot), batch.sample_size()});
 }
 
 float DoSDetector::predict_probability(const monitor::FrameSample& sample) {

@@ -13,12 +13,21 @@
 // configuration: only the mesh, input feature and threshold vary.
 #pragma once
 
+#include <span>
+
 #include "core/feature.hpp"
 #include "monitor/dataset.hpp"
 #include "nn/model.hpp"
 #include "nn/train.hpp"
 
 namespace dl2f::core {
+
+/// Stack `feature`'s four directional frames of `sample`, in
+/// kMeshDirections order, into `dst`; BOC is divided by the global max
+/// across all four frames so inter-direction contrast survives (§4). The
+/// one staging rule of the detector's input and of Table 4's baselines
+/// (baseline::to_labeled_data), so both score the same values.
+void stack_frames(const monitor::FrameSample& sample, Feature feature, std::span<float> dst);
 
 struct DetectorConfig {
   MeshShape mesh = MeshShape::square(16);
@@ -32,14 +41,12 @@ class DoSDetector {
 
   [[nodiscard]] const DetectorConfig& config() const noexcept { return cfg_; }
 
-  /// Stack the configured feature's four directional frames as the
-  /// channels of slot `slot` of a staged input batch (allocation-free);
-  /// BOC inputs are normalized by the global max across all four frames so
-  /// inter-direction contrast survives.
+  /// stack_frames of the configured feature into slot `slot` of a staged
+  /// input batch, one frame per channel (allocation-free).
   void preprocess_into(const monitor::FrameSample& sample, nn::Tensor4& batch,
                        std::int32_t slot) const;
 
-  /// preprocess_into for one window, as a tensor (reference path, tests).
+  /// stack_frames for one window, as a tensor (reference path, tests).
   [[nodiscard]] nn::Tensor3 preprocess(const monitor::FrameSample& sample) const;
 
   /// CNN input shape: kNumMeshDirections channels of R x (R-1) frames.

@@ -26,7 +26,6 @@ FusionResult multi_frame_fusion(const monitor::FrameGeometry& geom,
   for (Direction d : kMeshDirections) {
     const Frame bin = monitor::frame_of(segmentation, d).binarized(binarize_threshold);
     if (bin.sum() <= 0.0F) continue;
-    result.abnormal[static_cast<std::size_t>(d)] = true;
     result.mff += lift_to_node_space(geom, d, bin);
   }
 

@@ -8,7 +8,6 @@
 // target victim itself.
 #pragma once
 
-#include <array>
 #include <vector>
 
 #include "common/frame.hpp"
@@ -22,15 +21,6 @@ struct FusionResult {
   Frame mff;
   /// Node ids with mff >= 1, ascending — the localized victims.
   std::vector<NodeId> victims;
-  /// Directions whose segmentation contained at least one positive pixel.
-  std::array<bool, kNumMeshDirections> abnormal{};
-
-  [[nodiscard]] bool any_abnormal() const noexcept {
-    for (bool b : abnormal) {
-      if (b) return true;
-    }
-    return false;
-  }
 };
 
 /// Fuse binarized directional segmentations into victims.

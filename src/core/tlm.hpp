@@ -31,6 +31,7 @@ struct TlmResult {
 };
 
 /// Literal Fig. 3 formula table over binarized directional segmentations.
+// lint-allow(DL008): test oracle — Fig. 3's literal table that trace_attackers is tested against
 [[nodiscard]] TlmResult tlm_formula_attackers(const monitor::FrameGeometry& geom,
                                               const monitor::DirectionalFrames& seg_binary);
 

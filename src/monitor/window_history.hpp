@@ -42,14 +42,11 @@ class WindowHistory {
   }
 
   [[nodiscard]] std::int32_t sequence_length() const noexcept { return cap_; }
-  /// Total windows pushed since construction / the last clear().
-  [[nodiscard]] std::int64_t pushed() const noexcept { return pushed_; }
-  /// Live windows currently held (min(pushed, sequence_length)).
+  /// Live windows currently held (min(windows pushed since construction
+  /// or the last clear(), sequence_length)); view() pads until it is full.
   [[nodiscard]] std::int32_t live() const noexcept {
     return static_cast<std::int32_t>(std::min<std::int64_t>(pushed_, cap_));
   }
-  /// True once view() no longer needs warmup padding.
-  [[nodiscard]] bool warmed_up() const noexcept { return pushed_ >= cap_; }
 
   /// Append the newest monitoring window, evicting the oldest once the
   /// ring is full. Invalidates previously returned views.

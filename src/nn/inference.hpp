@@ -53,15 +53,11 @@ class InferenceContext {
   [[nodiscard]] bool bound() const noexcept { return model_ != nullptr; }
   [[nodiscard]] bool train_bound() const noexcept { return bound() && !grads_.empty(); }
   [[nodiscard]] const Sequential* model() const noexcept { return model_; }
-  [[nodiscard]] std::int32_t capacity() const noexcept { return capacity_; }
 
   /// The input staging buffer, with its active batch set to `n`.
-  /// Allocation-free; `n` must not exceed capacity() — batch callers
-  /// chunk instead of growing the binding.
+  /// Allocation-free; `n` must not exceed the bound `max_batch` — batch
+  /// callers chunk instead of growing the binding.
   [[nodiscard]] Tensor4& input(std::int32_t n);
-
-  /// Activation buffer after layer `i` (0 = the input staging buffer).
-  [[nodiscard]] const Tensor4& activation(std::size_t i) const { return acts_[i]; }
 
   /// The loss-gradient staging buffer (dLoss/dOut of the model), sized to
   /// the active batch of the last infer_batch. Requires bind_train.

@@ -1,34 +1,10 @@
 #include "nn/loss.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
+#include <cstdint>
 
 namespace dl2f::nn {
-
-LossResult bce_loss(const Tensor3& prediction, const Tensor3& target, float weight) {
-  assert(prediction.same_shape(target));
-  LossResult r;
-  r.grad = Tensor3(prediction.channels(), prediction.height(), prediction.width());
-  r.loss = bce_loss_into(prediction.data().data(), target.data().data(), prediction.size(),
-                         weight, r.grad.data().data());
-  return r;
-}
-
-LossResult dice_loss(const Tensor3& prediction, const Tensor3& target) {
-  assert(prediction.same_shape(target));
-  LossResult r;
-  r.grad = Tensor3(prediction.channels(), prediction.height(), prediction.width());
-  r.loss = dice_loss_add(prediction.data().data(), target.data().data(), prediction.size(),
-                         r.grad.data().data());
-  return r;
-}
-
-double dice_score(const Tensor3& prediction, const Tensor3& target, float threshold) {
-  assert(prediction.same_shape(target));
-  return dice_score_raw(prediction.data().data(), target.data().data(), prediction.size(),
-                        threshold);
-}
 
 float bce_loss_into(const float* prediction, const float* target, std::size_t n,
                     float weight, float* grad) {

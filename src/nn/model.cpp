@@ -117,12 +117,6 @@ void Sequential::zero_grad() {
   for (auto* p : params()) p->zero_grad();
 }
 
-Tensor3 Sequential::output_shape(const Tensor3& input_shape) const {
-  Tensor3 s = input_shape;
-  for (const auto& l : layers_) s = l->output_shape(s);
-  return s;
-}
-
 bool Sequential::save(std::ostream& os) const {
   const auto blocks = params();
   const std::uint32_t magic = kMagic;

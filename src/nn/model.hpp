@@ -80,9 +80,6 @@ class Sequential {
   [[nodiscard]] std::size_t param_count() const;
   void zero_grad();
 
-  /// Output shape for a given input shape (shape propagation only).
-  [[nodiscard]] Tensor3 output_shape(const Tensor3& input_shape) const;
-
   /// Weight serialization: little-endian stream of all parameter blocks in
   /// layer order, preceded by a magic/count header. The architecture
   /// itself is code, not data — loading into a mismatched architecture is

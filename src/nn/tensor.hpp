@@ -37,10 +37,6 @@ class Tensor3 {
   [[nodiscard]] std::size_t size() const noexcept { return data_.size(); }
   [[nodiscard]] bool empty() const noexcept { return data_.empty(); }
 
-  [[nodiscard]] bool same_shape(const Tensor3& o) const noexcept {
-    return c_ == o.c_ && h_ == o.h_ && w_ == o.w_;
-  }
-
   [[nodiscard]] float& at(std::int32_t c, std::int32_t h, std::int32_t w) {
     assert(c >= 0 && c < c_ && h >= 0 && h < h_ && w >= 0 && w < w_);
     return data_[static_cast<std::size_t>((c * h_ + h) * w_ + w)];

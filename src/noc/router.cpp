@@ -121,7 +121,6 @@ void Router::accept_flit(Direction d, std::int32_t vc, const Flit& flit, Cycle n
       if (channel.out_dir == Direction::Local ||
           outputs_[out_p].credits[static_cast<std::size_t>(channel.out_vc)] > 0) {
         credited_routed_to_[out_p] |= bit;
-        credited_union_ |= bit;
       }
     }
   }
@@ -143,7 +142,6 @@ void Router::accept_credit(Direction out_dir, std::int32_t vc) noexcept {
       const std::uint64_t bit = std::uint64_t{1} << static_cast<std::size_t>(slot);
       if ((routed_to_[out_p] & bit) != 0) {
         credited_routed_to_[out_p] |= bit;
-        credited_union_ |= bit;
       }
     }
   }
@@ -179,7 +177,6 @@ void Router::allocate_vcs(const MeshShape& mesh) {
       vc.out_dir = out_dir;
       vc.out_vc = 0;
       credited_routed_to_[static_cast<std::size_t>(out_dir)] |= bit;
-      credited_union_ |= bit;
     } else {
       const auto free_vc = out.find_free_vc();
       if (!free_vc) {
@@ -200,7 +197,6 @@ void Router::allocate_vcs(const MeshShape& mesh) {
         // A freshly claimed VC can still be credit-starved: the previous
         // owner's flits may not have drained downstream yet.
         credited_routed_to_[static_cast<std::size_t>(out_dir)] |= bit;
-        credited_union_ |= bit;
       }
     }
     active_slots_ |= bit;
@@ -215,32 +211,12 @@ void Router::step(const MeshShape& mesh, LinkStage& out, Cycle now) {
   // dominates simulation throughput on large meshes.
   if (buffered_ == 0) return;
 
-  // Blocked fast path: no slot can be allocated (every Idle+nonempty slot
-  // is parked on a VC-starved output) and no slot can win the switch
-  // (every routed slot is credit-starved). Under wormhole backpressure —
-  // a saturating flood — most routers spend most cycles in this state, so
-  // they cost three mask tests instead of a full VA/SA sweep. The owed VA
-  // rotation is banked and credited on the next real step, keeping the
-  // arbitration schedule bit-exact with the always-rotate engine.
-  const std::uint64_t va_candidates = nonempty_slots_ & ~active_slots_ & ~va_blocked_union_;
-  if (va_candidates == 0 && credited_union_ == 0) {
-    ++pending_rotations_;
-    return;
-  }
-
   // The VA round-robin pointer rotates every stepped cycle regardless of
   // whether any slot needs allocation — the rotation schedule is part of
-  // the deterministic arbitration sequence the golden tests pin. The
-  // common advance (no banked rotations) is a compare instead of a
-  // hardware modulo.
+  // the deterministic arbitration sequence the golden tests pin.
   const std::size_t all_slots = kNumPorts * static_cast<std::size_t>(cfg_.vcs_per_port);
-  if (pending_rotations_ == 0) {
-    if (++va_round_robin_ >= all_slots) va_round_robin_ = 0;
-  } else {
-    va_round_robin_ = (va_round_robin_ + 1 + pending_rotations_) % all_slots;
-    pending_rotations_ = 0;
-  }
-  if (va_candidates != 0) allocate_vcs(mesh);
+  if (++va_round_robin_ >= all_slots) va_round_robin_ = 0;
+  allocate_vcs(mesh);
 
   // Switch allocation: pick one winning input VC per output port, scanning
   // input (port, vc) pairs from a rotating round-robin start so no input
@@ -290,7 +266,6 @@ void Router::step(const MeshShape& mesh, LinkStage& out, Cycle now) {
           LinkTransfer{down.to, opposite(out_dir), vc.out_vc, flit});
       if (--port_out.credits[static_cast<std::size_t>(vc.out_vc)] == 0) {
         credited_routed_to_[out_p] &= ~bit;  // starved until a credit returns
-        credited_union_ &= ~bit;
       }
       if (tail) {
         port_out.vc_in_use[static_cast<std::size_t>(vc.out_vc)] = false;
@@ -314,13 +289,11 @@ void Router::step(const MeshShape& mesh, LinkStage& out, Cycle now) {
       active_slots_ &= ~bit;
       routed_to_[out_p] &= ~bit;
       credited_routed_to_[out_p] &= ~bit;
-      credited_union_ &= ~bit;
     }
     if (vc.buffer.empty()) {
       nonempty_slots_ &= ~bit;
       routed_to_[out_p] &= ~bit;
       credited_routed_to_[out_p] &= ~bit;
-      credited_union_ &= ~bit;
     }
     if (!vc.occupied()) {
       port.occ_touch(now);

@@ -294,24 +294,18 @@ class Router {
   std::array<std::uint64_t, kNumPorts> credited_routed_to_{};
   std::array<std::array<std::int8_t, kMaxVcsPerPort>, kNumPorts> vc_owner_{};
 
-  // Blocked-router fast path. A slot routes to exactly one output, so the
-  // credited_routed_to_ masks are pairwise disjoint and their union can be
-  // maintained bit-for-bit alongside them:
-  //   credited_union_   = OR of credited_routed_to_[d] — nonzero iff ANY
-  //                     slot could win switch allocation this cycle.
+  // VA parking:
   //   va_blocked_[d]    Idle slots whose VA attempt stalled because output
   //                     d had no free downstream VC; they are excluded
   //                     from VA retries until d frees one (a retry before
   //                     that is a guaranteed no-op, so skipping it cannot
   //                     change any allocation outcome).
-  //   pending_rotations_ VA rotation advances owed by cycles the blocked
-  //                     fast path skipped; credited to va_round_robin_ on
-  //                     the next real step so the arbitration schedule the
-  //                     golden tests pin is exactly preserved.
-  std::uint64_t credited_union_ = 0;
+  //   va_blocked_union_ = OR of va_blocked_[d].
+  // A router whose slots are all parked or credit-starved still steps:
+  // it rotates its VA pointer and finds no VA or SA candidate in a few
+  // mask tests.
   std::array<std::uint64_t, kNumPorts> va_blocked_{};
   std::uint64_t va_blocked_union_ = 0;
-  std::uint64_t pending_rotations_ = 0;
 
   // Out-of-line arenas (see file comment). vc_storage_ holds the
   // kNumPorts * vcs_per_port VirtualChannel records by slot, viewed port

@@ -36,7 +36,6 @@ void LatencyStats::on_packet_ejected(const Flit& tail, Cycle now) {
   packet_queue_.add(static_cast<double>(tail.injected - tail.created));
   packet_total_.add(static_cast<double>(now - tail.created));
   const auto lat = static_cast<std::size_t>(std::max<Cycle>(now - tail.created, 0));
-  max_packet_latency_ = std::max(max_packet_latency_, static_cast<Cycle>(lat));
   window_max_packet_latency_ = std::max(window_max_packet_latency_, static_cast<Cycle>(lat));
   ++packet_hist_[std::min(lat, kLatencyBuckets - 1)];
 }
@@ -46,7 +45,6 @@ void LatencyStats::reset() noexcept {
   flit_total_.reset();
   packet_queue_.reset();
   packet_total_.reset();
-  max_packet_latency_ = 0;
   window_max_packet_latency_ = 0;
   std::fill(packet_hist_.begin(), packet_hist_.end(), 0);
 }

@@ -20,9 +20,10 @@ namespace dl2f::noc {
 /// saturate into it, so its index is only a lower bound on the real
 /// latency. When the requested percentile lands there, `overflow` is
 /// returned instead of the clamp: pass the true observed maximum when you
-/// track one (LatencyStats does), or accept the default sentinel -1.0,
-/// which loudly signals "beyond histogram range" rather than silently
-/// reporting the clamp as if it were a measured latency.
+/// track one (LatencyStats::window_max_packet_latency does), or accept the
+/// default sentinel -1.0, which loudly signals "beyond histogram range"
+/// rather than silently reporting the clamp as if it were a measured
+/// latency.
 /// Returns 0 on an empty histogram.
 [[nodiscard]] double histogram_percentile(const std::vector<std::int64_t>& hist, double q,
                                           double overflow = -1.0) noexcept;
@@ -70,23 +71,14 @@ class LatencyStats {
   [[nodiscard]] const std::vector<std::int64_t>& packet_latency_histogram() const noexcept {
     return packet_hist_;
   }
-  /// Largest packet latency observed (cycles) — the exact value even when
-  /// it saturated the histogram's overflow bucket.
-  [[nodiscard]] Cycle max_packet_latency() const noexcept { return max_packet_latency_; }
-  /// Largest packet latency since the last reset_window_max() — the
-  /// overflow substitute for *windowed* (delta-histogram) percentiles,
-  /// where the run-cumulative max could report a latency from a much
-  /// earlier window.
+  /// Largest packet latency since the last reset_window_max() or reset()
+  /// (cycles) — the exact value even when it saturated the histogram's
+  /// overflow bucket, and so the overflow substitute for *windowed*
+  /// (delta-histogram) percentiles.
   [[nodiscard]] Cycle window_max_packet_latency() const noexcept {
     return window_max_packet_latency_;
   }
   void reset_window_max() noexcept { window_max_packet_latency_ = 0; }
-  /// Percentile over all recorded packets. When the percentile falls in
-  /// the overflow bucket the true tracked maximum is reported instead of
-  /// the histogram clamp.
-  [[nodiscard]] double packet_latency_percentile(double q) const noexcept {
-    return histogram_percentile(packet_hist_, q, static_cast<double>(max_packet_latency_));
-  }
 
   void reset() noexcept;
 
@@ -95,7 +87,6 @@ class LatencyStats {
   RunningMean flit_total_;
   RunningMean packet_queue_;
   RunningMean packet_total_;
-  Cycle max_packet_latency_ = 0;
   Cycle window_max_packet_latency_ = 0;
   std::vector<std::int64_t> packet_hist_ = std::vector<std::int64_t>(kLatencyBuckets, 0);
 };

@@ -140,11 +140,14 @@ ModelSnapshot train_model_snapshot(const MeshShape& mesh,
 }
 
 CampaignResult run_campaign(const CampaignConfig& cfg, const ModelSnapshot& model) {
-  // Validate the grid before any worker spawns: a typo'd family name or a
-  // mesh/model mismatch must be a diagnosable error, not a crash inside a
-  // worker thread.
+  // Validate the grid before any worker spawns: a typo'd family name, a
+  // mesh/model mismatch or an empty monitoring window must be a
+  // diagnosable error, not a crash inside a worker thread.
   if (!(cfg.params.mesh == model.config.detector.mesh)) {
     throw std::invalid_argument("run_campaign: cfg.params.mesh does not match the model's mesh");
+  }
+  if (cfg.defense.window_cycles < 1) {
+    throw std::invalid_argument("run_campaign: cfg.defense.window_cycles must be at least 1");
   }
   for (const auto& family : cfg.families) {
     if (!ScenarioRegistry::instance().contains(family)) {

@@ -151,9 +151,10 @@ struct CampaignResult {
 };
 
 /// Run the full grid. Throws std::invalid_argument before any worker
-/// starts if a family is not registered or cfg.params.mesh differs from
-/// the snapshot's mesh. A job's exception stops the remaining jobs and is
-/// rethrown here once every worker has returned.
+/// starts if a family is not registered, cfg.params.mesh differs from
+/// the snapshot's mesh or cfg.defense.window_cycles < 1. A job's
+/// exception stops the remaining jobs and is rethrown here once every
+/// worker has returned.
 [[nodiscard]] CampaignResult run_campaign(const CampaignConfig& cfg, const ModelSnapshot& model);
 
 }  // namespace dl2f::runtime

@@ -12,9 +12,10 @@ DefenseRuntime::DefenseRuntime(traffic::Simulation& sim, const core::PipelineEng
   if (!(engine.config().detector.mesh == sim.mesh().shape())) {
     throw std::invalid_argument("DefenseRuntime: engine mesh differs from the simulation's");
   }
-  const auto n = static_cast<std::size_t>(sim.mesh().shape().node_count());
-  votes_.assign(n, 0);
-  clean_streak_.assign(n, 0);
+  if (cfg.window_cycles < 1) {
+    throw std::invalid_argument("DefenseRuntime: window_cycles must be at least 1");
+  }
+  clean_streak_.assign(static_cast<std::size_t>(sim.mesh().shape().node_count()), 0);
   // Window 0 starts here: clear the feature counters and snapshot the
   // benign-latency accumulators so the first window's deltas are its own.
   sim_.mesh().reset_telemetry();
@@ -46,8 +47,8 @@ WindowRecord DefenseRuntime::run_window() {
   // OR temporal verdict, plus the colluding-source assist); single-window
   // engines score the newest window exactly as before. While a post-fence
   // cooldown is active, the sequence verdict is suppressed (see
-  // DefenseConfig::temporal_cooldown_windows) and only the single-window
-  // path scores this window.
+  // kTemporalCooldownWindows) and only the single-window path scores this
+  // window.
   const bool temporal_live = session_.engine().has_temporal() && temporal_cooldown_ == 0;
   if (temporal_cooldown_ > 0) --temporal_cooldown_;
   const core::RoundResult round = temporal_live ? session_.process_sequence(windows_.view())
@@ -93,7 +94,7 @@ WindowRecord DefenseRuntime::run_window() {
 
   update_mitigation(round, rec);
   rec.quarantined = mesh.quarantined_nodes();
-  if (!rec.newly_quarantined.empty()) temporal_cooldown_ = cfg_.temporal_cooldown_windows;
+  if (!rec.newly_quarantined.empty()) temporal_cooldown_ = kTemporalCooldownWindows;
 
   history_.push_back(rec);
   return rec;
@@ -108,16 +109,15 @@ void DefenseRuntime::update_mitigation(const core::RoundResult& round, WindowRec
   // Per-node evidence: what matters for both fencing and release is
   // whether *this node* was named by the TLM this window — a global dirty
   // verdict must not hold an unimplicated node hostage (an attack by
-  // someone else would otherwise block a false positive's release), and
-  // votes must not pool across unrelated windows.
-  std::vector<char> named(votes_.size(), 0);
+  // someone else would otherwise block a false positive's release).
+  std::vector<char> named(clean_streak_.size(), 0);
   if (round.detected) {
     for (const NodeId a : round.tlm.attackers) {
       if (mesh.shape().valid(a)) named[static_cast<std::size_t>(a)] = 1;
     }
   }
 
-  for (std::size_t node = 0; node < votes_.size(); ++node) {
+  for (std::size_t node = 0; node < clean_streak_.size(); ++node) {
     const auto id = static_cast<NodeId>(node);
     if (mesh.quarantined(id)) {
       // Probation: released after probation_windows consecutive windows
@@ -127,29 +127,16 @@ void DefenseRuntime::update_mitigation(const core::RoundResult& round, WindowRec
         clean_streak_[node] = 0;
       } else if (++clean_streak_[node] >= cfg_.probation_windows) {
         mesh.set_quarantined(id, false);
-        votes_[node] = 0;
         clean_streak_[node] = 0;
         rec.released.push_back(id);
       }
-    } else if (named[node] != 0) {
-      // Fencing: quarantine_votes consecutive implicating windows.
-      ++votes_[node];
-      if (cfg_.mitigation_enabled && votes_[node] >= cfg_.quarantine_votes) {
-        mesh.set_quarantined(id, true);
-        clean_streak_[node] = 0;
-        rec.newly_quarantined.push_back(id);
-      }
-    } else {
-      votes_[node] = 0;  // evidence does not pool across non-consecutive windows
+    } else if (named[node] != 0 && cfg_.mitigation_enabled) {
+      // Fencing: the first window that names the node.
+      mesh.set_quarantined(id, true);
+      clean_streak_[node] = 0;
+      rec.newly_quarantined.push_back(id);
     }
   }
-}
-
-void DefenseRuntime::quarantine_now(NodeId node) {
-  sim_.mesh().set_quarantined(node, true);  // throws first for a node outside the mesh
-  clean_streak_[static_cast<std::size_t>(node)] = 0;
-  votes_[static_cast<std::size_t>(node)] =
-      std::max(votes_[static_cast<std::size_t>(node)], cfg_.quarantine_votes);
 }
 
 DefenseSummary DefenseRuntime::summarize(double recovery_ratio) const {

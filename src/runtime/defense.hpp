@@ -10,13 +10,14 @@
 //   (2) samples VCO/BOC frames through monitor::sample_window, exactly as
 //       the training datasets do,
 //   (3) runs the full detection/localization round, and
-//   (4) mitigates on per-node evidence: a node the TLM names in
-//       quarantine_votes consecutive windows is quarantined at its network
-//       interface (Mesh::set_quarantined); a fenced node the TLM stops
-//       naming for probation_windows consecutive windows is released — so
-//       false positives recover even while a separate attack keeps the
-//       detector busy, and a returning flooder is re-fenced as soon as it
-//       is implicated again.
+//   (4) mitigates on per-node evidence: a node the TLM names is
+//       quarantined at its network interface (Mesh::set_quarantined) at
+//       the end of that window; a fenced node the TLM stops naming for
+//       probation_windows consecutive windows is released — so false
+//       positives recover even while a separate attack keeps the detector
+//       busy, and a returning flooder is re-fenced as soon as it is
+//       implicated again. A node fenced from outside (an operator calling
+//       Mesh::set_quarantined) goes through the same probation.
 //
 // Per-window benign latency (mean and p50/p99 via histogram diffs) is
 // recorded so recovery — "benign latency back within recovery_ratio of its
@@ -34,19 +35,19 @@
 
 namespace dl2f::runtime {
 
+/// Windows after a new quarantine action during which the temporal head's
+/// sequence verdict is suppressed (the single-window verdict stays live).
+/// The sequence head reads multi-window history, so it necessarily lags
+/// the fence: the first post-fence window pairs residual drain congestion
+/// with attack history — the head's one systematic false positive. Any
+/// attacker the fence missed still floods the current window and is
+/// caught by the single-window path.
+inline constexpr std::int32_t kTemporalCooldownWindows = 1;
+
 struct DefenseConfig {
-  std::int64_t window_cycles = 1000;  ///< monitoring window length (paper: 1000 for STP)
+  std::int64_t window_cycles = 1000;  ///< monitoring window length, >= 1 (paper: 1000 for STP)
   bool mitigation_enabled = true;     ///< false = monitor-only (probation still releases)
-  std::int32_t quarantine_votes = 1;  ///< consecutive windows naming a node before fencing
   std::int32_t probation_windows = 3; ///< consecutive windows not naming a fenced node before release
-  /// Windows after a new quarantine action during which the temporal
-  /// head's sequence verdict is suppressed (the single-window verdict
-  /// stays live). The sequence head reads multi-window history, so it
-  /// necessarily lags the fence: the first post-fence window pairs
-  /// residual drain congestion with attack history — the head's one
-  /// systematic false positive. Any attacker the fence missed still
-  /// floods the current window and is caught by the single-window path.
-  std::int32_t temporal_cooldown_windows = 1;
 };
 
 /// Everything observed and done in one monitoring window.
@@ -130,8 +131,9 @@ class DefenseRuntime {
   /// `sim` and `engine` are borrowed and must outlive the runtime. The
   /// runtime owns its own PipelineSession, so any number of runtimes (one
   /// per worker, say) can share one engine. Throws std::invalid_argument
-  /// when the engine's mesh differs from sim's: sampled frames would
-  /// overrun the session's arenas.
+  /// when the engine's mesh differs from sim's (sampled frames would
+  /// overrun the session's arenas) or when cfg.window_cycles < 1 (every
+  /// window would simulate nothing).
   DefenseRuntime(traffic::Simulation& sim, const core::PipelineEngine& engine,
                  DefenseConfig cfg = {});
 
@@ -145,11 +147,6 @@ class DefenseRuntime {
   /// (the full sequence stays in history()).
   WindowRecord run_window();
   void run_windows(std::int32_t count);
-
-  /// Operator override: fence a node immediately (it still goes through
-  /// normal probation release). Throws std::invalid_argument, changing
-  /// nothing, when `node` is outside the mesh.
-  void quarantine_now(NodeId node);
 
   [[nodiscard]] const std::vector<WindowRecord>& history() const noexcept { return history_; }
   [[nodiscard]] std::vector<NodeId> quarantined() const { return sim_.mesh().quarantined_nodes(); }
@@ -169,7 +166,6 @@ class DefenseRuntime {
   /// either way, so both paths share one sampling flow).
   monitor::WindowHistory windows_;
 
-  std::vector<std::int32_t> votes_;         ///< per-node consecutive implicated windows
   std::vector<std::int32_t> clean_streak_;  ///< per-node consecutive unimplicated windows while fenced
   std::int32_t temporal_cooldown_ = 0;      ///< sequence-verdict suppression windows left
   std::vector<WindowRecord> history_;

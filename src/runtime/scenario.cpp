@@ -188,12 +188,6 @@ std::unique_ptr<Scenario> ScenarioRegistry::make(std::string_view name,
   return std::make_unique<Scenario>(name, params, seed);
 }
 
-std::vector<std::string> ScenarioRegistry::names() const {
-  auto out = all_scenario_families();
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
 std::vector<std::string> builtin_scenario_families() {
   return {kFamilies.begin(), kFamilies.begin() + kBuiltinFamilies};
 }

@@ -147,8 +147,6 @@ class ScenarioRegistry {
   /// constructor on a degenerate schedule.
   [[nodiscard]] std::unique_ptr<Scenario> make(std::string_view name, const ScenarioParams& params,
                                                std::uint64_t seed) const;
-  /// Family names, ascending.
-  [[nodiscard]] std::vector<std::string> names() const;
 
  private:
   ScenarioRegistry() = default;

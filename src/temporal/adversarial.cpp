@@ -8,6 +8,7 @@
 
 #include "monitor/dataset.hpp"
 #include "nn/loss.hpp"
+#include "runtime/defense.hpp"
 #include "traffic/simulation.hpp"
 
 namespace dl2f::temporal {
@@ -61,9 +62,10 @@ void collect_run(const SequenceDatasetConfig& cfg, const std::string& family,
   //  - even reps fence LATE (last third of the run): the attack ran long,
   //    then a drain tail — the slow-detection regime;
   //  - odd reps replay the live fence-probation CYCLE: fence one window
-  //    after the attack starts (quarantine_votes=1 online), release after
-  //    three fenced windows (probation_windows=3 online), the attack
-  //    resumes, re-fence one window later, repeat. Without this rep every
+  //    after the attack starts (the runtime fences on the first window
+  //    that names a node), release after the runtime's default
+  //    probation_windows fenced windows, the attack resumes, re-fence one
+  //    window later, repeat. Without this rep every
   //    training sequence holds 4+ attack windows before its drain, and the
   //    head both false-positives on the live loop's
   //    [benign, attack, drain, benign] shape and never sees a
@@ -80,7 +82,7 @@ void collect_run(const SequenceDatasetConfig& cfg, const std::string& family,
     if (fence_cycle) {
       if (w == fence_at) {
         for (const NodeId a : scenario.all_attackers()) sim.mesh().set_quarantined(a, true);
-        release_at = w + 3;  // probation_windows' live default
+        release_at = w + runtime::DefenseConfig{}.probation_windows;
         fence_at = -1;
       } else if (w == release_at) {
         for (const NodeId a : scenario.all_attackers()) sim.mesh().set_quarantined(a, false);

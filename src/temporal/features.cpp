@@ -39,14 +39,6 @@ void sources_rate_into(const monitor::FrameSample& s, const MeshShape& mesh, flo
   }
 }
 
-void sources_plane_into(const monitor::FrameSample& s, const MeshShape& mesh, float* dst,
-                        std::size_t n) {
-  sources_rate_into(s, mesh, dst, n);
-  // squash(max(a, b)) == max(squash(a), squash(b)) for a strictly monotone
-  // squash, so this matches folding squashed rates bit for bit.
-  for (std::size_t i = 0; i < n; ++i) dst[i] = squash(dst[i]);
-}
-
 std::vector<NodeId> source_suspects(monitor::SequenceView seq, const MeshShape& mesh,
                                     const SuspectConfig& cfg) {
   const auto n = static_cast<std::size_t>(mesh.node_count());

@@ -77,12 +77,6 @@ void pressure_rate_into(const monitor::FrameSample& s, float* dst, std::size_t n
 void sources_rate_into(const monitor::FrameSample& s, const MeshShape& mesh, float* dst,
                        std::size_t n);
 
-/// Squashed per-source injection plane: squash() over sources_rate_into.
-/// Because squash is strictly monotone, squashing after the max-fold is
-/// bitwise identical to max-folding squashed rates.
-void sources_plane_into(const monitor::FrameSample& s, const MeshShape& mesh, float* dst,
-                        std::size_t n);
-
 /// Knobs of the colluding-source localization assist.
 struct SuspectConfig {
   /// A node is suspect when its sequence-mean injection rate exceeds the

@@ -59,9 +59,6 @@ class ParsecTraffic final : public TrafficGenerator {
   [[nodiscard]] const ParsecParams& params() const noexcept { return params_; }
   /// True when `cycle` falls inside a communication burst.
   [[nodiscard]] bool in_burst(std::int64_t cycle) const noexcept;
-  [[nodiscard]] const std::vector<NodeId>& memory_controllers() const noexcept {
-    return controllers_;
-  }
 
  private:
   [[nodiscard]] NodeId pick_destination(const MeshShape& shape, NodeId src);

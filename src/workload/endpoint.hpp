@@ -89,15 +89,6 @@ class RequestReplyWorkload final : public traffic::TrafficGenerator,
 
   [[nodiscard]] const WorkloadStats& stats() const noexcept { return stats_; }
 
-  /// Requests in flight (issued, reply not yet delivered) for one client.
-  [[nodiscard]] std::int32_t outstanding(NodeId client) const {
-    return outstanding_[static_cast<std::size_t>(client)];
-  }
-  /// Requests drawn but not yet issued at one client.
-  [[nodiscard]] std::size_t pending_requests(NodeId client) const {
-    return pending_[static_cast<std::size_t>(client)].size();
-  }
-
   /// 1-cycle-bucket round-trip latency histogram (overflow in last bucket);
   /// the serving bench diffs snapshots of this for per-phase percentiles.
   [[nodiscard]] const std::vector<std::int64_t>& reply_latency_histogram() const noexcept {

@@ -2,11 +2,21 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <numbers>
+
 #include "baseline/features.hpp"
+#include "core/detector.hpp"
 #include "monitor/dataset.hpp"
 
 namespace dl2f::baseline {
 namespace {
+
+/// Normal draw (Box-Muller) with mean 0 and standard deviation `sigma`.
+double gaussian(Rng& rng, double sigma) {
+  const double u = 1.0 - rng.uniform();  // (0, 1]: log stays finite
+  return sigma * std::sqrt(-2.0 * std::log(u)) * std::cos(2.0 * std::numbers::pi * rng.uniform());
+}
 
 /// Linearly separable 2-D blobs.
 LabeledData make_blobs(std::size_t n, double gap, std::uint64_t seed) {
@@ -15,8 +25,8 @@ LabeledData make_blobs(std::size_t n, double gap, std::uint64_t seed) {
   for (std::size_t i = 0; i < n; ++i) {
     const bool pos = i % 2 == 0;
     const double cx = pos ? gap : -gap;
-    data.x.push_back({static_cast<float>(cx + rng.normal(0, 0.5)),
-                      static_cast<float>(rng.normal(0, 0.5))});
+    data.x.push_back({static_cast<float>(cx + gaussian(rng, 0.5)),
+                      static_cast<float>(gaussian(rng, 0.5))});
     data.y.push_back(pos ? 1 : 0);
   }
   return data;
@@ -85,48 +95,71 @@ TEST(EvaluateClassifier, CountsAllSamples) {
   EXPECT_EQ(cm.total(), 100);
 }
 
-TEST(Features, FlattenDimensionIs4Frames) {
-  const auto mesh = MeshShape::square(8);
-  const monitor::FrameGeometry geom(mesh);
-  monitor::FrameSample s;
-  for (Direction d : kMeshDirections) {
-    monitor::frame_of(s.vco, d) = geom.make_frame();
-    monitor::frame_of(s.boc, d) = geom.make_frame();
-  }
-  EXPECT_EQ(flatten_sample(s, core::Feature::Vco).size(), 4U * 8U * 7U);
-}
-
-TEST(Features, BocIsJointlyNormalized) {
-  const auto mesh = MeshShape::square(4);
-  const monitor::FrameGeometry geom(mesh);
-  monitor::FrameSample s;
-  for (Direction d : kMeshDirections) {
-    monitor::frame_of(s.vco, d) = geom.make_frame();
-    monitor::frame_of(s.boc, d) = geom.make_frame();
-  }
-  monitor::frame_of(s.boc, Direction::East).at(0, 0) = 500.0F;
-  monitor::frame_of(s.boc, Direction::West).at(0, 0) = 250.0F;
-  const auto x = flatten_sample(s, core::Feature::Boc);
-  const float mx = *std::max_element(x.begin(), x.end());
-  EXPECT_FLOAT_EQ(mx, 1.0F);
-  // The 0.5 relative weight of the West pixel survives normalization.
-  EXPECT_NE(std::find(x.begin(), x.end(), 0.5F), x.end());
-}
-
-TEST(Features, ToLabeledDataPreservesLabels) {
-  const auto mesh = MeshShape::square(4);
+/// A dataset of `n` all-zero windows on `mesh`.
+monitor::Dataset blank_dataset(const MeshShape& mesh, int n) {
   const monitor::FrameGeometry geom(mesh);
   monitor::Dataset data;
   data.mesh = mesh;
-  for (int i = 0; i < 6; ++i) {
+  for (int i = 0; i < n; ++i) {
     monitor::FrameSample s;
-    s.under_attack = i % 3 == 0;
     for (Direction d : kMeshDirections) {
       monitor::frame_of(s.vco, d) = geom.make_frame();
       monitor::frame_of(s.boc, d) = geom.make_frame();
     }
     data.samples.push_back(std::move(s));
   }
+  return data;
+}
+
+TEST(Features, RowIs4Frames) {
+  const auto ld = to_labeled_data(blank_dataset(MeshShape::square(8), 1), core::Feature::Vco);
+  ASSERT_EQ(ld.size(), 1U);
+  EXPECT_EQ(ld.x[0].size(), 4U * 8U * 7U);
+}
+
+TEST(Features, BocIsJointlyNormalized) {
+  auto data = blank_dataset(MeshShape::square(4), 1);
+  monitor::FrameSample& s = data.samples[0];
+  monitor::frame_of(s.boc, Direction::East).at(0, 0) = 500.0F;
+  monitor::frame_of(s.boc, Direction::West).at(0, 0) = 250.0F;
+  const auto ld = to_labeled_data(data, core::Feature::Boc);
+  const auto& x = ld.x[0];
+  const float mx = *std::max_element(x.begin(), x.end());
+  EXPECT_FLOAT_EQ(mx, 1.0F);
+  // The 0.5 relative weight of the West pixel survives normalization.
+  EXPECT_NE(std::find(x.begin(), x.end(), 0.5F), x.end());
+}
+
+TEST(Features, RowEqualsTheDetectorsStagedSample) {
+  // Table 4 compares the CNN with baselines that must see the very input
+  // the detector stages, value for value.
+  const auto mesh = MeshShape::square(6);
+  auto data = blank_dataset(mesh, 1);
+  monitor::FrameSample& s = data.samples[0];
+  Rng rng(5);
+  for (Direction d : kMeshDirections) {
+    for (float& v : monitor::frame_of(s.vco, d).data()) v = static_cast<float>(rng.uniform());
+    for (float& v : monitor::frame_of(s.boc, d).data()) {
+      v = static_cast<float>(rng.uniform_int(0, 4000));
+    }
+  }
+  for (const core::Feature feature : {core::Feature::Vco, core::Feature::Boc}) {
+    core::DetectorConfig cfg;
+    cfg.mesh = mesh;
+    cfg.feature = feature;
+    const core::DoSDetector detector(cfg);
+    const nn::Tensor3 staged = detector.preprocess(s);
+    const auto ld = to_labeled_data(data, feature);
+    ASSERT_EQ(ld.x[0].size(), staged.size()) << core::to_string(feature);
+    for (std::size_t i = 0; i < staged.size(); ++i) {
+      ASSERT_EQ(ld.x[0][i], staged.data()[i]) << core::to_string(feature) << " at " << i;
+    }
+  }
+}
+
+TEST(Features, ToLabeledDataPreservesLabels) {
+  auto data = blank_dataset(MeshShape::square(4), 6);
+  for (int i = 0; i < 6; ++i) data.samples[static_cast<std::size_t>(i)].under_attack = i % 3 == 0;
   const auto ld = to_labeled_data(data, core::Feature::Vco);
   ASSERT_EQ(ld.size(), 6U);
   EXPECT_EQ(ld.y[0], 1);

@@ -74,6 +74,19 @@ TEST(Dataset, AttackSamplesCarryConsistentTruth) {
   }
 }
 
+TEST(Dataset, PortTruthMarksOnlyTheRouteInputDirections) {
+  const auto mesh = MeshShape::square(8);
+  traffic::AttackScenario s;
+  s.attackers = {0};
+  s.victim = 18;  // east then north: West inputs + South inputs on route
+  const DirectionalFrames masks = ground_truth_masks(FrameGeometry(mesh), s);
+  const auto marked = [&](Direction d) { return frame_of(masks, d).sum() > 0.0F; };
+  EXPECT_TRUE(marked(Direction::West));
+  EXPECT_TRUE(marked(Direction::South));
+  EXPECT_FALSE(marked(Direction::East));
+  EXPECT_FALSE(marked(Direction::North));
+}
+
 TEST(Dataset, FramesHaveCanonicalShape) {
   const auto cfg = tiny_config();
   const Dataset data = generate_dataset(

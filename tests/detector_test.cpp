@@ -24,13 +24,20 @@ monitor::FrameSample make_sample(const MeshShape& mesh, bool attack, float level
   return s;
 }
 
+/// Chain Layer::output_shape through every layer, as
+/// InferenceContext::bind does.
+nn::Tensor3 chained_output_shape(const nn::Sequential& model, nn::Tensor3 shape) {
+  for (std::size_t i = 0; i < model.layer_count(); ++i) shape = model.layer(i).output_shape(shape);
+  return shape;
+}
+
 TEST(Detector, ArchitectureMatchesPaperShapes) {
   DetectorConfig cfg;
   cfg.mesh = MeshShape::square(16);
   DoSDetector det(cfg);
   // Input 4ch 16x15; conv valid 3x3 -> 8ch 14x13; pool2 -> 8ch 7x6;
   // flatten 336; dense -> 1.
-  const auto out = det.model().output_shape(nn::Tensor3(4, 16, 15));
+  const auto out = chained_output_shape(det.model(), nn::Tensor3(4, 16, 15));
   EXPECT_EQ(out.channels(), 1);
   EXPECT_EQ(out.height(), 1);
   EXPECT_EQ(out.width(), 1);
@@ -48,8 +55,8 @@ TEST(Detector, ScalesWithMeshSize) {
   DetectorConfig cfg;
   cfg.mesh = MeshShape::square(8);
   DoSDetector det(cfg);
-  EXPECT_NO_THROW((void)det.model().output_shape(nn::Tensor3(4, 8, 7)));
-  const auto out = det.model().output_shape(nn::Tensor3(4, 8, 7));
+  EXPECT_NO_THROW((void)chained_output_shape(det.model(), nn::Tensor3(4, 8, 7)));
+  const auto out = chained_output_shape(det.model(), nn::Tensor3(4, 8, 7));
   EXPECT_EQ(out.channels(), 1);
 }
 

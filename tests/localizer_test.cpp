@@ -8,11 +8,18 @@
 namespace dl2f::core {
 namespace {
 
+/// Chain Layer::output_shape through every layer, as
+/// InferenceContext::bind does.
+nn::Tensor3 chained_output_shape(const nn::Sequential& model, nn::Tensor3 shape) {
+  for (std::size_t i = 0; i < model.layer_count(); ++i) shape = model.layer(i).output_shape(shape);
+  return shape;
+}
+
 TEST(Localizer, ArchitecturePreservesFrameShape) {
   LocalizerConfig cfg;
   cfg.mesh = MeshShape::square(16);
   DoSLocalizer loc(cfg);
-  const auto out = loc.model().output_shape(nn::Tensor3(1, 16, 15));
+  const auto out = chained_output_shape(loc.model(), nn::Tensor3(1, 16, 15));
   EXPECT_EQ(out.channels(), 1);
   EXPECT_EQ(out.height(), 16);
   EXPECT_EQ(out.width(), 15);

@@ -153,6 +153,15 @@ TEST(Mesh, StatsResetClearsAverages) {
   EXPECT_DOUBLE_EQ(mesh.stats().avg_packet_latency(), 0.0);
 }
 
+TEST(Mesh, QuarantineRejectsNodesOutsideTheMesh) {
+  // An operator fence on a node id past either end of the mesh must fail
+  // loudly and fence nothing, in every build type.
+  Mesh mesh(small_mesh());
+  EXPECT_THROW(mesh.set_quarantined(mesh.shape().node_count(), true), std::invalid_argument);
+  EXPECT_THROW(mesh.set_quarantined(-1, true), std::invalid_argument);
+  EXPECT_TRUE(mesh.quarantined_nodes().empty());
+}
+
 TEST(Mesh, QuarantineDropsInjectionAtTheSourceAndReleases) {
   Mesh mesh(small_mesh());
   mesh.set_quarantined(0, true);
@@ -201,8 +210,12 @@ TEST(LatencyHistogram, PercentilesFollowTheEjectedPackets) {
   const auto& stats = mesh.stats();
   ASSERT_EQ(stats.packets_ejected(), 20);
 
-  const double p50 = stats.packet_latency_percentile(0.5);
-  const double p99 = stats.packet_latency_percentile(0.99);
+  const auto percentile = [&](double q) {
+    return histogram_percentile(stats.packet_latency_histogram(), q,
+                                static_cast<double>(stats.window_max_packet_latency()));
+  };
+  const double p50 = percentile(0.5);
+  const double p99 = percentile(0.99);
   EXPECT_GT(p50, 0.0);
   EXPECT_GE(p99, p50);
   // The histogram's mass matches the packet count.
@@ -246,8 +259,13 @@ TEST(LatencyHistogram, OverflowBucketReportsSentinelNotClamp) {
 
 TEST(LatencyHistogram, StatsReportTrueMaxBeyondBucketRange) {
   // Packets whose latency saturates the 2048-bucket histogram must report
-  // the exact observed maximum from the tail percentiles, not the clamp.
+  // the exact observed maximum from the tail percentiles, not the clamp
+  // (the DefenseRuntime's windowed p50/p99 path).
   LatencyStats stats;
+  const auto percentile = [&](double q) {
+    return histogram_percentile(stats.packet_latency_histogram(), q,
+                                static_cast<double>(stats.window_max_packet_latency()));
+  };
   Flit tail;
   tail.type = FlitType::HeadTail;
   for (int i = 0; i < 10; ++i) {
@@ -257,18 +275,18 @@ TEST(LatencyHistogram, StatsReportTrueMaxBeyondBucketRange) {
   }
   tail.created = 0;
   stats.on_packet_ejected(tail, /*now=*/5000);  // latency 5000: clamps
-  EXPECT_EQ(stats.max_packet_latency(), 5000);
-  EXPECT_DOUBLE_EQ(stats.packet_latency_percentile(0.5), 100.0);
-  EXPECT_DOUBLE_EQ(stats.packet_latency_percentile(0.99), 5000.0);
+  EXPECT_EQ(stats.window_max_packet_latency(), 5000);
+  EXPECT_DOUBLE_EQ(percentile(0.5), 100.0);
+  EXPECT_DOUBLE_EQ(percentile(0.99), 5000.0);
 
   stats.reset();
-  EXPECT_EQ(stats.max_packet_latency(), 0);
+  EXPECT_EQ(stats.window_max_packet_latency(), 0);
 }
 
-TEST(LatencyHistogram, WindowMaxResetsIndependentlyOfRunMax) {
+TEST(LatencyHistogram, WindowMaxResetsAtEachWindow) {
   // Windowed (delta-histogram) percentiles need the max of *this* window:
-  // a run-cumulative extreme from an earlier window must not leak into a
-  // later window's overflow substitute.
+  // an extreme from an earlier window must not leak into a later window's
+  // overflow substitute.
   LatencyStats stats;
   Flit tail;
   tail.type = FlitType::HeadTail;
@@ -280,7 +298,6 @@ TEST(LatencyHistogram, WindowMaxResetsIndependentlyOfRunMax) {
 
   stats.on_packet_ejected(tail, /*now=*/2100);  // later, milder window
   EXPECT_EQ(stats.window_max_packet_latency(), 2100);
-  EXPECT_EQ(stats.max_packet_latency(), 80000);  // run max unaffected
 }
 
 }  // namespace

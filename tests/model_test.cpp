@@ -25,8 +25,11 @@ Sequential make_tiny_model() {
 }
 
 TEST(Sequential, ShapePropagation) {
+  // Layer::output_shape chained through the model, as
+  // InferenceContext::bind does.
   Sequential m = make_tiny_model();
-  const auto out = m.output_shape(Tensor3(1, 4, 4));
+  Tensor3 out(1, 4, 4);
+  for (std::size_t i = 0; i < m.layer_count(); ++i) out = m.layer(i).output_shape(out);
   EXPECT_EQ(out.channels(), 1);
   EXPECT_EQ(out.height(), 1);
   EXPECT_EQ(out.width(), 1);
@@ -154,8 +157,10 @@ TEST(Sequential, LearnsSimplePatternDiscrimination) {
     Tensor3 target(1, 1, 1);
     target.data()[0] = top ? 1.0F : 0.0F;
     const auto out = m.forward(make_sample(top));
-    const auto loss = bce_loss(out, target);
-    m.backward(loss.grad);
+    Tensor3 grad(1, 1, 1);
+    (void)bce_loss_into(out.data().data(), target.data().data(), out.size(), 1.0F,
+                        grad.data().data());
+    m.backward(grad);
     if (step % 4 == 3) opt.step();
   }
 

@@ -24,15 +24,36 @@ TEST(Parsec, IntensityOrderingMatchesCharacterization) {
   EXPECT_LT(bt.burst_rate, x.burst_rate);
 }
 
+/// Counts delivered packets per destination node.
+struct DestinationCounter final : noc::PacketDeliveryListener {
+  std::vector<std::int64_t> delivered = std::vector<std::int64_t>(64, 0);
+  void on_packet_delivered(const noc::Flit& tail, noc::Cycle /*now*/) override {
+    ++delivered[static_cast<std::size_t>(tail.dst)];
+  }
+};
+
 TEST(Parsec, MemoryControllersAtCorners) {
-  const auto mesh = MeshShape::square(8);
-  const ParsecTraffic gen(ParsecWorkload::Blackscholes, mesh, 1);
-  const auto& mc = gen.memory_controllers();
-  ASSERT_EQ(mc.size(), 4U);
-  EXPECT_EQ(mc[0], 0);
-  EXPECT_EQ(mc[1], 7);
-  EXPECT_EQ(mc[2], 56);
-  EXPECT_EQ(mc[3], 63);
+  // With every packet a hotspot packet, only the four corner controllers
+  // (0, 7, 56, 63 on 8x8) receive traffic, and each of them does.
+  noc::MeshConfig cfg;
+  cfg.shape = MeshShape::square(8);
+  Simulation sim(cfg);
+  ParsecParams p = parsec_params(ParsecWorkload::Blackscholes);
+  p.hotspot_fraction = 1.0;
+  p.neighbor_fraction = 0.0;
+  sim.add_generator(std::make_unique<ParsecTraffic>(ParsecWorkload::Blackscholes, cfg.shape, p, 1));
+  DestinationCounter counter;
+  sim.mesh().set_delivery_listener(&counter);
+  sim.run(3000);
+  sim.run_drain(50000);
+  for (NodeId n = 0; n < 64; ++n) {
+    const bool corner = n == 0 || n == 7 || n == 56 || n == 63;
+    if (corner) {
+      EXPECT_GT(counter.delivered[static_cast<std::size_t>(n)], 0) << n;
+    } else {
+      EXPECT_EQ(counter.delivered[static_cast<std::size_t>(n)], 0) << n;
+    }
+  }
 }
 
 TEST(Parsec, BurstWindowsFollowPhasePeriod) {

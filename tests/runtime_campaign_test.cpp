@@ -193,7 +193,7 @@ TEST(Campaign, WorkloadAxisChangesTheTraffic) {
   EXPECT_NE(result.jobs[0].summary.baseline_latency, result.jobs[1].summary.baseline_latency);
 }
 
-TEST(Campaign, RejectsUnknownFamiliesAndMismatchedMeshUpfront) {
+TEST(Campaign, RejectsMalformedGridsUpfront) {
   const ModelSnapshot snap = deterministic_snapshot();
 
   CampaignConfig typo = small_campaign();
@@ -203,6 +203,18 @@ TEST(Campaign, RejectsUnknownFamiliesAndMismatchedMeshUpfront) {
   CampaignConfig wrong_mesh = small_campaign();
   wrong_mesh.params.mesh = MeshShape::square(kMeshSide + 2);
   EXPECT_THROW((void)run_campaign(wrong_mesh, snap), std::invalid_argument);
+
+  // An empty window would run every job to all-zero metrics; the grid
+  // check names the field before any worker builds a runtime.
+  CampaignConfig empty_window = small_campaign();
+  empty_window.defense.window_cycles = 0;
+  empty_window.threads = 2;
+  try {
+    (void)run_campaign(empty_window, snap);
+    ADD_FAILURE() << "window_cycles = 0 ran";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("run_campaign"), std::string::npos) << e.what();
+  }
 }
 
 TEST(Campaign, AJobsExceptionReachesTheCallerAtAnyWorkerCount) {

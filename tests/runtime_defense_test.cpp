@@ -147,7 +147,7 @@ TEST_F(DefenseLoop, ProbationReleasesAFalselyFencedNodeEvenInMonitorOnlyMode) {
   runtime.attach_scenario(scenario.get());
 
   const NodeId innocent = 27;
-  runtime.quarantine_now(innocent);
+  sim.mesh().set_quarantined(innocent, true);  // an operator fence
   EXPECT_TRUE(sim.mesh().quarantined(innocent));
 
   runtime.run_windows(8);
@@ -181,7 +181,7 @@ TEST_F(DefenseLoop, OngoingAttackDoesNotBlockAnUnimplicatedNodesRelease) {
   runtime.attach_scenario(scenario.get());
 
   const NodeId innocent = 63;  // mesh corner, never on the flooding route
-  runtime.quarantine_now(innocent);
+  sim.mesh().set_quarantined(innocent, true);
   runtime.run_windows(10);
 
   // The attack was indeed seen (dirty windows happened)...
@@ -216,7 +216,7 @@ TEST(DefenseGroundTruth, MitigationInADormantWindowStillCountsAsMitigated) {
   DefenseRuntime runtime(sim, engine, cfg);
   runtime.attach_scenario(scenario.get());
   runtime.run_windows(3);  // benign, burst, off-phase
-  for (const NodeId a : scenario->all_attackers()) runtime.quarantine_now(a);
+  for (const NodeId a : scenario->all_attackers()) sim.mesh().set_quarantined(a, true);
   runtime.run_windows(2);  // fenced throughout -> truth_attack false here
 
   const DefenseSummary s = runtime.summarize();
@@ -267,17 +267,21 @@ TEST(DefenseRuntimeConfig, EngineMeshMustMatchTheSimulation) {
   EXPECT_THROW((void)DefenseRuntime(sim, engine), std::invalid_argument);
 }
 
-TEST(DefenseRuntimeConfig, QuarantineNowRejectsNodesOutsideTheMesh) {
-  // An operator fence on a node id past either end of the mesh must fail
-  // loudly and fence nothing, in every build type.
+TEST(DefenseRuntimeConfig, RejectsEmptyMonitoringWindows) {
+  // A window of zero (or negative) cycles simulates nothing, so every
+  // metric of the run would read 0 without an error.
   const core::PipelineEngine engine = untrained_engine(MeshShape::square(kMeshSide));
   noc::MeshConfig mesh_cfg;
   mesh_cfg.shape = MeshShape::square(kMeshSide);
   traffic::Simulation sim(mesh_cfg);
-  DefenseRuntime runtime(sim, engine);
-  EXPECT_THROW(runtime.quarantine_now(kMeshSide * kMeshSide), std::invalid_argument);
-  EXPECT_THROW(runtime.quarantine_now(-1), std::invalid_argument);
-  EXPECT_TRUE(runtime.quarantined().empty());
+  for (const std::int64_t window_cycles : {std::int64_t{0}, std::int64_t{-1000}}) {
+    DefenseConfig cfg;
+    cfg.window_cycles = window_cycles;
+    EXPECT_THROW((void)DefenseRuntime(sim, engine, cfg), std::invalid_argument) << window_cycles;
+  }
+  DefenseConfig one_cycle;
+  one_cycle.window_cycles = 1;
+  EXPECT_NO_THROW((void)DefenseRuntime(sim, engine, one_cycle));
 }
 
 }  // namespace

@@ -17,11 +17,6 @@ TEST(Tensor3, ShapeAndIndexing) {
   EXPECT_FLOAT_EQ(t.data()[1], 2.0F);
 }
 
-TEST(Tensor3, SameShape) {
-  EXPECT_TRUE(Tensor3(1, 2, 3).same_shape(Tensor3(1, 2, 3)));
-  EXPECT_FALSE(Tensor3(1, 2, 3).same_shape(Tensor3(1, 3, 2)));
-}
-
 TEST(Tensor3, FillSetsEverything) {
   Tensor3 t(1, 2, 2);
   t.fill(3.5F);

@@ -22,6 +22,7 @@
 // engine change), run with DL2F_PRINT_GOLDEN=1 and paste the printed rows.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdio>
 #include <cstdlib>
@@ -129,12 +130,14 @@ std::uint64_t run_case(const std::string& family, const monitor::Benchmark& beni
   return fold_stats(h, mesh.benign_stats());
 }
 
-/// Every registered family over UniformRandom, then "static" over every
-/// other benchmark (the paper's nine, then the three trace workloads).
+/// Every family over UniformRandom in name order, then "static" over
+/// every other benchmark (the paper's nine, then the three trace workloads).
 std::vector<std::pair<std::string, monitor::Benchmark>> cases() {
   const monitor::Benchmark uniform{traffic::SyntheticPattern::UniformRandom};
   std::vector<std::pair<std::string, monitor::Benchmark>> out;
-  for (const auto& family : runtime::ScenarioRegistry::instance().names()) {
+  auto families = runtime::all_scenario_families();
+  std::sort(families.begin(), families.end());
+  for (const auto& family : families) {
     out.emplace_back(family, uniform);
   }
   auto benigns = monitor::all_benchmarks();

@@ -52,7 +52,6 @@ TEST(WindowHistory, WarmupRepeatsTheOldestLiveWindowAtTheFront) {
   monitor::WindowHistory h(4);
   h.push(make_sample(0.1F));
   EXPECT_EQ(h.live(), 1);
-  EXPECT_FALSE(h.warmed_up());
 
   auto view = h.view();
   ASSERT_EQ(view.size(), 4U);
@@ -65,17 +64,16 @@ TEST(WindowHistory, WarmupRepeatsTheOldestLiveWindowAtTheFront) {
   EXPECT_FLOAT_EQ(id_of(*view[1]), 0.1F);
   EXPECT_FLOAT_EQ(id_of(*view[2]), 0.1F);
   EXPECT_FLOAT_EQ(id_of(*view[3]), 0.2F);
-  EXPECT_FALSE(h.warmed_up());
+  EXPECT_LT(h.live(), h.sequence_length());  // still padding
 }
 
 TEST(WindowHistory, RingWraparoundStaysChronologicalPastCapacity) {
   monitor::WindowHistory h(4);
   for (std::int32_t i = 0; i < 6; ++i) {
     h.push(make_sample(static_cast<float>(i)));
-    EXPECT_EQ(h.pushed(), i + 1);
     EXPECT_EQ(h.live(), std::min(i + 1, 4));
   }
-  EXPECT_TRUE(h.warmed_up());
+  EXPECT_EQ(h.live(), h.sequence_length());  // no padding past capacity
 
   // After 6 pushes into a 4-deep ring, the view is windows 2..5 in order.
   const auto view = h.view();
@@ -89,10 +87,10 @@ TEST(WindowHistory, RingWraparoundStaysChronologicalPastCapacity) {
 TEST(WindowHistory, ClearRestartsWarmup) {
   monitor::WindowHistory h(3);
   for (std::int32_t i = 0; i < 5; ++i) h.push(make_sample(static_cast<float>(i)));
-  EXPECT_TRUE(h.warmed_up());
+  EXPECT_EQ(h.live(), 3);
 
   h.clear();
-  EXPECT_EQ(h.pushed(), 0);
+  EXPECT_EQ(h.live(), 0);
   h.push(make_sample(9.0F));
   EXPECT_EQ(h.live(), 1);
   for (const monitor::FrameSample* s : h.view()) EXPECT_FLOAT_EQ(id_of(*s), 9.0F);
@@ -122,7 +120,7 @@ TEST_F(SequenceFeatures, PerWindowChannelsBitwiseMatchIndependentRecompute) {
   const nn::Tensor3 x = detector.preprocess({view.data(), view.size()});
 
   const auto hw = static_cast<std::size_t>(kRows * kCols);
-  std::vector<float> raw_prev(hw), raw(hw), sources(hw), src_raw(hw), src_raw_prev(hw);
+  std::vector<float> raw_prev(hw), raw(hw), src_raw(hw), src_raw_prev(hw);
   for (std::int32_t t = 0; t < 4; ++t) {
     const monitor::FrameSample& s = windows[static_cast<std::size_t>(t)];
     const std::int32_t ch0 = t * kChannelsPerWindow;
@@ -151,15 +149,14 @@ TEST_F(SequenceFeatures, PerWindowChannelsBitwiseMatchIndependentRecompute) {
     }
     raw_prev = raw;
 
-    // Channel 6: the (already squashed) per-source injection plane.
+    // Channel 6: the squashed per-source injection-rate plane.
     // Channel 7: the signed squashed trend of the RAW source-rate plane
     // (exactly zero at the first position).
-    sources_plane_into(s, MeshShape::square(kMeshSide), sources.data(), hw);
     sources_rate_into(s, MeshShape::square(kMeshSide), src_raw.data(), hw);
     for (std::int32_t r = 0; r < kRows; ++r) {
       for (std::int32_t c = 0; c < kCols; ++c) {
         const auto i = static_cast<std::size_t>(r * kCols + c);
-        EXPECT_EQ(x.at(ch0 + 6, r, c), sources[i]);
+        EXPECT_EQ(x.at(ch0 + 6, r, c), squash(src_raw[i]));
         const float expected_trend = t == 0 ? 0.0F : squash_signed(src_raw[i] - src_raw_prev[i]);
         EXPECT_EQ(x.at(ch0 + 7, r, c), expected_trend);
       }

@@ -49,6 +49,14 @@ DL007  threads start in one place: std::thread / std::jthread objects,
        common::WorkerPool, whose per-participant slots and caller-side
        fixed-order reductions carry the any-thread-count determinism
        contract; a second thread mechanism would have to re-prove it.
+DL008  no library code that only tests run: every function name declared
+       in a src/ header must appear in src/, bench/, examples/ or
+       perfbench/ somewhere other than its own declarations and
+       definitions (tests/ does not count). The check is by name, so a
+       call to an overload or to a same-named member counts. A function
+       kept for tests alone carries an allow whose reason names the test
+       oracle or contract probe it is; anything else is deleted and its
+       tests ported to the code the library runs.
 
 Suppressions
 ------------
@@ -61,8 +69,10 @@ Usage
     python3 tools/lint/determinism_lint.py [--root REPO_ROOT] [FILE...]
 
 With no FILE arguments, lints every *.cpp/*.hpp under REPO_ROOT/src
-(default: repository root inferred from this script's location). Exits
-0 when clean, 1 when findings were emitted, 2 on usage errors.
+(default: repository root inferred from this script's location) and
+runs DL008, which reads the whole tree; FILE arguments lint only those
+files, so DL008 is skipped. Exits 0 when clean, 1 when findings were
+emitted, 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -138,6 +148,24 @@ THREAD_PRIMITIVE_RE = re.compile(
 )
 # The one file pair allowed to use them.
 WORKER_POOL_RE = re.compile(r"(?:^|/)src/common/worker_pool\.(?:cpp|hpp)$")
+
+# DL008: the trees whose code may call a src/ function, and the
+# declaration scanner's vocabulary.
+CALLER_DIRS = ("src", "bench", "examples", "perfbench")
+SOURCE_EXTS = (".cpp", ".hpp", ".h")
+PREPROCESSOR_RE = re.compile(r"^[ \t]*#(?:[^\n]*\\\n)*[^\n]*", re.MULTILINE)
+ACCESS_SPECIFIER_RE = re.compile(r"\b(?:public|private|protected)\s*:(?!:)")
+ATTRIBUTE_RE = re.compile(r"\[\[.*?\]\]", re.DOTALL)
+SCOPE_HEAD_RE = re.compile(
+    r"^\s*(?:namespace\b|extern\b|enum\b|"
+    r"(?:class|struct|union)\s+(?:alignas\s*\([^)]*\)\s*)?(\w+))")
+DECLARATOR_RE = re.compile(r"(~?)\s*\b([A-Za-z_]\w*)\s*$")
+IDENT_RE = re.compile(r"\b[A-Za-z_]\w*\b")
+NOT_A_FUNCTION = frozenset((
+    "alignas", "alignof", "auto", "bool", "char", "decltype", "double", "float", "for",
+    "if", "int", "long", "noexcept", "operator", "requires", "return", "short", "signed",
+    "sizeof", "static_assert", "switch", "unsigned", "void", "while", "__attribute__",
+))
 
 
 @dataclass
@@ -325,13 +353,118 @@ def lint_file(path: str, root: str) -> list[Finding]:
     return lint_text(relpath, text, sibling_header_text(path))
 
 
+def skip_template_head(stmt: str) -> str:
+    """Drop a leading `template <...>` parameter list (nested <> aware)."""
+    m = re.match(r"\s*template\s*<", stmt)
+    if m is None:
+        return stmt
+    depth, i = 1, m.end()
+    while i < len(stmt) and depth:
+        depth += {"<": 1, ">": -1}.get(stmt[i], 0)
+        i += 1
+    return skip_template_head(stmt[i:])
+
+
+def declared_function(stmt: str, scope_class: str | None) -> tuple[str, int] | None:
+    """The function a namespace- or class-scope statement declares or
+    defines, as (name, offset of the name in `stmt`), or None. The name
+    is the identifier before the statement's first `(`, with a type
+    before it and no `=` (an initializer) ahead of it; constructors,
+    destructors, operators, keywords and macro calls are not names."""
+    head = skip_template_head(ATTRIBUTE_RE.sub(lambda m: " " * len(m.group()), stmt))
+    base = len(stmt) - len(head)
+    paren = head.find("(")
+    if paren < 0:
+        return None
+    m = DECLARATOR_RE.search(head[:paren])
+    if m is None or m.group(1):
+        return None
+    name, prefix = m.group(2), head[:m.start()]
+    if name in NOT_A_FUNCTION or "=" in prefix or not prefix.strip():
+        return None
+    if name == scope_class or prefix.rstrip().endswith(name + "::"):
+        return None
+    return name, base + m.start(2)
+
+
+def declaration_sites(code: str) -> list[tuple[str, int]]:
+    """Every function declared or defined at namespace or class scope of
+    stripped `code`, as (name, offset). Braces that do not open a
+    namespace, class, struct, union, enum or linkage block open code
+    (a function body or an initializer), which holds calls, not
+    declarations."""
+    code = PREPROCESSOR_RE.sub(lambda m: re.sub(r"[^\n]", " ", m.group()), code)
+    sites: list[tuple[str, int]] = []
+    scopes: list[str | None] = []  # enclosing declaration scopes: class name or None
+    code_depth = 0  # brace depth inside a code block
+    start = 0
+    for i, c in enumerate(code):
+        if code_depth:
+            code_depth += {"{": 1, "}": -1}.get(c, 0)
+            if not code_depth:
+                start = i + 1
+            continue
+        if c not in ";{}":
+            continue
+        stmt = ACCESS_SPECIFIER_RE.sub(lambda m: " " * len(m.group()),
+                                       code[start:i])
+        head = SCOPE_HEAD_RE.match(skip_template_head(stmt)) if c == "{" else None
+        if head is None and c != "}":
+            found = declared_function(stmt, scopes[-1] if scopes else None)
+            if found is not None:
+                sites.append((found[0], start + found[1]))
+        if c == "{":
+            if head is not None:
+                scopes.append(head.group(1))
+            else:
+                code_depth = 1
+        elif c == "}" and scopes:
+            scopes.pop()
+        start = i + 1
+    return sites
+
+
+def source_files(root: str, dirs: tuple[str, ...]) -> list[str]:
+    files = []
+    for d in dirs:
+        for dirpath, _dirnames, filenames in os.walk(os.path.join(root, d)):
+            files.extend(os.path.join(dirpath, n) for n in filenames if n.endswith(SOURCE_EXTS))
+    return sorted(files)
+
+
+def lint_callers(root: str) -> list[Finding]:
+    """DL008, a whole-tree pass: every function name declared in a
+    src/ header must appear in src/, bench/, examples/ or perfbench/
+    somewhere other than a declaration or definition. The check is by
+    name, so a call to an overload or to a same-named member counts."""
+    headers: list[tuple[str, list[str], list[tuple[str, int]], str]] = []
+    used: set[str] = set()
+    for path in source_files(root, CALLER_DIRS):
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
+        code = strip_code(text)
+        sites = declaration_sites(code)
+        declared_at = {offset for _name, offset in sites}
+        used.update(m.group() for m in IDENT_RE.finditer(code) if m.start() not in declared_at)
+        relpath = os.path.relpath(path, root).replace(os.sep, "/")
+        if relpath.startswith("src/") and relpath.endswith((".hpp", ".h")):
+            headers.append((relpath, text.splitlines(), sites, code))
+
+    findings: list[Finding] = []
+    for relpath, raw_lines, sites, code in headers:
+        allowed, _bad = collect_suppressions(raw_lines)  # lint_text reports bad ones
+        for name, offset in sites:
+            idx = code.count("\n", 0, offset)
+            if name not in used and "DL008" not in allowed.get(idx, set()):
+                findings.append(Finding(
+                    relpath, idx + 1, "DL008",
+                    f"'{name}' has no caller in src/, bench/, examples/ or perfbench/ — "
+                    "delete it, or port its tests to the code the library runs"))
+    return findings
+
+
 def default_targets(root: str) -> list[str]:
-    targets = []
-    for dirpath, _dirnames, filenames in os.walk(os.path.join(root, "src")):
-        for name in sorted(filenames):
-            if name.endswith((".cpp", ".hpp", ".h")):
-                targets.append(os.path.join(dirpath, name))
-    return sorted(targets)
+    return source_files(root, ("src",))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -356,6 +489,8 @@ def main(argv: list[str] | None = None) -> int:
             print(f"determinism_lint: cannot read {path}: {err}", file=sys.stderr)
             return 2
 
+    if not args.files:
+        findings.extend(lint_callers(root))
     for f in findings:
         print(f.render())
     if findings:

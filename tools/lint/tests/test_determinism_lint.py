@@ -4,6 +4,8 @@
 One good + one bad fixture per rule, so the linter is
 failing-by-construction demonstrated: if a rule regex rots, the bad
 fixture stops producing its finding and this suite fails ctest/CI.
+DL008's fixtures are small trees (fixtures/dl008_*/), since the rule
+reads a whole repository.
 
 Run directly (python3 tools/lint/tests/test_determinism_lint.py) or via
 the `lint_selftest` ctest entry.
@@ -132,6 +134,51 @@ class FixtureTests(unittest.TestCase):
         findings = run_fixture("suppression_bad.cpp")
         self.assertIn("DL000", rules_of(findings))  # reasonless lint-allow
         self.assertIn("DL001", rules_of(findings))  # ::now( still caught
+
+
+class CallerTests(unittest.TestCase):
+    """DL008 runs over a whole tree, so each fixture is a directory with
+    its own src/ and caller trees."""
+
+    @staticmethod
+    def callers(tree):
+        return lint.lint_callers(os.path.join(FIXTURES, tree))
+
+    def test_dl008_flags_functions_only_tests_call(self):
+        findings = self.callers("dl008_bad")
+        self.assertEqual(rules_of(findings), ["DL008"])
+        self.assertEqual(sorted(f.message.split("'")[1] for f in findings),
+                         ["debug_only", "test_reset", "unused_helper"])
+        self.assertTrue(all(f.path == "src/widget/widget.hpp" for f in findings))
+
+    def test_dl008_counts_overloads_members_and_every_caller_tree(self):
+        self.assertEqual(self.callers("dl008_good"), [])
+
+    def test_dl008_allow_needs_a_reason(self):
+        findings = self.callers("dl008_suppressed")
+        self.assertEqual([(f.rule, f.line) for f in findings], [("DL008", 15)])
+        self.assertIn("unexplained_count", findings[0].message)
+
+    def test_dl008_runs_on_the_whole_tree_only(self):
+        bad = os.path.join(FIXTURES, "dl008_bad")
+        self.assertEqual(lint.main(["--root", bad]), 1)
+        header = os.path.join(bad, "src", "widget", "widget.hpp")
+        self.assertEqual(lint.main(["--root", bad, header]), 0)
+
+    def test_declaration_scanner_skips_calls_and_special_members(self):
+        text = ("namespace n {\n"
+                "struct S {\n"
+                "  S(int a) : a_(a) {}\n"
+                "  ~S();\n"
+                "  S& operator=(const S&) = delete;\n"
+                "  [[nodiscard]] int get() const { int local(3); return helper(local); }\n"
+                "  int a_ = make(1);\n"
+                "};\n"
+                "int S::value() const { return get(); }\n"
+                "static_assert(sizeof(int) == 4);\n"
+                "}  // namespace n\n")
+        code = lint.strip_code(text)
+        self.assertEqual([name for name, _ in lint.declaration_sites(code)], ["get", "value"])
 
 
 class ScannerTests(unittest.TestCase):
