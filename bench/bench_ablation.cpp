@@ -79,13 +79,12 @@ int main() {
       core::train_localizer(engine.mutable_localizer(), split.train,
                             {.epochs = preset.localizer_epochs, .seed = 43});
       const auto m = score_localization(engine);
-      hw::AcceleratorParams acc;
-      acc.weight_count = static_cast<std::int32_t>(engine.localizer().model().param_count() +
-                                                   engine.detector().model().param_count());
+      const auto weights = static_cast<std::int32_t>(engine.localizer().model().param_count() +
+                                                     engine.detector().model().param_count());
       t.add_row({std::to_string(filters), TextTable::cell(m.accuracy, 3),
                  TextTable::cell(m.recall, 3),
                  std::to_string(engine.localizer().model().param_count()),
-                 TextTable::cell(hw::accelerator_area_ge(acc, hw::GateCosts{}), 0)});
+                 TextTable::cell(hw::accelerator_area_ge(weights), 0)});
     }
     std::cout << "3. Localizer kernel count (paper: gains beyond 8 kernels don't pay for "
                  "their silicon):\n"

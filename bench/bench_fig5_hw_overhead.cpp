@@ -11,36 +11,29 @@
 
 int main() {
   using namespace dl2f;
-  const hw::RouterAreaParams router;
-  const hw::AcceleratorParams acc;
-  const hw::GateCosts gates;
-
   std::cout << "Figure 5: hardware overhead vs NoC size\n\n";
   std::cout << "Area model (NAND2 gate equivalents):\n"
-            << "  router          : " << TextTable::cell(hw::router_area_ge(router, gates), 0)
+            << "  router          : " << TextTable::cell(hw::router_area_ge(), 0) << " GE\n"
+            << "  network iface   : " << TextTable::cell(hw::network_interface_area_ge(), 0)
             << " GE\n"
-            << "  network iface   : "
-            << TextTable::cell(hw::network_interface_area_ge(router, gates), 0) << " GE\n"
-            << "  CNN accelerators: " << TextTable::cell(hw::accelerator_area_ge(acc, gates), 0)
+            << "  CNN accelerators: " << TextTable::cell(hw::accelerator_area_ge(), 0)
             << " GE (" << hw::default_weight_count() << " weights, "
-            << acc.conv_kernel_units << " pipelined 3x3 kernel engines)\n\n";
+            << hw::kConvKernelUnits << " pipelined 3x3 kernel engines)\n\n";
 
   TextTable table({"NoC Size", "NoC Area (GE)", "Overhead", "Paper"});
   const double paper[] = {7.40, 1.90, 0.45, 0.11};
   int i = 0;
-  double prev = 0.0, o8 = 0.0, o16 = 0.0;
+  double o8 = 0.0, o16 = 0.0;
   for (const std::int32_t r : {4, 8, 16, 32}) {
     const auto mesh = MeshShape::square(r);
-    const double overhead = hw::overhead_percent(mesh, router, acc, gates);
+    const double overhead = hw::overhead_percent(mesh);
     table.add_row({std::to_string(r) + "x" + std::to_string(r),
-                   TextTable::cell(hw::noc_area_ge(mesh, router, gates), 0),
+                   TextTable::cell(hw::noc_area_ge(mesh), 0),
                    TextTable::cell(overhead, 2) + "%", TextTable::cell(paper[i], 2) + "%"});
     if (r == 8) o8 = overhead;
     if (r == 16) o16 = overhead;
-    prev = overhead;
     ++i;
   }
-  (void)prev;
   std::cout << table << "\n";
   std::cout << "Overhead decrease from 8x8 to 16x16: "
             << TextTable::cell((o8 - o16) / o8 * 100.0, 1) << "% (paper: 76.3%)\n";

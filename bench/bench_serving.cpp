@@ -33,7 +33,6 @@
 #include <string_view>
 #include <vector>
 
-#include "common/rng.hpp"
 #include "noc/stats.hpp"
 #include "runtime/campaign.hpp"
 #include "workload/families.hpp"
@@ -97,11 +96,11 @@ SoakResult run_soak(workload::TraceWorkloadKind kind, const core::PipelineEngine
   params.benign = monitor::Benchmark{kind};
   runtime::DefenseConfig defense;
   params.attack_start = attack_window * defense.window_cycles;
-  const std::uint64_t job_seed = seed ^ fnv1a("serving-soak") ^ mix64(fnv1a(out.workload));
-  auto scenario = runtime::ScenarioRegistry::instance().make("static", params, job_seed);
+  const runtime::CellSeeds seeds = runtime::cell_seeds(seed, "serving-soak", out.workload);
+  auto scenario = runtime::ScenarioRegistry::instance().make("static", params, seeds.scenario);
 
   traffic::Simulation sim(noc::MeshConfig{mesh});
-  scenario->install(sim, job_seed ^ 0x9e3779b97f4a7c15ULL);
+  scenario->install(sim, seeds.install);
 
   // Recover the typed workload handle the scenario installed.
   const workload::RequestReplyWorkload* wl = nullptr;

@@ -65,7 +65,7 @@ int main() {
     print_nodes("released:", rec.released);
   }
 
-  const runtime::DefenseSummary s = loop.summarize(/*recovery_ratio=*/2.0);
+  const runtime::DefenseSummary s = loop.summarize();
   std::cout << "\nSummary\n"
             << "  ground-truth attackers:";
   for (const NodeId a : scenario->all_attackers()) std::cout << ' ' << a;
@@ -76,8 +76,8 @@ int main() {
             << "\n  baseline latency " << s.baseline_latency << " (p50 " << s.baseline_p50
             << ", p99 " << s.baseline_p99 << ")"
             << "\n  peak latency     " << s.peak_latency << "\n  recovered to     "
-            << s.recovered_latency << "  (" << s.recovery_ratio << "x bound "
-            << s.recovery_ratio * s.baseline_latency << ")\n";
+            << s.recovered_latency << "  (" << runtime::kRecoveryRatio << "x bound "
+            << runtime::kRecoveryRatio * s.baseline_latency << ")\n";
 
   const bool detected = s.detect_cycle >= 0;
   const bool mitigated = s.mitigated();

@@ -17,6 +17,18 @@ ConfusionMatrix evaluate_classifier(const BinaryClassifier& clf, const LabeledDa
 
 namespace {
 
+// Fixed hyperparameters; the float ones widen to double where they scale
+// a double update, so their float type is part of Table 4's output.
+constexpr std::int32_t kPerceptronEpochs = 50;
+constexpr float kPerceptronLearningRate = 0.1F;
+constexpr std::uint64_t kPerceptronSeed = 7;
+constexpr std::int32_t kSvmEpochs = 60;
+constexpr double kSvmLambda = 1e-4;  ///< L2 regularization strength
+constexpr std::uint64_t kSvmSeed = 11;
+constexpr std::int32_t kStumpRounds = 40;
+constexpr float kStumpShrinkage = 0.3F;
+constexpr std::int32_t kStumpThresholdCandidates = 16;  ///< quantile splits per feature
+
 double dot(const std::vector<double>& w, const std::vector<float>& x) {
   assert(w.size() == x.size());
   double acc = 0.0;
@@ -34,19 +46,19 @@ void Perceptron::fit(const LabeledData& data) {
   std::vector<double> avg_w(data.feature_dim(), 0.0);
   double avg_b = 0.0;
 
-  Rng rng(cfg_.seed);
+  Rng rng(kPerceptronSeed);
   std::vector<std::size_t> order(data.size());
   std::iota(order.begin(), order.end(), 0);
 
-  for (std::int32_t epoch = 0; epoch < cfg_.epochs; ++epoch) {
+  for (std::int32_t epoch = 0; epoch < kPerceptronEpochs; ++epoch) {
     std::shuffle(order.begin(), order.end(), rng.engine());
     for (std::size_t i : order) {
       const double target = data.y[i] != 0 ? 1.0 : -1.0;
       if (target * (dot(w_, data.x[i]) + b_) <= 0.0) {
         for (std::size_t j = 0; j < w_.size(); ++j) {
-          w_[j] += cfg_.learning_rate * target * static_cast<double>(data.x[i][j]);
+          w_[j] += kPerceptronLearningRate * target * static_cast<double>(data.x[i][j]);
         }
-        b_ += cfg_.learning_rate * target;
+        b_ += kPerceptronLearningRate * target;
       }
       for (std::size_t j = 0; j < w_.size(); ++j) avg_w[j] += w_[j];
       avg_b += b_;
@@ -54,7 +66,7 @@ void Perceptron::fit(const LabeledData& data) {
   }
   // Averaged perceptron: the running mean of the weight trajectory is far
   // more stable on non-separable data than the final iterate.
-  const auto updates = static_cast<double>(data.size()) * cfg_.epochs;
+  const auto updates = static_cast<double>(data.size()) * kPerceptronEpochs;
   if (updates > 0.0) {
     for (std::size_t j = 0; j < w_.size(); ++j) w_[j] = avg_w[j] / updates;
     b_ = avg_b / updates;
@@ -68,19 +80,19 @@ double Perceptron::decision(const std::vector<float>& x) const { return dot(w_, 
 void LinearSvm::fit(const LabeledData& data) {
   w_.assign(data.feature_dim(), 0.0);
   b_ = 0.0;
-  Rng rng(cfg_.seed);
+  Rng rng(kSvmSeed);
   std::vector<std::size_t> order(data.size());
   std::iota(order.begin(), order.end(), 0);
 
   std::int64_t t = 0;
-  for (std::int32_t epoch = 0; epoch < cfg_.epochs; ++epoch) {
+  for (std::int32_t epoch = 0; epoch < kSvmEpochs; ++epoch) {
     std::shuffle(order.begin(), order.end(), rng.engine());
     for (std::size_t i : order) {
       ++t;
-      const double eta = 1.0 / (cfg_.lambda * static_cast<double>(t));
+      const double eta = 1.0 / (kSvmLambda * static_cast<double>(t));
       const double target = data.y[i] != 0 ? 1.0 : -1.0;
       const double margin = target * (dot(w_, data.x[i]) + b_);
-      for (std::size_t j = 0; j < w_.size(); ++j) w_[j] *= 1.0 - eta * cfg_.lambda;
+      for (std::size_t j = 0; j < w_.size(); ++j) w_[j] *= 1.0 - eta * kSvmLambda;
       if (margin < 1.0) {
         for (std::size_t j = 0; j < w_.size(); ++j) {
           w_[j] += eta * target * static_cast<double>(data.x[i][j]);
@@ -113,9 +125,9 @@ void BoostedStumps::fit(const LabeledData& data) {
     for (std::size_t j = 0; j < dims; ++j) {
       for (std::size_t i = 0; i < n; ++i) column[i] = data.x[i][j];
       std::sort(column.begin(), column.end());
-      for (std::int32_t q = 1; q <= cfg_.threshold_candidates; ++q) {
+      for (std::int32_t q = 1; q <= kStumpThresholdCandidates; ++q) {
         const auto idx = static_cast<std::size_t>(
-            static_cast<double>(n - 1) * q / (cfg_.threshold_candidates + 1));
+            static_cast<double>(n - 1) * q / (kStumpThresholdCandidates + 1));
         candidates[j].push_back(column[idx]);
       }
       candidates[j].erase(std::unique(candidates[j].begin(), candidates[j].end()),
@@ -124,7 +136,7 @@ void BoostedStumps::fit(const LabeledData& data) {
   }
 
   std::vector<double> score(n, base_score_);
-  for (std::int32_t round = 0; round < cfg_.rounds; ++round) {
+  for (std::int32_t round = 0; round < kStumpRounds; ++round) {
     // Gradient/hessian of logistic loss at the current scores.
     std::vector<double> grad(n), hess(n);
     for (std::size_t i = 0; i < n; ++i) {
@@ -162,8 +174,8 @@ void BoostedStumps::fit(const LabeledData& data) {
     }
     if (best_gain <= 0.0) break;
 
-    best.left *= cfg_.shrinkage;
-    best.right *= cfg_.shrinkage;
+    best.left *= kStumpShrinkage;
+    best.right *= kStumpShrinkage;
     stumps_.push_back(best);
     for (std::size_t i = 0; i < n; ++i) {
       score[i] += data.x[i][static_cast<std::size_t>(best.feature)] <= best.threshold

@@ -2,7 +2,8 @@
 // Sniffer [2], the SVM of [13] and an XGBoost-style boosted-stump
 // classifier standing in for [8]. All train on exactly the same flattened
 // feature frames as the CNN detector, so the comparison isolates the
-// model, not the data.
+// model, not the data. Each runs with one fixed set of hyperparameters
+// (classifier.cpp), as Table 4 compares one configuration of each.
 #pragma once
 
 #include <cstdint>
@@ -44,20 +45,11 @@ class BinaryClassifier {
 /// Sniffer [2], trained here as a single global instance).
 class Perceptron final : public BinaryClassifier {
  public:
-  struct Config {
-    std::int32_t epochs = 50;
-    float learning_rate = 0.1F;
-    std::uint64_t seed = 7;
-  };
-  Perceptron() : Perceptron(Config{}) {}
-  explicit Perceptron(Config cfg) : cfg_(cfg) {}
-
   [[nodiscard]] std::string name() const override { return "Perceptron"; }
   void fit(const LabeledData& data) override;
   [[nodiscard]] double decision(const std::vector<float>& x) const override;
 
  private:
-  Config cfg_;
   std::vector<double> w_;
   double b_ = 0.0;
 };
@@ -65,20 +57,11 @@ class Perceptron final : public BinaryClassifier {
 /// Linear SVM trained with Pegasos-style SGD on the hinge loss [13].
 class LinearSvm final : public BinaryClassifier {
  public:
-  struct Config {
-    std::int32_t epochs = 60;
-    double lambda = 1e-4;  ///< L2 regularization strength
-    std::uint64_t seed = 11;
-  };
-  LinearSvm() : LinearSvm(Config{}) {}
-  explicit LinearSvm(Config cfg) : cfg_(cfg) {}
-
   [[nodiscard]] std::string name() const override { return "SVM"; }
   void fit(const LabeledData& data) override;
   [[nodiscard]] double decision(const std::vector<float>& x) const override;
 
  private:
-  Config cfg_;
   std::vector<double> w_;
   double b_ = 0.0;
 };
@@ -88,14 +71,6 @@ class LinearSvm final : public BinaryClassifier {
 /// trees, shrinkage, no column sampling).
 class BoostedStumps final : public BinaryClassifier {
  public:
-  struct Config {
-    std::int32_t rounds = 40;
-    float shrinkage = 0.3F;
-    std::int32_t threshold_candidates = 16;  ///< quantile split candidates per feature
-  };
-  BoostedStumps() : BoostedStumps(Config{}) {}
-  explicit BoostedStumps(Config cfg) : cfg_(cfg) {}
-
   [[nodiscard]] std::string name() const override { return "XGB-lite"; }
   void fit(const LabeledData& data) override;
   [[nodiscard]] double decision(const std::vector<float>& x) const override;
@@ -107,7 +82,6 @@ class BoostedStumps final : public BinaryClassifier {
     double left = 0.0;   ///< value when x[feature] <= threshold
     double right = 0.0;  ///< value when x[feature] >  threshold
   };
-  Config cfg_;
   double base_score_ = 0.0;
   std::vector<Stump> stumps_;
 };

@@ -10,7 +10,6 @@
 
 #include <cassert>
 #include <cstdint>
-#include <iosfwd>
 #include <vector>
 
 namespace dl2f {
@@ -26,7 +25,6 @@ class Frame {
   [[nodiscard]] std::int32_t rows() const noexcept { return rows_; }
   [[nodiscard]] std::int32_t cols() const noexcept { return cols_; }
   [[nodiscard]] std::size_t size() const noexcept { return data_.size(); }
-  [[nodiscard]] bool empty() const noexcept { return data_.empty(); }
 
   [[nodiscard]] float& at(std::int32_t r, std::int32_t c) {
     assert(r >= 0 && r < rows_ && c >= 0 && c < cols_);
@@ -56,8 +54,5 @@ class Frame {
   std::int32_t cols_ = 0;
   std::vector<float> data_;
 };
-
-/// Pretty-print as an aligned grid (used by examples and Fig. 4 bench).
-std::ostream& operator<<(std::ostream& os, const Frame& f);
 
 }  // namespace dl2f

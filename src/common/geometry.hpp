@@ -13,7 +13,6 @@
 #include <array>
 #include <cassert>
 #include <cstdint>
-#include <iosfwd>
 #include <optional>
 #include <string_view>
 
@@ -62,9 +61,6 @@ struct Coord {
 
   friend constexpr bool operator==(const Coord&, const Coord&) = default;
 };
-
-std::ostream& operator<<(std::ostream& os, const Coord& c);
-std::ostream& operator<<(std::ostream& os, Direction d);
 
 /// Shape and coordinate algebra of an R(rows) x C(cols) 2-D mesh.
 ///

@@ -29,9 +29,7 @@ namespace dl2f {
 }
 
 /// FNV-1a over a string — turns grid-axis names (scenario family, workload)
-/// into seed material. Shared for the same reason as mix64: the campaign
-/// runner and the adversarial sequence-dataset generator must derive the
-/// SAME per-cell seed from the same (family, workload) coordinates.
+/// into seed material (runtime::cell_seeds).
 [[nodiscard]] constexpr std::uint64_t fnv1a(std::string_view s) noexcept {
   std::uint64_t h = 0xcbf29ce484222325ULL;
   for (const char c : s) {
@@ -59,6 +57,7 @@ class MersenneTwister64 {
   }
 
   [[nodiscard]] static constexpr result_type min() noexcept { return 0; }
+  // lint-allow(DL008): contract probe — UniformRandomBitGenerator names it; std::shuffle folds it
   [[nodiscard]] static constexpr result_type max() noexcept { return ~result_type{0}; }
 
   result_type operator()() noexcept {
@@ -162,8 +161,6 @@ class Rng {
   /// Bernoulli trial with success probability p: the same outcome as
   /// `uniform() < p`, decided by one integer compare of the engine word.
   /// Consumes exactly one word for every p.
-  [[nodiscard]] bool bernoulli(double p) noexcept { return bernoulli(BernoulliP(p)); }
-  /// The same trial with p's threshold already computed.
   [[nodiscard]] bool bernoulli(BernoulliP p) noexcept { return p.outcome(engine_()); }
 
   /// Access the underlying engine for std::shuffle and distributions.

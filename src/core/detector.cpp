@@ -16,8 +16,9 @@ constexpr float kLearningRate = 1e-3F;
 using Trainer = decltype(&nn::train);
 
 /// Stage each window's feature frames; BCE against its attack label.
-nn::TrainReport run_training(Trainer trainer, DoSDetector& detector,
+nn::TrainReport run_training(Trainer trainer, const char* who, DoSDetector& detector,
                              const monitor::Dataset& data, const nn::TrainConfig& cfg) {
+  for (const auto& s : data.samples) monitor::check_window(s, detector.config().mesh, who);
   const auto stage = [&](std::size_t item, nn::Tensor4& input, std::int32_t slot) {
     detector.preprocess_into(data.samples[item], input, slot);
   };
@@ -67,6 +68,7 @@ DoSDetector::DoSDetector(const DetectorConfig& cfg) : cfg_(cfg) {
 }
 
 nn::Tensor3 DoSDetector::preprocess(const monitor::FrameSample& sample) const {
+  monitor::check_window(sample, cfg_.mesh, "DoSDetector::preprocess");
   nn::Tensor3 input = input_shape();
   stack_frames(sample, cfg_.feature, input.data());
   return input;
@@ -83,12 +85,12 @@ float DoSDetector::predict_probability(const monitor::FrameSample& sample) {
 
 nn::TrainReport train_detector(DoSDetector& detector, const monitor::Dataset& data,
                                const nn::TrainConfig& cfg) {
-  return run_training(&nn::train, detector, data, cfg);
+  return run_training(&nn::train, "train_detector", detector, data, cfg);
 }
 
 nn::TrainReport train_detector_reference(DoSDetector& detector, const monitor::Dataset& data,
                                          const nn::TrainConfig& cfg) {
-  return run_training(&nn::train_reference, detector, data, cfg);
+  return run_training(&nn::train_reference, "train_detector_reference", detector, data, cfg);
 }
 
 }  // namespace dl2f::core

@@ -47,6 +47,8 @@ class DoSDetector {
                        std::int32_t slot) const;
 
   /// stack_frames for one window, as a tensor (reference path, tests).
+  /// Throws std::invalid_argument for a window from another mesh
+  /// (monitor::check_window).
   [[nodiscard]] nn::Tensor3 preprocess(const monitor::FrameSample& sample) const;
 
   /// CNN input shape: kNumMeshDirections channels of R x (R-1) frames.
@@ -70,7 +72,8 @@ class DoSDetector {
 
 /// Train with BCE on the attack label through nn::train (Adam at learning
 /// rate 1e-3, minibatches of nn::kBatchSize): weights are byte-identical
-/// for a given cfg.seed at any cfg.threads.
+/// for a given cfg.seed at any cfg.threads. Throws std::invalid_argument,
+/// before training, for a window from another mesh (monitor::check_window).
 nn::TrainReport train_detector(DoSDetector& detector, const monitor::Dataset& data,
                                const nn::TrainConfig& cfg);
 

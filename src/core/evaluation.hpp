@@ -33,9 +33,6 @@ class LocalizationScore {
   void add(const std::vector<NodeId>& predicted, const std::vector<NodeId>& truth);
 
   [[nodiscard]] Metrics4 metrics() const noexcept;
-  [[nodiscard]] std::int64_t tp() const noexcept { return tp_; }
-  [[nodiscard]] std::int64_t fp() const noexcept { return fp_; }
-  [[nodiscard]] std::int64_t fn() const noexcept { return fn_; }
 
  private:
   std::int64_t tp_ = 0, fp_ = 0, fn_ = 0;

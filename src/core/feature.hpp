@@ -4,14 +4,9 @@
 #pragma once
 
 #include <cstdint>
-#include <string_view>
 
 namespace dl2f::core {
 
 enum class Feature : std::uint8_t { Vco, Boc };
-
-[[nodiscard]] constexpr std::string_view to_string(Feature f) noexcept {
-  return f == Feature::Vco ? "VCO" : "BOC";
-}
 
 }  // namespace dl2f::core

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
+#include <string>
 
 #include "nn/layers.hpp"
 #include "nn/loss.hpp"
@@ -26,11 +28,22 @@ struct LocalizerItem {
 
 /// Stage each (sample, direction) frame; route-weighted BCE + Dice against
 /// its port-truth mask, with the dice score as the metric.
-nn::TrainReport run_training(Trainer trainer, DoSLocalizer& localizer,
+nn::TrainReport run_training(Trainer trainer, const char* who, DoSLocalizer& localizer,
                              const monitor::Dataset& data, const nn::TrainConfig& cfg) {
   std::vector<LocalizerItem> items;
+  const auto& mesh = localizer.config().mesh;
   const auto feature = localizer.config().feature;
+  const auto fits = [&](const Frame& mask) {
+    return mask.rows() == mesh.rows() && mask.cols() == mesh.cols() - 1;
+  };
   for (const auto& s : data.samples) {
+    monitor::check_window(s, mesh, who);
+    // The loss reads one mask value per staged pixel; live windows
+    // (monitor::sample_window) carry no masks at all.
+    if (!std::all_of(s.port_truth.begin(), s.port_truth.end(), fits)) {
+      throw std::invalid_argument(std::string(who) +
+                                  ": window lacks port-truth masks of the model's mesh");
+    }
     const auto& frames = feature == Feature::Vco ? s.vco : s.boc;
     for (Direction d : kMeshDirections) {
       items.push_back(
@@ -82,12 +95,12 @@ void DoSLocalizer::preprocess_into(const Frame& frame, nn::Tensor4& batch,
 
 nn::TrainReport train_localizer(DoSLocalizer& localizer, const monitor::Dataset& data,
                                 const nn::TrainConfig& cfg) {
-  return run_training(&nn::train, localizer, data, cfg);
+  return run_training(&nn::train, "train_localizer", localizer, data, cfg);
 }
 
 nn::TrainReport train_localizer_reference(DoSLocalizer& localizer, const monitor::Dataset& data,
                                           const nn::TrainConfig& cfg) {
-  return run_training(&nn::train_reference, localizer, data, cfg);
+  return run_training(&nn::train_reference, "train_localizer_reference", localizer, data, cfg);
 }
 
 }  // namespace dl2f::core

@@ -58,7 +58,9 @@ class DoSLocalizer {
 /// learning rate 3e-3, minibatches of nn::kBatchSize, loss = route-weighted
 /// BCE + Dice. The report's final_metric is the mean dice score over the
 /// training frames. Weights are byte-identical for a given cfg.seed at
-/// any cfg.threads.
+/// any cfg.threads. Throws std::invalid_argument, before training, for a
+/// window from another mesh (monitor::check_window) or one without
+/// port-truth masks of the model's mesh.
 nn::TrainReport train_localizer(DoSLocalizer& localizer, const monitor::Dataset& data,
                                 const nn::TrainConfig& cfg);
 

@@ -92,6 +92,7 @@ void PipelineSession::detect_chunk(monitor::WindowBatch chunk, std::size_t base,
 }
 
 RoundResult PipelineSession::process(const monitor::FrameSample& sample) {
+  monitor::check_window(sample, engine_->geometry().mesh(), "PipelineSession::process");
   const DoSDetector& detector = engine_->detector();
   nn::Tensor4& in = detector_ctx_.input(1);
   detector.preprocess_into(sample, in, 0);
@@ -115,6 +116,9 @@ std::vector<RoundResult> PipelineSession::process_batch(monitor::WindowBatch sam
 }
 
 std::vector<float> PipelineSession::detect_batch(monitor::WindowBatch samples) {
+  for (const auto& s : samples) {
+    monitor::check_window(s, engine_->geometry().mesh(), "PipelineSession::detect_batch");
+  }
   std::vector<float> probs(samples.size());
   const auto chunk_size = static_cast<std::size_t>(max_batch_);
   for (std::size_t base = 0; base < samples.size(); base += chunk_size) {
@@ -125,8 +129,9 @@ std::vector<float> PipelineSession::detect_batch(monitor::WindowBatch samples) {
 }
 
 float PipelineSession::detect_sequence(monitor::SequenceView seq) {
-  const dbg::NoAllocScope no_alloc("PipelineSession::detect_sequence");
   const temporal::TemporalDetector& head = engine_->temporal();
+  head.check_sequence(seq, "PipelineSession::detect_sequence");
+  const dbg::NoAllocScope no_alloc("PipelineSession::detect_sequence");
   nn::Tensor4& in = temporal_ctx_.input(1);
   head.preprocess_into(seq, in, 0);
   return head.model().infer_batch(temporal_ctx_).sample(0)[0];
@@ -137,6 +142,7 @@ RoundResult PipelineSession::process_sequence(monitor::SequenceView seq) {
   const monitor::FrameSample& newest = *seq.back();
   if (!engine_->has_temporal()) return process(newest);
 
+  monitor::check_window(newest, engine_->geometry().mesh(), "PipelineSession::process_sequence");
   const DoSDetector& detector = engine_->detector();
   nn::Tensor4& in = detector_ctx_.input(1);
   detector.preprocess_into(newest, in, 0);
@@ -169,6 +175,7 @@ RoundResult PipelineSession::process_sequence(monitor::SequenceView seq) {
 }
 
 RoundResult PipelineSession::localize(const monitor::FrameSample& sample) {
+  monitor::check_window(sample, engine_->geometry().mesh(), "PipelineSession::localize");
   RoundResult r;
   localize_into(sample, r);
   return r;

@@ -145,7 +145,9 @@ class PipelineEngine {
 /// shared engine. Construction preallocates the detector and localizer
 /// inference arenas; after that, scoring performs no heap allocation on
 /// the benign (undetected) path and only result-owning allocations on the
-/// detected path.
+/// detected path. Every scoring method throws std::invalid_argument for a
+/// window from another mesh (monitor::check_window), and the sequence
+/// methods for a sequence that is not sequence_length windows long.
 class PipelineSession {
  public:
   /// Default detector batch capacity (process_batch chunks to this).
@@ -156,13 +158,12 @@ class PipelineSession {
                            std::int32_t max_batch = kDefaultMaxBatch);
 
   [[nodiscard]] const PipelineEngine& engine() const noexcept { return *engine_; }
-  [[nodiscard]] std::int32_t max_batch() const noexcept { return max_batch_; }
 
   /// Run the full round on one monitoring window.
   [[nodiscard]] RoundResult process(const monitor::FrameSample& sample);
 
   /// Run the full round on every window of a batch: one batched detector
-  /// pass per max_batch() chunk, then localization of detected windows.
+  /// pass per max_batch chunk, then localization of detected windows.
   /// result[i] is bitwise-identical to process(samples[i]).
   [[nodiscard]] std::vector<RoundResult> process_batch(monitor::WindowBatch samples);
 

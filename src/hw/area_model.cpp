@@ -2,42 +2,43 @@
 
 namespace dl2f::hw {
 
-double router_area_ge(const RouterAreaParams& p, const GateCosts& g) {
+double router_area_ge() {
   // Input buffers dominate a VC router: one flip-flop-based FIFO per VC.
   const double buffer_bits =
-      static_cast<double>(p.ports) * p.vcs_per_port * p.vc_depth * p.flit_bits;
-  const double buffers = buffer_bits * g.ff_per_bit;
+      static_cast<double>(kRouterPorts) * kRouterVcsPerPort * kRouterVcDepth * kFlitBits;
+  const double buffers = buffer_bits * kFfGePerBit;
 
   // Crossbar: per output, a ports-wide mux tree across the flit width.
   const double crossbar =
-      static_cast<double>(p.ports) * p.ports * p.flit_bits * g.mux_per_bit;
+      static_cast<double>(kRouterPorts) * kRouterPorts * kFlitBits * kMuxGePerBit;
 
   // VC + switch allocators: arbitration cells across (port, vc) pairs.
-  const double alloc_cells = static_cast<double>(p.ports) * p.vcs_per_port * p.ports *
-                             p.vcs_per_port / static_cast<double>(p.vcs_per_port);
-  const double allocators = alloc_cells * g.lut_logic * 4.0;
+  const double alloc_cells = static_cast<double>(kRouterPorts) * kRouterVcsPerPort *
+                             kRouterPorts * kRouterVcsPerPort /
+                             static_cast<double>(kRouterVcsPerPort);
+  const double allocators = alloc_cells * kLutLogicGe * 4.0;
 
   // Route computation: a comparator pair per input VC.
-  const double route_comp = static_cast<double>(p.ports) * p.vcs_per_port * 50.0;
+  const double route_comp = static_cast<double>(kRouterPorts) * kRouterVcsPerPort * 50.0;
 
   return buffers + crossbar + allocators + route_comp;
 }
 
-double network_interface_area_ge(const RouterAreaParams& p, const GateCosts& g) {
+double network_interface_area_ge() {
   // Two staging flit registers plus flitization / reassembly control.
-  const double staging = 2.0 * p.flit_bits * g.ff_per_bit;
-  const double control = 400.0 * g.lut_logic;
+  const double staging = 2.0 * kFlitBits * kFfGePerBit;
+  const double control = 400.0 * kLutLogicGe;
   return staging + control;
 }
 
-double noc_area_ge(const MeshShape& mesh, const RouterAreaParams& p, const GateCosts& g) {
+double noc_area_ge(const MeshShape& mesh) {
   const auto nodes = static_cast<double>(mesh.node_count());
   // Mesh links: 2*R*(R-1) bidirectional channels with repeater/pipeline
   // registers on each direction.
   const auto link_count = 2.0 * (static_cast<double>(mesh.rows()) * (mesh.cols() - 1) +
                                  static_cast<double>(mesh.cols()) * (mesh.rows() - 1));
-  const double links = link_count * p.flit_bits * 1.0;
-  return nodes * (router_area_ge(p, g) + network_interface_area_ge(p, g)) + links;
+  const double links = link_count * kFlitBits * 1.0;
+  return nodes * (router_area_ge() + network_interface_area_ge()) + links;
 }
 
 std::int32_t default_weight_count() {
@@ -51,25 +52,20 @@ std::int32_t default_weight_count() {
   return 296 + 337 + 80 + 584 + 73;  // = 1370 scalars for both accelerators
 }
 
-double accelerator_area_ge(const AcceleratorParams& p, const GateCosts& g) {
-  const std::int32_t weights = p.weight_count > 0 ? p.weight_count : default_weight_count();
-
-  const double macs = static_cast<double>(p.conv_kernel_units) * p.kernel_size * p.kernel_size *
-                      g.mac16;
-  const double weight_sram = static_cast<double>(weights) * p.weight_bits * g.sram_per_bit;
-  const double line_buffer =
-      static_cast<double>(p.line_buffer_pixels) * p.pixel_bits * g.ff_per_bit;
+double accelerator_area_ge(std::int32_t weight_count) {
+  const double macs = static_cast<double>(kConvKernelUnits) * kKernelSize * kKernelSize * kMac16Ge;
+  const double weight_sram = static_cast<double>(weight_count) * kWeightBits * kSramGePerBit;
+  const double line_buffer = static_cast<double>(kLineBufferPixels) * kPixelBits * kFfGePerBit;
   const double channel_buffer =
-      static_cast<double>(p.channel_buffer_pixels) * p.pixel_bits * g.sram_per_bit;
-  const double post_units = static_cast<double>(p.conv_kernel_units) * p.post_unit_ge;
+      static_cast<double>(kChannelBufferPixels) * kPixelBits * kSramGePerBit;
+  const double post_units = static_cast<double>(kConvKernelUnits) * kPostUnitGe;
 
   const double datapath = macs + weight_sram + line_buffer + channel_buffer + post_units;
-  return datapath * (1.0 + p.control_overhead);
+  return datapath * (1.0 + kControlOverhead);
 }
 
-double overhead_percent(const MeshShape& mesh, const RouterAreaParams& router,
-                        const AcceleratorParams& acc, const GateCosts& g) {
-  return accelerator_area_ge(acc, g) / noc_area_ge(mesh, router, g) * 100.0;
+double overhead_percent(const MeshShape& mesh) {
+  return accelerator_area_ge() / noc_area_ge(mesh) * 100.0;
 }
 
 }  // namespace dl2f::hw

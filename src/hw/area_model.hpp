@@ -19,9 +19,9 @@
 //
 // GE coefficients are conventional textbook figures (flip-flop ~6 GE,
 // SRAM bit ~1.5 GE, 16-bit MAC ~1000 GE, 2:1 mux bit ~2.5 GE); they are
-// exposed as parameters so the calibration is inspectable rather than
-// hidden. With the defaults the model lands on the paper's published
-// points (7.4% / 1.9% / 0.45% / 0.11% for 4x4 / 8x8 / 16x16 / 32x32).
+// named constants below so the calibration is inspectable rather than
+// hidden. The model lands on the paper's published points (7.4% / 1.9% /
+// 0.45% / 0.11% for 4x4 / 8x8 / 16x16 / 32x32).
 #pragma once
 
 #include <cstdint>
@@ -31,56 +31,46 @@
 namespace dl2f::hw {
 
 /// Technology coefficients in NAND2 gate equivalents.
-struct GateCosts {
-  double ff_per_bit = 6.0;       ///< flip-flop storage (router buffers)
-  double sram_per_bit = 1.5;     ///< dense SRAM (accelerator weights)
-  double mac16 = 1000.0;         ///< 16-bit multiply-accumulate unit
-  double mux_per_bit = 2.5;      ///< crossbar 2:1 mux tree per bit per port pair
-  double lut_logic = 8.0;        ///< misc combinational logic per "LUT-sized" cell
-};
+inline constexpr double kFfGePerBit = 6.0;    ///< flip-flop storage (router buffers)
+inline constexpr double kSramGePerBit = 1.5;  ///< dense SRAM (accelerator weights)
+inline constexpr double kMac16Ge = 1000.0;    ///< 16-bit multiply-accumulate unit
+inline constexpr double kMuxGePerBit = 2.5;   ///< crossbar 2:1 mux tree per bit per port pair
+inline constexpr double kLutLogicGe = 8.0;    ///< misc combinational logic per "LUT-sized" cell
 
 /// One 5-port VC wormhole router, ProNoC-like.
-struct RouterAreaParams {
-  std::int32_t ports = 5;
-  std::int32_t vcs_per_port = 4;
-  std::int32_t vc_depth = 4;
-  std::int32_t flit_bits = 128;
-};
+inline constexpr std::int32_t kRouterPorts = 5;
+inline constexpr std::int32_t kRouterVcsPerPort = 4;
+inline constexpr std::int32_t kRouterVcDepth = 4;
+inline constexpr std::int32_t kFlitBits = 128;
 
-[[nodiscard]] double router_area_ge(const RouterAreaParams& p, const GateCosts& g);
+[[nodiscard]] double router_area_ge();
 
 /// Network interface (flitization, source queue control) per node.
-[[nodiscard]] double network_interface_area_ge(const RouterAreaParams& p, const GateCosts& g);
+[[nodiscard]] double network_interface_area_ge();
 
 /// Whole NoC: routers + NIs + link repeaters, for an R x R mesh.
-[[nodiscard]] double noc_area_ge(const MeshShape& mesh, const RouterAreaParams& p,
-                                 const GateCosts& g);
+[[nodiscard]] double noc_area_ge(const MeshShape& mesh);
 
 /// The two DL2Fence CNN accelerators (detector + localizer).
-struct AcceleratorParams {
-  std::int32_t conv_kernel_units = 3;   ///< pipelined 3x3 kernel engines (§5.3)
-  std::int32_t kernel_size = 3;
-  std::int32_t weight_count = 0;        ///< total scalar weights of both models;
-                                        ///< 0 = use the 16x16 paper architectures
-  std::int32_t weight_bits = 16;
-  std::int32_t line_buffer_pixels = 16 * 4;  ///< input staging for 4 directional frames
-  std::int32_t channel_buffer_pixels = 8 * 3 * 16;  ///< 8-ch x 3-line intermediate staging
-  std::int32_t pixel_bits = 16;
-  double post_unit_ge = 800.0;          ///< ReLU/pool/sigmoid/binarize unit per kernel engine
-  double control_overhead = 0.18;       ///< FSM/addressing as a fraction of datapath
-};
+inline constexpr std::int32_t kConvKernelUnits = 3;  ///< pipelined 3x3 kernel engines (§5.3)
+inline constexpr std::int32_t kKernelSize = 3;
+inline constexpr std::int32_t kWeightBits = 16;
+/// Input staging for 4 directional frames, and 8-ch x 3-line intermediate staging.
+inline constexpr std::int32_t kLineBufferPixels = 16 * 4;
+inline constexpr std::int32_t kChannelBufferPixels = 8 * 3 * 16;
+inline constexpr std::int32_t kPixelBits = 16;
+inline constexpr double kPostUnitGe = 800.0;  ///< ReLU/pool/sigmoid/binarize unit per engine
+inline constexpr double kControlOverhead = 0.18;  ///< FSM/addressing, fraction of datapath
 
 /// Scalar parameter count of the paper's 16x16 detector + localizer
-/// (conv weights + biases + dense), used when weight_count == 0.
+/// (conv weights + biases + dense).
 [[nodiscard]] std::int32_t default_weight_count();
 
-[[nodiscard]] double accelerator_area_ge(const AcceleratorParams& p, const GateCosts& g);
+/// Accelerator area with weight SRAM for `weight_count` scalar weights.
+[[nodiscard]] double accelerator_area_ge(std::int32_t weight_count = default_weight_count());
 
 /// Fig. 5: accelerator area as a percentage of the NoC area at mesh size R.
-[[nodiscard]] double overhead_percent(const MeshShape& mesh,
-                                      const RouterAreaParams& router = {},
-                                      const AcceleratorParams& acc = {},
-                                      const GateCosts& g = {});
+[[nodiscard]] double overhead_percent(const MeshShape& mesh);
 
 /// Table 4 comparison constants: published per-router overheads of the
 /// distributed schemes (constant w.r.t. NoC scale).

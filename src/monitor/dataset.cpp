@@ -1,6 +1,9 @@
 #include "monitor/dataset.hpp"
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "traffic/simulation.hpp"
 
@@ -21,6 +24,20 @@ FrameSample sample_window(const FeatureSampler& sampler, noc::Mesh& mesh,
   s.ni_load = sampler.sample_ni_load(mesh, /*reset=*/true);
   s.window_cycles = window_cycles;
   return s;
+}
+
+void check_window(const FrameSample& sample, const MeshShape& mesh, const char* who) {
+  const auto fits = [&](const DirectionalFrames& frames) {
+    return std::all_of(frames.begin(), frames.end(), [&](const Frame& f) {
+      return f.rows() == mesh.rows() && f.cols() == mesh.cols() - 1;
+    });
+  };
+  if (!fits(sample.vco) || !fits(sample.boc) ||
+      !(sample.ni_load.empty() || std::cmp_equal(sample.ni_load.size(), mesh.node_count()))) {
+    throw std::invalid_argument(std::string(who) + ": window does not come from the model's " +
+                                std::to_string(mesh.rows()) + "x" + std::to_string(mesh.cols()) +
+                                " mesh");
+  }
 }
 
 DirectionalFrames ground_truth_masks(const FrameGeometry& geom,

@@ -45,6 +45,14 @@ struct FrameSample {
 [[nodiscard]] FrameSample sample_window(const FeatureSampler& sampler, noc::Mesh& mesh,
                                         std::int64_t window_cycles);
 
+/// Throws std::invalid_argument naming `who` unless each of `sample`'s VCO
+/// and BOC frames is mesh.rows() x (mesh.cols() - 1) and its ni_load is
+/// empty or holds one value per node. Models stage windows into slots
+/// sized for their own mesh, so a window from another mesh must stop here
+/// instead of overrunning them. Throwing allocates: call it before
+/// staging, outside any NoAllocScope.
+void check_window(const FrameSample& sample, const MeshShape& mesh, const char* who);
+
 /// Non-owning view of contiguous monitoring windows — the batch unit the
 /// inference API (core::PipelineSession::process_batch) consumes. Any
 /// contiguous FrameSample storage (a Dataset, a vector of live windows, a

@@ -28,8 +28,8 @@
 namespace dl2f::monitor {
 
 /// Chronological view of a window sequence, oldest first. Pointers stay
-/// valid until the owning container is mutated (WindowHistory::push /
-/// clear, or vector reallocation for materialized sequences).
+/// valid until the owning container is mutated (WindowHistory::push, or
+/// vector reallocation for materialized sequences).
 using SequenceView = std::span<const FrameSample* const>;
 
 class WindowHistory {
@@ -41,9 +41,8 @@ class WindowHistory {
     view_.resize(static_cast<std::size_t>(cap_), nullptr);
   }
 
-  [[nodiscard]] std::int32_t sequence_length() const noexcept { return cap_; }
-  /// Live windows currently held (min(windows pushed since construction
-  /// or the last clear(), sequence_length)); view() pads until it is full.
+  /// Live windows currently held (min(windows pushed, sequence_length));
+  /// view() pads until it is full.
   [[nodiscard]] std::int32_t live() const noexcept {
     return static_cast<std::int32_t>(std::min<std::int64_t>(pushed_, cap_));
   }
@@ -58,12 +57,6 @@ class WindowHistory {
       ring_[slot] = std::move(sample);
     }
     ++pushed_;
-  }
-
-  /// Drop all history (quarantine-epoch boundaries, test reuse).
-  void clear() {
-    ring_.clear();
-    pushed_ = 0;
   }
 
   /// The chronological sequence ending at the newest window — always

@@ -50,10 +50,11 @@ namespace detail {
 }  // namespace detail
 
 const GemmKernels& kernels_for(common::SimdLevel level) noexcept {
-  switch (level) {
-    case common::SimdLevel::Avx2: return detail::avx2_kernels();
-    case common::SimdLevel::Scalar: break;
-  }
+#if defined(__x86_64__) || defined(__i386__)
+  if (level == common::SimdLevel::Avx2) return detail::avx2_kernels();
+#else
+  static_cast<void>(level);  // no AVX2 tier off x86
+#endif
   return kScalarKernels;
 }
 

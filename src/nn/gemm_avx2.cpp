@@ -13,20 +13,19 @@
 // remainder shapes to pin that. Entries without a profitable explicit
 // form reuse the shared portable bodies (gemm_kernels_impl.hpp),
 // recompiled at this TU's arch level.
+//
+// Off x86 the TU is empty: detected_simd_level() is Scalar there, and
+// kernels_for() answers every tier with the scalar table.
+#if defined(__x86_64__) || defined(__i386__)
 #include "nn/gemm.hpp"
 
 #include "nn/gemm_kernels_impl.hpp"
 
-#include <type_traits>
-
-#if defined(__x86_64__) || defined(__i386__)
 #include <immintrin.h>
-#endif
+#include <type_traits>
 
 namespace dl2f::nn::gemm {
 namespace {
-
-#if defined(__x86_64__) || defined(__i386__)
 
 /// Lane mask with the low r (1..8) int32 lanes active. maskload with an
 /// inactive lane performs no memory access for it, which is what makes
@@ -295,33 +294,6 @@ constexpr GemmKernels kAvx2Kernels = {
     avx2_conv_forward_valid, avx2_conv_grad_input,
 };
 
-#else  // non-x86: the tier aliases the portable bodies of this TU.
-
-void fallback_gemm_bias(std::int32_t m, std::int32_t n, std::int32_t k, const float* a,
-                        std::int32_t lda, const float* b, std::int32_t ldb, const float* bias,
-                        float* c, std::int32_t ldc) {
-  impl_gemm_bias(ref_axpy, m, n, k, a, lda, b, ldb, bias, c, ldc);
-}
-
-void fallback_skipzero(std::int32_t m, std::int32_t n, std::int32_t k, const float* a,
-                       std::int32_t lda, const float* b, std::int32_t ldb, float* c,
-                       std::int32_t ldc, float* bias_grad) {
-  impl_gemm_accumulate_skipzero(ref_axpy, m, n, k, a, lda, b, ldb, c, ldc, bias_grad);
-}
-
-void fallback_conv_grad_input(const float* g, const float* w, std::int32_t in_c, std::int32_t ih,
-                              std::int32_t iw, std::int32_t k, std::int32_t pad, std::int32_t out_c,
-                              float* gi) {
-  impl_conv_grad_input(ref_axpy, g, w, in_c, ih, iw, k, pad, out_c, gi);
-}
-
-constexpr GemmKernels kAvx2Kernels = {
-    fallback_gemm_bias,      impl_im2col,              impl_im2row, fallback_skipzero,
-    impl_conv_forward_valid, fallback_conv_grad_input,
-};
-
-#endif
-
 }  // namespace
 
 namespace detail {
@@ -329,3 +301,4 @@ const GemmKernels& avx2_kernels() noexcept { return kAvx2Kernels; }
 }  // namespace detail
 
 }  // namespace dl2f::nn::gemm
+#endif

@@ -93,13 +93,6 @@ class Layer {
 
   /// Output shape for a given input shape, without running data through.
   [[nodiscard]] virtual Tensor3 output_shape(const Tensor3& input_shape) const = 0;
-
-  /// Total learnable scalar count.
-  [[nodiscard]] std::size_t param_count() {
-    std::size_t n = 0;
-    for (auto* p : params()) n += p->size();
-    return n;
-  }
 };
 
 }  // namespace dl2f::nn

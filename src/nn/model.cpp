@@ -113,10 +113,6 @@ std::size_t Sequential::param_count() const {
   return n;
 }
 
-void Sequential::zero_grad() {
-  for (auto* p : params()) p->zero_grad();
-}
-
 bool Sequential::save(std::ostream& os) const {
   const auto blocks = params();
   const std::uint32_t magic = kMagic;

@@ -45,7 +45,6 @@ class Sequential {
   }
 
   [[nodiscard]] std::size_t layer_count() const noexcept { return layers_.size(); }
-  [[nodiscard]] Layer& layer(std::size_t i) { return *layers_[i]; }
   [[nodiscard]] const Layer& layer(std::size_t i) const { return *layers_[i]; }
 
   /// Training forward: each layer caches what backward needs. One sample
@@ -78,7 +77,6 @@ class Sequential {
   [[nodiscard]] std::vector<Param*> params();
   [[nodiscard]] std::vector<const Param*> params() const;
   [[nodiscard]] std::size_t param_count() const;
-  void zero_grad();
 
   /// Weight serialization: little-endian stream of all parameter blocks in
   /// layer order, preceded by a magic/count header. The architecture

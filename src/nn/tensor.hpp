@@ -13,7 +13,6 @@
 // infer_batch/backward_batch through the GEMM backend (nn/gemm.hpp).
 #pragma once
 
-#include <algorithm>
 #include <cassert>
 #include <cstdint>
 #include <vector>
@@ -35,7 +34,6 @@ class Tensor3 {
   [[nodiscard]] std::int32_t height() const noexcept { return h_; }
   [[nodiscard]] std::int32_t width() const noexcept { return w_; }
   [[nodiscard]] std::size_t size() const noexcept { return data_.size(); }
-  [[nodiscard]] bool empty() const noexcept { return data_.empty(); }
 
   [[nodiscard]] float& at(std::int32_t c, std::int32_t h, std::int32_t w) {
     assert(c >= 0 && c < c_ && h >= 0 && h < h_ && w >= 0 && w < w_);
@@ -48,8 +46,6 @@ class Tensor3 {
 
   [[nodiscard]] std::vector<float>& data() noexcept { return data_; }
   [[nodiscard]] const std::vector<float>& data() const noexcept { return data_; }
-
-  void fill(float v) { std::fill(data_.begin(), data_.end(), v); }
 
  private:
   std::int32_t c_ = 0, h_ = 0, w_ = 0;
@@ -97,15 +93,6 @@ class Tensor4 {
   [[nodiscard]] const float* sample(std::int32_t i) const noexcept {
     assert(i >= 0 && i < n_);
     return data_.data() + static_cast<std::size_t>(i) * sample_size();
-  }
-
-  [[nodiscard]] float& at(std::int32_t n, std::int32_t c, std::int32_t h, std::int32_t w) {
-    assert(c >= 0 && c < c_ && h >= 0 && h < h_ && w >= 0 && w < w_);
-    return sample(n)[static_cast<std::size_t>((c * h_ + h) * w_ + w)];
-  }
-  [[nodiscard]] float at(std::int32_t n, std::int32_t c, std::int32_t h, std::int32_t w) const {
-    assert(c >= 0 && c < c_ && h >= 0 && h < h_ && w >= 0 && w < w_);
-    return sample(n)[static_cast<std::size_t>((c * h_ + h) * w_ + w)];
   }
 
   [[nodiscard]] common::aligned_vector<float>& data() noexcept { return data_; }

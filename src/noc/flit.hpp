@@ -79,10 +79,6 @@ class FlitFifo {
     assert(count_ > 0);
     return slots_[head_];
   }
-  [[nodiscard]] const Flit& front() const noexcept {
-    assert(count_ > 0);
-    return slots_[head_];
-  }
 
   void push_back(const Flit& f) noexcept {
     assert(count_ <= mask_);
@@ -93,10 +89,6 @@ class FlitFifo {
     assert(count_ > 0);
     head_ = (head_ + 1) & mask_;
     --count_;
-  }
-  void clear() noexcept {
-    head_ = 0;
-    count_ = 0;
   }
 
  private:

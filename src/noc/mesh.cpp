@@ -308,10 +308,6 @@ void Mesh::step() {
   finish_cycle();
 }
 
-void Mesh::run(std::int64_t n) {
-  for (std::int64_t i = 0; i < n; ++i) step();
-}
-
 void Mesh::set_quarantined(NodeId id, bool quarantined) {
   if (!cfg_.shape.valid(id)) {
     throw std::invalid_argument("Mesh::set_quarantined: node " + std::to_string(id) +

@@ -48,14 +48,16 @@ std::optional<std::int32_t> OutputPort::find_free_vc() const noexcept {
 
 Router::Router(NodeId id, const MeshShape& mesh, const RouterConfig& cfg, NodeId band_first,
                NodeId band_end)
-    : id_(id), here_(mesh.coord_of(id)), cfg_(cfg) {
+    : id_(id), here_(mesh.coord_of(id)), cfg_(cfg),
+      vcs_shift_(std::countr_zero(static_cast<std::uint32_t>(cfg.vcs_per_port))) {
   if (cfg.vc_depth < 1 || cfg.vc_depth > kMaxVcDepth) {
     throw std::invalid_argument("RouterConfig::vc_depth must be in [1, " +
                                 std::to_string(kMaxVcDepth) + "], got " +
                                 std::to_string(cfg.vc_depth));
   }
-  if (cfg.vcs_per_port < 1 || cfg.vcs_per_port > kMaxVcsPerPort) {
-    throw std::invalid_argument("RouterConfig::vcs_per_port must be in [1, " +
+  if (cfg.vcs_per_port < 1 || cfg.vcs_per_port > kMaxVcsPerPort ||
+      !std::has_single_bit(static_cast<std::uint32_t>(cfg.vcs_per_port))) {
+    throw std::invalid_argument("RouterConfig::vcs_per_port must be a power of two in [1, " +
                                 std::to_string(kMaxVcsPerPort) + "], got " +
                                 std::to_string(cfg.vcs_per_port));
   }
@@ -64,9 +66,6 @@ Router::Router(NodeId id, const MeshShape& mesh, const RouterConfig& cfg, NodeId
   // which only transfer the heap buffers). Slot strides are vc_depth
   // rounded up to a power of two so the ring index stays a mask.
   const auto vcs = static_cast<std::size_t>(cfg.vcs_per_port);
-  if (std::has_single_bit(static_cast<std::uint32_t>(cfg.vcs_per_port))) {
-    vcs_shift_ = std::countr_zero(static_cast<std::uint32_t>(cfg.vcs_per_port));
-  }
   const auto depth_pow2 =
       static_cast<std::size_t>(std::bit_ceil(static_cast<std::uint32_t>(cfg.vc_depth)));
   vc_storage_.resize(kNumPorts * vcs);

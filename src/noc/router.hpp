@@ -53,7 +53,7 @@
 namespace dl2f::noc {
 
 struct RouterConfig {
-  std::int32_t vcs_per_port = 4;  ///< at most kMaxVcsPerPort (slot bitmasks are 64-bit)
+  std::int32_t vcs_per_port = 4;  ///< a power of two, at most kMaxVcsPerPort
   std::int32_t vc_depth = 4;      ///< flit slots per VC; at most kMaxVcDepth
 };
 
@@ -196,9 +196,6 @@ class Router {
   Router(const Router&) = delete;
   Router& operator=(const Router&) = delete;
 
-  [[nodiscard]] NodeId id() const noexcept { return id_; }
-  [[nodiscard]] const RouterConfig& config() const noexcept { return cfg_; }
-
   [[nodiscard]] InputPort& input(Direction d) noexcept {
     return inputs_[static_cast<std::size_t>(d)];
   }
@@ -206,9 +203,6 @@ class Router {
     return inputs_[static_cast<std::size_t>(d)];
   }
   [[nodiscard]] OutputPort& output(Direction d) noexcept {
-    return outputs_[static_cast<std::size_t>(d)];
-  }
-  [[nodiscard]] const OutputPort& output(Direction d) const noexcept {
     return outputs_[static_cast<std::size_t>(d)];
   }
 
@@ -240,17 +234,14 @@ class Router {
     const auto vcs = static_cast<std::size_t>(cfg_.vcs_per_port);
     return ((std::uint64_t{1} << vcs) - 1) << (port * vcs);
   }
-  /// Input port of a slot index — a shift when vcs_per_port is a power of
-  /// two (every stock config), avoiding a hardware divide on the SA/VA
-  /// hot path; the general divide only runs for odd configurations.
+  /// Input port of a slot index: a shift, since vcs_per_port is a power
+  /// of two, keeping a hardware divide off the SA/VA hot path.
   [[nodiscard]] std::size_t slot_port(std::size_t slot) const noexcept {
-    return vcs_shift_ >= 0 ? slot >> vcs_shift_
-                           : slot / static_cast<std::size_t>(cfg_.vcs_per_port);
+    return slot >> vcs_shift_;
   }
   /// VC index of a slot within its input port (see slot_port).
   [[nodiscard]] std::size_t slot_vc(std::size_t slot) const noexcept {
-    return vcs_shift_ >= 0 ? slot & ((std::size_t{1} << vcs_shift_) - 1)
-                           : slot % static_cast<std::size_t>(cfg_.vcs_per_port);
+    return slot & ((std::size_t{1} << vcs_shift_) - 1);
   }
 
   /// One row of the link table (see file comment); to == -1 at a mesh edge.
@@ -262,7 +253,7 @@ class Router {
   NodeId id_;
   Coord here_;  ///< coord_of(id_), kept for route computation
   RouterConfig cfg_;
-  std::int32_t vcs_shift_ = -1;  ///< log2(vcs_per_port), or -1 if not a power of two
+  std::int32_t vcs_shift_;  ///< log2(vcs_per_port)
   std::array<InputPort, kNumPorts> inputs_;
   std::array<OutputPort, kNumPorts> outputs_;
   std::array<Link, kNumMeshDirections> links_{};

@@ -22,30 +22,25 @@ JobResult run_job(const CampaignConfig& cfg, const core::PipelineEngine& engine,
   result.workload = workload.name();
   result.seed = seed;
 
-  // Each job's randomness is a pure function of its grid coordinates —
-  // never of worker id or execution order — so any thread count replays
-  // the identical campaign. The workload hash goes through mix64 so the
-  // two string hashes cannot cancel each other under the XOR.
-  const std::uint64_t job_seed = seed ^ fnv1a(family) ^ mix64(fnv1a(result.workload));
+  const CellSeeds seeds = cell_seeds(seed, family, result.workload);
   ScenarioParams params = cfg.params;
   params.benign = workload;
-  Scenario scenario(family, params, job_seed);
+  Scenario scenario(family, params, seeds.scenario);
 
   noc::MeshConfig mesh_cfg;
   mesh_cfg.shape = cfg.params.mesh;
-  mesh_cfg.router = cfg.router;
   // One stepping thread per mesh: campaigns already parallelize across
   // jobs, so per-mesh threads would only oversubscribe the pool. Shards
   // stay at the mesh's auto default (results are bitwise identical at any
   // shard count).
   mesh_cfg.step_threads = 1;
   traffic::Simulation sim(mesh_cfg);
-  scenario.install(sim, job_seed ^ 0x9e3779b97f4a7c15ULL);
+  scenario.install(sim, seeds.install);
 
   DefenseRuntime runtime(sim, engine, cfg.defense);
   runtime.attach_scenario(&scenario);
   runtime.run_windows(cfg.windows);
-  result.summary = runtime.summarize(cfg.recovery_ratio);
+  result.summary = runtime.summarize();
   return result;
 }
 

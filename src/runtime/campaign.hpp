@@ -107,8 +107,6 @@ struct CampaignConfig {
   std::int32_t windows = 12;  ///< monitoring windows per job
   ScenarioParams params;      ///< params.mesh must match the model's mesh
   DefenseConfig defense;
-  noc::RouterConfig router;
-  double recovery_ratio = 2.0;
 };
 
 struct JobResult {

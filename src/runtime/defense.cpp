@@ -139,10 +139,9 @@ void DefenseRuntime::update_mitigation(const core::RoundResult& round, WindowRec
   }
 }
 
-DefenseSummary DefenseRuntime::summarize(double recovery_ratio) const {
+DefenseSummary DefenseRuntime::summarize() const {
   DefenseSummary s;
   s.windows = static_cast<std::int64_t>(history_.size());
-  s.recovery_ratio = recovery_ratio;
   if (history_.empty()) return s;
 
   ConfusionMatrix cm;
@@ -218,7 +217,7 @@ DefenseSummary DefenseRuntime::summarize(double recovery_ratio) const {
   if (s.mitigate_cycle >= 0) {
     for (const auto& w : history_) {
       if (w.start < s.mitigate_cycle || w.benign_packets <= 0) continue;
-      if (w.benign_latency <= recovery_ratio * s.baseline_latency) {
+      if (w.benign_latency <= kRecoveryRatio * s.baseline_latency) {
         s.recover_cycle = w.end;
         s.recovered_latency = w.benign_latency;
         break;

@@ -20,7 +20,7 @@
 //       Mesh::set_quarantined) goes through the same probation.
 //
 // Per-window benign latency (mean and p50/p99 via histogram diffs) is
-// recorded so recovery — "benign latency back within recovery_ratio of its
+// recorded so recovery — "benign latency back within kRecoveryRatio of its
 // pre-attack baseline" — is measurable, not anecdotal.
 #pragma once
 
@@ -43,6 +43,10 @@ namespace dl2f::runtime {
 /// attacker the fence missed still floods the current window and is
 /// caught by the single-window path.
 inline constexpr std::int32_t kTemporalCooldownWindows = 1;
+
+/// A window after mitigation has recovered when its benign latency is at
+/// most kRecoveryRatio times the pre-attack baseline.
+inline constexpr double kRecoveryRatio = 2.0;
 
 struct DefenseConfig {
   std::int64_t window_cycles = 1000;  ///< monitoring window length, >= 1 (paper: 1000 for STP)
@@ -95,7 +99,6 @@ struct DefenseSummary {
   double baseline_p99 = 0.0;
   double peak_latency = 0.0;       ///< worst windowed benign latency observed
   double recovered_latency = 0.0;  ///< benign latency in the recovering window
-  double recovery_ratio = 2.0;     ///< recovered means latency <= ratio * baseline
 
   /// Fence accounting (the serving SLO's cost side). A *fence event* is one
   /// node entering quarantine (a WindowRecord::newly_quarantined entry); a
@@ -141,17 +144,14 @@ class DefenseRuntime {
   /// scoring and lets the runtime advance the scenario's dynamics. Borrowed.
   void attach_scenario(Scenario* scenario) { scenario_ = scenario; }
 
-  [[nodiscard]] const DefenseConfig& config() const noexcept { return cfg_; }
-
   /// Run one monitoring window end to end; returns a copy of the record
   /// (the full sequence stays in history()).
   WindowRecord run_window();
   void run_windows(std::int32_t count);
 
   [[nodiscard]] const std::vector<WindowRecord>& history() const noexcept { return history_; }
-  [[nodiscard]] std::vector<NodeId> quarantined() const { return sim_.mesh().quarantined_nodes(); }
 
-  [[nodiscard]] DefenseSummary summarize(double recovery_ratio = 2.0) const;
+  [[nodiscard]] DefenseSummary summarize() const;
 
  private:
   void update_mitigation(const core::RoundResult& round, WindowRecord& rec);

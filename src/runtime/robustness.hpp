@@ -31,8 +31,6 @@ class RobustnessReport {
                                         const std::vector<std::string>& families,
                                         const std::vector<std::string>& workloads);
 
-  [[nodiscard]] const std::vector<std::string>& families() const noexcept { return families_; }
-  [[nodiscard]] const std::vector<std::string>& workloads() const noexcept { return workloads_; }
   /// Family-major, workload-minor; size = families × workloads.
   [[nodiscard]] const std::vector<CampaignCell>& cells() const noexcept { return cells_; }
 

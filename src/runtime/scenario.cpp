@@ -198,4 +198,9 @@ std::vector<std::string> evasive_scenario_families() {
 
 std::vector<std::string> all_scenario_families() { return {kFamilies.begin(), kFamilies.end()}; }
 
+CellSeeds cell_seeds(std::uint64_t seed, std::string_view family, std::string_view workload) {
+  const std::uint64_t scenario = seed ^ fnv1a(family) ^ mix64(fnv1a(workload));
+  return {scenario, scenario ^ 0x9e3779b97f4a7c15ULL};
+}
+
 }  // namespace dl2f::runtime

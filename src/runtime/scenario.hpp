@@ -93,8 +93,6 @@ class Scenario final {
   Scenario(const Scenario&) = delete;
   Scenario& operator=(const Scenario&) = delete;
 
-  [[nodiscard]] const std::string& family() const noexcept { return family_; }
-
   /// Install the benign generator and one FloodingAttack per leg; call
   /// exactly once before stepping the simulation.
   void install(traffic::Simulation& sim, std::uint64_t seed);
@@ -161,5 +159,19 @@ class ScenarioRegistry {
 
 /// All nine families: builtin followed by evasive.
 [[nodiscard]] std::vector<std::string> all_scenario_families();
+
+/// Seeds of one (seed, family, workload) grid cell: `scenario` constructs
+/// the Scenario and `install` seeds Scenario::install. Both are pure
+/// functions of the cell's coordinates, never of worker id or execution
+/// order, so a campaign (run_campaign) and the temporal head's sequence
+/// grid (temporal::generate_sequence_dataset) replay equal coordinates
+/// identically at any thread count. The workload hash goes through mix64
+/// so the two string hashes cannot cancel each other under the XOR.
+struct CellSeeds {
+  std::uint64_t scenario = 0;
+  std::uint64_t install = 0;
+};
+[[nodiscard]] CellSeeds cell_seeds(std::uint64_t seed, std::string_view family,
+                                   std::string_view workload);
 
 }  // namespace dl2f::runtime

@@ -36,19 +36,18 @@ constexpr float kLearningRate = 1e-3F;
 /// One simulation run of one (family, workload) cell: DefenseRuntime-style
 /// per-cycle stepping, one labeled sequence per window.
 void collect_run(const SequenceDatasetConfig& cfg, const std::string& family,
-                 const monitor::Benchmark& workload, std::uint64_t cell_seed, std::int32_t rep,
-                 SequenceDataset& out) {
+                 const monitor::Benchmark& workload, std::int32_t rep, SequenceDataset& out) {
+  const runtime::CellSeeds seeds =
+      runtime::cell_seeds(cfg.seed + static_cast<std::uint64_t>(rep), family, workload.name());
   runtime::ScenarioParams params = cfg.params;
   params.mesh = cfg.mesh;
   params.benign = workload;
-  runtime::Scenario scenario(family, params, cell_seed);
+  runtime::Scenario scenario(family, params, seeds.scenario);
 
   noc::MeshConfig mesh_cfg;
   mesh_cfg.shape = cfg.mesh;
   traffic::Simulation sim(mesh_cfg);
-  // Same install-seed derivation as run_job (campaign.cpp), so a training
-  // cell and a campaign cell with equal coordinates replay identically.
-  scenario.install(sim, cell_seed ^ 0x9e3779b97f4a7c15ULL);
+  scenario.install(sim, seeds.install);
 
   const monitor::FeatureSampler sampler(cfg.mesh);
   monitor::WindowHistory history(cfg.sequence_length);
@@ -127,10 +126,7 @@ SequenceDataset generate_sequence_dataset(const SequenceDatasetConfig& cfg,
   for (const auto& family : families) {
     for (const auto& workload : workloads) {
       for (std::int32_t rep = 0; rep < cfg.runs_per_cell; ++rep) {
-        // Campaign seed convention: a pure function of grid coordinates.
-        const std::uint64_t cell_seed = (cfg.seed + static_cast<std::uint64_t>(rep)) ^
-                                        fnv1a(family) ^ mix64(fnv1a(workload.name()));
-        collect_run(cfg, family, workload, cell_seed, rep, out);
+        collect_run(cfg, family, workload, rep, out);
       }
     }
   }
@@ -140,13 +136,12 @@ SequenceDataset generate_sequence_dataset(const SequenceDatasetConfig& cfg,
 nn::TrainReport train_temporal_detector(TemporalDetector& detector, const SequenceDataset& data,
                                         const nn::TrainConfig& cfg) {
   const std::int32_t t = detector.config().sequence_length;
-  const auto wrong_length = [t](const SequenceSample& seq) {
-    return !std::cmp_equal(seq.windows.size(), t);
-  };
-  if (data.sequence_length != t ||
-      std::any_of(data.samples.begin(), data.samples.end(), wrong_length)) {
+  if (data.sequence_length != t) {
     throw std::invalid_argument("train_temporal_detector: dataset sequences are not " +
                                 std::to_string(t) + " windows long like the detector's");
+  }
+  for (const auto& seq : data.samples) {
+    detector.check_sequence(seq.view(), "train_temporal_detector");
   }
   const auto stage = [&](std::size_t item, nn::Tensor4& input, std::int32_t slot) {
     const auto& seq = data.samples[item];

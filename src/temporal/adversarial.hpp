@@ -85,12 +85,14 @@ struct SequenceDatasetConfig {
 /// nn::train (Adam at learning rate 1e-3, minibatches of nn::kBatchSize),
 /// so weights are byte-identical for a given cfg.seed at any cfg.threads.
 /// Throws std::invalid_argument, before touching the detector, unless the
-/// dataset's sequence_length and every sample's window count equal the
-/// detector's sequence_length.
+/// dataset's sequence_length equals the detector's and every sample passes
+/// TemporalDetector::check_sequence.
 nn::TrainReport train_temporal_detector(TemporalDetector& detector, const SequenceDataset& data,
                                         const nn::TrainConfig& cfg);
 
-/// Score every sequence in `data` (reference path).
+/// Score every sequence in `data` (reference path). Throws
+/// std::invalid_argument for a sequence of another length or mesh
+/// (TemporalDetector::check_sequence).
 [[nodiscard]] ConfusionMatrix evaluate_temporal_detector(TemporalDetector& detector,
                                                          const SequenceDataset& data);
 

@@ -57,6 +57,15 @@ std::int32_t TemporalDetector::embedding_dim() const noexcept {
   return kFilters * (conv_h / kPool) * (conv_w / kPool);
 }
 
+void TemporalDetector::check_sequence(monitor::SequenceView seq, const char* who) const {
+  if (!std::cmp_equal(seq.size(), cfg_.sequence_length)) {
+    throw std::invalid_argument(std::string(who) + ": " + std::to_string(seq.size()) +
+                                " windows, the temporal head reads " +
+                                std::to_string(cfg_.sequence_length));
+  }
+  for (const monitor::FrameSample* s : seq) monitor::check_window(*s, cfg_.mesh, who);
+}
+
 void TemporalDetector::preprocess_into(monitor::SequenceView seq, nn::Tensor4& batch,
                                        std::int32_t slot) const {
   const auto rows = cfg_.mesh.rows();
@@ -67,9 +76,9 @@ void TemporalDetector::preprocess_into(monitor::SequenceView seq, nn::Tensor4& b
   assert(batch.sample_size() == seq.size() * per_window);
   float* dst = batch.sample(slot);
 
-  // Pass 1, per window: VCO channels 0-3 verbatim, RAW gained pressure rate
-  // into the channel-4 slot, RAW gained source-rate plane into the
-  // channel-6 slot.
+  // Pass 1, per window: VCO channels 0-3 verbatim, RAW pressure rate into
+  // the channel-4 slot, RAW gained source-rate plane into the channel-6
+  // slot.
   for (std::size_t t = 0; t < seq.size(); ++t) {
     const monitor::FrameSample& s = *seq[t];
     float* win = dst + t * per_window;
@@ -81,7 +90,6 @@ void TemporalDetector::preprocess_into(monitor::SequenceView seq, nn::Tensor4& b
       off += hw;
     }
     pressure_rate_into(s, win + 4 * hw, hw);
-    for (std::size_t i = 0; i < hw; ++i) (win + 4 * hw)[i] *= kPressureGain;
     sources_rate_into(s, cfg_.mesh, win + 6 * hw, hw);
   }
 
@@ -107,6 +115,7 @@ void TemporalDetector::preprocess_into(monitor::SequenceView seq, nn::Tensor4& b
 }
 
 nn::Tensor3 TemporalDetector::preprocess(monitor::SequenceView seq) const {
+  check_sequence(seq, "TemporalDetector::preprocess");
   nn::Tensor3 shape = input_shape();
   nn::Tensor4 staged(1, shape.channels(), shape.height(), shape.width());
   preprocess_into(seq, staged, 0);

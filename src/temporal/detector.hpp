@@ -95,11 +95,18 @@ class TemporalDetector {
   /// features of the windowed Dense).
   [[nodiscard]] std::int32_t embedding_dim() const noexcept;
 
+  /// Throws std::invalid_argument naming `who` unless `seq` holds exactly
+  /// sequence_length windows, each from this head's mesh
+  /// (monitor::check_window). Throwing allocates: call it before staging,
+  /// outside any NoAllocScope.
+  void check_sequence(monitor::SequenceView seq, const char* who) const;
+
   /// Stage one sequence (exactly sequence_length windows, oldest first)
   /// into batch sample `slot`. Allocation-free.
   void preprocess_into(monitor::SequenceView seq, nn::Tensor4& batch, std::int32_t slot) const;
 
-  /// Allocating single-sequence variant (reference path, tests).
+  /// Allocating single-sequence variant (reference path, tests); checks
+  /// the sequence first (check_sequence).
   [[nodiscard]] nn::Tensor3 preprocess(monitor::SequenceView seq) const;
 
   /// Reference-path scoring of one sequence (training-side convenience;

@@ -34,12 +34,6 @@ namespace dl2f::temporal {
 /// (window_cycles == 0); matches DefenseConfig::window_cycles.
 inline constexpr std::int64_t kDefaultWindowCycles = 1000;
 
-/// Gain applied to per-cell BOC pressure rates before squashing. BOC
-/// counters sum blocked-cycle counts over four frames, so the raw rate is
-/// already O(1); unity gain keeps mid-range rates in the squash's linear
-/// region.
-inline constexpr float kPressureGain = 1.0F;
-
 /// Gain applied to per-node injection rates (flits/cycle) before squashing.
 /// Benign NI demand sits well under 1 flit/cycle, so the gain stretches the
 /// benign/colluder gap across the squash's responsive range.

@@ -70,10 +70,8 @@ class FloodingAttack final : public TrafficGenerator {
 
   void tick(noc::Mesh& mesh) override;
 
-  [[nodiscard]] const AttackScenario& scenario() const noexcept { return scenario_; }
   /// Enable/disable at runtime (used to build mixed benign/attack traces).
   void set_active(bool active) noexcept { active_ = active; }
-  [[nodiscard]] bool active() const noexcept { return active_; }
   /// Retune the flooding injection rate mid-run (ramping-attack scenarios).
   void set_fir(double fir) noexcept {
     assert(fir >= 0.0 && fir <= 1.0);

@@ -29,8 +29,6 @@ class SyntheticTraffic final : public TrafficGenerator {
 
   void tick(noc::Mesh& mesh) override;
 
-  [[nodiscard]] SyntheticPattern pattern() const noexcept { return pattern_; }
-
  private:
   SyntheticPattern pattern_;
   BernoulliP rate_;

@@ -47,12 +47,11 @@ ParsecParams parsec_params(ParsecWorkload w) noexcept {
 }
 
 ParsecTraffic::ParsecTraffic(ParsecWorkload workload, const MeshShape& shape, std::uint64_t seed)
-    : ParsecTraffic(workload, shape, parsec_params(workload), seed) {}
+    : ParsecTraffic(shape, parsec_params(workload), seed) {}
 
-ParsecTraffic::ParsecTraffic(ParsecWorkload workload, const MeshShape& shape,
-                             const ParsecParams& params, std::uint64_t seed)
-    : workload_(workload), params_(params), base_rate_(params.base_rate),
-      burst_rate_(params.burst_rate), rng_(seed) {
+ParsecTraffic::ParsecTraffic(const MeshShape& shape, const ParsecParams& params,
+                             std::uint64_t seed)
+    : params_(params), base_rate_(params.base_rate), burst_rate_(params.burst_rate), rng_(seed) {
   // Memory controllers at the four corners.
   controllers_ = {
       shape.id_of(Coord{0, 0}),

@@ -50,20 +50,16 @@ struct ParsecParams {
 class ParsecTraffic final : public TrafficGenerator {
  public:
   ParsecTraffic(ParsecWorkload workload, const MeshShape& shape, std::uint64_t seed);
-  ParsecTraffic(ParsecWorkload workload, const MeshShape& shape, const ParsecParams& params,
-                std::uint64_t seed);
+  ParsecTraffic(const MeshShape& shape, const ParsecParams& params, std::uint64_t seed);
 
   void tick(noc::Mesh& mesh) override;
 
-  [[nodiscard]] ParsecWorkload workload() const noexcept { return workload_; }
-  [[nodiscard]] const ParsecParams& params() const noexcept { return params_; }
   /// True when `cycle` falls inside a communication burst.
   [[nodiscard]] bool in_burst(std::int64_t cycle) const noexcept;
 
  private:
   [[nodiscard]] NodeId pick_destination(const MeshShape& shape, NodeId src);
 
-  ParsecWorkload workload_;
   ParsecParams params_;
   BernoulliP base_rate_;   ///< params_.base_rate's trial
   BernoulliP burst_rate_;  ///< params_.burst_rate's trial

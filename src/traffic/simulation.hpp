@@ -50,7 +50,6 @@ class Simulation {
   }
 
   [[nodiscard]] noc::Mesh& mesh() noexcept { return mesh_; }
-  [[nodiscard]] const noc::Mesh& mesh() const noexcept { return mesh_; }
 
   /// Installed generators in insertion order (non-owning view) — lets a
   /// driver recover a typed handle after a Scenario installed it, e.g. the

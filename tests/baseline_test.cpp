@@ -150,9 +150,10 @@ TEST(Features, RowEqualsTheDetectorsStagedSample) {
     const core::DoSDetector detector(cfg);
     const nn::Tensor3 staged = detector.preprocess(s);
     const auto ld = to_labeled_data(data, feature);
-    ASSERT_EQ(ld.x[0].size(), staged.size()) << core::to_string(feature);
+    const char* name = feature == core::Feature::Vco ? "VCO" : "BOC";
+    ASSERT_EQ(ld.x[0].size(), staged.size()) << name;
     for (std::size_t i = 0; i < staged.size(); ++i) {
-      ASSERT_EQ(ld.x[0][i], staged.data()[i]) << core::to_string(feature) << " at " << i;
+      ASSERT_EQ(ld.x[0][i], staged.data()[i]) << name << " at " << i;
     }
   }
 }

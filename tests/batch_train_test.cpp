@@ -226,7 +226,7 @@ TEST(BatchParity, DetectorStackForwardBackward) {
   for (float& v : lg.data()) v = static_cast<float>(rng.uniform(-1.0, 1.0));
 
   // Reference pass over the same samples, same loss gradients.
-  model.zero_grad();
+  for (Param* p : model.params()) p->zero_grad();
   std::vector<Tensor3> ref_outs;
   for (std::int32_t s = 0; s < n; ++s) {
     ref_outs.push_back(model.forward(sample_view(in, s, in_shape)));
@@ -282,7 +282,7 @@ TEST(BatchParity, LocalizerStackForwardBackward) {
   Tensor4& lg = ctx.loss_grad();
   for (float& v : lg.data()) v = static_cast<float>(rng.uniform(-1.0, 1.0));
 
-  model.zero_grad();
+  for (Param* p : model.params()) p->zero_grad();
   std::vector<Tensor3> ref_outs;
   for (std::int32_t s = 0; s < n; ++s) {
     ref_outs.push_back(model.forward(sample_view(in, s, in_shape)));

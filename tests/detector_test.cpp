@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <utility>
+
 namespace dl2f::core {
 namespace {
 
@@ -135,6 +138,26 @@ TEST(Detector, TrainingIsDeterministicPerSeed) {
   EXPECT_FLOAT_EQ(ra.final_loss, rb.final_loss);
   EXPECT_FLOAT_EQ(a.predict_probability(data.samples[0]),
                   b.predict_probability(data.samples[0]));
+}
+
+TEST(Detector, RejectsWindowsFromAnotherMesh) {
+  // Training and scoring stage each window into a slot sized for the
+  // model's mesh: a larger window corrupted the heap, a smaller one was
+  // scored on stale slot contents.
+  for (const auto& [model_side, window_side] : {std::pair{8, 16}, std::pair{16, 8}}) {
+    DetectorConfig cfg;
+    cfg.mesh = MeshShape::square(model_side);
+    DoSDetector det(cfg);
+    monitor::Dataset data;
+    data.mesh = MeshShape::square(window_side);
+    data.samples = {make_sample(data.mesh, true, 0.8F), make_sample(data.mesh, false, 0.0F)};
+    EXPECT_THROW((void)train_detector(det, data, {.epochs = 1, .seed = 1}),
+                 std::invalid_argument);
+    EXPECT_THROW((void)train_detector_reference(det, data, {.epochs = 1, .seed = 1}),
+                 std::invalid_argument);
+    EXPECT_THROW((void)det.preprocess(data.samples[0]), std::invalid_argument);
+    EXPECT_THROW((void)det.predict_probability(data.samples[0]), std::invalid_argument);
+  }
 }
 
 }  // namespace

@@ -54,10 +54,10 @@ TEST(LocalizationScore, AccumulatesAcrossWindows) {
   LocalizationScore s;
   s.add({1}, {1});      // tp 1
   s.add({2}, {3});      // fp 1, fn 1
-  EXPECT_EQ(s.tp(), 1);
-  EXPECT_EQ(s.fp(), 1);
-  EXPECT_EQ(s.fn(), 1);
-  EXPECT_DOUBLE_EQ(s.metrics().accuracy, 1.0 / 3.0);
+  const Metrics4 m = s.metrics();
+  EXPECT_DOUBLE_EQ(m.precision, 0.5);     // tp / (tp + fp)
+  EXPECT_DOUBLE_EQ(m.recall, 0.5);        // tp / (tp + fn)
+  EXPECT_DOUBLE_EQ(m.accuracy, 1.0 / 3.0);
 }
 
 TEST(LocalizationScore, HandlesUnsortedDuplicatedInput) {

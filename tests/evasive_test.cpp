@@ -23,7 +23,7 @@ AttackScenario corner_scenario(double fir) {
   return s;
 }
 
-std::int64_t malicious_ejected(const traffic::Simulation& sim) {
+std::int64_t malicious_ejected(traffic::Simulation& sim) {
   return sim.mesh().stats().packets_ejected() - sim.mesh().benign_stats().packets_ejected();
 }
 

@@ -98,7 +98,6 @@ TEST(FloodingAttack, SetFirRetunesInjectionVolumeMidRun) {
 
   const auto low = run_span(2000);
   attack.set_fir(0.8);
-  EXPECT_DOUBLE_EQ(attack.scenario().fir, 0.8);
   const auto high = run_span(2000);
   EXPECT_NEAR(static_cast<double>(low) / 2000, 0.1, 0.03);
   EXPECT_NEAR(static_cast<double>(high) / 2000, 0.8, 0.05);

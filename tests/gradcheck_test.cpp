@@ -143,7 +143,7 @@ TEST(GradCheck, WholeDetectorStack) {
     return bce_loss_into(out.data().data(), target.data().data(), out.size(), 1.0F,
                          grad.data().data());
   };
-  model.zero_grad();
+  for (Param* p : model.params()) p->zero_grad();
   (void)bce(model.forward(input));
   model.backward(grad);
 

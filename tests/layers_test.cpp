@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <limits>
 
+#include "nn/model.hpp"
+
 namespace dl2f::nn {
 namespace {
 
@@ -39,8 +41,7 @@ TEST(Conv2D, IdentityKernelForwards) {
 TEST(Conv2D, SumKernelComputesNeighborhoodSums) {
   Conv2D conv(1, 1, 3, Padding::Same);
   for (auto& w : conv.params()[0]->value) w = 1.0F;
-  Tensor3 in(1, 3, 3);
-  in.fill(1.0F);
+  const Tensor3 in(1, 3, 3, 1.0F);
   const auto out = conv.forward(in);
   EXPECT_FLOAT_EQ(out.at(0, 1, 1), 9.0F);  // full 3x3 window
   EXPECT_FLOAT_EQ(out.at(0, 0, 0), 4.0F);  // corner sees 2x2
@@ -147,8 +148,7 @@ TEST(ReLU, ClampsNegativesForwardAndBackward) {
   const auto out = relu.forward(in);
   EXPECT_FLOAT_EQ(out.at(0, 0, 0), 0);
   EXPECT_FLOAT_EQ(out.at(0, 0, 2), 2);
-  Tensor3 g(1, 1, 3);
-  g.fill(1.0F);
+  const Tensor3 g(1, 1, 3, 1.0F);
   const auto gin = relu.backward(g);
   EXPECT_FLOAT_EQ(gin.at(0, 0, 0), 0);
   EXPECT_FLOAT_EQ(gin.at(0, 0, 1), 0);  // gradient 0 at exactly 0
@@ -222,14 +222,18 @@ TEST(Layers, NumParamsMatchesParamsVectorForEveryLayerKind) {
 
 TEST(Layers, ParamCountsMatchPaperArchitectures) {
   // Detector conv: 4 -> 8 3x3 = 288 weights + 8 biases.
-  Conv2D det_conv(4, 8, 3, Padding::Valid);
-  EXPECT_EQ(det_conv.param_count(), 296U);
+  Sequential det;
+  det.emplace<Conv2D>(4, 8, 3, Padding::Valid);
+  EXPECT_EQ(det.param_count(), 296U);
   // Detector dense for 16x16 mesh: 8 * 7 * 6 = 336 -> 1.
-  Dense det_dense(336, 1);
-  EXPECT_EQ(det_dense.param_count(), 337U);
+  det.emplace<Dense>(336, 1);
+  EXPECT_EQ(det.param_count(), 296U + 337U);
   // Localizer convs: 80 + 584 + 73.
-  Conv2D l1(1, 8, 3, Padding::Same), l2(8, 8, 3, Padding::Same), l3(8, 1, 3, Padding::Same);
-  EXPECT_EQ(l1.param_count() + l2.param_count() + l3.param_count(), 737U);
+  Sequential loc;
+  loc.emplace<Conv2D>(1, 8, 3, Padding::Same)
+      .emplace<Conv2D>(8, 8, 3, Padding::Same)
+      .emplace<Conv2D>(8, 1, 3, Padding::Same);
+  EXPECT_EQ(loc.param_count(), 737U);
 }
 
 }  // namespace

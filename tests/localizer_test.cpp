@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <tuple>
+#include <utility>
+
 #include "monitor/dataset.hpp"
 #include "traffic/fdos.hpp"
 
@@ -37,8 +41,8 @@ TEST(Localizer, PreprocessNormalizesBocOnly) {
   f.at(0, 0) = 4000.0F;
   f.at(1, 1) = 2000.0F;
   boc_loc.preprocess_into(f, staged, 0);
-  EXPECT_FLOAT_EQ(staged.at(0, 0, 0, 0), 1.0F);
-  EXPECT_FLOAT_EQ(staged.at(0, 0, 1, 1), 0.5F);
+  EXPECT_FLOAT_EQ(staged.sample(0)[0], 1.0F);
+  EXPECT_FLOAT_EQ(staged.sample(0)[1 * 7 + 1], 0.5F);  // row 1, col 1 of the 8x7 frame
   // An all-zero BOC frame passes through unchanged (no division by 0).
   staged.data().assign(staged.size(), 7.0F);
   const Frame zero(8, 7);
@@ -50,7 +54,7 @@ TEST(Localizer, PreprocessNormalizesBocOnly) {
   Frame v(8, 7);
   v.at(0, 0) = 0.5F;
   vco_loc.preprocess_into(v, staged, 0);
-  EXPECT_FLOAT_EQ(staged.at(0, 0, 0, 0), 0.5F);
+  EXPECT_FLOAT_EQ(staged.sample(0)[0], 0.5F);
 }
 
 TEST(Localizer, LearnsToSegmentSyntheticRoutes) {
@@ -89,6 +93,34 @@ TEST(Localizer, LearnsToSegmentSyntheticRoutes) {
   const auto report = train_localizer(loc, data, {.epochs = 30, .seed = 43});
   EXPECT_EQ(report.epochs_run, 30);
   EXPECT_GT(report.final_metric, 0.85);
+}
+
+TEST(Localizer, TrainingRejectsWindowsFromAnotherMesh) {
+  // Each (window, direction) frame is staged into a slot sized for the
+  // model's mesh, and the loss reads a mask of the same size: a larger
+  // frame overran the slot, and a live window's empty masks were read
+  // past their end, without any error.
+  for (const auto& [model_side, window_side, masks] :
+       {std::tuple{8, 16, true}, std::tuple{16, 8, true}, std::tuple{8, 8, false}}) {
+    LocalizerConfig cfg;
+    cfg.mesh = MeshShape::square(model_side);
+    DoSLocalizer loc(cfg);
+    const monitor::FrameGeometry geom(MeshShape::square(window_side));
+    monitor::FrameSample s;
+    s.under_attack = true;
+    for (Direction d : kMeshDirections) {
+      monitor::frame_of(s.vco, d) = geom.make_frame();
+      monitor::frame_of(s.boc, d) = geom.make_frame();
+      if (masks) monitor::frame_of(s.port_truth, d) = geom.make_frame();
+    }
+    monitor::Dataset data;
+    data.mesh = geom.mesh();
+    data.samples = {s, s};
+    EXPECT_THROW((void)train_localizer(loc, data, {.epochs = 1, .seed = 1}),
+                 std::invalid_argument);
+    EXPECT_THROW((void)train_localizer_reference(loc, data, {.epochs = 1, .seed = 1}),
+                 std::invalid_argument);
+  }
 }
 
 }  // namespace

@@ -53,7 +53,7 @@ TEST(BceLoss, GradientMatchesFiniteDifference) {
   std::vector<float> p(6), t(6);
   for (std::size_t i = 0; i < p.size(); ++i) {
     p[i] = static_cast<float>(rng.uniform(0.05, 0.95));
-    t[i] = rng.bernoulli(0.5) ? 1.0F : 0.0F;
+    t[i] = rng.bernoulli(BernoulliP(0.5)) ? 1.0F : 0.0F;
   }
   const auto r = bce(p, t);
   constexpr float kEps = 1e-4F;
@@ -79,7 +79,7 @@ TEST(DiceLoss, GradientMatchesFiniteDifference) {
   std::vector<float> p(4), t(4);
   for (std::size_t i = 0; i < p.size(); ++i) {
     p[i] = static_cast<float>(rng.uniform(0.1, 0.9));
-    t[i] = rng.bernoulli(0.5) ? 1.0F : 0.0F;
+    t[i] = rng.bernoulli(BernoulliP(0.5)) ? 1.0F : 0.0F;
   }
   const auto r = dice(p, t);
   constexpr float kEps = 1e-4F;

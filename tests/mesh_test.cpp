@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include "traffic/simulation.hpp"
+
 namespace dl2f::noc {
 namespace {
 
+// Tests that step the network do it through a traffic::Simulation with no
+// generators, which steps exactly the mesh.
 MeshConfig small_mesh(std::int32_t r = 4, std::int32_t pkt_len = 1) {
   MeshConfig cfg;
   cfg.shape = MeshShape::square(r);
@@ -20,41 +24,44 @@ TEST(Mesh, StartsEmptyAndDrained) {
 }
 
 TEST(Mesh, SinglePacketReachesDestination) {
-  Mesh mesh(small_mesh());
+  traffic::Simulation sim(small_mesh());
+  Mesh& mesh = sim.mesh();
   mesh.inject(0, 15);  // corner to corner: 6 hops
-  mesh.run(64);
+  sim.run(64);
   EXPECT_TRUE(mesh.drained());
   EXPECT_EQ(mesh.stats().packets_ejected(), 1);
   EXPECT_EQ(mesh.stats().flits_ejected(), 1);
 }
 
 TEST(Mesh, SelfPacketEjectsLocally) {
-  Mesh mesh(small_mesh());
+  traffic::Simulation sim(small_mesh());
+  Mesh& mesh = sim.mesh();
   mesh.inject(5, 5);
-  mesh.run(10);
+  sim.run(10);
   EXPECT_TRUE(mesh.drained());
   EXPECT_EQ(mesh.stats().packets_ejected(), 1);
 }
 
 TEST(Mesh, PacketLatencyScalesWithDistance) {
-  Mesh near_mesh(small_mesh());
-  near_mesh.inject(5, 6);  // 1 hop
-  near_mesh.run(64);
-  const double near_latency = near_mesh.stats().avg_packet_latency();
+  traffic::Simulation near_sim(small_mesh());
+  near_sim.mesh().inject(5, 6);  // 1 hop
+  near_sim.run(64);
+  const double near_latency = near_sim.mesh().stats().avg_packet_latency();
 
-  Mesh far_mesh(small_mesh());
-  far_mesh.inject(0, 15);  // 6 hops
-  far_mesh.run(64);
-  const double far_latency = far_mesh.stats().avg_packet_latency();
+  traffic::Simulation far_sim(small_mesh());
+  far_sim.mesh().inject(0, 15);  // 6 hops
+  far_sim.run(64);
+  const double far_latency = far_sim.mesh().stats().avg_packet_latency();
 
   EXPECT_GT(far_latency, near_latency);
   EXPECT_GE(near_latency, 1.0);  // at least one link traversal
 }
 
 TEST(Mesh, MultiFlitPacketArrivesInOrderAndComplete) {
-  Mesh mesh(small_mesh(4, 5));
+  traffic::Simulation sim(small_mesh(4, 5));
+  Mesh& mesh = sim.mesh();
   mesh.inject(0, 3);
-  mesh.run(64);
+  sim.run(64);
   EXPECT_TRUE(mesh.drained());
   EXPECT_EQ(mesh.stats().flits_ejected(), 5);
   EXPECT_EQ(mesh.stats().packets_ejected(), 1);
@@ -62,9 +69,10 @@ TEST(Mesh, MultiFlitPacketArrivesInOrderAndComplete) {
 
 TEST(Mesh, QueueLatencyGrowsWhenSourceBacklogged) {
   // Inject a burst at one node: later packets wait in the source queue.
-  Mesh mesh(small_mesh(4, 5));
+  traffic::Simulation sim(small_mesh(4, 5));
+  Mesh& mesh = sim.mesh();
   for (int i = 0; i < 10; ++i) mesh.inject(0, 15);
-  mesh.run(400);
+  sim.run(400);
   EXPECT_TRUE(mesh.drained());
   EXPECT_EQ(mesh.stats().packets_ejected(), 10);
   EXPECT_GT(mesh.stats().avg_packet_queue_latency(), 1.0);
@@ -74,9 +82,10 @@ TEST(Mesh, QueueLatencyGrowsWhenSourceBacklogged) {
 TEST(Mesh, TelemetryCountsFlitTraversals) {
   // A single 3-flit packet 0 -> 2 passes through router 1's West input:
   // 3 writes + 3 reads there.
-  Mesh mesh(small_mesh(4, 3));
+  traffic::Simulation sim(small_mesh(4, 3));
+  Mesh& mesh = sim.mesh();
   mesh.inject(0, 2);
-  mesh.run(64);
+  sim.run(64);
   const auto& t = mesh.router(1).input(Direction::West).telemetry;
   EXPECT_EQ(t.buffer_writes, 3);
   EXPECT_EQ(t.buffer_reads, 3);
@@ -87,9 +96,10 @@ TEST(Mesh, TelemetryCountsFlitTraversals) {
 }
 
 TEST(Mesh, ResetTelemetryClearsCounters) {
-  Mesh mesh(small_mesh());
+  traffic::Simulation sim(small_mesh());
+  Mesh& mesh = sim.mesh();
   mesh.inject(0, 2);
-  mesh.run(32);
+  sim.run(32);
   EXPECT_GT(mesh.router(1).input(Direction::West).telemetry.operations(), 0);
   mesh.reset_telemetry();
   EXPECT_EQ(mesh.router(1).input(Direction::West).telemetry.operations(), 0);
@@ -114,39 +124,43 @@ TEST(Mesh, XyRoutePathSingleNode) {
 }
 
 TEST(Mesh, MaliciousFlagPropagates) {
-  Mesh mesh(small_mesh());
+  traffic::Simulation sim(small_mesh());
+  Mesh& mesh = sim.mesh();
   mesh.inject(0, 3, 1, /*malicious=*/true);
   // Telemetry doesn't expose flits directly; verify via drain + stats and
   // the source-side bookkeeping instead: the packet must complete.
-  mesh.run(32);
+  sim.run(32);
   EXPECT_EQ(mesh.stats().packets_ejected(), 1);
 }
 
 TEST(Mesh, InjectionBandwidthOneFlitPerCycle) {
   // A 5-flit packet needs at least 5 cycles to leave the source.
-  Mesh mesh(small_mesh(4, 5));
+  traffic::Simulation sim(small_mesh(4, 5));
+  Mesh& mesh = sim.mesh();
   mesh.inject(0, 1);
-  mesh.run(3);
+  sim.run(3);
   EXPECT_FALSE(mesh.drained());  // serialization still in progress
-  mesh.run(61);
+  sim.run(61);
   EXPECT_TRUE(mesh.drained());
 }
 
 TEST(Mesh, HeavyCrossTrafficEventuallyDeliversEverything) {
-  Mesh mesh(small_mesh(4, 5));
+  traffic::Simulation sim(small_mesh(4, 5));
+  Mesh& mesh = sim.mesh();
   // All nodes send to the opposite corner simultaneously (worst case).
   for (NodeId n = 0; n < 16; ++n) {
     if (n != 15) mesh.inject(n, 15);
   }
-  mesh.run(2000);
+  sim.run(2000);
   EXPECT_TRUE(mesh.drained());
   EXPECT_EQ(mesh.stats().packets_ejected(), 15);
 }
 
 TEST(Mesh, StatsResetClearsAverages) {
-  Mesh mesh(small_mesh());
+  traffic::Simulation sim(small_mesh());
+  Mesh& mesh = sim.mesh();
   mesh.inject(0, 3);
-  mesh.run(32);
+  sim.run(32);
   EXPECT_GT(mesh.stats().packets_ejected(), 0);
   mesh.stats().reset();
   EXPECT_EQ(mesh.stats().packets_ejected(), 0);
@@ -163,14 +177,15 @@ TEST(Mesh, QuarantineRejectsNodesOutsideTheMesh) {
 }
 
 TEST(Mesh, QuarantineDropsInjectionAtTheSourceAndReleases) {
-  Mesh mesh(small_mesh());
+  traffic::Simulation sim(small_mesh());
+  Mesh& mesh = sim.mesh();
   mesh.set_quarantined(0, true);
   EXPECT_TRUE(mesh.quarantined(0));
   EXPECT_EQ(mesh.quarantined_nodes(), std::vector<NodeId>{0});
 
   EXPECT_EQ(mesh.inject(0, 5), -1);
   EXPECT_EQ(mesh.packets_dropped(), 1);
-  mesh.run(50);
+  sim.run(50);
   EXPECT_TRUE(mesh.drained());
   EXPECT_EQ(mesh.stats().packets_ejected(), 0);
 
@@ -178,15 +193,16 @@ TEST(Mesh, QuarantineDropsInjectionAtTheSourceAndReleases) {
   EXPECT_GE(mesh.inject(1, 5), 0);
   mesh.set_quarantined(0, false);
   EXPECT_GE(mesh.inject(0, 5), 0);
-  mesh.run(200);
+  sim.run(200);
   EXPECT_TRUE(mesh.drained());
   EXPECT_EQ(mesh.stats().packets_ejected(), 2);
 }
 
 TEST(Mesh, QuarantineFlushesTheQueuedBacklog) {
-  Mesh mesh(small_mesh(4, /*pkt_len=*/5));
+  traffic::Simulation sim(small_mesh(4, /*pkt_len=*/5));
+  Mesh& mesh = sim.mesh();
   for (int i = 0; i < 10; ++i) mesh.inject(0, 3);
-  mesh.run(3);  // front packet is mid-serialization (3 of 5 flits sent)
+  sim.run(3);  // front packet is mid-serialization (3 of 5 flits sent)
   ASSERT_GT(mesh.source_queue_length(0), 1U);
 
   mesh.set_quarantined(0, true);

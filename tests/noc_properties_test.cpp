@@ -34,7 +34,7 @@ TEST_P(ConservationTest, AllInjectedPacketsAreEjectedExactlyOnce) {
   std::int64_t injected = 0;
   for (std::int64_t cycle = 0; cycle < 600; ++cycle) {
     for (NodeId n = 0; n < cfg.shape.node_count(); ++n) {
-      if (rng.bernoulli(p.rate)) {
+      if (rng.bernoulli(BernoulliP(p.rate))) {
         auto dst = static_cast<NodeId>(rng.uniform_int(0, cfg.shape.node_count() - 1));
         mesh.inject(n, dst);
         ++injected;
@@ -84,7 +84,7 @@ TEST_P(CreditConservationTest, EveryLinkHoldsDepthMinusDownstreamOccupancy) {
   std::int64_t violations = 0;
   for (int cycle = 0; cycle < 3000; ++cycle) {
     sim.step();
-    const noc::Mesh& mesh = sim.mesh();
+    noc::Mesh& mesh = sim.mesh();
     for (NodeId u = 0; u < cfg.shape.node_count(); ++u) {
       for (const Direction d : kMeshDirections) {
         const auto v_id = cfg.shape.neighbor(u, d);

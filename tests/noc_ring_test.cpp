@@ -1,6 +1,7 @@
 // The flat-storage datapath's moving parts: the FlitFifo VC buffer,
 // router-config validation, worklist activation/deactivation, and the
-// zero-steady-state-allocation contract of Mesh::step.
+// zero-steady-state-allocation contract of Mesh::step (driven through a
+// traffic::Simulation with no generators, which steps exactly the mesh).
 #include <gtest/gtest.h>
 
 #include <stdexcept>
@@ -8,6 +9,7 @@
 #include "common/debug_hooks.hpp"
 #include "noc/mesh.hpp"
 #include "noc/router.hpp"
+#include "traffic/simulation.hpp"
 
 namespace dl2f::noc {
 namespace {
@@ -44,17 +46,6 @@ TEST(FlitFifo, FifoOrderAcrossWraparoundOnBoundSlots) {
   EXPECT_EQ(next_pop, next_push);
 }
 
-TEST(FlitFifo, ClearResetsToEmptyKeepingBinding) {
-  Flit slots[4];
-  FlitFifo fifo;
-  fifo.bind(slots, 4);
-  for (int i = 0; i < 3; ++i) fifo.push_back(numbered_flit(i));
-  fifo.clear();
-  EXPECT_TRUE(fifo.empty());
-  fifo.push_back(numbered_flit(42));
-  EXPECT_EQ(fifo.front().seq, 42);
-}
-
 TEST(RouterConfig, RejectsDepthsBeyondMaxVcDepth) {
   const auto mesh = MeshShape::square(4);
   RouterConfig cfg;
@@ -72,6 +63,8 @@ TEST(RouterConfig, RejectsVcCountsBeyondTheSlotMask) {
   cfg.vcs_per_port = kMaxVcsPerPort + 1;
   EXPECT_THROW(Router(0, mesh, cfg), std::invalid_argument);
   cfg.vcs_per_port = 0;
+  EXPECT_THROW(Router(0, mesh, cfg), std::invalid_argument);
+  cfg.vcs_per_port = 3;  // slot indices split by shift, so only powers of two
   EXPECT_THROW(Router(0, mesh, cfg), std::invalid_argument);
   cfg.vcs_per_port = kMaxVcsPerPort;
   EXPECT_NO_THROW(Router(0, mesh, cfg));
@@ -133,9 +126,10 @@ TEST(MeshWorklist, RoutersReactivateAfterGoingIdle) {
 TEST(MeshWorklist, SourceReactivatesAfterQuarantineFlush) {
   // A quarantine flush empties the source queue (the node leaves the
   // source worklist); release + re-inject must flow again.
-  Mesh mesh(MeshConfig{MeshShape::square(4), RouterConfig{}, 5});
+  traffic::Simulation sim(MeshConfig{MeshShape::square(4), RouterConfig{}, 5});
+  Mesh& mesh = sim.mesh();
   for (int i = 0; i < 8; ++i) mesh.inject(0, 15);
-  mesh.run(2);
+  sim.run(2);
   mesh.set_quarantined(0, true);
   std::int64_t spare = 1000;
   while (!mesh.drained() && spare-- > 0) mesh.step();
@@ -179,7 +173,8 @@ TEST(MeshAllocation, SteadyStateStepIsAllocationFree) {
   MeshConfig cfg;
   cfg.shape = MeshShape::square(8);
   cfg.packet_length_flits = 5;
-  Mesh mesh(cfg);
+  traffic::Simulation sim(cfg);
+  Mesh& mesh = sim.mesh();
   for (int i = 0; i < 250; ++i) {
     for (NodeId src = 0; src < 64; src += 3) {
       mesh.inject(src, (src * 31 + i) % 64);
@@ -188,11 +183,11 @@ TEST(MeshAllocation, SteadyStateStepIsAllocationFree) {
   // The arenas are reserved at their physical per-cycle maxima in the
   // Mesh constructor, so stepping never allocates — not even while
   // congestion is still building toward its peak.
-  mesh.run(100);
+  sim.run(100);
   ASSERT_FALSE(mesh.drained());
 
   const std::int64_t before = dl2f::dbg::thread_allocation_count();
-  mesh.run(300);
+  sim.run(300);
   const std::int64_t after = dl2f::dbg::thread_allocation_count();
 #ifndef NDEBUG
   EXPECT_EQ(after - before, 0) << "Mesh::step allocated in steady state";
@@ -216,7 +211,8 @@ TEST(MeshAllocation, ShardedSteadyStateStepIsAllocationFree) {
   cfg.packet_length_flits = 5;
   cfg.shards = 4;
   cfg.step_threads = 1;
-  Mesh mesh(cfg);
+  traffic::Simulation sim(cfg);
+  Mesh& mesh = sim.mesh();
   ASSERT_EQ(mesh.shard_count(), 4);
   for (int i = 0; i < 250; ++i) {
     for (NodeId src = 0; src < 256; src += 5) {
@@ -225,11 +221,11 @@ TEST(MeshAllocation, ShardedSteadyStateStepIsAllocationFree) {
       mesh.inject(src, (src * 37 + i * 11) % 256);
     }
   }
-  mesh.run(100);
+  sim.run(100);
   ASSERT_FALSE(mesh.drained());
 
   const std::int64_t before = dl2f::dbg::thread_allocation_count();
-  mesh.run(300);
+  sim.run(300);
   const std::int64_t after = dl2f::dbg::thread_allocation_count();
 #ifndef NDEBUG
   EXPECT_EQ(after - before, 0) << "sharded Mesh::step allocated in steady state";
@@ -251,7 +247,8 @@ TEST(MeshAllocation, PooledStepIsAllocationFree) {
   cfg.packet_length_flits = 5;
   cfg.shards = 4;
   cfg.step_threads = 2;
-  Mesh mesh(cfg);
+  traffic::Simulation sim(cfg);
+  Mesh& mesh = sim.mesh();
   ASSERT_EQ(mesh.shard_count(), 4);
   ASSERT_EQ(mesh.step_thread_count(), 2);
   for (int i = 0; i < 250; ++i) {
@@ -259,11 +256,11 @@ TEST(MeshAllocation, PooledStepIsAllocationFree) {
       mesh.inject(src, (src * 37 + i * 11) % 256);
     }
   }
-  mesh.run(100);
+  sim.run(100);
   ASSERT_FALSE(mesh.drained());
 
   const std::int64_t before = dl2f::dbg::thread_allocation_count();
-  mesh.run(300);
+  sim.run(300);
   const std::int64_t after = dl2f::dbg::thread_allocation_count();
 #ifndef NDEBUG
   EXPECT_EQ(after - before, 0) << "pooled Mesh::step allocated in steady state";

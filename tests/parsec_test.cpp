@@ -41,7 +41,7 @@ TEST(Parsec, MemoryControllersAtCorners) {
   ParsecParams p = parsec_params(ParsecWorkload::Blackscholes);
   p.hotspot_fraction = 1.0;
   p.neighbor_fraction = 0.0;
-  sim.add_generator(std::make_unique<ParsecTraffic>(ParsecWorkload::Blackscholes, cfg.shape, p, 1));
+  sim.add_generator(std::make_unique<ParsecTraffic>(cfg.shape, p, 1));
   DestinationCounter counter;
   sim.mesh().set_delivery_listener(&counter);
   sim.run(3000);
@@ -61,7 +61,7 @@ TEST(Parsec, BurstWindowsFollowPhasePeriod) {
   ParsecParams p;
   p.phase_len = 100;
   p.burst_len = 20;
-  const ParsecTraffic gen(ParsecWorkload::Bodytrack, mesh, p, 1);
+  const ParsecTraffic gen(mesh, p, 1);
   EXPECT_FALSE(gen.in_burst(0));
   EXPECT_FALSE(gen.in_burst(99));
   EXPECT_TRUE(gen.in_burst(100));
@@ -80,7 +80,7 @@ TEST(Parsec, BurstsInjectMoreThanComputePhases) {
   p.burst_len = 500;
 
   noc::Mesh mesh(cfg);
-  ParsecTraffic gen(ParsecWorkload::X264, shape, p, 7);
+  ParsecTraffic gen(shape, p, 7);
   // Compute phase: cycles [0, 500).
   std::int64_t compute_packets = 0;
   for (int c = 0; c < 500; ++c) {

@@ -12,6 +12,8 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "core/evaluation.hpp"
 #include "monitor/dataset.hpp"
@@ -333,6 +335,58 @@ TEST(PipelineEngine, RejectsModelsBuiltForDifferentMeshes) {
   small_temporal.enable_temporal = true;
   small_temporal.temporal.mesh = MeshShape::square(4);
   EXPECT_THROW(core::PipelineEngine{small_temporal}, std::invalid_argument);
+}
+
+TEST(PipelineSession, RejectsWindowsFromAnotherMesh) {
+  // Every scoring method stages a window into a slot sized for the
+  // engine's mesh: a larger window overran it (a segfault), a smaller one
+  // was scored against whatever the slot held before.
+  for (const auto& [model_side, window_side] : {std::pair{8, 16}, std::pair{16, 8}}) {
+    core::Dl2FenceConfig cfg = core::Dl2FenceConfig::paper_default(MeshShape::square(model_side));
+    cfg.enable_temporal = true;
+    const core::PipelineEngine engine(cfg);
+    core::PipelineSession session(engine);
+    const monitor::FrameGeometry geom(MeshShape::square(window_side));
+    Rng rng(3);
+    monitor::Dataset data;
+    data.mesh = geom.mesh();
+    data.samples = {synthetic_window(geom, rng, true), synthetic_window(geom, rng, false)};
+    const monitor::FrameSample& w = data.samples[0];
+    const std::vector<const monitor::FrameSample*> seq(
+        static_cast<std::size_t>(cfg.temporal.sequence_length), &w);
+    const std::string sides = std::to_string(model_side) + " vs " + std::to_string(window_side);
+    EXPECT_THROW((void)session.process(w), std::invalid_argument) << sides;
+    EXPECT_THROW((void)session.process_batch(data.windows()), std::invalid_argument) << sides;
+    EXPECT_THROW((void)session.detect_batch(data.windows()), std::invalid_argument) << sides;
+    EXPECT_THROW((void)session.localize(w), std::invalid_argument) << sides;
+    EXPECT_THROW((void)session.process_sequence(seq), std::invalid_argument) << sides;
+    EXPECT_THROW((void)session.detect_sequence(seq), std::invalid_argument) << sides;
+    EXPECT_THROW((void)core::score_benchmark(engine, "other", data), std::invalid_argument)
+        << sides;
+  }
+
+  // The temporal head reads ni_load per node: empty is allowed (read as
+  // zero), one value per node is required otherwise.
+  core::Dl2FenceConfig cfg = core::Dl2FenceConfig::paper_default(MeshShape::square(kMeshSide));
+  cfg.enable_temporal = true;
+  const core::PipelineEngine engine(cfg);
+  core::PipelineSession session(engine);
+  const monitor::FrameGeometry geom(MeshShape::square(kMeshSide));
+  Rng rng(4);
+  monitor::FrameSample w = synthetic_window(geom, rng, false);
+  const std::vector<const monitor::FrameSample*> seq(
+      static_cast<std::size_t>(cfg.temporal.sequence_length), &w);
+  EXPECT_NO_THROW((void)session.detect_sequence(seq));
+  w.ni_load.assign(static_cast<std::size_t>(geom.mesh().node_count()), 1.0F);
+  EXPECT_NO_THROW((void)session.detect_sequence(seq));
+  w.ni_load.push_back(1.0F);
+  EXPECT_THROW((void)session.detect_sequence(seq), std::invalid_argument);
+
+  // The head's input slot holds exactly sequence_length windows.
+  w.ni_load.clear();
+  const std::vector<const monitor::FrameSample*> longer(seq.size() + 1, &w);
+  EXPECT_THROW((void)session.detect_sequence(longer), std::invalid_argument);
+  EXPECT_THROW((void)session.detect_sequence({seq.data(), seq.size() - 1}), std::invalid_argument);
 }
 
 }  // namespace

@@ -61,15 +61,15 @@ TEST(Rng, BernoulliRateApproximation) {
   Rng rng(11);
   int hits = 0;
   constexpr int kTrials = 20000;
-  for (int i = 0; i < kTrials; ++i) hits += rng.bernoulli(0.3) ? 1 : 0;
+  for (int i = 0; i < kTrials; ++i) hits += rng.bernoulli(BernoulliP(0.3)) ? 1 : 0;
   EXPECT_NEAR(static_cast<double>(hits) / kTrials, 0.3, 0.02);
 }
 
 TEST(Rng, BernoulliDegenerate) {
   Rng rng(13);
   for (int i = 0; i < 100; ++i) {
-    EXPECT_FALSE(rng.bernoulli(0.0));
-    EXPECT_TRUE(rng.bernoulli(1.0));
+    EXPECT_FALSE(rng.bernoulli(BernoulliP(0.0)));
+    EXPECT_TRUE(rng.bernoulli(BernoulliP(1.0)));
   }
 }
 
@@ -162,7 +162,9 @@ TEST(Bernoulli, RngStreamEqualsOracleOverStdEngine) {
     Rng rng(77);
     std::mt19937_64 ref(77);
     std::size_t mismatches = 0;
-    for (int i = 0; i < 10'000; ++i) mismatches += rng.bernoulli(p) != oracle(ref(), p) ? 1 : 0;
+    for (int i = 0; i < 10'000; ++i) {
+      mismatches += rng.bernoulli(BernoulliP(p)) != oracle(ref(), p) ? 1 : 0;
+    }
     EXPECT_EQ(mismatches, 0U) << p;
     EXPECT_EQ(rng.engine()(), ref()) << p;
   }
@@ -174,35 +176,31 @@ TEST(Bernoulli, DegenerateProbabilitiesConsumeExactlyOneWord) {
     Rng rng(31);
     std::mt19937_64 ref(31);
     for (int i = 0; i < 700; ++i) {  // spans two engine refills
-      EXPECT_EQ(rng.bernoulli(p), p >= 1.0) << p;
+      EXPECT_EQ(rng.bernoulli(BernoulliP(p)), p >= 1.0) << p;
       (void)ref();
     }
     EXPECT_EQ(rng.engine()(), ref()) << p;
   }
 }
 
-TEST(Bernoulli, PrecomputedThresholdDrawsEqualPerCallDraws) {
-  // Rng::bernoulli(BernoulliP) must be a drop-in for bernoulli(p): the
-  // same outcome on every word, one word per call, for every probability
-  // the repo passes, the threshold formula's edges and the degenerate p.
+TEST(Bernoulli, HoistedTrialEqualsOracleOnEveryWord) {
+  // A BernoulliP built once and reused, as the generators keep theirs,
+  // draws the oracle's outcome on every word, one word per call, for
+  // every probability the repo passes, the threshold formula's edges and
+  // the degenerate p.
   const double nan = std::numeric_limits<double>::quiet_NaN();
   std::vector<double> ps = probabilities();
   ps.insert(ps.end(), {0.0, -0.5, nan, 1.0, 1.5});
   for (const double p : ps) {
     const BernoulliP trial(p);
     Rng fixed(2718);
-    Rng per_call(2718);
     std::mt19937_64 ref(2718);
     std::size_t mismatches = 0;
     for (int i = 0; i < 100'000; ++i) {
-      const bool outcome = fixed.bernoulli(trial);
-      mismatches += outcome != per_call.bernoulli(p) ? 1 : 0;
-      mismatches += outcome != oracle(ref(), p) ? 1 : 0;
+      mismatches += fixed.bernoulli(trial) != oracle(ref(), p) ? 1 : 0;
     }
     EXPECT_EQ(mismatches, 0U) << p;
-    const std::uint64_t next = ref();
-    EXPECT_EQ(fixed.engine()(), next) << p;
-    EXPECT_EQ(per_call.engine()(), next) << p;
+    EXPECT_EQ(fixed.engine()(), ref()) << p;
   }
 }
 

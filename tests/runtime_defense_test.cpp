@@ -70,7 +70,7 @@ TEST_F(DefenseLoop, MitigationFencesAttackersAndRestoresLatency) {
   runtime.attach_scenario(scenario.get());
   runtime.run_windows(10);
 
-  const DefenseSummary s = runtime.summarize(2.0);
+  const DefenseSummary s = runtime.summarize();
   ASSERT_GE(s.first_attack_cycle, 0);
   EXPECT_GE(s.detect_cycle, 0) << "attack never detected";
   ASSERT_TRUE(s.mitigated()) << "attackers never fenced";

@@ -13,8 +13,9 @@ namespace {
 TEST(Sampler, IdleMeshProducesAllZeroFrames) {
   noc::MeshConfig cfg;
   cfg.shape = MeshShape::square(8);
-  noc::Mesh mesh(cfg);
-  mesh.run(100);
+  traffic::Simulation sim(cfg);
+  noc::Mesh& mesh = sim.mesh();
+  sim.run(100);
   const FeatureSampler sampler(cfg.shape);
   const auto vco = sampler.sample_vco(mesh);
   auto boc = sampler.sample_boc(mesh);
@@ -67,9 +68,10 @@ TEST(Sampler, BocShowsExactlyTheFloodedRoute) {
 TEST(Sampler, BocResetStartsNewWindow) {
   noc::MeshConfig cfg;
   cfg.shape = MeshShape::square(4);
-  noc::Mesh mesh(cfg);
+  traffic::Simulation sim(cfg);
+  noc::Mesh& mesh = sim.mesh();
   mesh.inject(0, 3);
-  mesh.run(50);
+  sim.run(50);
   const FeatureSampler sampler(cfg.shape);
   const auto first = sampler.sample_boc(mesh, /*reset=*/true);
   float total = 0;
@@ -107,19 +109,19 @@ TEST(Sampler, VcoIsIndependentOfBocSamplingOrder) {
   // Drive two identical meshes deterministically and sample the two
   // features in opposite orders: both feature frames must match exactly,
   // in the first window and in later windows.
-  const auto drive = [](noc::Mesh& mesh, int rounds) {
+  const auto drive = [](traffic::Simulation& sim, int rounds) {
     for (int r = 0; r < rounds; ++r) {
       for (int i = 0; i < 6; ++i) {
-        mesh.inject(0, 15);
-        mesh.inject(3, 12);
+        sim.mesh().inject(0, 15);
+        sim.mesh().inject(3, 12);
       }
-      mesh.run(40);
+      sim.run(40);
     }
   };
   noc::MeshConfig cfg;
   cfg.shape = MeshShape::square(4);
-  noc::Mesh vco_first(cfg);
-  noc::Mesh boc_first(cfg);
+  traffic::Simulation vco_first(cfg);
+  traffic::Simulation boc_first(cfg);
   const FeatureSampler sampler(cfg.shape);
 
   const auto expect_same_frames = [](const DirectionalFrames& a, const DirectionalFrames& b) {
@@ -137,10 +139,10 @@ TEST(Sampler, VcoIsIndependentOfBocSamplingOrder) {
   for (int window = 0; window < 3; ++window) {
     drive(vco_first, 3);
     drive(boc_first, 3);
-    const auto vco_a = sampler.sample_vco(vco_first, /*reset=*/true);
-    const auto boc_a = sampler.sample_boc(vco_first, /*reset=*/true);
-    const auto boc_b = sampler.sample_boc(boc_first, /*reset=*/true);
-    const auto vco_b = sampler.sample_vco(boc_first, /*reset=*/true);
+    const auto vco_a = sampler.sample_vco(vco_first.mesh(), /*reset=*/true);
+    const auto boc_a = sampler.sample_boc(vco_first.mesh(), /*reset=*/true);
+    const auto boc_b = sampler.sample_boc(boc_first.mesh(), /*reset=*/true);
+    const auto vco_b = sampler.sample_vco(boc_first.mesh(), /*reset=*/true);
     expect_same_frames(vco_a, vco_b);
     expect_same_frames(boc_a, boc_b);
     // The windows are genuinely informative, not degenerate zeros.

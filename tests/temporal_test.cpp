@@ -171,11 +171,24 @@ TEST(TemporalTraining, RejectsDatasetsOfAnotherSequenceShape) {
   wrong_length.sequence_length = 5;
   SequenceDataset short_sample = data;
   short_sample.samples[1].windows.pop_back();
-  for (const SequenceDataset* bad : {&wrong_length, &short_sample}) {
+  // A window of a larger mesh would overrun the staged sequence slot, and
+  // the source-rate plane reads one ni_load value per node.
+  SequenceDataset other_mesh = data;
+  const monitor::FrameGeometry larger(MeshShape::square(kMeshSide + 8));
+  for (Frame& f : other_mesh.samples[1].windows[2].boc) f = larger.make_frame();
+  SequenceDataset short_ni_load = data;
+  short_ni_load.samples[0].windows[0].ni_load.assign(3, 1.0F);
+  for (const SequenceDataset* bad : {&wrong_length, &short_sample, &other_mesh, &short_ni_load}) {
     TemporalDetector detector(small_config());
     const std::string before = weights_of(detector);
     EXPECT_THROW((void)train_temporal_detector(detector, *bad, train), std::invalid_argument);
     EXPECT_EQ(weights_of(detector), before);
+  }
+  // Scoring stages each sequence into the same slot shape. (wrong_length
+  // only mislabels the dataset: its sequences still fit.)
+  TemporalDetector detector(small_config());
+  for (const SequenceDataset* bad : {&short_sample, &other_mesh, &short_ni_load}) {
+    EXPECT_THROW((void)evaluate_temporal_detector(detector, *bad), std::invalid_argument);
   }
 }
 

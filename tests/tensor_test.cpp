@@ -17,9 +17,8 @@ TEST(Tensor3, ShapeAndIndexing) {
   EXPECT_FLOAT_EQ(t.data()[1], 2.0F);
 }
 
-TEST(Tensor3, FillSetsEverything) {
-  Tensor3 t(1, 2, 2);
-  t.fill(3.5F);
+TEST(Tensor3, FillConstructorSetsEverything) {
+  const Tensor3 t(1, 2, 2, 3.5F);
   for (float v : t.data()) EXPECT_FLOAT_EQ(v, 3.5F);
 }
 

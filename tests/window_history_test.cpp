@@ -64,7 +64,7 @@ TEST(WindowHistory, WarmupRepeatsTheOldestLiveWindowAtTheFront) {
   EXPECT_FLOAT_EQ(id_of(*view[1]), 0.1F);
   EXPECT_FLOAT_EQ(id_of(*view[2]), 0.1F);
   EXPECT_FLOAT_EQ(id_of(*view[3]), 0.2F);
-  EXPECT_LT(h.live(), h.sequence_length());  // still padding
+  EXPECT_LT(h.live(), 4);  // still padding
 }
 
 TEST(WindowHistory, RingWraparoundStaysChronologicalPastCapacity) {
@@ -73,7 +73,7 @@ TEST(WindowHistory, RingWraparoundStaysChronologicalPastCapacity) {
     h.push(make_sample(static_cast<float>(i)));
     EXPECT_EQ(h.live(), std::min(i + 1, 4));
   }
-  EXPECT_EQ(h.live(), h.sequence_length());  // no padding past capacity
+  EXPECT_EQ(h.live(), 4);  // no padding past capacity
 
   // After 6 pushes into a 4-deep ring, the view is windows 2..5 in order.
   const auto view = h.view();
@@ -82,18 +82,6 @@ TEST(WindowHistory, RingWraparoundStaysChronologicalPastCapacity) {
     EXPECT_FLOAT_EQ(id_of(*view[static_cast<std::size_t>(j)]), static_cast<float>(2 + j));
   }
   EXPECT_FLOAT_EQ(id_of(h.latest()), 5.0F);
-}
-
-TEST(WindowHistory, ClearRestartsWarmup) {
-  monitor::WindowHistory h(3);
-  for (std::int32_t i = 0; i < 5; ++i) h.push(make_sample(static_cast<float>(i)));
-  EXPECT_EQ(h.live(), 3);
-
-  h.clear();
-  EXPECT_EQ(h.live(), 0);
-  h.push(make_sample(9.0F));
-  EXPECT_EQ(h.live(), 1);
-  for (const monitor::FrameSample* s : h.view()) EXPECT_FLOAT_EQ(id_of(*s), 9.0F);
 }
 
 class SequenceFeatures : public ::testing::Test {
@@ -134,16 +122,15 @@ TEST_F(SequenceFeatures, PerWindowChannelsBitwiseMatchIndependentRecompute) {
       }
     }
 
-    // Channel 4: squashed gained pressure rate, recomputed from scratch.
-    // Channel 5: signed squashed delta of the gained raw rates (exactly
-    // zero at the first position).
+    // Channel 4: squashed pressure rate, recomputed from scratch.
+    // Channel 5: signed squashed delta of the raw rates (exactly zero at
+    // the first position).
     pressure_rate_into(s, raw.data(), hw);
     for (std::int32_t r = 0; r < kRows; ++r) {
       for (std::int32_t c = 0; c < kCols; ++c) {
         const auto i = static_cast<std::size_t>(r * kCols + c);
-        EXPECT_EQ(x.at(ch0 + 4, r, c), squash(kPressureGain * raw[i]));
-        const float expected_delta =
-            t == 0 ? 0.0F : squash_signed(kPressureGain * raw[i] - kPressureGain * raw_prev[i]);
+        EXPECT_EQ(x.at(ch0 + 4, r, c), squash(raw[i]));
+        const float expected_delta = t == 0 ? 0.0F : squash_signed(raw[i] - raw_prev[i]);
         EXPECT_EQ(x.at(ch0 + 5, r, c), expected_delta);
       }
     }

@@ -53,10 +53,11 @@ DL008  no library code that only tests run: every function name declared
        in a src/ header must appear in src/, bench/, examples/ or
        perfbench/ somewhere other than its own declarations and
        definitions (tests/ does not count). The check is by name, so a
-       call to an overload or to a same-named member counts. A function
-       kept for tests alone carries an allow whose reason names the test
-       oracle or contract probe it is; anything else is deleted and its
-       tests ported to the code the library runs.
+       call to an overload or to a same-named member counts; the symbol
+       pass in dead_api.py, which needs a build, catches those. A
+       function kept for tests alone carries an allow whose reason names
+       the test oracle or contract probe it is; anything else is deleted
+       and its tests ported to the code the library runs.
 
 Suppressions
 ------------
@@ -157,7 +158,7 @@ PREPROCESSOR_RE = re.compile(r"^[ \t]*#(?:[^\n]*\\\n)*[^\n]*", re.MULTILINE)
 ACCESS_SPECIFIER_RE = re.compile(r"\b(?:public|private|protected)\s*:(?!:)")
 ATTRIBUTE_RE = re.compile(r"\[\[.*?\]\]", re.DOTALL)
 SCOPE_HEAD_RE = re.compile(
-    r"^\s*(?:namespace\b|extern\b|enum\b|"
+    r"^\s*(?:namespace\b\s*([\w:]*)|extern\b|enum\b|"
     r"(?:class|struct|union)\s+(?:alignas\s*\([^)]*\)\s*)?(\w+))")
 DECLARATOR_RE = re.compile(r"(~?)\s*\b([A-Za-z_]\w*)\s*$")
 IDENT_RE = re.compile(r"\b[A-Za-z_]\w*\b")
@@ -387,15 +388,17 @@ def declared_function(stmt: str, scope_class: str | None) -> tuple[str, int] | N
     return name, base + m.start(2)
 
 
-def declaration_sites(code: str) -> list[tuple[str, int]]:
+def declaration_sites(code: str) -> list[tuple[str, int, tuple[str, ...]]]:
     """Every function declared or defined at namespace or class scope of
-    stripped `code`, as (name, offset). Braces that do not open a
-    namespace, class, struct, union, enum or linkage block open code
-    (a function body or an initializer), which holds calls, not
-    declarations."""
+    stripped `code`, as (name, offset, enclosing namespace and class
+    names). Braces that do not open a namespace, class, struct, union,
+    enum or linkage block open code (a function body or an initializer),
+    which holds calls, not declarations."""
     code = PREPROCESSOR_RE.sub(lambda m: re.sub(r"[^\n]", " ", m.group()), code)
-    sites: list[tuple[str, int]] = []
-    scopes: list[str | None] = []  # enclosing declaration scopes: class name or None
+    sites: list[tuple[str, int, tuple[str, ...]]] = []
+    # Enclosing declaration scopes: (name or None for linkage/enum blocks,
+    # whether it is a class).
+    scopes: list[tuple[str | None, bool]] = []
     code_depth = 0  # brace depth inside a code block
     start = 0
     for i, c in enumerate(code):
@@ -410,14 +413,20 @@ def declaration_sites(code: str) -> list[tuple[str, int]]:
                                        code[start:i])
         head = SCOPE_HEAD_RE.match(skip_template_head(stmt)) if c == "{" else None
         if head is None and c != "}":
-            found = declared_function(stmt, scopes[-1] if scopes else None)
+            scope_class = scopes[-1][0] if scopes and scopes[-1][1] else None
+            found = declared_function(stmt, scope_class)
             if found is not None:
-                sites.append((found[0], start + found[1]))
+                qualifier = tuple(name for name, _is_class in scopes if name is not None)
+                sites.append((found[0], start + found[1], qualifier))
         if c == "{":
-            if head is not None:
-                scopes.append(head.group(1))
-            else:
+            if head is None:
                 code_depth = 1
+            elif head.group(2) is not None:
+                scopes.append((head.group(2), True))
+            elif head.group(1) is not None:
+                scopes.append((head.group(1) or "(anonymous namespace)", False))
+            else:
+                scopes.append((None, False))
         elif c == "}" and scopes:
             scopes.pop()
         start = i + 1
@@ -437,14 +446,14 @@ def lint_callers(root: str) -> list[Finding]:
     src/ header must appear in src/, bench/, examples/ or perfbench/
     somewhere other than a declaration or definition. The check is by
     name, so a call to an overload or to a same-named member counts."""
-    headers: list[tuple[str, list[str], list[tuple[str, int]], str]] = []
+    headers: list[tuple[str, list[str], list[tuple[str, int, tuple[str, ...]]], str]] = []
     used: set[str] = set()
     for path in source_files(root, CALLER_DIRS):
         with open(path, encoding="utf-8") as f:
             text = f.read()
         code = strip_code(text)
         sites = declaration_sites(code)
-        declared_at = {offset for _name, offset in sites}
+        declared_at = {offset for _name, offset, _scope in sites}
         used.update(m.group() for m in IDENT_RE.finditer(code) if m.start() not in declared_at)
         relpath = os.path.relpath(path, root).replace(os.sep, "/")
         if relpath.startswith("src/") and relpath.endswith((".hpp", ".h")):
@@ -453,7 +462,7 @@ def lint_callers(root: str) -> list[Finding]:
     findings: list[Finding] = []
     for relpath, raw_lines, sites, code in headers:
         allowed, _bad = collect_suppressions(raw_lines)  # lint_text reports bad ones
-        for name, offset in sites:
+        for name, offset, _scope in sites:
             idx = code.count("\n", 0, offset)
             if name not in used and "DL008" not in allowed.get(idx, set()):
                 findings.append(Finding(

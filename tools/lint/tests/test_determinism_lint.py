@@ -178,7 +178,8 @@ class CallerTests(unittest.TestCase):
                 "static_assert(sizeof(int) == 4);\n"
                 "}  // namespace n\n")
         code = lint.strip_code(text)
-        self.assertEqual([name for name, _ in lint.declaration_sites(code)], ["get", "value"])
+        self.assertEqual([site[:1] + site[2:] for site in lint.declaration_sites(code)],
+                         [("get", ("n", "S")), ("value", ("n",))])
 
 
 class ScannerTests(unittest.TestCase):
