@@ -1,20 +1,21 @@
-// Inference throughput: the engine/session redesign measured.
+// Inference throughput through the one scoring API, the engine/session
+// pair.
 //
-// Scores the same synthetic monitoring-window set four ways and reports
+// Scores the same synthetic monitoring-window set two ways and reports
 // windows/sec for each:
-//   * single_window — the seed's per-window mutable path (training-forward
-//     per call: per-layer allocations + backward caches), i.e. what every
-//     window cost before the PipelineEngine/PipelineSession split;
 //   * session batch {1, 8, 32} — the allocation-free const path at
-//     different batch capacities;
+//     different batch capacities (capacity 1 is what the live
+//     runtime::DefenseRuntime loop scores with);
 //   * 1/2/4 sessions — concurrent sessions sharing ONE engine, each
 //     scoring a disjoint shard (the campaign scaling model).
 //
 // The detector threshold is raised above 1 so every arm measures the
 // always-on detector stage that each window pays regardless of verdict
 // (localization cost is scenario-dependent and benchmarked by the table
-// benches). A bitwise parity check between the legacy and batched paths
-// runs first; the bench exits non-zero if they ever disagree.
+// benches). A bitwise parity check runs first: every batched probability
+// must equal the per-sample Sequential::forward on the same
+// core::stack_frames staging, and the bench exits non-zero on any
+// mismatch.
 //
 // Output: human-readable table on stdout plus machine-readable
 // BENCH_inference.json in the working directory. Pass --quick for the CI
@@ -140,30 +141,27 @@ int main(int argc, char** argv) {
             << ", " << flops_per_window << " FLOP/window\n\n";
 
   // Parity gate: the batched const path must be bitwise-identical to the
-  // legacy per-window training-forward path.
+  // per-sample Sequential::forward on the same staging.
   {
     core::PipelineSession session(engine);
     const std::vector<float> batched = session.detect_batch(batch);
+    nn::Tensor3 staged = engine.detector().input_shape();
     for (std::size_t i = 0; i < windows.size(); ++i) {
-      const float legacy = engine.mutable_detector().predict_probability(windows[i]);
-      if (std::memcmp(&legacy, &batched[i], sizeof(float)) != 0) {
-        std::cerr << "PARITY FAILURE at window " << i << ": legacy " << legacy << " vs batched "
-                  << batched[i] << "\n";
+      core::stack_frames(windows[i], cfg.detector.feature, staged.data());
+      const float forward = engine.mutable_detector().model().forward(staged).data()[0];
+      if (std::memcmp(&forward, &batched[i], sizeof(float)) != 0) {
+        std::cerr << "PARITY FAILURE at window " << i << ": forward " << forward
+                  << " vs batched " << batched[i] << "\n";
         return 1;
       }
     }
-    std::cout << "parity: batched path bitwise-identical to legacy path over " << windows.size()
-              << " windows\n";
+    std::cout << "parity: batched path bitwise-identical to Sequential::forward over "
+              << windows.size() << " windows\n";
   }
 
   double checksum = 0.0;  // keep every arm's work observable
 
-  // Arm 1: the seed's per-window cost (mutable forward, allocates per layer).
-  const double single_wps = throughput(num_windows, repeats, [&] {
-    for (const auto& w : windows) checksum += engine.mutable_detector().predict_probability(w);
-  });
-
-  // Arm 2: session batch sizes 1 / 8 / 32.
+  // Arm 1: session batch sizes 1 / 8 / 32.
   const std::vector<std::int32_t> batch_sizes{1, 8, 32};
   std::vector<double> batch_wps;
   for (const std::int32_t b : batch_sizes) {
@@ -174,7 +172,7 @@ int main(int argc, char** argv) {
     }));
   }
 
-  // Arm 3: 1/2/4 sessions over one shared engine, disjoint shards. Each
+  // Arm 2: 1/2/4 sessions over one shared engine, disjoint shards. Each
   // session is constructed ON its worker thread (per-thread malloc arenas
   // put every session's scratch on disjoint pages — the false-sharing
   // contract from nn/inference.hpp) and BEFORE the clock starts: a start
@@ -223,17 +221,14 @@ int main(int argc, char** argv) {
     session_detail.push_back(std::move(detail));
   }
 
-  const double speedup32 = batch_wps[2] / single_wps;
   const auto gflops = [flops_per_window](double wps) {
     return wps * static_cast<double>(flops_per_window) / 1e9;
   };
 
-  std::cout << "\n  single_window (legacy mutable forward): " << single_wps << " windows/s ("
-            << gflops(single_wps) << " GFLOP/s, " << backend << ")\n";
+  std::cout << "\n";
   for (std::size_t i = 0; i < batch_sizes.size(); ++i) {
     std::cout << "  session batch " << batch_sizes[i] << ": " << batch_wps[i] << " windows/s ("
-              << batch_wps[i] / single_wps << "x single, " << gflops(batch_wps[i])
-              << " GFLOP/s)\n";
+              << gflops(batch_wps[i]) << " GFLOP/s, " << backend << ")\n";
   }
   for (std::size_t i = 0; i < session_counts.size(); ++i) {
     std::cout << "  " << session_counts[i] << " session(s), one engine: " << session_wps[i]
@@ -257,8 +252,6 @@ int main(int argc, char** argv) {
        << "  \"gemm_backend\": \"" << backend << "\",\n"
        << "  \"affinity_cpus\": " << affinity_cpu_count() << ",\n"
        << "  \"detector_flops_per_window\": " << flops_per_window << ",\n"
-       << "  \"single_window_wps\": " << single_wps << ",\n"
-       << "  \"single_window_gflops\": " << gflops(single_wps) << ",\n"
        << "  \"batch_wps\": {";
   for (std::size_t i = 0; i < batch_sizes.size(); ++i) {
     json << (i == 0 ? "" : ", ") << "\"" << batch_sizes[i] << "\": " << batch_wps[i];
@@ -280,13 +273,10 @@ int main(int argc, char** argv) {
     }
     json << "]";
   }
-  json << "},\n"
-       << "  \"speedup_batch32_vs_single_window\": " << speedup32 << "\n"
-       << "}\n";
+  json << "}\n}\n";
 
   std::ofstream out("BENCH_inference.json");
   out << json.str();
-  std::cout << "\nwrote BENCH_inference.json (speedup_batch32_vs_single_window = " << speedup32
-            << ")\n";
+  std::cout << "\nwrote BENCH_inference.json\n";
   return 0;
 }

@@ -84,7 +84,7 @@ int main() {
   const bool recovered_in_probation =
       s.recovered() &&
       s.recover_cycle - s.mitigate_cycle <=
-          static_cast<noc::Cycle>(defense.probation_windows) * defense.window_cycles;
+          static_cast<noc::Cycle>(runtime::kProbationWindows) * defense.window_cycles;
   std::cout << "\n  attack detected:                    " << (detected ? "yes" : "NO")
             << "\n  attackers quarantined:              " << (mitigated ? "yes" : "NO")
             << "\n  recovered within probation window:  "

@@ -13,24 +13,6 @@ constexpr std::int32_t kFilters = 8;
 constexpr std::int32_t kPool = 2;
 constexpr float kLearningRate = 1e-3F;
 
-using Trainer = decltype(&nn::train);
-
-/// Stage each window's feature frames; BCE against its attack label.
-nn::TrainReport run_training(Trainer trainer, const char* who, DoSDetector& detector,
-                             const monitor::Dataset& data, const nn::TrainConfig& cfg) {
-  for (const auto& s : data.samples) monitor::check_window(s, detector.config().mesh, who);
-  const auto stage = [&](std::size_t item, nn::Tensor4& input, std::int32_t slot) {
-    detector.preprocess_into(data.samples[item], input, slot);
-  };
-  const auto loss = [&](std::size_t item, const float* pred, std::size_t n,
-                        float* grad) -> nn::ItemLoss {
-    const float target = data.samples[item].under_attack ? 1.0F : 0.0F;
-    return {nn::bce_loss_into(pred, &target, n, 1.0F, grad), 0.0};
-  };
-  return trainer(detector.model(), detector.input_shape(), kLearningRate, data.samples.size(),
-                 stage, loss, cfg);
-}
-
 }  // namespace
 
 void stack_frames(const monitor::FrameSample& sample, Feature feature, std::span<float> dst) {
@@ -67,30 +49,27 @@ DoSDetector::DoSDetector(const DetectorConfig& cfg) : cfg_(cfg) {
   model_.emplace<nn::Sigmoid>();
 }
 
-nn::Tensor3 DoSDetector::preprocess(const monitor::FrameSample& sample) const {
-  monitor::check_window(sample, cfg_.mesh, "DoSDetector::preprocess");
-  nn::Tensor3 input = input_shape();
-  stack_frames(sample, cfg_.feature, input.data());
-  return input;
-}
-
 void DoSDetector::preprocess_into(const monitor::FrameSample& sample, nn::Tensor4& batch,
                                   std::int32_t slot) const {
   stack_frames(sample, cfg_.feature, {batch.sample(slot), batch.sample_size()});
 }
 
-float DoSDetector::predict_probability(const monitor::FrameSample& sample) {
-  return model_.forward(preprocess(sample)).data()[0];
-}
-
 nn::TrainReport train_detector(DoSDetector& detector, const monitor::Dataset& data,
                                const nn::TrainConfig& cfg) {
-  return run_training(&nn::train, "train_detector", detector, data, cfg);
-}
-
-nn::TrainReport train_detector_reference(DoSDetector& detector, const monitor::Dataset& data,
-                                         const nn::TrainConfig& cfg) {
-  return run_training(&nn::train_reference, "train_detector_reference", detector, data, cfg);
+  for (const auto& s : data.samples) {
+    monitor::check_window(s, detector.config().mesh, "train_detector");
+  }
+  // Stage each window's feature frames; BCE against its attack label.
+  const auto stage = [&](std::size_t item, nn::Tensor4& input, std::int32_t slot) {
+    detector.preprocess_into(data.samples[item], input, slot);
+  };
+  const auto loss = [&](std::size_t item, const float* pred, std::size_t n,
+                        float* grad) -> nn::ItemLoss {
+    const float target = data.samples[item].under_attack ? 1.0F : 0.0F;
+    return {nn::bce_loss_into(pred, &target, n, 1.0F, grad), 0.0};
+  };
+  return nn::train(detector.model(), detector.input_shape(), kLearningRate, data.samples.size(),
+                   stage, loss, cfg);
 }
 
 }  // namespace dl2f::core

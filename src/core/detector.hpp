@@ -46,21 +46,11 @@ class DoSDetector {
   void preprocess_into(const monitor::FrameSample& sample, nn::Tensor4& batch,
                        std::int32_t slot) const;
 
-  /// stack_frames for one window, as a tensor (reference path, tests).
-  /// Throws std::invalid_argument for a window from another mesh
-  /// (monitor::check_window).
-  [[nodiscard]] nn::Tensor3 preprocess(const monitor::FrameSample& sample) const;
-
   /// CNN input shape: kNumMeshDirections channels of R x (R-1) frames.
   [[nodiscard]] nn::Tensor3 input_shape() const {
     return nn::Tensor3(static_cast<std::int32_t>(kNumMeshDirections), cfg_.mesh.rows(),
                        cfg_.mesh.cols() - 1);
   }
-
-  /// Training-path prediction (mutable per-sample forward), kept as the
-  /// parity oracle for the batched path. Inference goes through
-  /// core::PipelineSession instead.
-  [[nodiscard]] float predict_probability(const monitor::FrameSample& sample);
 
   [[nodiscard]] nn::Sequential& model() noexcept { return model_; }
   [[nodiscard]] const nn::Sequential& model() const noexcept { return model_; }
@@ -76,10 +66,5 @@ class DoSDetector {
 /// before training, for a window from another mesh (monitor::check_window).
 nn::TrainReport train_detector(DoSDetector& detector, const monitor::Dataset& data,
                                const nn::TrainConfig& cfg);
-
-/// The same staging and loss through nn::train_reference, the per-sample
-/// baseline bench_train measures against; cfg.threads is ignored.
-nn::TrainReport train_detector_reference(DoSDetector& detector, const monitor::Dataset& data,
-                                         const nn::TrainConfig& cfg);
 
 }  // namespace dl2f::core

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <stdexcept>
-#include <string>
 
 #include "nn/layers.hpp"
 #include "nn/loss.hpp"
@@ -18,53 +17,11 @@ constexpr float kLearningRate = 3e-3F;
 /// epochs.
 constexpr float kRouteWeight = 8.0F;
 
-using Trainer = decltype(&nn::train);
-
 /// One localizer training item per (sample, direction) pair.
 struct LocalizerItem {
   const Frame* input;
   const Frame* mask;
 };
-
-/// Stage each (sample, direction) frame; route-weighted BCE + Dice against
-/// its port-truth mask, with the dice score as the metric.
-nn::TrainReport run_training(Trainer trainer, const char* who, DoSLocalizer& localizer,
-                             const monitor::Dataset& data, const nn::TrainConfig& cfg) {
-  std::vector<LocalizerItem> items;
-  const auto& mesh = localizer.config().mesh;
-  const auto feature = localizer.config().feature;
-  const auto fits = [&](const Frame& mask) {
-    return mask.rows() == mesh.rows() && mask.cols() == mesh.cols() - 1;
-  };
-  for (const auto& s : data.samples) {
-    monitor::check_window(s, mesh, who);
-    // The loss reads one mask value per staged pixel; live windows
-    // (monitor::sample_window) carry no masks at all.
-    if (!std::all_of(s.port_truth.begin(), s.port_truth.end(), fits)) {
-      throw std::invalid_argument(std::string(who) +
-                                  ": window lacks port-truth masks of the model's mesh");
-    }
-    const auto& frames = feature == Feature::Vco ? s.vco : s.boc;
-    for (Direction d : kMeshDirections) {
-      items.push_back(
-          LocalizerItem{&monitor::frame_of(frames, d), &monitor::frame_of(s.port_truth, d)});
-    }
-  }
-  const auto stage = [&](std::size_t item, nn::Tensor4& input, std::int32_t slot) {
-    localizer.preprocess_into(*items[item].input, input, slot);
-  };
-  const auto loss = [&](std::size_t item, const float* pred, std::size_t n,
-                        float* grad) -> nn::ItemLoss {
-    const float* target = items[item].mask->data().data();
-    nn::ItemLoss r;
-    r.loss = nn::bce_loss_into(pred, target, n, kRouteWeight, grad);
-    r.loss += nn::dice_loss_add(pred, target, n, grad);
-    r.metric = nn::dice_score_raw(pred, target, n);
-    return r;
-  };
-  return trainer(localizer.model(), localizer.input_shape(), kLearningRate, items.size(), stage,
-                 loss, cfg);
-}
 
 }  // namespace
 
@@ -95,12 +52,42 @@ void DoSLocalizer::preprocess_into(const Frame& frame, nn::Tensor4& batch,
 
 nn::TrainReport train_localizer(DoSLocalizer& localizer, const monitor::Dataset& data,
                                 const nn::TrainConfig& cfg) {
-  return run_training(&nn::train, "train_localizer", localizer, data, cfg);
-}
-
-nn::TrainReport train_localizer_reference(DoSLocalizer& localizer, const monitor::Dataset& data,
-                                          const nn::TrainConfig& cfg) {
-  return run_training(&nn::train_reference, "train_localizer_reference", localizer, data, cfg);
+  // One item per (sample, direction) frame; route-weighted BCE + Dice
+  // against its port-truth mask, with the dice score as the metric.
+  std::vector<LocalizerItem> items;
+  const auto& mesh = localizer.config().mesh;
+  const auto feature = localizer.config().feature;
+  const auto fits = [&](const Frame& mask) {
+    return mask.rows() == mesh.rows() && mask.cols() == mesh.cols() - 1;
+  };
+  for (const auto& s : data.samples) {
+    monitor::check_window(s, mesh, "train_localizer");
+    // The loss reads one mask value per staged pixel; live windows
+    // (monitor::sample_window) carry no masks at all.
+    if (!std::all_of(s.port_truth.begin(), s.port_truth.end(), fits)) {
+      throw std::invalid_argument(
+          "train_localizer: window lacks port-truth masks of the model's mesh");
+    }
+    const auto& frames = feature == Feature::Vco ? s.vco : s.boc;
+    for (Direction d : kMeshDirections) {
+      items.push_back(
+          LocalizerItem{&monitor::frame_of(frames, d), &monitor::frame_of(s.port_truth, d)});
+    }
+  }
+  const auto stage = [&](std::size_t item, nn::Tensor4& input, std::int32_t slot) {
+    localizer.preprocess_into(*items[item].input, input, slot);
+  };
+  const auto loss = [&](std::size_t item, const float* pred, std::size_t n,
+                        float* grad) -> nn::ItemLoss {
+    const float* target = items[item].mask->data().data();
+    nn::ItemLoss r;
+    r.loss = nn::bce_loss_into(pred, target, n, kRouteWeight, grad);
+    r.loss += nn::dice_loss_add(pred, target, n, grad);
+    r.metric = nn::dice_score_raw(pred, target, n);
+    return r;
+  };
+  return nn::train(localizer.model(), localizer.input_shape(), kLearningRate, items.size(), stage,
+                   loss, cfg);
 }
 
 }  // namespace dl2f::core

@@ -64,9 +64,4 @@ class DoSLocalizer {
 nn::TrainReport train_localizer(DoSLocalizer& localizer, const monitor::Dataset& data,
                                 const nn::TrainConfig& cfg);
 
-/// The same staging and loss through nn::train_reference, the per-sample
-/// baseline bench_train measures against; cfg.threads is ignored.
-nn::TrainReport train_localizer_reference(DoSLocalizer& localizer, const monitor::Dataset& data,
-                                          const nn::TrainConfig& cfg);
-
 }  // namespace dl2f::core

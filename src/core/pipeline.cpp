@@ -75,11 +75,11 @@ void PipelineSession::localize_into(const monitor::FrameSample& sample, RoundRes
   }
 }
 
-void PipelineSession::detect_chunk(monitor::WindowBatch chunk, std::size_t base,
-                                   std::vector<float>& probabilities) {
+void PipelineSession::detect_chunk(monitor::WindowBatch chunk, std::span<float> probabilities) {
   // The whole chunk — staging, batched inference, probability readout —
   // runs in the preallocated arena: zero allocations, checked in Debug.
   const dbg::NoAllocScope no_alloc("PipelineSession::detect_chunk");
+  assert(probabilities.size() == chunk.size());
   const DoSDetector& detector = engine_->detector();
   nn::Tensor4& in = detector_ctx_.input(static_cast<std::int32_t>(chunk.size()));
   for (std::size_t i = 0; i < chunk.size(); ++i) {
@@ -87,17 +87,14 @@ void PipelineSession::detect_chunk(monitor::WindowBatch chunk, std::size_t base,
   }
   const nn::Tensor4& out = detector.model().infer_batch(detector_ctx_);
   for (std::size_t i = 0; i < chunk.size(); ++i) {
-    probabilities[base + i] = out.sample(static_cast<std::int32_t>(i))[0];
+    probabilities[i] = out.sample(static_cast<std::int32_t>(i))[0];
   }
 }
 
 RoundResult PipelineSession::process(const monitor::FrameSample& sample) {
   monitor::check_window(sample, engine_->geometry().mesh(), "PipelineSession::process");
-  const DoSDetector& detector = engine_->detector();
-  nn::Tensor4& in = detector_ctx_.input(1);
-  detector.preprocess_into(sample, in, 0);
   RoundResult r;
-  r.probability = detector.model().infer_batch(detector_ctx_).sample(0)[0];
+  detect_chunk({&sample, 1}, {&r.probability, 1});
   r.detected = r.probability > engine_->config().detector.threshold;
   if (r.detected) localize_into(sample, r);
   return r;
@@ -123,7 +120,7 @@ std::vector<float> PipelineSession::detect_batch(monitor::WindowBatch samples) {
   const auto chunk_size = static_cast<std::size_t>(max_batch_);
   for (std::size_t base = 0; base < samples.size(); base += chunk_size) {
     const std::size_t n = std::min(chunk_size, samples.size() - base);
-    detect_chunk(samples.subspan(base, n), base, probs);
+    detect_chunk(samples.subspan(base, n), std::span(probs).subspan(base, n));
   }
   return probs;
 }
@@ -143,11 +140,8 @@ RoundResult PipelineSession::process_sequence(monitor::SequenceView seq) {
   if (!engine_->has_temporal()) return process(newest);
 
   monitor::check_window(newest, engine_->geometry().mesh(), "PipelineSession::process_sequence");
-  const DoSDetector& detector = engine_->detector();
-  nn::Tensor4& in = detector_ctx_.input(1);
-  detector.preprocess_into(newest, in, 0);
   RoundResult r;
-  r.probability = detector.model().infer_batch(detector_ctx_).sample(0)[0];
+  detect_chunk({&newest, 1}, {&r.probability, 1});
   const bool single = r.probability > engine_->config().detector.threshold;
 
   const temporal::TemporalDetectorConfig& tcfg = engine_->config().temporal;

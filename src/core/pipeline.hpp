@@ -20,8 +20,11 @@
 //     performs zero heap allocations. process() scores one monitoring
 //     window; process_batch() scores a monitor::WindowBatch, pushing all
 //     windows through the detector CNN in batched, allocation-free
-//     passes. Results are bitwise-identical between the two (and to the
-//     training-time forward pass).
+//     passes. Both stage through one site, the batched detector pass
+//     (process() runs it at batch size 1), so results are
+//     bitwise-identical between the two and to the per-sample
+//     nn::Sequential::forward the tests hold them against. The session is
+//     the one scorer of all three CNNs.
 //
 // Scaling model: N sessions, one weight set. runtime::DefenseRuntime owns
 // a session per live loop; runtime::run_campaign shares one engine across
@@ -39,13 +42,11 @@
 // an untrained PipelineEngine(cfg) and trains its models in place through
 // the engine's mutable_detector()/mutable_localizer()/mutable_temporal()
 // accessors before any session is opened (runtime::train_model_snapshot
-// does exactly this). train_detector_reference and
-// train_localizer_reference run the same staging and losses through the
-// per-sample nn::train_reference, the baseline bench_train measures
-// against.
+// does exactly this). nn::train is the one trainer.
 #pragma once
 
 #include <optional>
+#include <span>
 
 #include "core/detector.hpp"
 #include "core/fusion.hpp"
@@ -188,8 +189,10 @@ class PipelineSession {
   [[nodiscard]] RoundResult localize(const monitor::FrameSample& sample);
 
  private:
-  void detect_chunk(monitor::WindowBatch chunk, std::size_t base,
-                    std::vector<float>& probabilities);
+  /// The one detector staging site: stage `chunk` (at most max_batch
+  /// windows) into the detector arena, run one batched pass and write
+  /// probability i to probabilities[i]. Allocation-free.
+  void detect_chunk(monitor::WindowBatch chunk, std::span<float> probabilities);
   void localize_into(const monitor::FrameSample& sample, RoundResult& r);
 
   const PipelineEngine* engine_;

@@ -1,12 +1,15 @@
 // Layer interface.
 //
-// Reference training path (the golden reference): forward caches whatever
-// backward needs; backward accumulates parameter gradients (zeroed
-// explicitly by the optimizer between steps) and returns the gradient
-// w.r.t. the layer input. One sample at a time, allocating — retained as
-// the bitwise ground truth the batched paths are tested against.
+// Per-sample path (the parity oracle): forward caches whatever backward
+// needs; backward accumulates parameter gradients into Param::grad and
+// returns the gradient w.r.t. the layer input. One sample at a time,
+// allocating. No library path scores or trains through it: it is the
+// bitwise ground truth the tests hold the batched paths against
+// (batch_train_test, gradcheck_test, the pipeline and temporal parity
+// tests) and bench_inference's parity gate.
 //
-// Batched paths (const, allocation-free, the production compute):
+// Batched paths (const, allocation-free, the only compute the library
+// runs):
 //  * infer_batch reads a preallocated input batch and writes a
 //    preallocated output batch; per-sample temporaries (im2col panels)
 //    live in caller-provided scratch, never in layer members. It is both
@@ -14,15 +17,14 @@
 //    performs the exact floating-point operations of forward() in the
 //    exact same order (convolutions and dense layers are lowered onto the
 //    nn/gemm.hpp kernels, whose accumulation-order invariants guarantee
-//    this), so batched outputs are bitwise-identical to the reference
-//    forward.
+//    this), so batched outputs are bitwise-identical to forward().
 //  * backward_batch consumes the batch the caller forwarded (input and
 //    output activations are handed back in) and accumulates parameter
 //    gradients into caller-owned buffers, samples in ascending order —
-//    bitwise-identical to running the reference backward over the batch
-//    sequentially. Layer members are never touched, so one layer (one
-//    weight set) can serve any number of concurrent training workers,
-//    each with its own activations/gradient buffers (nn/train.hpp).
+//    bitwise-identical to running backward() over the batch sequentially.
+//    Layer members are never touched, so one layer (one weight set) can
+//    serve any number of concurrent training workers, each with its own
+//    activations/gradient buffers (nn/train.hpp).
 #pragma once
 
 #include <cstdint>

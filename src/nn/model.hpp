@@ -47,11 +47,14 @@ class Sequential {
   [[nodiscard]] std::size_t layer_count() const noexcept { return layers_.size(); }
   [[nodiscard]] const Layer& layer(std::size_t i) const { return *layers_[i]; }
 
-  /// Training forward: each layer caches what backward needs. One sample
-  /// at a time; allocates per layer. For scoring, use infer_batch.
+  /// Per-sample forward, the parity oracle of infer_batch (the tests and
+  /// bench_inference's parity gate): each layer caches what backward
+  /// needs; allocates per layer. Scoring and training run infer_batch.
   Tensor3 forward(const Tensor3& input);
-  /// Backprop from the loss gradient at the output; accumulates parameter
-  /// gradients in every layer.
+  /// Per-sample backprop from the loss gradient at the output, the parity
+  /// oracle of backward_batch; accumulates parameter gradients in every
+  /// layer.
+  // lint-allow(DL008): test oracle — batch_train_test and gradcheck_test hold backward_batch to it
   Tensor3 backward(const Tensor3& grad_output);
 
   /// Const, allocation-free batched inference through a context bound to

@@ -107,42 +107,4 @@ TrainReport train(Sequential& model, const Tensor3& input_shape, float learning_
   return report;
 }
 
-TrainReport train_reference(Sequential& model, const Tensor3& input_shape, float learning_rate,
-                            std::size_t item_count, const StageFn& stage, const LossFn& loss,
-                            const TrainConfig& cfg) {
-  Rng rng(cfg.seed);
-  model.init_weights(rng);
-  Adam optimizer(model.params(), learning_rate);
-
-  std::vector<std::size_t> order(item_count);
-  std::iota(order.begin(), order.end(), 0);
-  Tensor4 staged(1, input_shape.channels(), input_shape.height(), input_shape.width());
-  Tensor3 input = input_shape;
-
-  TrainReport report;
-  for (std::int32_t epoch = 0; epoch < cfg.epochs; ++epoch) {
-    std::shuffle(order.begin(), order.end(), rng.engine());
-    float epoch_loss = 0.0F;
-    double epoch_metric = 0.0;
-    for (std::size_t i = 0; i < order.size(); ++i) {
-      stage(order[i], staged, 0);
-      std::copy(staged.data().begin(), staged.data().end(), input.data().begin());
-      const Tensor3 out = model.forward(input);
-      Tensor3 grad(out.channels(), out.height(), out.width());
-      const ItemLoss r = loss(order[i], out.data().data(), out.size(), grad.data().data());
-      epoch_loss += r.loss;
-      epoch_metric += r.metric;
-      model.backward(grad);
-      if ((i + 1) % static_cast<std::size_t>(kBatchSize) == 0 || i + 1 == order.size()) {
-        optimizer.step();
-      }
-    }
-    const auto n = std::max<std::size_t>(order.size(), 1);
-    report.final_loss = epoch_loss / static_cast<float>(n);
-    report.final_metric = epoch_metric / static_cast<double>(n);
-    ++report.epochs_run;
-  }
-  return report;
-}
-
 }  // namespace dl2f::nn

@@ -4,13 +4,13 @@
 // core::train_localizer and temporal::train_temporal_detector supply only
 // how an item is staged and what its loss is.
 //
-// Each epoch shuffles the item order (same RNG consumption as the
-// per-sample reference trainer), packs every minibatch into nn::Tensor4
-// batches, runs the GEMM-lowered infer_batch/backward_batch through
-// per-worker InferenceContext arenas, and steps the optimizer once per
-// minibatch. The workers are the participants of one common::WorkerPool
-// (the caller plus threads - 1 pool threads); they take a minibatch's
-// slices from an atomic cursor, one pool run per minibatch.
+// Each epoch shuffles the item order, packs every minibatch into
+// nn::Tensor4 batches, runs the GEMM-lowered infer_batch/backward_batch
+// through per-worker InferenceContext arenas, and steps the optimizer
+// once per minibatch. The workers are the participants of one
+// common::WorkerPool (the caller plus threads - 1 pool threads); they
+// take a minibatch's slices from an atomic cursor, one pool run per
+// minibatch.
 //
 // Determinism contract (the same guarantee runtime::run_campaign makes):
 // trained weights are BYTE-IDENTICAL for a given seed at any thread
@@ -18,10 +18,11 @@
 // gradient slices: every minibatch is always cut into
 // ceil(batch / kGradSliceSamples) slices regardless of the worker count,
 // each slice's parameter gradients accumulate independently (samples
-// ascending, bitwise equal to the per-sample reference backward), and the
-// slice buffers are summed in ascending slice index before the optimizer
-// step. Threads only change which worker computes a slice, never what is
-// computed or in which order it is reduced.
+// ascending, bitwise equal to the per-sample Sequential::backward the
+// tests compare against), and the slice buffers are summed in ascending
+// slice index before the optimizer step. Threads only change which
+// worker computes a slice, never what is computed or in which order it
+// is reduced.
 #pragma once
 
 #include <cstdint>
@@ -77,13 +78,5 @@ using LossFn =
 TrainReport train(Sequential& model, const Tensor3& input_shape, float learning_rate,
                   std::size_t item_count, const StageFn& stage, const LossFn& loss,
                   const TrainConfig& cfg);
-
-/// The per-sample trainer nn::train replaced (mutable forward/backward, an
-/// Adam step every kBatchSize items), kept as bench_train's baseline; same
-/// arguments, cfg.threads ignored. Its weights differ from nn::train's:
-/// the sliced reduction associates gradient sums differently.
-TrainReport train_reference(Sequential& model, const Tensor3& input_shape, float learning_rate,
-                            std::size_t item_count, const StageFn& stage, const LossFn& loss,
-                            const TrainConfig& cfg);
 
 }  // namespace dl2f::nn

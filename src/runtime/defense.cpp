@@ -120,12 +120,12 @@ void DefenseRuntime::update_mitigation(const core::RoundResult& round, WindowRec
   for (std::size_t node = 0; node < clean_streak_.size(); ++node) {
     const auto id = static_cast<NodeId>(node);
     if (mesh.quarantined(id)) {
-      // Probation: released after probation_windows consecutive windows
+      // Probation: released after kProbationWindows consecutive windows
       // in which the TLM does not implicate the node. Runs in every mode
       // so an operator-fenced node recovers even with mitigation off.
       if (named[node] != 0) {
         clean_streak_[node] = 0;
-      } else if (++clean_streak_[node] >= cfg_.probation_windows) {
+      } else if (++clean_streak_[node] >= kProbationWindows) {
         mesh.set_quarantined(id, false);
         clean_streak_[node] = 0;
         rec.released.push_back(id);

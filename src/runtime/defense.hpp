@@ -13,7 +13,7 @@
 //   (4) mitigates on per-node evidence: a node the TLM names is
 //       quarantined at its network interface (Mesh::set_quarantined) at
 //       the end of that window; a fenced node the TLM stops naming for
-//       probation_windows consecutive windows is released — so false
+//       kProbationWindows consecutive windows is released — so false
 //       positives recover even while a separate attack keeps the detector
 //       busy, and a returning flooder is re-fenced as soon as it is
 //       implicated again. A node fenced from outside (an operator calling
@@ -48,10 +48,13 @@ inline constexpr std::int32_t kTemporalCooldownWindows = 1;
 /// most kRecoveryRatio times the pre-attack baseline.
 inline constexpr double kRecoveryRatio = 2.0;
 
+/// Consecutive windows in which the TLM does not name a fenced node before
+/// that node is released.
+inline constexpr std::int32_t kProbationWindows = 3;
+
 struct DefenseConfig {
   std::int64_t window_cycles = 1000;  ///< monitoring window length, >= 1 (paper: 1000 for STP)
   bool mitigation_enabled = true;     ///< false = monitor-only (probation still releases)
-  std::int32_t probation_windows = 3; ///< consecutive windows not naming a fenced node before release
 };
 
 /// Everything observed and done in one monitoring window.

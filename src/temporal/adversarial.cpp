@@ -62,12 +62,11 @@ void collect_run(const SequenceDatasetConfig& cfg, const std::string& family,
   //    then a drain tail — the slow-detection regime;
   //  - odd reps replay the live fence-probation CYCLE: fence one window
   //    after the attack starts (the runtime fences on the first window
-  //    that names a node), release after the runtime's default
-  //    probation_windows fenced windows, the attack resumes, re-fence one
-  //    window later, repeat. Without this rep every
-  //    training sequence holds 4+ attack windows before its drain, and the
-  //    head both false-positives on the live loop's
-  //    [benign, attack, drain, benign] shape and never sees a
+  //    that names a node), release after runtime::kProbationWindows
+  //    fenced windows, the attack resumes, re-fence one window later,
+  //    repeat. Without this rep every training sequence holds 4+ attack
+  //    windows before its drain, and the head both false-positives on the
+  //    live loop's [benign, attack, drain, benign] shape and never sees a
   //    resume-after-release window labeled attack.
   const auto attack_window = static_cast<std::int32_t>(cfg.params.attack_start / period);
   const bool fence_cycle = rep % 2 == 1;
@@ -81,7 +80,7 @@ void collect_run(const SequenceDatasetConfig& cfg, const std::string& family,
     if (fence_cycle) {
       if (w == fence_at) {
         for (const NodeId a : scenario.all_attackers()) sim.mesh().set_quarantined(a, true);
-        release_at = w + runtime::DefenseConfig{}.probation_windows;
+        release_at = w + runtime::kProbationWindows;
         fence_at = -1;
       } else if (w == release_at) {
         for (const NodeId a : scenario.all_attackers()) sim.mesh().set_quarantined(a, false);
@@ -159,16 +158,6 @@ nn::TrainReport train_temporal_detector(TemporalDetector& detector, const Sequen
   };
   return nn::train(detector.model(), detector.input_shape(), kLearningRate, data.samples.size(),
                    stage, loss, cfg);
-}
-
-ConfusionMatrix evaluate_temporal_detector(TemporalDetector& detector,
-                                           const SequenceDataset& data) {
-  ConfusionMatrix cm;
-  for (const auto& seq : data.samples) {
-    const auto view = seq.view();
-    cm.add(detector.predict({view.data(), view.size()}), seq.under_attack);
-  }
-  return cm;
 }
 
 }  // namespace dl2f::temporal

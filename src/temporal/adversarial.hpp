@@ -20,7 +20,6 @@
 #include <string>
 #include <vector>
 
-#include "common/metrics.hpp"
 #include "monitor/benchmark.hpp"
 #include "nn/train.hpp"
 #include "runtime/scenario.hpp"
@@ -89,11 +88,5 @@ struct SequenceDatasetConfig {
 /// TemporalDetector::check_sequence.
 nn::TrainReport train_temporal_detector(TemporalDetector& detector, const SequenceDataset& data,
                                         const nn::TrainConfig& cfg);
-
-/// Score every sequence in `data` (reference path). Throws
-/// std::invalid_argument for a sequence of another length or mesh
-/// (TemporalDetector::check_sequence).
-[[nodiscard]] ConfusionMatrix evaluate_temporal_detector(TemporalDetector& detector,
-                                                         const SequenceDataset& data);
 
 }  // namespace dl2f::temporal

@@ -114,22 +114,4 @@ void TemporalDetector::preprocess_into(monitor::SequenceView seq, nn::Tensor4& b
   }
 }
 
-nn::Tensor3 TemporalDetector::preprocess(monitor::SequenceView seq) const {
-  check_sequence(seq, "TemporalDetector::preprocess");
-  nn::Tensor3 shape = input_shape();
-  nn::Tensor4 staged(1, shape.channels(), shape.height(), shape.width());
-  preprocess_into(seq, staged, 0);
-  nn::Tensor3 out(shape.channels(), shape.height(), shape.width());
-  out.data().assign(staged.data().begin(), staged.data().end());
-  return out;
-}
-
-float TemporalDetector::predict_probability(monitor::SequenceView seq) {
-  return model_.forward(preprocess(seq)).data()[0];
-}
-
-bool TemporalDetector::predict(monitor::SequenceView seq) {
-  return predict_probability(seq) > cfg_.threshold;
-}
-
 }  // namespace dl2f::temporal

@@ -36,8 +36,10 @@
 // window's feature planes are bitwise identical whether computed inside a
 // sequence or in isolation (tests/window_history_test.cpp pins this); only
 // channels 5 and 7 read a neighbor. All compute flows through the shared Layer /
-// Tensor4 / GEMM stack, so the batched-vs-reference bitwise contract and
-// the any-thread-count training determinism carry over unchanged.
+// Tensor4 / GEMM stack, so the batched path's bitwise parity with
+// Sequential::forward and the any-thread-count training determinism carry
+// over unchanged. Sequences are scored through
+// core::PipelineSession::detect_sequence.
 #pragma once
 
 #include <cstdint>
@@ -104,15 +106,6 @@ class TemporalDetector {
   /// Stage one sequence (exactly sequence_length windows, oldest first)
   /// into batch sample `slot`. Allocation-free.
   void preprocess_into(monitor::SequenceView seq, nn::Tensor4& batch, std::int32_t slot) const;
-
-  /// Allocating single-sequence variant (reference path, tests); checks
-  /// the sequence first (check_sequence).
-  [[nodiscard]] nn::Tensor3 preprocess(monitor::SequenceView seq) const;
-
-  /// Reference-path scoring of one sequence (training-side convenience;
-  /// the pipeline scores through PipelineSession's batched context).
-  [[nodiscard]] float predict_probability(monitor::SequenceView seq);
-  [[nodiscard]] bool predict(monitor::SequenceView seq);
 
  private:
   TemporalDetectorConfig cfg_;

@@ -60,7 +60,7 @@ void RequestReplyWorkload::serve_replies(noc::Mesh& mesh, noc::Cycle now) {
   for (const NodeId server : servers_) {
     auto& q = reply_queues_[static_cast<std::size_t>(server)];
     while (!q.empty() && q.front().ready <= now) {
-      if (mesh.source_queue_length(server) >= cfg_.max_ni_queue) {
+      if (mesh.source_queue_length(server) >= kMaxNiQueue) {
         // NI backed up: the reply stays queued (head-of-line within this
         // server only) and the wait is accounted as a stall.
         ++stats_.reply_stall_cycles;
@@ -89,7 +89,7 @@ void RequestReplyWorkload::issue_requests(noc::Mesh& mesh, noc::Cycle now) {
         // Closed loop: the outstanding window and the NI queue both gate
         // issue; a blocked head blocks only this client's later requests.
         if (outstanding_[static_cast<std::size_t>(node)] >= cfg_.window ||
-            mesh.source_queue_length(node) >= cfg_.max_ni_queue) {
+            mesh.source_queue_length(node) >= kMaxNiQueue) {
           ++stats_.issue_stall_cycles;
           break;
         }

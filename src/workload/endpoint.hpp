@@ -49,10 +49,13 @@ class RequestSource {
   virtual void draw(noc::Cycle now, std::vector<Request>& out) = 0;
 };
 
+/// NI backpressure threshold: an endpoint stops injecting while its
+/// source queue holds this many packets.
+inline constexpr std::size_t kMaxNiQueue = 4;
+
 struct RequestReplyConfig {
   bool open_loop = false;          ///< issue on the arrival clock, no window
   std::int32_t window = 8;         ///< max outstanding requests per client (closed-loop)
-  std::size_t max_ni_queue = 4;    ///< NI backpressure threshold (queued packets at the source)
   noc::Cycle service_latency = 24; ///< delivered request -> reply injection delay
   std::int32_t reply_flits = 5;    ///< reply packet size (cache-line-like payload)
 };

@@ -8,6 +8,7 @@
 #include "baseline/features.hpp"
 #include "core/detector.hpp"
 #include "monitor/dataset.hpp"
+#include "staging.hpp"
 
 namespace dl2f::baseline {
 namespace {
@@ -148,7 +149,7 @@ TEST(Features, RowEqualsTheDetectorsStagedSample) {
     cfg.mesh = mesh;
     cfg.feature = feature;
     const core::DoSDetector detector(cfg);
-    const nn::Tensor3 staged = detector.preprocess(s);
+    const nn::Tensor3 staged = staged_window(detector, s);
     const auto ld = to_labeled_data(data, feature);
     const char* name = feature == core::Feature::Vco ? "VCO" : "BOC";
     ASSERT_EQ(ld.x[0].size(), staged.size()) << name;

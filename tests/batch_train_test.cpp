@@ -1,5 +1,5 @@
 // Bitwise parity of the GEMM-lowered batched compute paths against the
-// retained per-sample reference path, plus the batched trainer's
+// per-sample forward()/backward() oracle, plus the trainer's
 // byte-identical-weights determinism contract.
 //
 // Layer-level: for every layer type (conv same/valid, dense, the stepped
@@ -22,6 +22,7 @@
 
 #include "core/detector.hpp"
 #include "core/localizer.hpp"
+#include "core/pipeline.hpp"
 #include "monitor/dataset.hpp"
 #include "nn/gemm.hpp"
 #include "nn/inference.hpp"
@@ -400,13 +401,15 @@ TEST(BatchTrainDeterminism, TrainingConvergesOnSeparableLabels) {
     data.samples.push_back(std::move(s));
   }
 
-  core::DetectorConfig cfg;
-  cfg.mesh = mesh;
-  core::DoSDetector det(cfg);
-  (void)core::train_detector(det, data, {.epochs = 60, .seed = 5, .threads = 2});
+  core::PipelineEngine engine(core::Dl2FenceConfig::paper_default(mesh));
+  (void)core::train_detector(engine.mutable_detector(), data,
+                             {.epochs = 60, .seed = 5, .threads = 2});
+  core::PipelineSession session(engine);
+  const std::vector<float> probs = session.detect_batch(data.windows());
   std::size_t correct = 0;
-  for (const auto& s : data.samples) {
-    correct += (det.predict_probability(s) > cfg.threshold) == s.under_attack ? 1 : 0;
+  for (std::size_t i = 0; i < probs.size(); ++i) {
+    const bool flagged = probs[i] > engine.config().detector.threshold;
+    correct += flagged == data.samples[i].under_attack ? 1 : 0;
   }
   EXPECT_GE(static_cast<double>(correct), 0.9 * static_cast<double>(data.samples.size()));
 }

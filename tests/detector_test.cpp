@@ -4,6 +4,10 @@
 
 #include <stdexcept>
 #include <utility>
+#include <vector>
+
+#include "core/pipeline.hpp"
+#include "staging.hpp"
 
 namespace dl2f::core {
 namespace {
@@ -70,7 +74,7 @@ TEST(Detector, PreprocessStacksVcoRaw) {
   cfg.feature = Feature::Vco;
   DoSDetector det(cfg);
   auto s = make_sample(mesh, true, 0.75F);
-  const auto t = det.preprocess(s);
+  const auto t = staged_window(det, s);
   EXPECT_EQ(t.channels(), 4);
   EXPECT_EQ(t.height(), 8);
   EXPECT_EQ(t.width(), 7);
@@ -85,7 +89,7 @@ TEST(Detector, PreprocessNormalizesBocJointly) {
   cfg.feature = Feature::Boc;
   DoSDetector det(cfg);
   auto s = make_sample(mesh, true, 0.5F);
-  const auto t = det.preprocess(s);
+  const auto t = staged_window(det, s);
   float max_v = 0;
   for (float v : t.data()) max_v = std::max(max_v, v);
   EXPECT_FLOAT_EQ(max_v, 1.0F);
@@ -93,9 +97,7 @@ TEST(Detector, PreprocessNormalizesBocJointly) {
 
 TEST(Detector, LearnsSyntheticSeparableData) {
   const auto mesh = MeshShape::square(8);
-  DetectorConfig cfg;
-  cfg.mesh = mesh;
-  DoSDetector det(cfg);
+  PipelineEngine engine(Dl2FenceConfig::paper_default(mesh));
 
   monitor::Dataset train;
   train.mesh = mesh;
@@ -111,13 +113,17 @@ TEST(Detector, LearnsSyntheticSeparableData) {
     train.samples.push_back(std::move(s));
   }
 
-  const auto report = train_detector(det, train, {.epochs = 50, .seed = 42});
+  const auto report =
+      train_detector(engine.mutable_detector(), train, {.epochs = 50, .seed = 42});
   EXPECT_LT(report.final_loss, 0.3F);
   EXPECT_EQ(report.epochs_run, 50);
 
+  PipelineSession session(engine);
+  const std::vector<float> probs = session.detect_batch(train.windows());
   std::size_t correct = 0;
-  for (const auto& s : train.samples) {
-    correct += (det.predict_probability(s) > det.config().threshold) == s.under_attack ? 1 : 0;
+  for (std::size_t i = 0; i < probs.size(); ++i) {
+    const bool flagged = probs[i] > engine.config().detector.threshold;
+    correct += flagged == train.samples[i].under_attack ? 1 : 0;
   }
   EXPECT_GE(static_cast<double>(correct), 0.95 * static_cast<double>(train.samples.size()));
 }
@@ -130,20 +136,20 @@ TEST(Detector, TrainingIsDeterministicPerSeed) {
     data.samples.push_back(make_sample(mesh, i % 2 == 0, 0.9F));
   }
   const nn::TrainConfig tc{.epochs = 5, .seed = 42};
-  DetectorConfig cfg;
-  cfg.mesh = mesh;
-  DoSDetector a(cfg), b(cfg);
-  const auto ra = train_detector(a, data, tc);
-  const auto rb = train_detector(b, data, tc);
+  const Dl2FenceConfig cfg = Dl2FenceConfig::paper_default(mesh);
+  PipelineEngine a(cfg), b(cfg);
+  const auto ra = train_detector(a.mutable_detector(), data, tc);
+  const auto rb = train_detector(b.mutable_detector(), data, tc);
   EXPECT_FLOAT_EQ(ra.final_loss, rb.final_loss);
-  EXPECT_FLOAT_EQ(a.predict_probability(data.samples[0]),
-                  b.predict_probability(data.samples[0]));
+  EXPECT_EQ(PipelineSession(a).detect_batch(data.windows()),
+            PipelineSession(b).detect_batch(data.windows()));
 }
 
 TEST(Detector, RejectsWindowsFromAnotherMesh) {
-  // Training and scoring stage each window into a slot sized for the
-  // model's mesh: a larger window corrupted the heap, a smaller one was
-  // scored on stale slot contents.
+  // Training stages each window into a slot sized for the model's mesh: a
+  // larger window corrupted the heap, a smaller one was trained on stale
+  // slot contents. (PipelineSession.RejectsWindowsFromAnotherMesh covers
+  // scoring.)
   for (const auto& [model_side, window_side] : {std::pair{8, 16}, std::pair{16, 8}}) {
     DetectorConfig cfg;
     cfg.mesh = MeshShape::square(model_side);
@@ -153,10 +159,6 @@ TEST(Detector, RejectsWindowsFromAnotherMesh) {
     data.samples = {make_sample(data.mesh, true, 0.8F), make_sample(data.mesh, false, 0.0F)};
     EXPECT_THROW((void)train_detector(det, data, {.epochs = 1, .seed = 1}),
                  std::invalid_argument);
-    EXPECT_THROW((void)train_detector_reference(det, data, {.epochs = 1, .seed = 1}),
-                 std::invalid_argument);
-    EXPECT_THROW((void)det.preprocess(data.samples[0]), std::invalid_argument);
-    EXPECT_THROW((void)det.predict_probability(data.samples[0]), std::invalid_argument);
   }
 }
 

@@ -118,8 +118,6 @@ TEST(Localizer, TrainingRejectsWindowsFromAnotherMesh) {
     data.samples = {s, s};
     EXPECT_THROW((void)train_localizer(loc, data, {.epochs = 1, .seed = 1}),
                  std::invalid_argument);
-    EXPECT_THROW((void)train_localizer_reference(loc, data, {.epochs = 1, .seed = 1}),
-                 std::invalid_argument);
   }
 }
 

@@ -18,6 +18,7 @@
 #include "core/evaluation.hpp"
 #include "monitor/dataset.hpp"
 #include "runtime/campaign.hpp"
+#include "staging.hpp"
 
 namespace dl2f {
 namespace {
@@ -135,8 +136,9 @@ TEST(PipelineEngine, InferencePathMatchesTrainingForwardBitwise) {
 
   core::PipelineSession session(engine);
   const auto probs = session.detect_batch({windows.data(), windows.size()});
+  nn::Sequential& model = engine.mutable_detector().model();
   for (std::size_t i = 0; i < windows.size(); ++i) {
-    const float training = engine.mutable_detector().predict_probability(windows[i]);
+    const float training = model.forward(staged_window(engine.detector(), windows[i])).data()[0];
     EXPECT_EQ(std::memcmp(&training, &probs[i], sizeof(float)), 0)
         << "window " << i << ": " << training << " vs " << probs[i];
   }

@@ -90,7 +90,7 @@ TEST_F(DefenseLoop, MitigationFencesAttackersAndRestoresLatency) {
 
   // Recovery inside the probation window, mean and tails restored.
   EXPECT_LE(s.recover_cycle - s.mitigate_cycle,
-            static_cast<noc::Cycle>(cfg.probation_windows) * cfg.window_cycles);
+            static_cast<noc::Cycle>(kProbationWindows) * cfg.window_cycles);
   EXPECT_LE(s.recovered_latency, 2.0 * s.baseline_latency);
   const auto rec = std::find_if(windows.begin(), windows.end(),
                                 [&](const auto& w) { return w.end == s.recover_cycle; });
@@ -141,7 +141,6 @@ TEST_F(DefenseLoop, ProbationReleasesAFalselyFencedNodeEvenInMonitorOnlyMode) {
   scenario->install(sim, 7);
 
   DefenseConfig cfg;
-  cfg.probation_windows = 2;
   cfg.mitigation_enabled = false;  // probation must run regardless
   DefenseRuntime runtime(sim, engine, cfg);
   runtime.attach_scenario(scenario.get());
@@ -176,7 +175,6 @@ TEST_F(DefenseLoop, OngoingAttackDoesNotBlockAnUnimplicatedNodesRelease) {
 
   DefenseConfig cfg;
   cfg.mitigation_enabled = false;  // flood stays live -> windows stay dirty
-  cfg.probation_windows = 2;
   DefenseRuntime runtime(sim, engine, cfg);
   runtime.attach_scenario(scenario.get());
 

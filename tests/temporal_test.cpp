@@ -1,6 +1,7 @@
-// Temporal detection head: batched-vs-reference bitwise parity, training
-// determinism across worker-thread counts, the colluding-source suspect
-// heuristic, and snapshot/campaign integration of the sequence head.
+// Temporal detection head: bitwise parity of the batched path with the
+// per-sample Sequential::forward, training determinism across
+// worker-thread counts, the colluding-source suspect heuristic, and
+// snapshot/campaign integration of the sequence head.
 #include "temporal/adversarial.hpp"
 
 #include <gtest/gtest.h>
@@ -11,8 +12,10 @@
 #include <string>
 #include <vector>
 
+#include "core/pipeline.hpp"
 #include "nn/inference.hpp"
 #include "runtime/campaign.hpp"
+#include "staging.hpp"
 #include "temporal/features.hpp"
 
 namespace dl2f::temporal {
@@ -115,9 +118,10 @@ TEST(TemporalDetectorModel, BatchedInferenceBitwiseMatchesReferenceForward) {
 
   for (std::int32_t slot = 0; slot < 3; ++slot) {
     const auto view = data.samples[static_cast<std::size_t>(slot)].view();
-    // Bitwise equality, not near-equality: batched and reference paths
-    // must run the identical accumulation order.
-    EXPECT_EQ(out.sample(slot)[0], detector.predict_probability({view.data(), view.size()}));
+    // Bitwise equality, not near-equality: the batched path and the
+    // per-sample forward must run the identical accumulation order.
+    const nn::Tensor3 staged = staged_sequence(detector, {view.data(), view.size()});
+    EXPECT_EQ(out.sample(slot)[0], detector.model().forward(staged).data()[0]);
   }
 }
 
@@ -186,9 +190,16 @@ TEST(TemporalTraining, RejectsDatasetsOfAnotherSequenceShape) {
   }
   // Scoring stages each sequence into the same slot shape. (wrong_length
   // only mislabels the dataset: its sequences still fit.)
-  TemporalDetector detector(small_config());
+  core::Dl2FenceConfig cfg = core::Dl2FenceConfig::paper_default(small_config().mesh);
+  cfg.enable_temporal = true;
+  cfg.temporal = small_config();
+  const core::PipelineEngine engine(cfg);
+  core::PipelineSession session(engine);
+  const auto score_all = [&](const SequenceDataset& d) {
+    for (const auto& seq : d.samples) (void)session.detect_sequence(seq.view());
+  };
   for (const SequenceDataset* bad : {&short_sample, &other_mesh, &short_ni_load}) {
-    EXPECT_THROW((void)evaluate_temporal_detector(detector, *bad), std::invalid_argument);
+    EXPECT_THROW(score_all(*bad), std::invalid_argument);
   }
 }
 

@@ -9,6 +9,7 @@
 #include <cstring>
 #include <vector>
 
+#include "staging.hpp"
 #include "temporal/detector.hpp"
 #include "temporal/features.hpp"
 
@@ -105,7 +106,7 @@ TEST_F(SequenceFeatures, PerWindowChannelsBitwiseMatchIndependentRecompute) {
   std::vector<monitor::FrameSample> windows;
   for (std::int32_t t = 0; t < 4; ++t) windows.push_back(make_sample(0.3F * static_cast<float>(t)));
   const auto view = view_of(windows);
-  const nn::Tensor3 x = detector.preprocess({view.data(), view.size()});
+  const nn::Tensor3 x = staged_sequence(detector, {view.data(), view.size()});
 
   const auto hw = static_cast<std::size_t>(kRows * kCols);
   std::vector<float> raw_prev(hw), raw(hw), src_raw(hw), src_raw_prev(hw);
@@ -157,7 +158,7 @@ TEST_F(SequenceFeatures, SameWindowYieldsIdenticalPlanesAtAnySequencePosition) {
   std::vector<monitor::FrameSample> windows = {make_sample(0.1F), make_sample(0.7F),
                                                make_sample(0.4F), make_sample(0.7F)};
   const auto view = view_of(windows);
-  const nn::Tensor3 x = detector.preprocess({view.data(), view.size()});
+  const nn::Tensor3 x = staged_sequence(detector, {view.data(), view.size()});
 
   // Positions 1 and 3 hold the same window: every pure per-window channel
   // (all but the cross-window deltas, channels 5 and 7) must be bitwise
@@ -177,7 +178,7 @@ TEST_F(SequenceFeatures, WarmupPaddingZeroesTheDeltaChannelEverywhere) {
 
   // One live window repeated four times: every delta/trend plane is
   // exactly 0, and every other plane equals position 0's.
-  const nn::Tensor3 x = detector.preprocess(h.view());
+  const nn::Tensor3 x = staged_sequence(detector, h.view());
   const auto hw = static_cast<std::size_t>(kRows * kCols);
   for (std::int32_t t = 0; t < 4; ++t) {
     for (std::int32_t r = 0; r < kRows; ++r) {

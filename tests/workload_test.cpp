@@ -115,7 +115,6 @@ TEST(Endpoints, ClosedLoopNeverExceedsTheOutstandingWindow) {
   RequestReplyConfig cfg;
   cfg.open_loop = false;
   cfg.window = 2;
-  cfg.max_ni_queue = 8;
   Harness h(burst_from(5, 0, 10), cfg);
   for (int i = 0; i < 2000 && h.wl->stats().replies_completed < 10; ++i) {
     h.sim.step();
@@ -185,11 +184,10 @@ TEST(Endpoints, QuarantinedServerStallsItsDependents) {
 TEST(Endpoints, BackpressureCapsTheSourceQueue) {
   RequestReplyConfig cfg;
   cfg.window = 32;  // window slack so only the NI queue gates
-  cfg.max_ni_queue = 2;
   Harness h(burst_from(5, 0, 20), cfg);
   for (int i = 0; i < 1500 && h.wl->stats().replies_completed < 20; ++i) {
     h.sim.step();
-    EXPECT_LE(h.sim.mesh().source_queue_length(5), 2U);
+    EXPECT_LE(h.sim.mesh().source_queue_length(5), kMaxNiQueue);
   }
   EXPECT_EQ(h.wl->stats().replies_completed, 20);
 }
