@@ -1,5 +1,5 @@
-// Ablation bench (beyond the paper's tables; documents the design choices
-// called out in DESIGN.md §5):
+// Ablation bench (beyond the paper's tables; measures four design choices
+// the paper makes or leaves configurable):
 //
 //   1. VCE on/off — how much route completion buys (§3.3 calls VCE
 //      "configurable ... best when initial detection is accurate").

@@ -1,5 +1,5 @@
-// Analytic hardware-area model (substitute for ProNoC RTL synthesis,
-// DESIGN.md §2).
+// Analytic hardware-area model (substitute for ProNoC RTL synthesis, see
+// the README's "Substitutions").
 //
 // Everything is expressed in NAND2 gate equivalents (GE), the standard
 // technology-neutral unit. The model has two halves:

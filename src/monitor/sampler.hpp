@@ -33,7 +33,7 @@ class FeatureSampler {
   /// VCO is float-natured and is used WITHOUT normalization (§4). The
   /// paper samples instantaneous occupancy from Garnet's 4-5 stage router
   /// pipeline; our single-cycle router drains VCs faster, so the window
-  /// average restores the same congestion semantics (DESIGN.md §2).
+  /// average restores the same congestion semantics (README, "Substitutions").
   [[nodiscard]] DirectionalFrames sample_vco(const noc::Mesh& mesh) const;
 
   /// As above, but when `reset` is true a new occupancy-averaging window

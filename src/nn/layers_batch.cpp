@@ -1,9 +1,9 @@
 // Batched (GEMM-lowered) compute paths for every layer: infer_batch and
 // backward_batch, split out of layers.cpp so this TU can carry the kernel
 // optimization flags (see CMakeLists.txt) while the per-sample reference
-// forward/backward in layers.cpp keeps the project defaults — the
-// reference must stay the honest pre-GEMM baseline that bench_train
-// measures speedups against. Every function here is bitwise-identical per
+// forward/backward in layers.cpp keeps the project defaults — it is the
+// parity oracle the tests and bench_inference's gate hold these paths to,
+// and no timed path runs it. Every function here is bitwise-identical per
 // sample to its layers.cpp reference counterpart.
 //
 // ACCUM-ORDER: every lowering in this TU preserves the reference tap

@@ -2,10 +2,9 @@
 // trainer of every CNN here; the tiny models converge in a few dozen
 // epochs without tuning.
 //
-// Both the per-sample reference trainer and the batched data-parallel
-// trainer feed the same contract: gradients are accumulated into
-// Param::grad (the batched trainer reduces its per-slice GradientBuffers
-// there in fixed order first), then step() applies one update and clears
+// nn::train, the one trainer, keeps one contract with it: each batched,
+// data-parallel minibatch reduces its per-slice GradientBuffers into
+// Param::grad in fixed order, then step() applies one update and clears
 // the gradients. The optimizer itself is oblivious to batching and
 // thread count — determinism is settled before it runs.
 #pragma once

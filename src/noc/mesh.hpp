@@ -1,8 +1,8 @@
 // The 2-D Mesh-XY NoC fabric: routers, 1-cycle links, credit wiring and
 // per-node network interfaces (source queue + flitization + ejection).
 //
-// This is the repo's substitute for Gem5/Garnet (see DESIGN.md §2): the
-// structural state Garnet exposes (virtual-channel occupancy, buffer
+// This is the repo's substitute for Gem5/Garnet (README, "Substitutions"):
+// the structural state Garnet exposes (virtual-channel occupancy, buffer
 // read/write counters, queueing and network latency) is produced by the
 // same mechanisms here, so DL2Fence's feature frames keep their semantics.
 // ---------------------------------------------------------------------------

@@ -103,7 +103,7 @@ struct InputPort {
   // there reflects sustained congestion; this router is single-cycle and
   // drains VCs far faster, so the monitor reads the *time-averaged*
   // occupancy over the sampling window instead (same [0,1] range and
-  // semantics — see DESIGN.md substitutions). The integral is maintained
+  // semantics; README, "Substitutions"). The integral is maintained
   // incrementally at occupancy transitions, keeping idle routers free.
   std::int32_t occupied_vcs = 0;    ///< current number of occupied VCs
   std::int64_t occ_integral = 0;    ///< sum over cycles of occupied_vcs

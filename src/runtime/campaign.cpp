@@ -120,7 +120,6 @@ ModelSnapshot train_model_snapshot(const MeshShape& mesh,
     seq_cfg.sequence_length = preset.sequence_length;
     seq_cfg.windows_per_run = preset.temporal_windows_per_run;
     seq_cfg.runs_per_cell = preset.temporal_runs_per_cell;
-    seq_cfg.params.mesh = mesh;
     seq_cfg.seed = preset.seed;
     const std::vector<std::string> families = preset.adversarial_families.empty()
                                                   ? all_scenario_families()

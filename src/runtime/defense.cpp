@@ -32,12 +32,11 @@ WindowRecord DefenseRuntime::run_window() {
   rec.index = static_cast<std::int64_t>(history_.size());
   rec.start = mesh.now();
 
-  // Ground truth covers every cycle of the window: a midpoint (or
-  // boundary) sample would alias with periodic attacks whose bursts dodge
-  // the sample instant.
-  bool attacked = false;
+  // Ground truth is the span's (Scenario::advance), taken before this
+  // window's mitigation actions, so it sees the fence that held throughout.
   if (scenario_ != nullptr) {
-    attacked = scenario_->advance(sim_, cfg_.window_cycles);
+    rec.truth_attackers = scenario_->advance(sim_, cfg_.window_cycles);
+    rec.truth_attack = !rec.truth_attackers.empty();
   } else {
     sim_.run(cfg_.window_cycles);
   }
@@ -80,17 +79,6 @@ WindowRecord DefenseRuntime::run_window() {
   prev_benign_sum_ = sum;
   prev_benign_count_ = count;
   prev_hist_ = hist;
-
-  // Ground truth before this window's mitigation actions: the fence state
-  // seen here is the one that held throughout the window (fencing only
-  // changes at window boundaries), so an attacker quarantined all along
-  // put no traffic on the wire and does not count.
-  if (attacked) {
-    for (const NodeId a : scenario_->all_attackers()) {
-      if (!mesh.quarantined(a)) rec.truth_attackers.push_back(a);
-    }
-    rec.truth_attack = !rec.truth_attackers.empty();
-  }
 
   update_mitigation(round, rec);
   rec.quarantined = mesh.quarantined_nodes();

@@ -79,9 +79,10 @@ struct WindowRecord {
   double benign_p99 = 0.0;
   std::int64_t benign_packets = 0;
 
-  /// Ground truth (scenario-attached runs): attackers whose flooding was on
-  /// at any cycle of the window and who were not fenced throughout it —
-  /// i.e. attack traffic actually reached the network this window.
+  /// Ground truth (scenario-attached runs), the window's Scenario::advance:
+  /// attackers whose flooding was on at any cycle of the window and who
+  /// were not fenced throughout it — i.e. attack traffic actually reached
+  /// the network this window.
   bool truth_attack = false;
   std::vector<NodeId> truth_attackers;
 };

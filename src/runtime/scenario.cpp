@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cassert>
 #include <stdexcept>
 
 namespace dl2f::runtime {
@@ -19,53 +18,47 @@ constexpr std::size_t kBuiltinFamilies = 5;
 
 Scenario::Scenario(std::string_view family, const ScenarioParams& params, std::uint64_t seed)
     : family_(family), mesh_(params.mesh), benign_(params.benign), start_(params.attack_start) {
-  const auto require = [&](bool ok, const std::string& rule) {
+  const auto require = [&](bool ok, const char* rule) {
     if (!ok) throw std::invalid_argument("scenario '" + family_ + "': " + rule);
-  };
-  // NaN fails the comparisons, so it is refused too.
-  const auto require_unit = [&](double value, const char* field) {
-    require(value >= 0.0 && value <= 1.0, std::string(field) + " must be in [0, 1]");
   };
   // Every family but colluding places num_attackers attackers per leg; with
   // none, nothing would flood while attack_active() reports the attack on.
-  const auto require_legs = [&](double fir, const char* field) {
+  // A FIR outside [0, 1] would be clamped silently (NaN fails the
+  // comparisons, so it is refused too).
+  const auto require_legs = [&](double fir) {
     require(params.num_attackers >= 1, "num_attackers must be >= 1");
-    require_unit(fir, field);
+    require(fir >= 0.0 && fir <= 1.0, "fir must be in [0, 1]");
   };
-  const auto one_leg = [&](double fir, const char* field) {
-    require_legs(fir, field);
+  const auto one_leg = [&](double fir) {
+    require_legs(fir);
     legs_.push_back(traffic::make_scenarios(params.mesh, 1, params.num_attackers, fir,
                                             mix64(seed))[0]);
   };
 
   if (family_ == "static") {
     // The paper's threat model: fixed attackers, fixed victim, fixed FIR.
-    one_leg(params.fir, "fir");
+    one_leg(params.fir);
   } else if (family_ == "transient") {
     // On/off bursts stress probation: a defense that releases too eagerly
     // re-admits the attacker exactly when the next burst fires.
-    require(params.burst_period > 0, "burst_period must be > 0");
-    require_unit(params.burst_duty, "burst_duty");
-    one_leg(params.fir, "fir");
-    pulse_ = traffic::PulseSchedule{start_, params.burst_period, params.burst_duty, 0};
+    one_leg(params.fir);
+    pulse_ = traffic::PulseSchedule{start_, kBurstPeriod, kBurstDuty};
   } else if (family_ == "victim-sweep") {
-    // The same attackers retarget a new victim every sweep_period cycles,
+    // The same attackers retarget a new victim every kSweepPeriod cycles,
     // so the flooding route (the segmentation signature) moves.
-    require(params.sweep_period > 0, "sweep_period must be > 0");
-    require(params.sweep_victims >= 1, "sweep_victims must be >= 1");
-    require_legs(params.fir, "fir");
-    rotate_period_ = params.sweep_period;
+    require_legs(params.fir);
+    rotate_period_ = kSweepPeriod;
     Rng rng(mix64(seed));
     const auto base = traffic::make_scenarios(params.mesh, 1, params.num_attackers, params.fir,
                                               rng.engine()())[0];
     legs_.push_back(base);
     // Further victims: distinct and >= 2 hops from every attacker, so each
     // leg leaves a localizable route. Bounded attempts: a small mesh may
-    // not hold sweep_victims such victims, and the sweep then degrades to
+    // not hold kSweepVictims such victims, and the sweep then degrades to
     // the legs that fit.
     const auto n = params.mesh.node_count();
-    for (std::int64_t attempt = 0; attempt < 64LL * params.sweep_victims &&
-                                   static_cast<std::int32_t>(legs_.size()) < params.sweep_victims;
+    for (std::int64_t attempt = 0;
+         attempt < 64LL * kSweepVictims && static_cast<std::int32_t>(legs_.size()) < kSweepVictims;
          ++attempt) {
       const auto cand = static_cast<NodeId>(rng.uniform_int(0, n - 1));
       const bool used = std::any_of(legs_.begin(), legs_.end(),
@@ -83,7 +76,7 @@ Scenario::Scenario(std::string_view family, const ScenarioParams& params, std::u
     // flooding different victims at once (victims may repeat). Bounded
     // attempts: on a mesh too small for num_attackers distinct
     // placements, fewer legs result.
-    require_legs(params.fir, "fir");
+    require_legs(params.fir);
     Rng rng(mix64(seed));
     for (std::int64_t attempt = 0; attempt < 64LL * params.num_attackers &&
                                    static_cast<std::int32_t>(legs_.size()) < params.num_attackers;
@@ -95,37 +88,30 @@ Scenario::Scenario(std::string_view family, const ScenarioParams& params, std::u
       if (!used) legs_.push_back(std::move(cand));
     }
   } else if (family_ == "ramp") {
-    // FIR climbs from ramp_start_fir to the full rate: a stealthy attacker
+    // FIR climbs from kRampStartFir to the full rate: a stealthy attacker
     // probing how much pressure goes undetected.
-    one_leg(params.fir, "fir");
-    require_unit(params.ramp_start_fir, "ramp_start_fir");
-    ramp_ = traffic::StealthRamp{start_, params.ramp_cycles, params.ramp_start_fir, params.fir};
+    one_leg(params.fir);
+    ramp_ = traffic::StealthRamp{start_, kRampCycles, kRampStartFir, params.fir};
   } else if (family_ == "pulse") {
-    // Duty cycling at sub-window scale (pulse_period << window_cycles): the
+    // Duty cycling at sub-window scale (kPulsePeriod << window_cycles): the
     // window-averaged VCO sees only duty * FIR pressure.
-    require(params.pulse_period > 0, "pulse_period must be > 0");
-    require_unit(params.pulse_duty, "pulse_duty");
-    one_leg(params.fir, "fir");
-    pulse_ = traffic::PulseSchedule{start_, params.pulse_period, params.pulse_duty,
-                                    params.pulse_phase};
+    one_leg(params.fir);
+    pulse_ = traffic::PulseSchedule{start_, kPulsePeriod, kPulseDuty};
   } else if (family_ == "stealth-ramp") {
     // FIR creeps up to a sub-saturation ceiling and stays there: it never
     // shows the detector the saturating rates it was trained on.
-    one_leg(params.stealth_fir, "stealth_fir");
-    require_unit(params.ramp_start_fir, "ramp_start_fir");
-    ramp_ = traffic::StealthRamp{start_, params.stealth_ramp_cycles,
-                                 std::min(params.ramp_start_fir, params.stealth_fir),
-                                 params.stealth_fir};
+    one_leg(kStealthFir);
+    ramp_ = traffic::StealthRamp{start_, kStealthRampCycles, kRampStartFir, kStealthFir};
   } else if (family_ == "colluding") {
     // Every source injects within the benign rate range; only the
     // aggregate at the victim's ingress saturates.
-    legs_.push_back(traffic::make_colluding_scenario(
-        params.mesh, params.colluders, params.colluding_aggregate_fir, mix64(seed)));
+    legs_.push_back(traffic::make_colluding_scenario(params.mesh, kColluders,
+                                                     kColludingAggregateFir, mix64(seed)));
   } else if (family_ == "mimicry") {
     // The attack's spatial signature matches the benign pattern and only
     // the volume differs; PARSEC and trace workloads (no pattern map) are
     // mimicked as UniformRandom. The leg's victim is unused.
-    one_leg(params.mimicry_fir, "mimicry_fir");
+    one_leg(kMimicryFir);
     const auto* stp = std::get_if<traffic::SyntheticPattern>(&params.benign.kind);
     mimic_ = stp != nullptr ? *stp : traffic::SyntheticPattern::UniformRandom;
   } else {
@@ -140,7 +126,13 @@ Scenario::Scenario(std::string_view family, const ScenarioParams& params, std::u
 }
 
 void Scenario::install(traffic::Simulation& sim, std::uint64_t seed) {
-  assert(attacks_.empty() && "install() must be called exactly once");
+  // Every family has a leg, so a live handle means installed.
+  if (!attacks_.empty()) {
+    throw std::logic_error("scenario '" + family_ + "': install() called twice");
+  }
+  if (sim.mesh().shape() != mesh_) {
+    throw std::invalid_argument("scenario '" + family_ + "': the simulation's mesh differs");
+  }
   sim.add_generator(benign_.make_generator(mesh_, mix64(seed ^ 1)));
   for (std::size_t k = 0; k < legs_.size(); ++k) {
     auto* attack =
@@ -163,13 +155,19 @@ bool Scenario::on_cycle(noc::Cycle now) {
   return on;
 }
 
-bool Scenario::advance(traffic::Simulation& sim, std::int64_t cycles) {
+std::vector<NodeId> Scenario::advance(traffic::Simulation& sim, std::int64_t cycles) {
   bool attacked = false;
   for (std::int64_t c = 0; c < cycles; ++c) {
     if (on_cycle(sim.mesh().now())) attacked = true;
     sim.step();
   }
-  return attacked;
+  std::vector<NodeId> flooded;
+  if (attacked) {
+    for (const NodeId a : attackers_) {
+      if (!sim.mesh().quarantined(a)) flooded.push_back(a);
+    }
+  }
+  return flooded;
 }
 
 const ScenarioRegistry& ScenarioRegistry::instance() {

@@ -7,13 +7,15 @@
 // schedule: a start cycle, an optional on/off square wave (transient,
 // pulse), an optional FIR ramp (ramp, stealth-ramp), an optional rotation
 // over victims (victim-sweep) and an optional mimicked destination pattern
-// (mimicry). A Scenario installs its generators into a Simulation once and
-// is then advanced cycle by cycle (on_cycle, or advance() for a span) to
-// gate and retune them. The same schedule answers the ground-truth
-// question "which attacker nodes are flooding at cycle t", which the
-// DefenseRuntime scores detection and attacker identification against.
-// All of a scenario's attackers flood together, so active_attackers(t) is
-// either empty or all_attackers().
+// (mimicry). Each family fixes its schedule in the k* constants below, so
+// ScenarioParams holds only what all families share. A Scenario installs
+// its generators into a Simulation once and is then advanced cycle by
+// cycle (on_cycle, or advance() for a span) to gate and retune them. The
+// same schedule answers the ground-truth question "which attacker nodes
+// are flooding at cycle t"; advance() returns a span's answer, which the
+// DefenseRuntime scores detection and attacker identification against and
+// the temporal sequence grid labels by. All of a scenario's attackers flood
+// together, so active_attackers(t) is either empty or all_attackers().
 //
 // ScenarioRegistry names the nine families in one fixed table, so
 // campaigns can name their grid axes ("static", "transient",
@@ -33,50 +35,42 @@
 
 namespace dl2f::runtime {
 
-/// Shared knobs of every scenario family; per-family fields are ignored by
-/// families that do not use them.
+// transient: square-wave flooding with this full period and on-fraction.
+inline constexpr noc::Cycle kBurstPeriod = 2000;
+inline constexpr double kBurstDuty = 0.5;
+// victim-sweep: the next of kSweepVictims victims every kSweepPeriod cycles.
+inline constexpr noc::Cycle kSweepPeriod = 2000;
+inline constexpr std::int32_t kSweepVictims = 3;
+// ramp: FIR climbs linearly from kRampStartFir to `fir` over kRampCycles.
+inline constexpr noc::Cycle kRampCycles = 6000;
+inline constexpr double kRampStartFir = 0.1;
+// pulse (evasive, like the three below): duty cycling at sub-window scale,
+// on for kPulseDuty of every kPulsePeriod cycles.
+inline constexpr noc::Cycle kPulsePeriod = 250;
+inline constexpr double kPulseDuty = 0.3;
+// stealth-ramp: FIR creeps from kRampStartFir up to kStealthFir (a
+// sub-saturation ceiling, never the full `fir`) over kStealthRampCycles.
+inline constexpr double kStealthFir = 0.3;
+inline constexpr noc::Cycle kStealthRampCycles = 8000;
+// colluding: kColluders distinct sources share one victim, each at
+// kColludingAggregateFir / kColluders — only the aggregate saturates.
+inline constexpr std::int32_t kColluders = 6;
+inline constexpr double kColludingAggregateFir = 0.9;
+// mimicry: attack volume shaped like the benign SyntheticPattern (PARSEC
+// workloads are mimicked as UniformRandom) at this per-attacker FIR.
+inline constexpr double kMimicryFir = 0.35;
+
+/// What every scenario family shares (each family's schedule is above).
 struct ScenarioParams {
   MeshShape mesh = MeshShape::square(8);
   /// Benign background workload the attack overlays (§2.3).
   monitor::Benchmark benign{traffic::SyntheticPattern::UniformRandom};
+  /// Flooding injection rate of every family but stealth-ramp, colluding
+  /// and mimicry, which flood at their own constants.
   double fir = 0.8;
   std::int32_t num_attackers = 2;
   /// Cycle the attack switches on (benign-only before that).
   noc::Cycle attack_start = 3000;
-
-  // transient: square-wave flooding with this full period and on-fraction.
-  noc::Cycle burst_period = 2000;
-  double burst_duty = 0.5;
-
-  // victim-sweep: retarget to the next victim every sweep_period cycles.
-  noc::Cycle sweep_period = 2000;
-  std::int32_t sweep_victims = 3;
-
-  // ramp: FIR climbs linearly from ramp_start_fir to fir over ramp_cycles.
-  noc::Cycle ramp_cycles = 6000;
-  double ramp_start_fir = 0.1;
-
-  // --- evasive families (the traffic/fdos.hpp schedules) ---
-
-  // pulse: detection-aware duty cycling at sub-window scale — on for
-  // pulse_duty of every pulse_period cycles, offset by pulse_phase.
-  noc::Cycle pulse_period = 250;
-  double pulse_duty = 0.3;
-  noc::Cycle pulse_phase = 0;
-
-  // stealth-ramp: FIR creeps from ramp_start_fir up to stealth_fir (a
-  // sub-saturation ceiling, never the full `fir`) over stealth_ramp_cycles.
-  double stealth_fir = 0.3;
-  noc::Cycle stealth_ramp_cycles = 8000;
-
-  // colluding: `colluders` distinct sources share one victim, each at
-  // colluding_aggregate_fir / colluders — only the aggregate saturates.
-  std::int32_t colluders = 6;
-  double colluding_aggregate_fir = 0.9;
-
-  // mimicry: attack volume shaped like the benign SyntheticPattern (PARSEC
-  // workloads are mimicked as UniformRandom) at this per-attacker FIR.
-  double mimicry_fir = 0.35;
 };
 
 /// One live attack campaign on one Simulation.
@@ -84,26 +78,30 @@ class Scenario final {
  public:
   /// Builds `family`'s attack legs and schedule from `params`; the legs
   /// are fixed here, so ground truth is queryable before install().
-  /// Throws std::invalid_argument for an unknown family or a degenerate
-  /// schedule (a period <= 0, a duty outside [0, 1], sweep_victims < 1),
-  /// for num_attackers < 1 in a family that places attackers (all but
-  /// colluding), and for a FIR the family reads (fir, ramp_start_fir,
-  /// stealth_fir, mimicry_fir) outside [0, 1] or NaN.
+  /// Throws std::invalid_argument for an unknown family, for
+  /// num_attackers < 1 in a family that places attackers (all but
+  /// colluding), and for a `fir` outside [0, 1] or NaN in a family that
+  /// floods at it.
   Scenario(std::string_view family, const ScenarioParams& params, std::uint64_t seed);
   Scenario(const Scenario&) = delete;
   Scenario& operator=(const Scenario&) = delete;
 
-  /// Install the benign generator and one FloodingAttack per leg; call
-  /// exactly once before stepping the simulation.
+  /// Install the benign generator and one FloodingAttack per leg, once,
+  /// before stepping the simulation. Throws, before adding any generator,
+  /// std::logic_error on a second call and std::invalid_argument when
+  /// `sim`'s mesh is not the scenario's.
   void install(traffic::Simulation& sim, std::uint64_t seed);
 
   /// Gate and retune the attack generators for cycle `now`; call once per
   /// cycle before Simulation::step(). Returns attack_active(now).
   bool on_cycle(noc::Cycle now);
 
-  /// Step `sim` `cycles` cycles, calling on_cycle before each step.
-  /// Returns whether the attack was on at any of those cycles.
-  bool advance(traffic::Simulation& sim, std::int64_t cycles);
+  /// Step `sim` `cycles` cycles, calling on_cycle before each step, and
+  /// return the attackers that flooded during the span: every one not
+  /// fenced (Mesh::quarantined) if the attack was on at ANY cycle of it,
+  /// nobody otherwise. Callers fence only between spans, so a fenced
+  /// attacker put nothing on the wire.
+  std::vector<NodeId> advance(traffic::Simulation& sim, std::int64_t cycles);
 
   /// Ground truth: whether the attack floods at `at`.
   [[nodiscard]] bool attack_active(noc::Cycle at) const noexcept {
@@ -142,7 +140,7 @@ class ScenarioRegistry {
 
   [[nodiscard]] bool contains(std::string_view name) const;
   /// nullptr when `name` is not a family; throws like Scenario's
-  /// constructor on a degenerate schedule.
+  /// constructor on bad params.
   [[nodiscard]] std::unique_ptr<Scenario> make(std::string_view name, const ScenarioParams& params,
                                                std::uint64_t seed) const;
 

@@ -39,7 +39,7 @@ void collect_run(const SequenceDatasetConfig& cfg, const std::string& family,
                  const monitor::Benchmark& workload, std::int32_t rep, SequenceDataset& out) {
   const runtime::CellSeeds seeds =
       runtime::cell_seeds(cfg.seed + static_cast<std::uint64_t>(rep), family, workload.name());
-  runtime::ScenarioParams params = cfg.params;
+  runtime::ScenarioParams params;
   params.mesh = cfg.mesh;
   params.benign = workload;
   runtime::Scenario scenario(family, params, seeds.scenario);
@@ -68,7 +68,7 @@ void collect_run(const SequenceDatasetConfig& cfg, const std::string& family,
   //    windows before its drain, and the head both false-positives on the
   //    live loop's [benign, attack, drain, benign] shape and never sees a
   //    resume-after-release window labeled attack.
-  const auto attack_window = static_cast<std::int32_t>(cfg.params.attack_start / period);
+  const auto attack_window = static_cast<std::int32_t>(params.attack_start / period);
   const bool fence_cycle = rep % 2 == 1;
   const std::int32_t tail_from =
       fence_cycle ? cfg.windows_per_run
@@ -90,14 +90,9 @@ void collect_run(const SequenceDatasetConfig& cfg, const std::string& family,
     } else if (w == tail_from) {
       for (const NodeId a : scenario.all_attackers()) sim.mesh().set_quarantined(a, true);
     }
-    // Mirror DefenseRuntime::run_window: the label is whether attack
-    // traffic reached the network at any cycle of the window (quarantined
-    // attackers put nothing on the wire, matching the runtime's
-    // ground-truth convention; fencing only changes between windows).
-    const auto& attackers = scenario.all_attackers();
-    const bool active = scenario.advance(sim, period) &&
-                        std::any_of(attackers.begin(), attackers.end(),
-                                    [&](NodeId a) { return !sim.mesh().quarantined(a); });
+    // The label is the window truth DefenseRuntime scores against: some
+    // attacker flooded during the window (Scenario::advance).
+    const bool active = !scenario.advance(sim, period).empty();
     monitor::FrameSample sample = monitor::sample_window(sampler, sim.mesh(), period);
     sample.under_attack = active;
     history.push(std::move(sample));

@@ -8,8 +8,10 @@
 // by running the scenario families (static AND evasive) over benign
 // workloads, stepping and sampling each window exactly as the
 // DefenseRuntime does online (runtime::Scenario::advance,
-// monitor::sample_window), and labeling each sequence by the ground-truth
-// attacker activity in its newest window.
+// monitor::sample_window), and labeling each sequence by the window truth
+// Scenario::advance returns for its newest window, the one the runtime
+// scores against. Every run uses the families' default schedule
+// (runtime::ScenarioParams{} on the grid's mesh and the cell's workload).
 //
 // Seeding follows the campaign convention: each (family, workload, rep)
 // cell's randomness is a pure function of its grid coordinates, so the
@@ -58,8 +60,6 @@ struct SequenceDatasetConfig {
   /// Independent runs (distinct seeds / attacker placements) per
   /// (family, workload) cell.
   std::int32_t runs_per_cell = 2;
-  /// Attack knobs; mesh and benign workload are overwritten per cell.
-  runtime::ScenarioParams params;
   std::uint64_t seed = 0x7e3aULL;
 };
 
@@ -67,8 +67,9 @@ struct SequenceDatasetConfig {
 /// labeled sequence per simulated window. Families must be ScenarioRegistry
 /// names (throws std::invalid_argument otherwise, matching run_campaign),
 /// and cfg.sequence_length must lie in [kTemporalKernel,
-/// kMaxSequenceLength] (throws likewise). The benign prefix before
-/// ScenarioParams::attack_start supplies the negative class.
+/// kMaxSequenceLength] (throws likewise). The benign prefix before the
+/// default ScenarioParams::attack_start (window 3) supplies the negative
+/// class.
 ///
 /// Windows are kDefaultWindowCycles long, the DefenseConfig::window_cycles
 /// default the consuming DefenseRuntime samples at (not the workload's

@@ -10,8 +10,9 @@
 // overlaid on real workloads, collapses the system (Fig. 1).
 //
 // Every attack family is this one flooder, switched on and off, retargeted
-// or retuned over time by a runtime::Scenario. The schedules here are the
-// evasive (detection-aware) shapes of that switching:
+// or retuned over time by a runtime::Scenario, whose header fixes every
+// family's periods, duties and rates. The schedules here are the evasive
+// (detection-aware) shapes of that switching:
 //
 //  * PulseSchedule — on/off duty cycling. At sub-window scale a monitoring
 //    window averages VCO over its whole span, so a pulse that floods
@@ -94,11 +95,10 @@ struct PulseSchedule {
   noc::Cycle start = 0;     ///< cycles before `start` are always off
   noc::Cycle period = 250;  ///< full on+off period (> 0)
   double duty = 0.3;        ///< fraction of each period spent on, in [0, 1]
-  noc::Cycle phase = 0;     ///< offset into the period at cycle `start`
 
   [[nodiscard]] bool on(noc::Cycle at) const noexcept {
     if (at < start || period <= 0) return false;
-    const auto p = (at - start + phase) % period;
+    const auto p = (at - start) % period;
     return static_cast<double>(p) < duty * static_cast<double>(period);
   }
 };

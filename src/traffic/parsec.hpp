@@ -1,11 +1,11 @@
 // Phase-based synthetic models of the three PARSEC workloads the paper
 // runs (blackscholes, bodytrack, x264).
 //
-// Substitution (DESIGN.md §2): the paper runs real PARSEC binaries under
-// Gem5 full-system and observes their *traffic* at the NoC. What matters
-// for DL2Fence is the traffic character during the Region of Interest:
-// computation-dominated phases with low mean injection, periodic bursts to
-// shared resources (memory controllers / cache hubs), and some
+// Substitution (README, "Substitutions"): the paper runs real PARSEC
+// binaries under Gem5 full-system and observes their *traffic* at the NoC.
+// What matters for DL2Fence is the traffic character during the Region of
+// Interest: computation-dominated phases with low mean injection, periodic
+// bursts to shared resources (memory controllers / cache hubs), and some
 // producer-consumer neighbor traffic. Each model below is a small phase
 // machine over those three components, with per-workload parameters chosen
 // to reflect the published traffic intensity ordering

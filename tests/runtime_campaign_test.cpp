@@ -224,7 +224,7 @@ TEST(Campaign, AJobsExceptionReachesTheCallerAtAnyWorkerCount) {
   const ModelSnapshot snap = deterministic_snapshot();
   CampaignConfig cfg = small_campaign();
   cfg.families = {"transient"};
-  cfg.params.burst_period = 0;
+  cfg.params.fir = 1.5;
   for (const std::int32_t threads : {1, 3}) {
     cfg.threads = threads;
     EXPECT_THROW((void)run_campaign(cfg, snap), std::invalid_argument) << threads << " threads";

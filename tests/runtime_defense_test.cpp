@@ -200,8 +200,8 @@ TEST(DefenseGroundTruth, MitigationInADormantWindowStillCountsAsMitigated) {
   ScenarioParams params;
   params.mesh = mesh;
   params.attack_start = 1000;
-  params.burst_period = 2000;  // on [1000,2000), off [2000,3000), ...
-  params.burst_duty = 0.5;
+  // kBurstPeriod at kBurstDuty: on [1000,2000), off [2000,3000), ...
+  static_assert(kBurstPeriod == 2000 && kBurstDuty == 0.5);
   const auto scenario = ScenarioRegistry::instance().make("transient", params, 5);
 
   noc::MeshConfig mesh_cfg;
@@ -224,18 +224,24 @@ TEST(DefenseGroundTruth, MitigationInADormantWindowStillCountsAsMitigated) {
 }
 
 TEST(DefenseGroundTruth, WindowTruthIntegratesBurstsThatDodgeTheMidpoint) {
-  // A transient attack whose burst occupies only the first 30% of every
-  // 1000-cycle window is invisible to a midpoint (or boundary) sample;
-  // the window truth must still mark these windows as attacked.
+  // A pulse attack started 100 cycles into a 1000-cycle window floods
+  // four pulses per window, yet (t - 1100) mod 250 is 150, past the
+  // 75-cycle on-span, at every window start from cycle 2000 and at every
+  // midpoint (cycle 1000 precedes the attack): a first-cycle or midpoint
+  // sample never sees it. The window truth must still mark these windows
+  // as attacked.
   const MeshShape mesh = MeshShape::square(kMeshSide);
   const core::PipelineEngine engine = untrained_engine(mesh);
 
   ScenarioParams params;
   params.mesh = mesh;
-  params.attack_start = 1000;
-  params.burst_period = 1000;  // aligned with the monitoring window
-  params.burst_duty = 0.3;
-  const auto scenario = ScenarioRegistry::instance().make("transient", params, 5);
+  params.attack_start = 1100;
+  static_assert(kPulsePeriod == 250 && kPulseDuty == 0.3);
+  const auto scenario = ScenarioRegistry::instance().make("pulse", params, 5);
+  for (noc::Cycle start = 1000; start < 4000; start += 1000) {
+    ASSERT_FALSE(scenario->attack_active(start)) << start;
+    ASSERT_FALSE(scenario->attack_active(start + 500)) << start + 500;
+  }
 
   noc::MeshConfig mesh_cfg;
   mesh_cfg.shape = mesh;

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <vector>
 
 #include "traffic/simulation.hpp"
 
@@ -17,6 +18,13 @@ ScenarioParams small_params() {
   p.num_attackers = 2;
   p.attack_start = 1000;
   return p;
+}
+
+/// Cycles a square wave of `period` cycles spends on per period:
+/// PulseSchedule::on holds while the offset into the period is below
+/// duty * period.
+noc::Cycle on_cycles(noc::Cycle period, double duty) {
+  return static_cast<noc::Cycle>(std::ceil(duty * static_cast<double>(period)));
 }
 
 TEST(ScenarioRegistry, RoundTripsEveryBuiltinFamilyName) {
@@ -48,17 +56,18 @@ TEST(ScenarioRegistry, SameSeedSamePlacement) {
 }
 
 TEST(ScenarioRegistry, InfeasiblePlacementDegradesInsteadOfSpinning) {
-  // A 3x3 mesh cannot host 8 sweep victims >= 2 hops from two attackers,
-  // nor 9 distinct attacker placements; construction must still terminate
-  // with however many legs fit.
+  // A 2x2 mesh holds one node >= 2 hops from a lone attacker, so a sweep
+  // finds no further victims, and a 3x3 mesh cannot host 12 distinct
+  // attacker placements; construction must still terminate with however
+  // many legs fit.
   ScenarioParams p;
-  p.mesh = MeshShape::square(3);
-  p.num_attackers = 2;
-  p.sweep_victims = 8;
+  p.mesh = MeshShape::square(2);
+  p.num_attackers = 1;
   const auto sweep = ScenarioRegistry::instance().make("victim-sweep", p, 1);
   ASSERT_NE(sweep, nullptr);
-  EXPECT_FALSE(sweep->all_attackers().empty());
+  EXPECT_EQ(sweep->all_attackers().size(), 1U);
 
+  p.mesh = MeshShape::square(3);
   p.num_attackers = 12;  // more attackers than the mesh has nodes
   const auto multi = ScenarioRegistry::instance().make("multi-victim", p, 1);
   ASSERT_NE(multi, nullptr);
@@ -67,54 +76,68 @@ TEST(ScenarioRegistry, InfeasiblePlacementDegradesInsteadOfSpinning) {
 }
 
 TEST(ScenarioRegistry, RejectsDegenerateSchedules) {
-  // A zero period used to divide by zero on the first on_cycle at or after
-  // attack_start (transient, victim-sweep) or silently never flood (pulse).
+  // No attackers would flood nothing while attack_active() reports the
+  // attack on; a FIR outside [0, 1] would be clamped silently.
   const auto& registry = ScenarioRegistry::instance();
   const auto rejects = [&](const char* family, auto mutate) {
     ScenarioParams p = small_params();
     mutate(p);
     EXPECT_THROW((void)registry.make(family, p, 1), std::invalid_argument) << family;
   };
-  rejects("transient", [](ScenarioParams& p) { p.burst_period = 0; });
-  rejects("transient", [](ScenarioParams& p) { p.burst_period = -400; });
-  rejects("transient", [](ScenarioParams& p) { p.burst_duty = -0.1; });
-  rejects("transient", [](ScenarioParams& p) { p.burst_duty = 1.5; });
-  rejects("pulse", [](ScenarioParams& p) { p.pulse_period = 0; });
-  rejects("pulse", [](ScenarioParams& p) { p.pulse_duty = 1.01; });
-  rejects("pulse", [](ScenarioParams& p) { p.pulse_duty = std::nan(""); });
-  rejects("victim-sweep", [](ScenarioParams& p) { p.sweep_period = 0; });
-  rejects("victim-sweep", [](ScenarioParams& p) { p.sweep_victims = 0; });
-  // No attackers would flood nothing while attack_active() reports the
-  // attack on; a FIR outside [0, 1] would be clamped silently.
   for (const auto& family : all_scenario_families()) {
-    if (family == "colluding") continue;  // places `colluders`, not num_attackers
+    if (family == "colluding") continue;  // places kColluders, not num_attackers
     rejects(family.c_str(), [](ScenarioParams& p) { p.num_attackers = 0; });
   }
   rejects("static", [](ScenarioParams& p) { p.fir = 1.5; });
   rejects("multi-victim", [](ScenarioParams& p) { p.fir = -0.1; });
-  rejects("ramp", [](ScenarioParams& p) { p.ramp_start_fir = -0.1; });
-  rejects("stealth-ramp", [](ScenarioParams& p) { p.stealth_fir = 1.5; });
-  rejects("stealth-ramp", [](ScenarioParams& p) { p.ramp_start_fir = std::nan(""); });
-  rejects("mimicry", [](ScenarioParams& p) { p.mimicry_fir = std::nan(""); });
+  rejects("pulse", [](ScenarioParams& p) { p.fir = std::nan(""); });
 
-  // Boundary values are legal, and a family ignores the fields it does not use.
+  // Boundary values are legal, and a family ignores the fields it does not
+  // use: stealth-ramp, colluding and mimicry flood at their own constants.
   ScenarioParams edge = small_params();
-  edge.burst_duty = 1.0;
-  edge.pulse_duty = 0.0;
+  edge.fir = 1.0;
   EXPECT_NO_THROW((void)registry.make("transient", edge, 1));
-  EXPECT_NO_THROW((void)registry.make("pulse", edge, 1));
-  edge.burst_period = edge.pulse_period = edge.sweep_period = 0;
-  edge.sweep_victims = 0;
-  edge.ramp_start_fir = edge.stealth_fir = edge.mimicry_fir = 2.0;
-  EXPECT_NO_THROW((void)registry.make("static", edge, 1));
+  edge.fir = 0.0;
+  EXPECT_NO_THROW((void)registry.make("ramp", edge, 1));
+  edge.fir = 2.0;
+  EXPECT_NO_THROW((void)registry.make("stealth-ramp", edge, 1));
+  EXPECT_NO_THROW((void)registry.make("mimicry", edge, 1));
   edge.num_attackers = 0;
   EXPECT_NO_THROW((void)registry.make("colluding", edge, 1));
 }
 
+TEST(ScenarioInstall, RefusesASecondInstall) {
+  // A second install would add a second benign generator and a second set
+  // of attack legs.
+  const auto s = ScenarioRegistry::instance().make("static", small_params(), 3);
+  noc::MeshConfig cfg;
+  cfg.shape = small_params().mesh;
+  traffic::Simulation sim(cfg);
+  s->install(sim, 1);
+  const std::size_t generators = sim.generators().size();
+  EXPECT_THROW(s->install(sim, 1), std::logic_error);
+  EXPECT_EQ(sim.generators().size(), generators);
+}
+
+TEST(ScenarioInstall, RefusesASimulationOfAnotherMesh) {
+  // A 16x16 scenario on an 8x8 simulation would inject from node ids the
+  // mesh does not have.
+  ScenarioParams p = small_params();
+  p.mesh = MeshShape::square(16);
+  const auto s = ScenarioRegistry::instance().make("static", p, 3);
+  noc::MeshConfig cfg;
+  cfg.shape = MeshShape::square(8);
+  traffic::Simulation sim(cfg);
+  EXPECT_THROW(s->install(sim, 1), std::invalid_argument);
+  EXPECT_TRUE(sim.generators().empty());
+}
+
 TEST(ScenarioSchedule, AttackersFloodTogetherAndAdvanceReportsTheSpan) {
   // The single schedule's invariant: at every cycle a scenario's attackers
-  // are all on or all off, and advance() reports exactly whether the
-  // attack was on at some cycle of the span it stepped.
+  // are all on or all off, and advance() returns exactly the attackers
+  // that flooded during the span it stepped: every unfenced one if the
+  // attack was on at some cycle of it, nobody otherwise. The first
+  // attacker is fenced from cycle 2000 on.
   for (const auto& family : all_scenario_families()) {
     const ScenarioParams p = small_params();  // attack_start = 1000
     const auto s = ScenarioRegistry::instance().make(family, p, 5);
@@ -122,14 +145,19 @@ TEST(ScenarioSchedule, AttackersFloodTogetherAndAdvanceReportsTheSpan) {
     cfg.shape = p.mesh;
     traffic::Simulation sim(cfg);
     s->install(sim, 11);
+    ASSERT_GE(s->all_attackers().size(), 2U) << family;
     for (noc::Cycle from = 0; from < 3000; from += 500) {
+      std::vector<NodeId> unfenced = s->all_attackers();
+      if (from == 2000) sim.mesh().set_quarantined(unfenced.front(), true);
+      if (from >= 2000) unfenced.erase(unfenced.begin());
       bool on = false;
       for (noc::Cycle t = from; t < from + 500; ++t) {
         const auto active = s->active_attackers(t);
         EXPECT_TRUE(active.empty() || active == s->all_attackers()) << family << " t=" << t;
         on = on || s->attack_active(t);
       }
-      EXPECT_EQ(s->advance(sim, 500), on) << family << " span from " << from;
+      EXPECT_EQ(s->advance(sim, 500), on ? unfenced : std::vector<NodeId>{})
+          << family << " span from " << from;
       EXPECT_EQ(sim.mesh().now(), from + 500);
     }
   }
@@ -146,14 +174,13 @@ TEST(StaticScenario, ActivatesAtAttackStart) {
 TEST(TransientScenario, FollowsTheSquareWave) {
   ScenarioParams p = small_params();
   p.attack_start = 0;
-  p.burst_period = 400;
-  p.burst_duty = 0.5;
   const auto s = ScenarioRegistry::instance().make("transient", p, 3);
+  const noc::Cycle on = on_cycles(kBurstPeriod, kBurstDuty);  // 1000 of 2000
   EXPECT_FALSE(s->active_attackers(0).empty());    // on-phase
-  EXPECT_FALSE(s->active_attackers(199).empty());
-  EXPECT_TRUE(s->active_attackers(200).empty());   // off-phase
-  EXPECT_TRUE(s->active_attackers(399).empty());
-  EXPECT_FALSE(s->active_attackers(400).empty());  // next burst
+  EXPECT_FALSE(s->active_attackers(on - 1).empty());
+  EXPECT_TRUE(s->active_attackers(on).empty());    // off-phase
+  EXPECT_TRUE(s->active_attackers(kBurstPeriod - 1).empty());
+  EXPECT_FALSE(s->active_attackers(kBurstPeriod).empty());  // next burst
 }
 
 TEST(MultiVictimScenario, UsesDistinctAttackerNodes) {
@@ -167,33 +194,36 @@ TEST(MultiVictimScenario, UsesDistinctAttackerNodes) {
 
 TEST(ScenarioDynamics, TransientBurstsRaiseAndLowerTrafficVolume) {
   // The benign background runs throughout, so compare equal-length spans:
-  // on-phase spans carry flooding on top of the benign volume, off-phase
-  // spans (after a drain gap) carry benign volume only.
+  // the last 300 cycles of each on-phase carry flooding on top of the
+  // benign volume, the last 300 of the off-phase (after the flood drained)
+  // carry benign volume only.
   ScenarioParams p = small_params();
   p.attack_start = 0;
-  p.burst_period = 1000;
-  p.burst_duty = 0.3;
   const auto s = ScenarioRegistry::instance().make("transient", p, 11);
+  const noc::Cycle on = on_cycles(kBurstPeriod, kBurstDuty);  // 1000 of 2000
 
   noc::MeshConfig cfg;
   cfg.shape = p.mesh;
   traffic::Simulation sim(cfg);
   s->install(sim, 21);
 
-  const auto step_span = [&](noc::Cycle cycles) {
-    const auto before = sim.mesh().stats().packets_ejected();
-    for (noc::Cycle c = 0; c < cycles; ++c) {
+  const auto step_to = [&](noc::Cycle to) {
+    while (sim.mesh().now() < to) {
       s->on_cycle(sim.mesh().now());
       sim.step();
     }
+  };
+  // Ejections over the 300 cycles that end at cycle `to`.
+  const auto volume_before = [&](noc::Cycle to) {
+    step_to(to - 300);
+    const auto before = sim.mesh().stats().packets_ejected();
+    step_to(to);
     return sim.mesh().stats().packets_ejected() - before;
   };
 
-  const auto burst1 = step_span(300);  // [0, 300): flooding on
-  step_span(200);                      // [300, 500): off, flood drains
-  const auto quiet = step_span(300);   // [500, 800): off, benign only
-  step_span(200);                      // [800, 1000): off
-  const auto burst2 = step_span(300);  // [1000, 1300): next burst
+  const auto burst1 = volume_before(on);
+  const auto quiet = volume_before(kBurstPeriod);
+  const auto burst2 = volume_before(kBurstPeriod + on);
   EXPECT_GT(burst1, quiet);
   EXPECT_GT(burst2, quiet);
 }
@@ -201,28 +231,25 @@ TEST(ScenarioDynamics, TransientBurstsRaiseAndLowerTrafficVolume) {
 TEST(VictimSweepScenario, KeepsFloodingAcrossRetargets) {
   ScenarioParams p = small_params();
   p.attack_start = 0;
-  p.sweep_period = 500;
-  p.sweep_victims = 3;
   const auto s = ScenarioRegistry::instance().make("victim-sweep", p, 13);
 
   noc::MeshConfig cfg;
   cfg.shape = p.mesh;
   traffic::Simulation sim(cfg);
   s->install(sim, 17);
-  for (noc::Cycle c = 0; c < 3 * p.sweep_period; ++c) {
+  const noc::Cycle sweep = kSweepVictims * kSweepPeriod;
+  for (noc::Cycle c = 0; c < sweep; ++c) {
     s->on_cycle(sim.mesh().now());
     sim.step();
   }
-  // Attackers stayed active through all three sweep legs.
-  EXPECT_GT(sim.mesh().stats().packets_ejected(), p.sweep_period);
-  EXPECT_EQ(s->active_attackers(3 * p.sweep_period).size(), 2U);
+  // Attackers stayed active through every sweep leg.
+  EXPECT_GT(sim.mesh().stats().packets_ejected(), sweep);
+  EXPECT_EQ(s->active_attackers(sweep).size(), 2U);
 }
 
 TEST(RampScenario, StartsQuietAndReachesFullRate) {
   ScenarioParams p = small_params();
   p.attack_start = 100;
-  p.ramp_cycles = 2000;
-  p.ramp_start_fir = 0.05;
   p.fir = 0.9;
   const auto s = ScenarioRegistry::instance().make("ramp", p, 19);
   EXPECT_TRUE(s->active_attackers(99).empty());
@@ -248,41 +275,40 @@ TEST(RampScenario, StartsQuietAndReachesFullRate) {
   };
 
   malicious_span(100);                        // reach attack_start
-  const auto early = malicious_span(400);     // FIR near ramp_start_fir
-  malicious_span(1600);                       // climb the ramp
-  const auto late = malicious_span(400);      // FIR near full rate
+  const auto early = malicious_span(400);     // FIR near kRampStartFir
+  malicious_span(kRampCycles - 400);          // climb the ramp
+  const auto late = malicious_span(400);      // FIR at the full rate
   EXPECT_GT(late, 2 * early);
 }
 
 TEST(PulseScenario, GroundTruthFollowsTheDutyCycle) {
   ScenarioParams p = small_params();
   p.attack_start = 1000;
-  p.pulse_period = 200;
-  p.pulse_duty = 0.25;
-  p.pulse_phase = 0;
   const auto s = ScenarioRegistry::instance().make("pulse", p, 7);
   ASSERT_NE(s, nullptr);
+  const noc::Cycle on = on_cycles(kPulsePeriod, kPulseDuty);  // 75 of 250
 
   EXPECT_TRUE(s->active_attackers(999).empty());
-  EXPECT_EQ(s->active_attackers(1000).size(), 2U);   // on-span [0, 50) of the period
-  EXPECT_EQ(s->active_attackers(1049).size(), 2U);
-  EXPECT_TRUE(s->active_attackers(1050).empty());    // off-span
-  EXPECT_TRUE(s->active_attackers(1199).empty());
-  EXPECT_EQ(s->active_attackers(1200).size(), 2U);   // next pulse
+  EXPECT_EQ(s->active_attackers(1000).size(), 2U);  // on-span [0, on) of the period
+  EXPECT_EQ(s->active_attackers(1000 + on - 1).size(), 2U);
+  EXPECT_TRUE(s->active_attackers(1000 + on).empty());  // off-span
+  EXPECT_TRUE(s->active_attackers(1000 + kPulsePeriod - 1).empty());
+  EXPECT_EQ(s->active_attackers(1000 + kPulsePeriod).size(), 2U);  // next pulse
   // Ground truth and the installed generator share one schedule, so the
   // waveform repeats exactly with the period.
-  for (noc::Cycle at = 1000; at < 1400; ++at) {
-    EXPECT_EQ(s->active_attackers(at).empty(), s->active_attackers(at + 5 * 200).empty()) << at;
+  for (noc::Cycle at = 1000; at < 1000 + 2 * kPulsePeriod; ++at) {
+    EXPECT_EQ(s->active_attackers(at).empty(),
+              s->active_attackers(at + 5 * kPulsePeriod).empty())
+        << at;
   }
 }
 
 TEST(PulseScenario, InstalledGeneratorFloodsOnlyDuringPulses) {
   ScenarioParams p = small_params();
   p.attack_start = 0;
-  p.pulse_period = 500;
-  p.pulse_duty = 0.2;
   p.fir = 1.0;
   const auto s = ScenarioRegistry::instance().make("pulse", p, 7);
+  const noc::Cycle on = on_cycles(kPulsePeriod, kPulseDuty);  // 75 of 250
 
   noc::MeshConfig cfg;
   cfg.shape = p.mesh;
@@ -301,9 +327,9 @@ TEST(PulseScenario, InstalledGeneratorFloodsOnlyDuringPulses) {
     return malicious() - before;
   };
 
-  const auto burst = step_span(100);   // on-span [0, 100)
-  step_span(250);                      // drain margin into the off-span
-  const auto quiet = step_span(100);   // [350, 450): deep off-span
+  const auto burst = step_span(on);   // on-span [0, on)
+  step_span(kPulsePeriod - on - 50);  // drain margin into the off-span
+  const auto quiet = step_span(50);   // last 50 cycles of the off-span
   EXPECT_GT(burst, 0);
   EXPECT_EQ(quiet, 0);
 }
@@ -311,9 +337,6 @@ TEST(PulseScenario, InstalledGeneratorFloodsOnlyDuringPulses) {
 TEST(StealthRampScenario, StaysBelowTheStealthCeiling) {
   ScenarioParams p = small_params();
   p.attack_start = 0;
-  p.stealth_fir = 0.25;
-  p.stealth_ramp_cycles = 2000;
-  p.ramp_start_fir = 0.05;
   p.num_attackers = 1;
   const auto s = ScenarioRegistry::instance().make("stealth-ramp", p, 3);
   ASSERT_NE(s, nullptr);
@@ -325,7 +348,7 @@ TEST(StealthRampScenario, StaysBelowTheStealthCeiling) {
   s->install(sim, 9);
   // Run well past the ramp, then measure the held rate: it must sit near
   // the ceiling and never approach the full FIR (0.8 default).
-  for (noc::Cycle c = 0; c < 3000; ++c) {
+  for (noc::Cycle c = 0; c < kStealthRampCycles + 1000; ++c) {
     s->on_cycle(sim.mesh().now());
     sim.step();
   }
@@ -339,18 +362,17 @@ TEST(StealthRampScenario, StaysBelowTheStealthCeiling) {
   const auto after =
       sim.mesh().stats().packets_ejected() - sim.mesh().benign_stats().packets_ejected();
   const double rate = static_cast<double>(after - before) / static_cast<double>(span);
-  EXPECT_NEAR(rate, 0.25, 0.05);
+  EXPECT_NEAR(rate, kStealthFir, 0.05);
 }
 
 TEST(ColludingScenario, SplitsTheAggregateAcrossAllColluders) {
-  ScenarioParams p = small_params();
-  p.colluders = 5;
-  p.colluding_aggregate_fir = 0.8;
+  const ScenarioParams p = small_params();
   const auto s = ScenarioRegistry::instance().make("colluding", p, 21);
   ASSERT_NE(s, nullptr);
-  EXPECT_EQ(s->all_attackers().size(), 5U);
+  const auto colluders = static_cast<std::size_t>(kColluders);
+  EXPECT_EQ(s->all_attackers().size(), colluders);
   EXPECT_TRUE(s->active_attackers(p.attack_start - 1).empty());
-  EXPECT_EQ(s->active_attackers(p.attack_start).size(), 5U);
+  EXPECT_EQ(s->active_attackers(p.attack_start).size(), colluders);
 }
 
 TEST(MimicryScenario, ShapesAttackTrafficLikeTheBenignPattern) {

@@ -36,8 +36,6 @@ SequenceDatasetConfig small_dataset_config() {
   cfg.sequence_length = 4;
   cfg.windows_per_run = 6;
   cfg.runs_per_cell = 1;
-  cfg.params.mesh = cfg.mesh;
-  cfg.params.attack_start = 1000;
   return cfg;
 }
 
@@ -64,17 +62,17 @@ TEST(TemporalDataset, GridIsLabeledAndMitigationTailIsBenign) {
     EXPECT_EQ(s.workload, "Uniform Random");
   }
 
-  // Window 0: benign prefix; final third (windows 4-5): attackers are
-  // quarantined, so the label must flip back to benign even though the
-  // sequence still carries attack windows in its history. (Run 0 is the
-  // static family — continuously on, so mid-run windows are attack;
-  // pulse's mid-run labels depend on its duty cycle, so only the prefix
-  // and tail invariants are asserted for run 1.)
-  EXPECT_FALSE(data.samples[0].under_attack);
-  EXPECT_TRUE(data.samples[2].under_attack);
+  // Windows 0-2: benign prefix (the default attack starts at window 3);
+  // final third (windows 4-5): attackers are quarantined, so the label
+  // must flip back to benign even though the sequence still carries attack
+  // windows in its history. (Run 0 is the static family — continuously
+  // on, so window 3 is attack; pulse's mid-run labels depend on its duty
+  // cycle, so only the prefix and tail invariants are asserted for run 1.)
+  EXPECT_TRUE(data.samples[3].under_attack);
   for (const std::size_t base : {std::size_t{0}, std::size_t{6}}) {
-    EXPECT_FALSE(data.samples[base + 4].under_attack);
-    EXPECT_FALSE(data.samples[base + 5].under_attack);
+    for (const std::size_t w : {0U, 1U, 2U, 4U, 5U}) {
+      EXPECT_FALSE(data.samples[base + w].under_attack) << "run " << base / 6 << " window " << w;
+    }
   }
 }
 

@@ -9,9 +9,12 @@
 // draw fails here, not only through a trained-weight hash much later.
 //
 // Each case runs 2000 cycles on an 8x8 mesh: every registered scenario
-// family over UniformRandom, and "static" over every benchmark. Attacks
-// start at cycle 500 and every attacker is fenced at cycle 1500, so the
-// fenced generators keep drawing while their packets are dropped. One
+// family, at its own schedule constants, over UniformRandom, and "static"
+// over every benchmark. Attacks start at cycle 500 and every attacker is
+// fenced at cycle 1500, so the fenced generators keep drawing while their
+// packets are dropped. The attack span [500, 1500) holds transient's
+// first burst, victim-sweep's first leg, the first quarter of ramp's climb
+// and the first fifth of stealth-ramp's, and six pulse periods. One
 // FNV-1a value per case folds
 //   * each node's injection demand (Mesh::ni_injected_flits), every cycle;
 //   * packets_dropped() at the end of the run;
@@ -52,11 +55,11 @@ constexpr Golden kGoldens[] = {
     {"mimicry", "Uniform Random", 0x0aab7365db3f15b3ULL},
     {"multi-victim", "Uniform Random", 0xc281b739f5de6db3ULL},
     {"pulse", "Uniform Random", 0x231173832cf40551ULL},
-    {"ramp", "Uniform Random", 0x492425f2e025340dULL},
+    {"ramp", "Uniform Random", 0xf45df3491ec14b81ULL},
     {"static", "Uniform Random", 0x2169aa7226597eefULL},
-    {"stealth-ramp", "Uniform Random", 0x06077f3dbcff643dULL},
-    {"transient", "Uniform Random", 0xfd351b6462d6db53ULL},
-    {"victim-sweep", "Uniform Random", 0x1aed9621d193b94cULL},
+    {"stealth-ramp", "Uniform Random", 0xfe3bc7df17245597ULL},
+    {"transient", "Uniform Random", 0x9ac1319df685c903ULL},
+    {"victim-sweep", "Uniform Random", 0x0d469f0e621d3b91ULL},
     {"static", "Tornado", 0xf3b62ce0a06b8a59ULL},
     {"static", "Shuffle", 0xdae517350da74512ULL},
     {"static", "Neighbor", 0xa870637778748cf7ULL},
@@ -93,12 +96,6 @@ std::uint64_t run_case(const std::string& family, const monitor::Benchmark& beni
   params.mesh = MeshShape::square(8);
   params.benign = benign;
   params.attack_start = 500;
-  // Shorten the families' own periods so each one's dynamics (bursts,
-  // sweeps, ramps) turn over inside the run.
-  params.burst_period = 400;
-  params.sweep_period = 400;
-  params.ramp_cycles = 800;
-  params.stealth_ramp_cycles = 800;
   const std::uint64_t seed = fnv1a(family) ^ mix64(fnv1a(benign.name()));
   auto scenario = runtime::ScenarioRegistry::instance().make(family, params, seed);
   EXPECT_NE(scenario, nullptr) << family;
