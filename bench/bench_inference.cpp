@@ -1,21 +1,27 @@
 // Inference throughput through the one scoring API, the engine/session
 // pair.
 //
-// Scores the same synthetic monitoring-window set two ways and reports
+// Scores the same synthetic monitoring-window set three ways and reports
 // windows/sec for each:
 //   * session batch {1, 8, 32} — the allocation-free const path at
 //     different batch capacities (capacity 1 is what the live
 //     runtime::DefenseRuntime loop scores with);
 //   * 1/2/4 sessions — concurrent sessions sharing ONE engine, each
-//     scoring a disjoint shard (the campaign scaling model).
+//     scoring a disjoint shard (the campaign scaling model);
+//   * localize — PipelineSession::localize on every window: the
+//     localizer's Same-padded segmentation CNN over the four directional
+//     frames, then fusion, TLM and VCE, the stage each detected window
+//     pays. With this set's random weights about 80% of the pixels
+//     segment as route pixels, so fusion and the TLM take most of a call;
+//     on trained weights the CNN dominates (perfbench's score16-paper).
 //
-// The detector threshold is raised above 1 so every arm measures the
-// always-on detector stage that each window pays regardless of verdict
-// (localization cost is scenario-dependent and benchmarked by the table
-// benches). A bitwise parity check runs first: every batched probability
-// must equal the per-sample Sequential::forward on the same
-// core::stack_frames staging, and the bench exits non-zero on any
-// mismatch.
+// The detector threshold is raised above 1 so the first two arms measure
+// the always-on detector stage that each window pays regardless of
+// verdict. Bitwise parity checks run first: every batched detector
+// probability must equal the per-sample Sequential::forward on the same
+// core::stack_frames staging, and every localizer output the per-frame
+// Sequential::forward on the same preprocess_into staging. The bench
+// exits non-zero on any mismatch.
 //
 // Output: human-readable table on stdout plus machine-readable
 // BENCH_inference.json in the working directory. Pass --quick for the CI
@@ -41,6 +47,7 @@
 #include "common/rng.hpp"
 #include "core/pipeline.hpp"
 #include "monitor/dataset.hpp"
+#include "nn/inference.hpp"
 #include "nn/layers.hpp"
 
 using namespace dl2f;
@@ -158,6 +165,36 @@ int main(int argc, char** argv) {
     std::cout << "parity: batched path bitwise-identical to Sequential::forward over "
               << windows.size() << " windows\n";
   }
+  {
+    // The localizer's batch is one window's four directional frames, as
+    // PipelineSession::localize stages it.
+    const core::DoSLocalizer& loc = engine.localizer();
+    const nn::Tensor3 shape = loc.input_shape();
+    const auto dirs = static_cast<std::int32_t>(kNumMeshDirections);
+    nn::InferenceContext ctx;
+    ctx.bind(loc.model(), shape, dirs);
+    nn::Tensor3 staged = shape;
+    for (std::size_t i = 0; i < windows.size(); ++i) {
+      nn::Tensor4& in = ctx.input(dirs);
+      const auto& frames =
+          cfg.localizer.feature == core::Feature::Vco ? windows[i].vco : windows[i].boc;
+      for (std::int32_t d = 0; d < dirs; ++d) {
+        loc.preprocess_into(frames[static_cast<std::size_t>(d)], in, d);
+      }
+      const nn::Tensor4& out = loc.model().infer_batch(ctx);
+      for (std::int32_t d = 0; d < dirs; ++d) {
+        std::copy(in.sample(d), in.sample(d) + in.sample_size(), staged.data().begin());
+        const nn::Tensor3 forward = engine.mutable_localizer().model().forward(staged);
+        if (std::memcmp(forward.data().data(), out.sample(d), forward.size() * sizeof(float)) !=
+            0) {
+          std::cerr << "LOCALIZER PARITY FAILURE at window " << i << " direction " << d << "\n";
+          return 1;
+        }
+      }
+    }
+    std::cout << "parity: localizer infer_batch bitwise-identical to Sequential::forward over "
+              << windows.size() << " windows x " << dirs << " frames\n";
+  }
 
   double checksum = 0.0;  // keep every arm's work observable
 
@@ -221,6 +258,17 @@ int main(int argc, char** argv) {
     session_detail.push_back(std::move(detail));
   }
 
+  // Arm 3: PipelineSession::localize over the whole set.
+  double localize_wps = 0.0;
+  {
+    core::PipelineSession session(engine);
+    localize_wps = throughput(num_windows, repeats, [&] {
+      for (const monitor::FrameSample& w : windows) {
+        checksum += static_cast<double>(session.localize(w).victims.size());
+      }
+    });
+  }
+
   const auto gflops = [flops_per_window](double wps) {
     return wps * static_cast<double>(flops_per_window) / 1e9;
   };
@@ -239,6 +287,7 @@ int main(int argc, char** argv) {
     }
     std::cout << "]\n";
   }
+  std::cout << "  localize: " << localize_wps << " windows/s\n";
   std::cout << "  checksum " << checksum << "\n";
 
   std::ostringstream json;
@@ -273,7 +322,7 @@ int main(int argc, char** argv) {
     }
     json << "]";
   }
-  json << "}\n}\n";
+  json << "},\n  \"localize_wps\": " << localize_wps << "\n}\n";
 
   std::ofstream out("BENCH_inference.json");
   out << json.str();

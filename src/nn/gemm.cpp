@@ -36,7 +36,7 @@ void scalar_conv_grad_input(const float* g, const float* w, std::int32_t in_c, s
 }
 
 constexpr GemmKernels kScalarKernels = {
-    scalar_gemm_bias,        impl_im2col,           impl_im2row, scalar_skipzero,
+    scalar_gemm_bias,        impl_im2row,           scalar_skipzero,
     impl_conv_forward_valid, scalar_conv_grad_input,
 };
 
@@ -65,11 +65,6 @@ const GemmKernels& active_kernels() noexcept {
 void gemm_bias(std::int32_t m, std::int32_t n, std::int32_t k, const float* a, std::int32_t lda,
                const float* b, std::int32_t ldb, const float* bias, float* c, std::int32_t ldc) {
   active_kernels().gemm_bias(m, n, k, a, lda, b, ldb, bias, c, ldc);
-}
-
-void im2col(const float* src, std::int32_t c, std::int32_t h, std::int32_t w, std::int32_t k,
-            std::int32_t pad, float* col) {
-  active_kernels().im2col(src, c, h, w, k, pad, col);
 }
 
 void im2row(const float* src, std::int32_t c, std::int32_t h, std::int32_t w, std::int32_t k,

@@ -1,8 +1,8 @@
 // The shared SGEMM microkernel layer the NN compute backend lowers onto:
-// both convolutions (via im2col packing or the pack-free valid-padding
-// kernel) and dense layers (via sample-panel packing) route their
-// forward, inference and weight-gradient compute through the kernels
-// below. Since the SIMD dispatch landed, every kernel exists as a table
+// convolutions (via the pack-free direct kernel, on a zero-bordered copy
+// of the plane for Same padding) and dense layers (via sample-panel
+// packing) route their forward, inference and weight-gradient compute
+// through the kernels below. Since the SIMD dispatch landed, every kernel exists as a table
 // of variants (scalar reference, AVX2) selected once at startup by
 // common/cpuid.hpp; the free functions of this header always call the
 // active table.
@@ -47,13 +47,15 @@
 //    panels, so a full panel of B rows stays L1-resident across the m
 //    output rows). Column blocking never touches the per-element
 //    reduction order.
-//  * Zero-padding taps packed by im2col contribute `w * 0`, which the
-//    bordered reference loops skip instead. Adding that +/-0 term cannot
-//    change any accumulator bit: partial sums in these kernels can never
-//    be -0 (they start at +0 or at a bias that IEEE-754 round-to-nearest
-//    arithmetic cannot drive to -0, and x + (+/-0) == x bitwise for every
-//    x except -0). The bitwise parity tests in tests/batch_train_test.cpp
-//    pin this empirically for every layer and padding mode.
+//  * The zero border of a Same-padded plane adds `w * 0` taps, which the
+//    bordered reference loops skip (im2row packs the same taps as 0).
+//    Adding that +/-0 term cannot change any accumulator bit: partial
+//    sums in these kernels can never be -0 (they start at +0 or at a bias
+//    that IEEE-754 round-to-nearest arithmetic cannot drive to -0, and
+//    x + (+/-0) == x bitwise for every x except -0). The bitwise parity
+//    tests in tests/batch_train_test.cpp pin this empirically for every
+//    layer and padding mode, and tests/gemm_dispatch_test.cpp runs the
+//    border's -0 products on both tiers.
 //  * Thread parallelism lives ABOVE the kernels (nn/train.hpp slices
 //    minibatches; one kernel call is always single-threaded), so results
 //    never depend on the worker count.
@@ -76,23 +78,16 @@ inline constexpr std::int32_t kColPanel = 64;
 
 /// C(m x n) = bias[i] broadcast per row, then += A(m x k) . B(k x n).
 /// All matrices row-major with the given leading dimensions. Per-element
-/// accumulation order: bias first, then k ascending (the Conv2D/Dense
-/// forward shape).
+/// accumulation order: bias first, then k ascending (the Dense forward
+/// shape).
 void gemm_bias(std::int32_t m, std::int32_t n, std::int32_t k, const float* a, std::int32_t lda,
                const float* b, std::int32_t ldb, const float* bias, float* c, std::int32_t ldc);
 
-/// im2col, CHW -> (C*K*K) x (OH*OW), row-major. Row r = (c*K + dy)*K + dx
-/// holds input channel c shifted by (dy - pad, dx - pad); out-of-border
-/// taps are 0. Column p = y*OW + x is one output pixel. OH = H + 2*pad -
-/// K + 1, OW likewise. The row order (c, dy, dx) matches the reference
-/// forward's tap order, so a k-ascending GEMM over the packed matrix
-/// reproduces the reference accumulation chain exactly.
-void im2col(const float* src, std::int32_t c, std::int32_t h, std::int32_t w, std::int32_t k,
-            std::int32_t pad, float* col);
-
-/// im2row, CHW -> (OH*OW) x (C*K*K): the transpose of im2col, packed for
-/// the weight-gradient GEMM (reduction over pixels in axpy form). Row p
-/// is one output pixel; column q = (c*K + dy)*K + dx one tap.
+/// im2row, CHW -> (OH*OW) x (C*K*K), packed for the weight-gradient GEMM
+/// (reduction over pixels in axpy form). Row p is one output pixel
+/// (y*OW + x, OH = H + 2*pad - K + 1, OW likewise); column q =
+/// (c*K + dy)*K + dx one tap, holding input channel c at (y + dy - pad,
+/// x + dx - pad), or 0 outside the border.
 void im2row(const float* src, std::int32_t c, std::int32_t h, std::int32_t w, std::int32_t k,
             std::int32_t pad, float* row);
 
@@ -114,11 +109,11 @@ void gemm_accumulate_skipzero(std::int32_t m, std::int32_t n, std::int32_t k, co
 /// Direct (pack-free) stride-1 VALID-padding convolution forward of one
 /// CHW sample: dst(out_c x OH x OW) = bias[o] + sum over (i, dy, dx)
 /// ascending of w(o,i,dy,dx) * src(i, y+dy, x+dx), each output element
-/// one register-held chain in exactly the reference forward's tap order
-/// — which is also im2col's row order, so this kernel is bitwise-equal
-/// to im2col + gemm_bias while skipping the packing pass entirely (the
-/// detector's hot conv is Valid). OH = IH - K + 1, OW likewise. Weights
-/// are the Conv2D layout (out_c x in_c x K x K, row-major).
+/// one register-held chain in exactly the reference forward's tap order.
+/// OH = IH - K + 1, OW likewise. Weights are the Conv2D layout (out_c x
+/// in_c x K x K, row-major). Every Conv2D forward runs it: Same padding
+/// passes a copy of the plane with a zero border of `pad`, whose border
+/// taps add `w * 0` (see the invariants above).
 void conv_forward_valid(const float* src, std::int32_t in_c, std::int32_t ih, std::int32_t iw,
                         std::int32_t k, std::int32_t out_c, const float* w, const float* bias,
                         float* dst);
@@ -160,8 +155,6 @@ void conv_grad_input(const float* g, const float* w, std::int32_t in_c, std::int
 struct GemmKernels {
   void (*gemm_bias)(std::int32_t, std::int32_t, std::int32_t, const float*, std::int32_t,
                     const float*, std::int32_t, const float*, float*, std::int32_t);
-  void (*im2col)(const float*, std::int32_t, std::int32_t, std::int32_t, std::int32_t,
-                 std::int32_t, float*);
   void (*im2row)(const float*, std::int32_t, std::int32_t, std::int32_t, std::int32_t,
                  std::int32_t, float*);
   void (*gemm_accumulate_skipzero)(std::int32_t, std::int32_t, std::int32_t, const float*,

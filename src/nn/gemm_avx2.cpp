@@ -172,106 +172,107 @@ void avx2_conv_forward_valid(const float* src, std::int32_t in_c, std::int32_t i
   // Taps (i, dy, dx) ascend per accumulator — the reference chain. The
   // reduction chain itself may never be split (that would reassociate),
   // so instruction-level parallelism comes from batching INDEPENDENT
-  // chains: 2 output channels x 2 column chunks = 4 accumulators per
-  // inner loop, sharing each tap's input loads. Full chunks load
-  // unmasked: x + dx + 8 <= (ow - 8) + dx + 8 = ow + dx <= iw, always
-  // in-bounds. A ragged tail (ow not a multiple of 8) re-anchors the
-  // last chunk at x = ow - 8 when ow >= 8: overlapped lanes recompute
-  // the exact same chains and store the exact same bits — far cheaper
-  // than per-tap maskloads. Only ow < 8 needs the masked path at all.
+  // chains: 8 accumulators per inner loop, OC output channels x 8/OC
+  // 8-column chunks, the chunks sharing each tap's weight broadcasts and
+  // the channels each chunk's input loads. Each output row splits into
+  // chunks anchored at x = 0, 8, ...; full chunks load unmasked:
+  // x + dx + 8 <= (ow - 8) + dx + 8 = ow + dx <= iw, always in-bounds. A
+  // ragged tail (ow not a multiple of 8) re-anchors the last chunk at
+  // x = ow - 8 when ow >= 8: overlapped lanes recompute the exact same
+  // chains and store the exact same bits — far cheaper than per-tap
+  // maskloads. Only ow < 8 needs masked loads and stores. A group that
+  // runs past the last chunk repeats it, again storing the same bits.
   const std::int32_t oh = ih - k + 1;
   const std::int32_t ow = iw - k + 1;
+  if (oh <= 0 || ow <= 0) return;
   const std::int32_t taps = in_c * k * k;
-  const auto in_row_at = [&](std::int32_t i, std::int32_t y, std::int32_t dy, std::int32_t x) {
-    return src + (static_cast<std::size_t>(i) * ih + static_cast<std::size_t>(y + dy)) * iw + x;
+  const __m256i mask = tail_mask(std::min<std::int32_t>(8, ow));
+  const std::int32_t per_row = (ow + 7) / 8;
+  // Offset of element (y, x) of plane p in a stack of rows x cols planes.
+  const auto at = [](std::int32_t p, std::int32_t rows, std::int32_t y, std::int32_t x,
+                     std::int32_t cols) {
+    return (static_cast<std::size_t>(p) * static_cast<std::size_t>(rows) +
+            static_cast<std::size_t>(y)) * static_cast<std::size_t>(cols) +
+           static_cast<std::size_t>(x);
   };
-  // One inner kernel per (channel group, y, chunk set): OC accumulator
-  // chains per chunk, all independent, sharing each tap's input loads.
-  // x1 < 0 means "single chunk"; otherwise two chunks run together for
-  // more chains in flight.
-  const auto group = [&]<std::int32_t OC>(std::integral_constant<std::int32_t, OC>, std::int32_t o,
-                                          std::int32_t y, std::int32_t x0, std::int32_t x1) {
-    __m256 acc0[OC];
-    __m256 acc1[OC];
+  // One inner kernel per (channel group, chunk set): chunk n's first
+  // output is (ys[n], xs[n]).
+  const auto group = [&]<std::int32_t OC, bool Masked>(std::integral_constant<std::int32_t, OC>,
+                                                       std::bool_constant<Masked>, std::int32_t o,
+                                                       const std::int32_t* ys,
+                                                       const std::int32_t* xs) {
+    constexpr std::int32_t kChunks = 8 / OC;
+    const auto load = [&](const float* p) {
+      return Masked ? _mm256_maskload_ps(p, mask) : _mm256_loadu_ps(p);
+    };
+    __m256 acc[kChunks][OC];
     for (std::int32_t c = 0; c < OC; ++c) {
-      acc0[c] = _mm256_set1_ps(bias[o + c]);
-      acc1[c] = acc0[c];
+      for (std::int32_t n = 0; n < kChunks; ++n) acc[n][c] = _mm256_set1_ps(bias[o + c]);
     }
     const float* wbase = w + static_cast<std::size_t>(o) * static_cast<std::size_t>(taps);
-    const bool two = x1 >= 0;
     for (std::int32_t i = 0; i < in_c; ++i) {
       for (std::int32_t dy = 0; dy < k; ++dy) {
-        const float* r0 = in_row_at(i, y, dy, x0);
-        const float* r1 = two ? in_row_at(i, y, dy, x1) : r0;
+        const float* r[kChunks];
+        for (std::int32_t n = 0; n < kChunks; ++n) r[n] = src + at(i, ih, ys[n] + dy, xs[n], iw);
         const std::size_t w_off = static_cast<std::size_t>((i * k + dy) * k);
         for (std::int32_t dx = 0; dx < k; ++dx) {
-          const __m256 v0 = _mm256_loadu_ps(r0 + dx);
-          const __m256 v1 = _mm256_loadu_ps(r1 + dx);
+          __m256 v[kChunks];
+          for (std::int32_t n = 0; n < kChunks; ++n) v[n] = load(r[n] + dx);
           for (std::int32_t c = 0; c < OC; ++c) {
             const __m256 wv = _mm256_set1_ps(
                 wbase[static_cast<std::size_t>(c) * static_cast<std::size_t>(taps) + w_off +
                       static_cast<std::size_t>(dx)]);
-            acc0[c] = _mm256_add_ps(acc0[c], _mm256_mul_ps(wv, v0));
-            if (two) acc1[c] = _mm256_add_ps(acc1[c], _mm256_mul_ps(wv, v1));
+            for (std::int32_t n = 0; n < kChunks; ++n) {
+              acc[n][c] = _mm256_add_ps(acc[n][c], _mm256_mul_ps(wv, v[n]));
+            }
           }
         }
       }
     }
     for (std::int32_t c = 0; c < OC; ++c) {
-      float* out_row =
-          dst + (static_cast<std::size_t>(o + c) * oh + static_cast<std::size_t>(y)) * ow;
-      _mm256_storeu_ps(out_row + x0, acc0[c]);
-      if (two) _mm256_storeu_ps(out_row + x1, acc1[c]);
+      for (std::int32_t n = 0; n < kChunks; ++n) {
+        float* out = dst + at(o + c, oh, ys[n], xs[n], ow);
+        if constexpr (Masked) {
+          _mm256_maskstore_ps(out, mask, acc[n][c]);
+        } else {
+          _mm256_storeu_ps(out, acc[n][c]);
+        }
+      }
+    }
+  };
+  const auto run = [&](auto masked, std::int32_t oc, std::int32_t o, const std::int32_t* ys,
+                       const std::int32_t* xs) {
+    if (oc == 4) {
+      group(std::integral_constant<std::int32_t, 4>{}, masked, o, ys, xs);
+    } else if (oc == 2) {
+      group(std::integral_constant<std::int32_t, 2>{}, masked, o, ys, xs);
+    } else {
+      group(std::integral_constant<std::int32_t, 1>{}, masked, o, ys, xs);
     }
   };
   for (std::int32_t o = 0; o < out_c;) {
     const std::int32_t oc = out_c - o >= 4 ? 4 : (out_c - o >= 2 ? 2 : 1);
-    for (std::int32_t y = 0; y < oh; ++y) {
-      if (ow >= 8) {
-        std::int32_t x = 0;
-        bool done = false;
-        while (!done) {
-          // Next one or two chunk anchors; the last is the overlapped
-          // tail anchor ow - 8 when ow is not a multiple of 8.
-          const std::int32_t x0 = x + 8 <= ow ? x : ow - 8;
-          std::int32_t x1 = -1;
-          if (x0 == ow - 8) {
-            done = true;
-          } else if (x + 16 <= ow) {
-            x1 = x + 8;
-          } else {
-            x1 = ow - 8;
-            done = true;
-          }
-          if (oc == 4) {
-            group(std::integral_constant<std::int32_t, 4>{}, o, y, x0, x1);
-          } else if (oc == 2) {
-            group(std::integral_constant<std::int32_t, 2>{}, o, y, x0, x1);
-          } else {
-            group(std::integral_constant<std::int32_t, 1>{}, o, y, x0, x1);
-          }
-          x = (x1 >= 0 ? x1 : x0) + 8;
+    for (std::int32_t y = 0, j = 0; y < oh;) {
+      // The next 8 / oc chunks in row-major order; past the plane's last
+      // chunk, repeat it.
+      std::int32_t ys[8] = {}, xs[8] = {};
+      for (std::int32_t n = 0; n < 8 / oc; ++n) {
+        if (y == oh) {
+          ys[n] = ys[n - 1];
+          xs[n] = xs[n - 1];
+          continue;
         }
+        ys[n] = y;
+        xs[n] = std::min(8 * j, std::max(ow - 8, 0));
+        if (++j == per_row) {
+          j = 0;
+          ++y;
+        }
+      }
+      if (ow < 8) {
+        run(std::true_type{}, oc, o, ys, xs);
       } else {
-        // Narrow plane: one masked chunk per output channel.
-        const __m256i mask = tail_mask(ow);
-        for (std::int32_t oo = o; oo < o + oc; ++oo) {
-          const float* woo = w + static_cast<std::size_t>(oo) * static_cast<std::size_t>(taps);
-          float* out_row =
-              dst + (static_cast<std::size_t>(oo) * oh + static_cast<std::size_t>(y)) * ow;
-          __m256 acc = _mm256_set1_ps(bias[oo]);
-          for (std::int32_t i = 0; i < in_c; ++i) {
-            for (std::int32_t dy = 0; dy < k; ++dy) {
-              const float* r0 = in_row_at(i, y, dy, 0);
-              const float* w_row = woo + static_cast<std::size_t>((i * k + dy) * k);
-              for (std::int32_t dx = 0; dx < k; ++dx) {
-                acc = _mm256_add_ps(
-                    acc, _mm256_mul_ps(_mm256_set1_ps(w_row[dx]), _mm256_maskload_ps(r0 + dx, mask)));
-              }
-            }
-          }
-          _mm256_maskstore_ps(out_row, mask, acc);
-        }
+        run(std::false_type{}, oc, o, ys, xs);
       }
     }
     o += oc;
@@ -290,7 +291,7 @@ void avx2_conv_grad_input(const float* g, const float* w, std::int32_t in_c, std
 }
 
 constexpr GemmKernels kAvx2Kernels = {
-    avx2_gemm_bias,          impl_im2col,          impl_im2row, avx2_skipzero,
+    avx2_gemm_bias,          impl_im2row,          avx2_skipzero,
     avx2_conv_forward_valid, avx2_conv_grad_input,
 };
 

@@ -5,9 +5,12 @@
 // each tier TU compiles its own copy at that TU's architecture level
 // (the AVX2 TU's copies auto-vectorize with ymm registers), and internal
 // linkage stops the linker from ODR-merging the copies back into one.
-// Every body follows the ACCUM-ORDER contract in gemm.hpp; the explicit
-// intrinsic kernels in the tier TUs override only the entries where
-// hand-written SIMD beats this portable form.
+// The bodies: gemm_bias (dense forward), im2row and the skip-zero GEMM
+// (conv weight gradients), the direct conv forward (every Conv2D
+// padding) and the transposed-conv input gradient. Every body follows
+// the ACCUM-ORDER contract in gemm.hpp; the explicit intrinsic kernels
+// in the tier TUs override only the entries where hand-written SIMD
+// beats this portable form.
 //
 // ACCUM-ORDER: every kernel in this header owns one scalar accumulator
 // per output element and walks its reduction index strictly ascending
@@ -17,7 +20,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstring>
 
 namespace dl2f::nn::gemm {
 namespace {
@@ -42,55 +44,6 @@ inline void impl_gemm_bias(Axpy&& axpy, std::int32_t m, std::int32_t n, std::int
       const float* ar = a + static_cast<std::size_t>(i) * static_cast<std::size_t>(lda);
       for (std::int32_t p = 0; p < k; ++p) {
         axpy(jn, ar[p], b + static_cast<std::size_t>(p) * static_cast<std::size_t>(ldb) + j0, cr);
-      }
-    }
-  }
-}
-
-inline void impl_im2col(const float* src, std::int32_t c, std::int32_t h, std::int32_t w,
-                        std::int32_t k, std::int32_t pad, float* col) {
-  const std::int32_t oh = h + 2 * pad - k + 1;
-  const std::int32_t ow = w + 2 * pad - k + 1;
-  const std::size_t p = static_cast<std::size_t>(oh) * static_cast<std::size_t>(ow);
-  float* __restrict dst = col;
-  for (std::int32_t ch = 0; ch < c; ++ch) {
-    const float* plane = src + static_cast<std::size_t>(ch) * static_cast<std::size_t>(h * w);
-    for (std::int32_t dy = 0; dy < k; ++dy) {
-      for (std::int32_t dx = 0; dx < k; ++dx, dst += p) {
-        // Row (ch, dy, dx): value at column (y, x) is plane[y+dy-pad][x+dx-pad].
-        if (pad - dx <= 0 && w + pad - dx >= ow && ow == w) {
-          // Full-width tap (Same padding, dx == pad): all in-border rows
-          // are contiguous in both planes — one long memcpy plus border
-          // memsets.
-          const std::int32_t y_lo = std::max(0, pad - dy);
-          const std::int32_t y_hi = std::min(oh, h + pad - dy);
-          std::memset(dst, 0, static_cast<std::size_t>(y_lo) * ow * sizeof(float));
-          if (y_hi > y_lo) {
-            std::memcpy(dst + static_cast<std::size_t>(y_lo) * ow,
-                        plane + static_cast<std::size_t>(y_lo + dy - pad) * w,
-                        static_cast<std::size_t>(y_hi - y_lo) * ow * sizeof(float));
-          }
-          std::memset(dst + static_cast<std::size_t>(std::max(y_hi, y_lo)) * ow, 0,
-                      static_cast<std::size_t>(oh - std::max(y_hi, y_lo)) * ow * sizeof(float));
-          continue;
-        }
-        for (std::int32_t y = 0; y < oh; ++y) {
-          const std::int32_t iy = y + dy - pad;
-          float* out_row = dst + static_cast<std::size_t>(y) * static_cast<std::size_t>(ow);
-          if (iy < 0 || iy >= h) {
-            std::memset(out_row, 0, static_cast<std::size_t>(ow) * sizeof(float));
-            continue;
-          }
-          const std::int32_t x_lo = std::max(0, pad - dx);       // first in-border column
-          const std::int32_t x_hi = std::min(ow, w + pad - dx);  // one past last
-          for (std::int32_t x = 0; x < x_lo; ++x) out_row[x] = 0.0F;
-          if (x_hi > x_lo) {
-            std::memcpy(out_row + x_lo,
-                        plane + static_cast<std::size_t>(iy) * w + (x_lo + dx - pad),
-                        static_cast<std::size_t>(x_hi - x_lo) * sizeof(float));
-          }
-          for (std::int32_t x = std::max(x_hi, x_lo); x < ow; ++x) out_row[x] = 0.0F;
-        }
       }
     }
   }

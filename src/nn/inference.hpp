@@ -2,8 +2,8 @@
 //
 // An InferenceContext is bound once to a (model, input shape, batch
 // capacity) triple; bind() preallocates one NCHW activation buffer per
-// layer boundary plus the worst-case per-sample layer scratch (which now
-// includes the im2col/im2row packing panels the GEMM-lowered layers use).
+// layer boundary plus the worst-case per-sample layer scratch (the
+// convolutions' zero-bordered planes and im2row packing panels).
 // After that, scoring any batch up to the capacity performs zero heap
 // allocations: callers stage samples into input(), run
 // Sequential::infer_batch, and read the returned activations. Rebinding

@@ -11,11 +11,12 @@
 // Batched paths (const, allocation-free, the only compute the library
 // runs):
 //  * infer_batch reads a preallocated input batch and writes a
-//    preallocated output batch; per-sample temporaries (im2col panels)
-//    live in caller-provided scratch, never in layer members. It is both
-//    the inference pass and the batched training forward. Per sample it
-//    performs the exact floating-point operations of forward() in the
-//    exact same order (convolutions and dense layers are lowered onto the
+//    preallocated output batch; per-sample temporaries (zero-bordered
+//    planes, packing panels) live in caller-provided scratch, never in
+//    layer members. It is both the inference pass and the batched
+//    training forward. Per sample it performs the exact floating-point
+//    operations of forward() in the exact same order, plus +/-0 border
+//    terms (convolutions and dense layers are lowered onto the
 //    nn/gemm.hpp kernels, whose accumulation-order invariants guarantee
 //    this), so batched outputs are bitwise-identical to forward().
 //  * backward_batch consumes the batch the caller forwarded (input and

@@ -101,9 +101,10 @@ Tensor3 Conv2D::backward(const Tensor3& grad_out) {
 }
 
 std::size_t Conv2D::infer_scratch_floats(const Tensor3& input_shape) const {
-  // One step's im2col panel: (in_c * k * k) rows by (oh * ow) output
-  // pixels, reused across (sample, step) groups. The backward im2row panel
-  // is the transpose, so the same arena serves both.
+  // One step's backward im2row panel: (oh * ow) output pixels by
+  // (in_c * k * k) taps, reused across (sample, step) groups. It also
+  // bounds the forward's zero-bordered plane, in_c * (ih + 2 * pad) *
+  // (iw + 2 * pad): with k = 2 * pad + 1, ih + 2 * pad <= k * ih.
   const Tensor3 out = output_shape(input_shape);
   return static_cast<std::size_t>(in_c_ * k_ * k_) *
          static_cast<std::size_t>(out.height() * out.width());

@@ -7,11 +7,12 @@
 // sample to its layers.cpp reference counterpart.
 //
 // ACCUM-ORDER: every lowering in this TU preserves the reference tap
-// order exactly — im2col/im2row rows are packed in forward()'s (i, dy,
-// dx) order, sample panels keep per-sample accumulator chains intact,
-// and all reductions delegate to the gemm.hpp kernels, which accumulate
-// each output element with the reduction index strictly ascending (see
-// the contract block in nn/gemm.hpp).
+// order exactly — convolutions run the direct kernel's (i, dy, dx) chain
+// (on a zero-bordered plane for Same padding), im2row columns are packed
+// in that order, sample panels keep per-sample accumulator chains
+// intact, and all reductions delegate to the gemm.hpp kernels, which
+// accumulate each output element with the reduction index strictly
+// ascending (see the contract block in nn/gemm.hpp).
 #include <algorithm>
 #include <cmath>
 #include <limits>
@@ -23,35 +24,34 @@ namespace dl2f::nn {
 void Conv2D::infer_batch(const Tensor4& in, Tensor4& out, float* scratch) const {
   assert(in.channels() == steps_ * in_c_ && out.channels() == steps_ * out_c_ &&
          in.batch() == out.batch());
-  // im2col + GEMM lowering: each (sample, step) group's receptive fields
-  // are packed into a (in_c*k*k) x (oh*ow) panel whose row order is
-  // forward()'s exact (i, dy, dx) tap order, then one cache-blocked GEMM
-  // against the weight matrix produces the group's full OC x (oh*ow)
-  // output plane in place. The gemm.hpp kernels accumulate the reduction
-  // index strictly ascending per element, so every output scalar is
-  // bitwise-identical to forward() (padding taps pack as 0 and add +/-0 —
-  // see gemm.hpp). Groups are contiguous, samples ascending and steps
-  // ascending within each, as in forward().
+  // One lowering for both paddings: the pack-free direct kernel, which
+  // walks forward()'s (i, dy, dx)-ascending chain per output element.
+  // Same padding first copies each (sample, step) group into a plane with
+  // a zero border of pad_, so the kernel adds the border taps as w * 0 —
+  // +/-0 terms that cannot change an accumulator bit (see gemm.hpp).
+  // Groups are contiguous, samples ascending and steps ascending within
+  // each, as in forward().
   const std::int32_t ih = in.height(), iw = in.width();
-  const std::int32_t p = out.height() * out.width();
-  const std::int32_t ckk = in_c_ * k_ * k_;
+  const std::int32_t ph = ih + 2 * pad_, pw = iw + 2 * pad_;
   const std::size_t in_group = static_cast<std::size_t>(in_c_) * static_cast<std::size_t>(ih * iw);
-  const std::size_t out_group = static_cast<std::size_t>(out_c_) * static_cast<std::size_t>(p);
+  const std::size_t out_group =
+      static_cast<std::size_t>(out_c_) * static_cast<std::size_t>(out.height() * out.width());
   const std::size_t groups = static_cast<std::size_t>(in.batch()) * static_cast<std::size_t>(steps_);
+  // Every layer shares the arena, so the border is rewritten per call;
+  // the groups below overwrite only the interior.
+  if (pad_ > 0) std::fill_n(scratch, static_cast<std::size_t>(in_c_) * ph * pw, 0.0F);
   for (std::size_t g = 0; g < groups; ++g) {
     const float* src = in.data().data() + g * in_group;
-    float* dst = out.data().data() + g * out_group;
-    if (pad_ == 0) {
-      // Valid padding: the pack-free direct kernel walks the same
-      // (i, dy, dx)-ascending chain per output element as im2col + GEMM
-      // would, minus the panel traffic — bitwise the same, just faster.
-      gemm::conv_forward_valid(src, in_c_, ih, iw, k_, out_c_, weights_.value.data(),
-                               bias_.value.data(), dst);
-    } else {
-      gemm::im2col(src, in_c_, ih, iw, k_, pad_, scratch);
-      gemm::gemm_bias(out_c_, p, ckk, weights_.value.data(), ckk, scratch, p, bias_.value.data(),
-                      dst, p);
+    if (pad_ > 0) {
+      const float* from = src;
+      for (std::int32_t i = 0; i < in_c_; ++i) {
+        float* to = scratch + (static_cast<std::size_t>(i) * ph + pad_) * pw + pad_;
+        for (std::int32_t y = 0; y < ih; ++y, from += iw, to += pw) std::copy_n(from, iw, to);
+      }
+      src = scratch;
     }
+    gemm::conv_forward_valid(src, in_c_, ph, pw, k_, out_c_, weights_.value.data(),
+                             bias_.value.data(), out.data().data() + g * out_group);
   }
 }
 

@@ -49,6 +49,13 @@ void clear_bit(std::vector<std::uint64_t>& bits, NodeId i) {
   bits[static_cast<std::size_t>(i) / 64] &= ~(std::uint64_t{1} << (i % 64));
 }
 
+void require_node(const MeshShape& shape, NodeId id, const char* caller) {
+  if (!shape.valid(id)) {
+    throw std::invalid_argument(std::string(caller) + ": node " + std::to_string(id) +
+                                " is outside the mesh");
+  }
+}
+
 }  // namespace
 
 Mesh::Mesh(const MeshConfig& cfg) : cfg_(cfg) {
@@ -121,7 +128,8 @@ Mesh& Mesh::operator=(Mesh&&) noexcept = default;
 std::int32_t Mesh::step_thread_count() const noexcept { return pool_->participants(); }
 
 PacketId Mesh::inject(NodeId src, NodeId dst, std::int32_t length_flits, bool malicious) {
-  assert(cfg_.shape.valid(src) && cfg_.shape.valid(dst));
+  require_node(cfg_.shape, src, "Mesh::inject");
+  require_node(cfg_.shape, dst, "Mesh::inject");
   if (quarantined_[static_cast<std::size_t>(src)] != 0) {
     ++packets_dropped_;
     return -1;
@@ -309,10 +317,7 @@ void Mesh::step() {
 }
 
 void Mesh::set_quarantined(NodeId id, bool quarantined) {
-  if (!cfg_.shape.valid(id)) {
-    throw std::invalid_argument("Mesh::set_quarantined: node " + std::to_string(id) +
-                                " is outside the mesh");
-  }
+  require_node(cfg_.shape, id, "Mesh::set_quarantined");
   quarantined_[static_cast<std::size_t>(id)] = quarantined ? 1 : 0;
   if (!quarantined) return;
   // Flush the pending backlog too: a saturating attacker accumulates

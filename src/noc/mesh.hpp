@@ -152,7 +152,8 @@ class Mesh {
 
   /// Queue a packet at `src`'s network interface. Uses the configured
   /// default length when `length_flits <= 0`. Returns -1 (and drops the
-  /// packet) when `src` is quarantined.
+  /// packet) when `src` is quarantined. Throws std::invalid_argument,
+  /// changing nothing, when `src` or `dst` is outside the mesh.
   PacketId inject(NodeId src, NodeId dst, std::int32_t length_flits = 0, bool malicious = false);
 
   /// Mitigation hook: a quarantined node's network interface drops every

@@ -7,7 +7,8 @@
 // edge batch sizes {1, 7, kSampleBlock+1}, infer_batch must reproduce
 // forward() bit-for-bit per sample, and backward_batch must reproduce the exact
 // parameter gradients and input gradients of running backward() sample by
-// sample in batch order.
+// sample in batch order. The Same-padded convs also run at the models'
+// frame shapes through Sequential::infer_batch.
 //
 // Trainer-level: train_detector/train_localizer must produce
 // byte-identical weights for a fixed seed at 1, 2 and 4 threads (the
@@ -15,9 +16,12 @@
 // twice with the same seed.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <sstream>
+#include <utility>
 #include <vector>
 
 #include "core/detector.hpp"
@@ -33,6 +37,11 @@ namespace dl2f::nn {
 namespace {
 
 const std::vector<std::int32_t> kEdgeBatches{1, 7, gemm::kSampleBlock + 1};
+
+/// Layer scratch starts as NaN: the layers share one arena, so a lowering
+/// that reads a value it did not write this call (a Same conv's zero
+/// border, say) poisons its outputs and fails the parity check.
+const float kDirtyArena = std::numeric_limits<float>::quiet_NaN();
 
 Tensor4 random_batch(std::int32_t n, const Tensor3& shape, Rng& rng, bool relu_sparse = false) {
   Tensor4 batch(n, shape.channels(), shape.height(), shape.width());
@@ -58,7 +67,7 @@ void check_forward_parity(Layer& layer, const Tensor3& in_shape, std::uint64_t s
   for (const std::int32_t n : kEdgeBatches) {
     Tensor4 in = random_batch(n, in_shape, rng);
     Tensor4 out(n, out_shape.channels(), out_shape.height(), out_shape.width());
-    std::vector<float> scratch(layer.infer_scratch_floats(in_shape), 0.0F);
+    std::vector<float> scratch(layer.infer_scratch_floats(in_shape), kDirtyArena);
     layer.infer_batch(in, out, scratch.data());
     for (std::int32_t s = 0; s < n; ++s) {
       const Tensor3 ref = layer.forward(sample_view(in, s, in_shape));
@@ -93,7 +102,7 @@ void check_backward_parity(Layer& layer, const Tensor3& in_shape, std::uint64_t 
     for (auto* p : layer.params()) ref_grads.push_back(p->grad);
 
     // Batched: infer_batch then backward_batch into external buffers.
-    std::vector<float> scratch(layer.infer_scratch_floats(in_shape), 0.0F);
+    std::vector<float> scratch(layer.infer_scratch_floats(in_shape), kDirtyArena);
     layer.infer_batch(in, out, scratch.data());
     std::vector<std::vector<float>> grads;
     std::vector<float*> grad_ptrs;
@@ -120,6 +129,26 @@ void check_backward_parity(Layer& layer, const Tensor3& in_shape, std::uint64_t 
   }
 }
 
+/// Forward parity through the arena: Sequential::infer_batch vs
+/// Sequential::forward per sample, one context across the edge batches.
+void check_model_forward_parity(Sequential& model, const Tensor3& in_shape, std::uint64_t seed) {
+  Rng rng(seed);
+  model.init_weights(rng);
+  InferenceContext ctx;
+  ctx.bind(model, in_shape, *std::max_element(kEdgeBatches.begin(), kEdgeBatches.end()));
+  for (const std::int32_t n : kEdgeBatches) {
+    Tensor4& in = ctx.input(n);
+    for (float& v : in.data()) v = static_cast<float>(rng.uniform(-1.0, 1.0));
+    const Tensor4& out = model.infer_batch(ctx);
+    for (std::int32_t s = 0; s < n; ++s) {
+      const Tensor3 ref = model.forward(sample_view(in, s, in_shape));
+      ASSERT_EQ(ref.size(), out.sample_size());
+      EXPECT_EQ(std::memcmp(ref.data().data(), out.sample(s), ref.size() * sizeof(float)), 0)
+          << model.layer(0).name() << " batch " << n << " sample " << s;
+    }
+  }
+}
+
 TEST(BatchParity, Conv2DValidForward) {
   Conv2D conv(4, 8, 3, Padding::Valid);
   check_forward_parity(conv, Tensor3(4, 16, 15), 11);
@@ -128,6 +157,29 @@ TEST(BatchParity, Conv2DValidForward) {
 TEST(BatchParity, Conv2DSameForward) {
   Conv2D conv(8, 8, 3, Padding::Same);
   check_forward_parity(conv, Tensor3(8, 9, 7), 12);
+}
+
+TEST(BatchParity, Conv2DSameForwardAtTheLocalizerShapes) {
+  // The localizer's three convs on the 16x16 mesh's 16x15 frames (the
+  // AVX2 kernel's wide path and its re-anchored tail chunk) and on the
+  // 8x8 mesh's 8x7 frames (its masked narrow path).
+  const std::int32_t convs[][2] = {{1, 8}, {8, 8}, {8, 1}};
+  for (const auto& [h, w] : {std::pair{16, 15}, std::pair{8, 7}}) {
+    for (const auto& [in_c, out_c] : convs) {
+      SCOPED_TRACE(::testing::Message() << in_c << "->" << out_c << " on " << h << "x" << w);
+      Sequential model;
+      model.emplace<Conv2D>(in_c, out_c, 3, Padding::Same);
+      check_model_forward_parity(model, Tensor3(in_c, h, w), 40);
+    }
+  }
+}
+
+TEST(BatchParity, SteppedConv2DSameForward) {
+  // One Same-padded bank over 4 channel groups: each group gets its own
+  // zero-bordered plane.
+  Sequential model;
+  model.emplace<Conv2D>(8, 8, 3, Padding::Same, /*steps=*/4);
+  check_model_forward_parity(model, Tensor3(32, 8, 7), 41);
 }
 
 TEST(BatchParity, DenseForward) {

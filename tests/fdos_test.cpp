@@ -193,6 +193,21 @@ TEST(FloodingAttack, RejectsNoAttackersAndNonProbabilityFirs) {
   }
 }
 
+TEST(FloodingAttack, AttackerOutsideTheMeshThrowsOnTick) {
+  // The constructor cannot know the mesh; the first injection into an
+  // 8x8 mesh from node 100 must throw instead of indexing past its
+  // per-node arrays.
+  AttackScenario s;
+  s.attackers = {100};
+  s.victim = 36;
+  s.fir = 1.0;
+  noc::MeshConfig cfg;
+  cfg.shape = MeshShape::square(8);
+  Simulation sim(cfg);
+  sim.emplace_generator<FloodingAttack>(s, 1);
+  EXPECT_THROW(sim.step(), std::invalid_argument);
+}
+
 TEST(MakeScenarios, DegenerateMeshStillServesFeasibleRequests) {
   // count == 0 asks for nothing and must not probe placements at all.
   EXPECT_TRUE(make_scenarios(MeshShape(1, 2), 0, 1, 0.8, 7).empty());

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <vector>
@@ -67,23 +68,43 @@ TEST_F(GemmAvx2Parity, GemmBiasBitwiseParity) {
 
 TEST_F(GemmAvx2Parity, ConvForwardValidBitwiseParity) {
   // Plane widths on both sides of the 8-lane boundary (ow = iw - k + 1),
-  // channel counts exercising the 4/2/1 register-block groups.
+  // among them the zero-bordered planes of the localizer's 7- and 15-wide
+  // frames (iw 9 and 17); channel counts exercising the 4/2/1 register-
+  // block groups; one- and seven-row outputs. Bordered sources zero each
+  // plane's outer ring and use negative weights only, so every border tap
+  // adds a -0 product on both tiers.
   Rng rng(42);
-  for (std::int32_t iw : {3, 5, 8, 10, 15, 16, 33}) {
-    for (std::int32_t out_c : {1, 2, 3, 4, 5, 8}) {
-      const std::int32_t in_c = 3, k = 3, ih = 9;
-      if (iw < k) continue;
-      const std::int32_t oh = ih - k + 1, ow = iw - k + 1;
-      const auto src = random_block(static_cast<std::size_t>(in_c * ih * iw), rng);
-      const auto w = random_block(static_cast<std::size_t>(out_c * in_c * k * k), rng);
-      const auto bias = random_block(static_cast<std::size_t>(out_c), rng);
-      std::vector<float> d_ref(static_cast<std::size_t>(out_c * oh * ow), -1.0F);
-      std::vector<float> d_simd(d_ref.size(), +1.0F);
-      ref.conv_forward_valid(src.data(), in_c, ih, iw, k, out_c, w.data(), bias.data(),
-                             d_ref.data());
-      kt.conv_forward_valid(src.data(), in_c, ih, iw, k, out_c, w.data(), bias.data(),
-                            d_simd.data());
-      EXPECT_BITWISE_EQ(d_ref, d_simd) << " at iw=" << iw << " out_c=" << out_c;
+  for (const bool bordered : {false, true}) {
+    for (std::int32_t in_c : {1, 3, 8}) {
+      for (std::int32_t ih : {3, 9}) {
+        for (std::int32_t iw : {3, 5, 8, 9, 10, 15, 16, 17, 33}) {
+          for (std::int32_t out_c : {1, 2, 3, 4, 5, 8}) {
+            const std::int32_t k = 3;
+            const std::int32_t oh = ih - k + 1, ow = iw - k + 1;
+            auto src = random_block(static_cast<std::size_t>(in_c * ih * iw), rng);
+            auto w = random_block(static_cast<std::size_t>(out_c * in_c * k * k), rng);
+            const auto bias = random_block(static_cast<std::size_t>(out_c), rng);
+            if (bordered) {
+              for (std::int32_t p = 0; p < in_c * ih * iw; ++p) {
+                const std::int32_t y = p / iw % ih, x = p % iw;
+                if (y == 0 || y == ih - 1 || x == 0 || x == iw - 1) {
+                  src[static_cast<std::size_t>(p)] = 0.0F;
+                }
+              }
+              for (float& v : w) v = -std::abs(v);
+            }
+            std::vector<float> d_ref(static_cast<std::size_t>(out_c * oh * ow), -1.0F);
+            std::vector<float> d_simd(d_ref.size(), +1.0F);
+            ref.conv_forward_valid(src.data(), in_c, ih, iw, k, out_c, w.data(), bias.data(),
+                                   d_ref.data());
+            kt.conv_forward_valid(src.data(), in_c, ih, iw, k, out_c, w.data(), bias.data(),
+                                  d_simd.data());
+            EXPECT_BITWISE_EQ(d_ref, d_simd)
+                << " at in_c=" << in_c << " ih=" << ih << " iw=" << iw << " out_c=" << out_c
+                << (bordered ? " bordered" : "");
+          }
+        }
+      }
     }
   }
 }

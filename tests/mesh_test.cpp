@@ -176,6 +176,23 @@ TEST(Mesh, QuarantineRejectsNodesOutsideTheMesh) {
   EXPECT_TRUE(mesh.quarantined_nodes().empty());
 }
 
+TEST(Mesh, InjectRejectsNodesOutsideTheMesh) {
+  // A source or destination past either end of the mesh must fail loudly
+  // and change nothing, in every build type: no packet id, no drop count,
+  // no injection demand. A fenced source is no exception.
+  Mesh mesh(small_mesh());
+  const NodeId outside = mesh.shape().node_count();
+  EXPECT_THROW((void)mesh.inject(outside, 0), std::invalid_argument);
+  EXPECT_THROW((void)mesh.inject(-1, 0), std::invalid_argument);
+  EXPECT_THROW((void)mesh.inject(0, outside), std::invalid_argument);
+  mesh.set_quarantined(1, true);
+  EXPECT_THROW((void)mesh.inject(1, -1), std::invalid_argument);
+  EXPECT_EQ(mesh.packets_dropped(), 0);
+  EXPECT_EQ(mesh.ni_injected_flits(0), 0);
+  EXPECT_TRUE(mesh.drained());
+  EXPECT_EQ(mesh.inject(0, 15), 0);  // the first packet id is still unused
+}
+
 TEST(Mesh, QuarantineDropsInjectionAtTheSourceAndReleases) {
   traffic::Simulation sim(small_mesh());
   Mesh& mesh = sim.mesh();
