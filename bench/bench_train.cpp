@@ -4,8 +4,8 @@
 // Trains the same detector + localizer pair on the same dataset from the
 // same seeds through core::train_detector / core::train_localizer (the
 // batched infer_batch/backward_batch path: direct-kernel convolution
-// forward, Same padding on a zero-bordered plane, and im2row + GEMM or
-// direct weight gradients, with sliced, fixed-order gradient reduction)
+// forward, Same padding on a zero-bordered plane, and im2row + skip-zero
+// GEMM weight gradients, with sliced, fixed-order gradient reduction)
 // at 1, 2 and 4 worker threads, best-of-`repeats` wall time each.
 //
 // The determinism gate serializes the trained weights of every arm and

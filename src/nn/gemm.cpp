@@ -1,15 +1,18 @@
 // ACCUM-ORDER: every kernel reachable from this TU owns one scalar
 // accumulator per output element and walks its reduction index strictly
-// ascending (bias first, then k = 0..K-1); cache blocking is over output
-// columns only and thread parallelism lives above the kernels. The full
-// contract and the +/-0 padding argument are in gemm.hpp; the bitwise-
-// parity tests in tests/batch_train_test.cpp and tests/gemm_dispatch_
-// test.cpp pin it on every build.
+// ascending (bias first, then k = 0..K-1); thread parallelism lives
+// above the kernels. The full contract and the +/-0 padding argument are
+// in gemm.hpp; the bitwise-parity tests in tests/batch_train_test.cpp
+// and tests/gemm_dispatch_test.cpp pin it on every build.
 //
 // This TU owns the SCALAR tier (the golden reference the SIMD tiers are
-// measured against bit for bit) and the dispatch itself: the public free
-// functions forward to the table picked by common::active_simd_level().
+// measured against bit for bit), the dispatch itself (the public free
+// functions forward to the table picked by common::active_simd_level())
+// and im2row, which only copies and so has no tiers.
 #include "nn/gemm.hpp"
+
+#include <algorithm>
+#include <cassert>
 
 #include "nn/gemm_kernels_impl.hpp"
 
@@ -17,27 +20,11 @@ namespace dl2f::nn::gemm {
 
 namespace {
 
-void scalar_gemm_bias(std::int32_t m, std::int32_t n, std::int32_t k, const float* a,
-                      std::int32_t lda, const float* b, std::int32_t ldb, const float* bias,
-                      float* c, std::int32_t ldc) {
-  impl_gemm_bias(ref_axpy, m, n, k, a, lda, b, ldb, bias, c, ldc);
-}
-
-void scalar_skipzero(std::int32_t m, std::int32_t n, std::int32_t k, const float* a,
-                     std::int32_t lda, const float* b, std::int32_t ldb, float* c, std::int32_t ldc,
-                     float* bias_grad) {
-  impl_gemm_accumulate_skipzero(ref_axpy, m, n, k, a, lda, b, ldb, c, ldc, bias_grad);
-}
-
-void scalar_conv_grad_input(const float* g, const float* w, std::int32_t in_c, std::int32_t ih,
-                            std::int32_t iw, std::int32_t k, std::int32_t pad, std::int32_t out_c,
-                            float* gi) {
-  impl_conv_grad_input(ref_axpy, g, w, in_c, ih, iw, k, pad, out_c, gi);
-}
-
 constexpr GemmKernels kScalarKernels = {
-    scalar_gemm_bias,        impl_im2row,           scalar_skipzero,
-    impl_conv_forward_valid, scalar_conv_grad_input,
+    impl_gemm_bias,
+    impl_gemm_accumulate_skipzero,
+    impl_conv_forward_valid,
+    impl_conv_grad_input,
 };
 
 }  // namespace
@@ -64,12 +51,46 @@ const GemmKernels& active_kernels() noexcept {
 
 void gemm_bias(std::int32_t m, std::int32_t n, std::int32_t k, const float* a, std::int32_t lda,
                const float* b, std::int32_t ldb, const float* bias, float* c, std::int32_t ldc) {
+  assert(n >= 1 && n <= kSampleBlock);
   active_kernels().gemm_bias(m, n, k, a, lda, b, ldb, bias, c, ldc);
 }
 
 void im2row(const float* src, std::int32_t c, std::int32_t h, std::int32_t w, std::int32_t k,
             std::int32_t pad, float* row) {
-  active_kernels().im2row(src, c, h, w, k, pad, row);
+  // Tap-major fill: one pass per (c, dy, dx) column with the border
+  // logic hoisted to row bounds — contiguous source reads, stride-ckk
+  // destination stores, no per-element branching.
+  const std::int32_t oh = h + 2 * pad - k + 1;
+  const std::int32_t ow = w + 2 * pad - k + 1;
+  const std::size_t ckk = static_cast<std::size_t>(c * k * k);
+  std::size_t q = 0;
+  for (std::int32_t ch = 0; ch < c; ++ch) {
+    const float* plane = src + static_cast<std::size_t>(ch) * static_cast<std::size_t>(h * w);
+    for (std::int32_t dy = 0; dy < k; ++dy) {
+      for (std::int32_t dx = 0; dx < k; ++dx, ++q) {
+        const std::int32_t x_lo = std::max(0, pad - dx);
+        const std::int32_t x_hi = std::min(ow, w + pad - dx);
+        for (std::int32_t y = 0; y < oh; ++y) {
+          const std::int32_t iy = y + dy - pad;
+          float* __restrict dst =
+              row + static_cast<std::size_t>(y) * static_cast<std::size_t>(ow) * ckk + q;
+          if (iy < 0 || iy >= h) {
+            for (std::int32_t x = 0; x < ow; ++x) dst[static_cast<std::size_t>(x) * ckk] = 0.0F;
+            continue;
+          }
+          const float* __restrict srow =
+              plane + static_cast<std::size_t>(iy) * w + (x_lo + dx - pad);
+          for (std::int32_t x = 0; x < x_lo; ++x) dst[static_cast<std::size_t>(x) * ckk] = 0.0F;
+          for (std::int32_t x = x_lo; x < x_hi; ++x) {
+            dst[static_cast<std::size_t>(x) * ckk] = srow[x - x_lo];
+          }
+          for (std::int32_t x = std::max(x_hi, x_lo); x < ow; ++x) {
+            dst[static_cast<std::size_t>(x) * ckk] = 0.0F;
+          }
+        }
+      }
+    }
+  }
 }
 
 void gemm_accumulate_skipzero(std::int32_t m, std::int32_t n, std::int32_t k, const float* a,
@@ -88,42 +109,6 @@ void conv_grad_input(const float* g, const float* w, std::int32_t in_c, std::int
                      std::int32_t iw, std::int32_t k, std::int32_t pad, std::int32_t out_c,
                      float* gi) {
   active_kernels().conv_grad_input(g, w, in_c, ih, iw, k, pad, out_c, gi);
-}
-
-void conv_weight_bias_grad_direct(const float* g, const float* src, std::int32_t in_c,
-                                  std::int32_t ih, std::int32_t iw, std::int32_t k,
-                                  std::int32_t pad, std::int32_t out_c, float* gw, float* gb) {
-  // Branch-heavy sparse sweep: no profitable SIMD form, so it stays a
-  // plain (undispatched) scalar kernel.
-  const std::int32_t oh = ih + 2 * pad - k + 1;
-  const std::int32_t ow = iw + 2 * pad - k + 1;
-  for (std::int32_t o = 0; o < out_c; ++o) {
-    float* gw_o = gw + static_cast<std::size_t>(o) * static_cast<std::size_t>(in_c * k * k);
-    for (std::int32_t y = 0; y < oh; ++y) {
-      const std::int32_t dy_lo = std::max(0, pad - y);
-      const std::int32_t dy_hi = std::min(k, ih + pad - y);
-      for (std::int32_t x = 0; x < ow; ++x) {
-        const float gv = g[(o * oh + y) * ow + x];
-        if (gv == 0.0F) continue;
-        gb[o] += gv;
-        const std::int32_t dx_lo = std::max(0, pad - x);
-        const std::int32_t dx_hi = std::min(k, iw + pad - x);
-        for (std::int32_t i = 0; i < in_c; ++i) {
-          for (std::int32_t dy = dy_lo; dy < dy_hi; ++dy) {
-            const float* in_row = src + (i * ih + y + dy - pad) * iw + (x - pad);
-            float* gw_row = gw_o + (i * k + dy) * k;
-            for (std::int32_t dx = dx_lo; dx < dx_hi; ++dx) gw_row[dx] += gv * in_row[dx];
-          }
-        }
-      }
-    }
-  }
-}
-
-std::int64_t nonzero_count(const float* v, std::size_t n) {
-  std::int64_t count = 0;
-  for (std::size_t j = 0; j < n; ++j) count += static_cast<std::int64_t>(v[j] != 0.0F);
-  return count;
 }
 
 }  // namespace dl2f::nn::gemm

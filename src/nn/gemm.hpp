@@ -1,11 +1,12 @@
 // The shared SGEMM microkernel layer the NN compute backend lowers onto:
-// convolutions (via the pack-free direct kernel, on a zero-bordered copy
-// of the plane for Same padding) and dense layers (via sample-panel
-// packing) route their forward, inference and weight-gradient compute
-// through the kernels below. Since the SIMD dispatch landed, every kernel exists as a table
-// of variants (scalar reference, AVX2) selected once at startup by
-// common/cpuid.hpp; the free functions of this header always call the
-// active table.
+// convolutions (the pack-free direct kernel forward, on a zero-bordered
+// copy of the plane for Same padding; im2row + the skip-zero GEMM for
+// weight gradients) and dense layers (via sample-panel packing) route
+// their forward, inference and gradient compute through the kernels
+// below. Every arithmetic kernel exists as a table of variants (scalar
+// reference, AVX2) selected once at startup by common/cpuid.hpp; the free
+// functions of this header always call the active table. im2row only
+// moves data, so it is one plain function.
 //
 // ---------------------------------------------------------------------------
 // ACCUM-ORDER: blocking and accumulation-order invariants (the
@@ -43,10 +44,6 @@
 //    to the scalar reference — which is why runtime dispatch is safe in
 //    a bitwise-deterministic codebase, and why DL2F_FORCE_SCALAR=1 must
 //    reproduce every committed artifact byte for byte.
-//  * Cache blocking happens only over the output columns (kColPanel-wide
-//    panels, so a full panel of B rows stays L1-resident across the m
-//    output rows). Column blocking never touches the per-element
-//    reduction order.
 //  * The zero border of a Same-padded plane adds `w * 0` taps, which the
 //    bordered reference loops skip (im2row packs the same taps as 0).
 //    Adding that +/-0 term cannot change any accumulator bit: partial
@@ -73,13 +70,11 @@ namespace dl2f::nn::gemm {
 /// samples) panel so the GEMM's innermost loop runs across samples.
 inline constexpr std::int32_t kSampleBlock = 8;
 
-/// Output-column panel width (cache blocking; see invariants above).
-inline constexpr std::int32_t kColPanel = 64;
-
 /// C(m x n) = bias[i] broadcast per row, then += A(m x k) . B(k x n).
 /// All matrices row-major with the given leading dimensions. Per-element
 /// accumulation order: bias first, then k ascending (the Dense forward
-/// shape).
+/// shape). Requires 1 <= n <= kSampleBlock: the one caller passes one
+/// sample panel, so a row of C fits one 8-lane vector.
 void gemm_bias(std::int32_t m, std::int32_t n, std::int32_t k, const float* a, std::int32_t lda,
                const float* b, std::int32_t ldb, const float* bias, float* c, std::int32_t ldc);
 
@@ -87,7 +82,8 @@ void gemm_bias(std::int32_t m, std::int32_t n, std::int32_t k, const float* a, s
 /// (reduction over pixels in axpy form). Row p is one output pixel
 /// (y*OW + x, OH = H + 2*pad - K + 1, OW likewise); column q =
 /// (c*K + dy)*K + dx one tap, holding input channel c at (y + dy - pad,
-/// x + dx - pad), or 0 outside the border.
+/// x + dx - pad), or 0 outside the border. It only copies, so it has no
+/// per-tier variants.
 void im2row(const float* src, std::int32_t c, std::int32_t h, std::int32_t w, std::int32_t k,
             std::int32_t pad, float* row);
 
@@ -118,15 +114,6 @@ void conv_forward_valid(const float* src, std::int32_t in_c, std::int32_t ih, st
                         std::int32_t k, std::int32_t out_c, const float* w, const float* bias,
                         float* dst);
 
-/// Direct (pack-free) weight + bias gradient of one stride-1 convolution
-/// sample: a bounds-hoisted transcription of the reference backward's
-/// (o, y, x) sweep with its g == 0 skip. Wins over im2row + GEMM when the
-/// gradient plane is sparse (ReLU/MaxPool upstream) or the filter bank is
-/// narrow — Conv2D::backward_batch picks per sample by non-zero count.
-void conv_weight_bias_grad_direct(const float* g, const float* src, std::int32_t in_c,
-                                  std::int32_t ih, std::int32_t iw, std::int32_t k,
-                                  std::int32_t pad, std::int32_t out_c, float* gw, float* gb);
-
 /// dLoss/d(input) of one stride-1 convolution sample, as a transposed
 /// convolution in axpy form; `gi` is fully overwritten. The reference
 /// sweep orders each input element's contributions by (o, y, x)
@@ -141,22 +128,17 @@ void conv_grad_input(const float* g, const float* w, std::int32_t in_c, std::int
                      std::int32_t iw, std::int32_t k, std::int32_t pad, std::int32_t out_c,
                      float* gi);
 
-/// Number of elements of v[0..n) that are exactly non-zero (the path
-/// heuristic for conv_weight_bias_grad_direct).
-[[nodiscard]] std::int64_t nonzero_count(const float* v, std::size_t n);
-
 // ---------------------------------------------------------------------------
-// Runtime dispatch. The free functions above call through the active
-// table; tests reach individual tiers via kernels_for() to sweep
+// Runtime dispatch. The free functions above, im2row aside, call through
+// the active table; tests reach individual tiers via kernels_for() to sweep
 // remainder-lane shapes for bitwise parity.
 
-/// One tier's kernel set. Entries without a profitable SIMD form point at
-/// the shared implementation recompiled in that tier's TU.
+/// One tier's kernel set. Entries without a hand-written SIMD form point
+/// at the shared portable body (gemm_kernels_impl.hpp), which each tier's
+/// TU compiles at its own arch level.
 struct GemmKernels {
   void (*gemm_bias)(std::int32_t, std::int32_t, std::int32_t, const float*, std::int32_t,
                     const float*, std::int32_t, const float*, float*, std::int32_t);
-  void (*im2row)(const float*, std::int32_t, std::int32_t, std::int32_t, std::int32_t,
-                 std::int32_t, float*);
   void (*gemm_accumulate_skipzero)(std::int32_t, std::int32_t, std::int32_t, const float*,
                                    std::int32_t, const float*, std::int32_t, float*, std::int32_t,
                                    float*);

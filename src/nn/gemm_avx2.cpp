@@ -7,12 +7,14 @@
 // -ffp-contract=off, so mul and add stay distinct roundings exactly as
 // in the scalar reference; register blocking only batches chains that
 // belong to different output elements. Ragged edges use maskload /
-// maskstore (never reading past the buffer) or scalar chains; either
-// way each element's reduction order is the reference's, so the tier is
-// bitwise-identical to scalar. tests/gemm_dispatch_test.cpp sweeps
-// remainder shapes to pin that. Entries without a profitable explicit
-// form reuse the shared portable bodies (gemm_kernels_impl.hpp),
-// recompiled at this TU's arch level.
+// maskstore (never reading past the buffer) or re-anchored chunks that
+// recompute the same bits; either way each element's reduction order is
+// the reference's, so the tier is bitwise-identical to scalar.
+// tests/gemm_dispatch_test.cpp sweeps remainder shapes to pin that. Two
+// kernels are hand-written: the dense forward (gemm_bias) and the conv
+// forward. The skip-zero GEMM and the conv input gradient reuse the
+// shared portable bodies (gemm_kernels_impl.hpp), whose ref_axpy this
+// TU's -O3 -mavx2 flags vectorize.
 //
 // Off x86 the TU is empty: detected_simd_level() is Scalar there, and
 // kernels_for() answers every tier with the scalar table.
@@ -36,132 +38,29 @@ inline __m256i tail_mask(std::int32_t r) {
   return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(kMaskSrc + (8 - r)));
 }
 
-/// c[0..n) += s * b[0..n), 8 lanes at a time with a masked tail.
-inline void avx2_axpy(std::int32_t n, float s, const float* __restrict b, float* __restrict c) {
-  const __m256 vs = _mm256_set1_ps(s);
-  std::int32_t j = 0;
-  for (; j + 8 <= n; j += 8) {
-    const __m256 prod = _mm256_mul_ps(vs, _mm256_loadu_ps(b + j));
-    _mm256_storeu_ps(c + j, _mm256_add_ps(_mm256_loadu_ps(c + j), prod));
-  }
-  const std::int32_t r = n - j;
-  if (r > 0) {
-    const __m256i mask = tail_mask(r);
-    const __m256 prod = _mm256_mul_ps(vs, _mm256_maskload_ps(b + j, mask));
-    _mm256_maskstore_ps(c + j, mask, _mm256_add_ps(_mm256_maskload_ps(c + j, mask), prod));
-  }
-}
-
 void avx2_gemm_bias(std::int32_t m, std::int32_t n, std::int32_t k, const float* a,
                     std::int32_t lda, const float* b, std::int32_t ldb, const float* bias, float* c,
                     std::int32_t ldc) {
-  // Register blocking: 4 rows x 16 columns of C live in 8 ymm
-  // accumulators across the whole k loop. Each accumulator lane is one
-  // output element's chain — holding it in a register instead of
-  // store/reload between k steps cannot change a bit.
-  const auto row = [](auto* base, std::int32_t i, std::int32_t ld) {
-    return base + static_cast<std::size_t>(i) * static_cast<std::size_t>(ld);
-  };
-  std::int32_t i = 0;
-  for (; i + 4 <= m; i += 4) {
-    const float* a0 = row(a, i, lda);
-    const float* a1 = row(a, i + 1, lda);
-    const float* a2 = row(a, i + 2, lda);
-    const float* a3 = row(a, i + 3, lda);
-    float* c0 = row(c, i, ldc);
-    float* c1 = row(c, i + 1, ldc);
-    float* c2 = row(c, i + 2, ldc);
-    float* c3 = row(c, i + 3, ldc);
-    std::int32_t j = 0;
-    for (; j + 16 <= n; j += 16) {
-      __m256 acc00 = _mm256_set1_ps(bias[i]), acc01 = acc00;
-      __m256 acc10 = _mm256_set1_ps(bias[i + 1]), acc11 = acc10;
-      __m256 acc20 = _mm256_set1_ps(bias[i + 2]), acc21 = acc20;
-      __m256 acc30 = _mm256_set1_ps(bias[i + 3]), acc31 = acc30;
-      const float* bp = b + j;
-      for (std::int32_t p = 0; p < k; ++p, bp += ldb) {
-        const __m256 vb0 = _mm256_loadu_ps(bp);
-        const __m256 vb1 = _mm256_loadu_ps(bp + 8);
-        __m256 va = _mm256_set1_ps(a0[p]);
-        acc00 = _mm256_add_ps(acc00, _mm256_mul_ps(va, vb0));
-        acc01 = _mm256_add_ps(acc01, _mm256_mul_ps(va, vb1));
-        va = _mm256_set1_ps(a1[p]);
-        acc10 = _mm256_add_ps(acc10, _mm256_mul_ps(va, vb0));
-        acc11 = _mm256_add_ps(acc11, _mm256_mul_ps(va, vb1));
-        va = _mm256_set1_ps(a2[p]);
-        acc20 = _mm256_add_ps(acc20, _mm256_mul_ps(va, vb0));
-        acc21 = _mm256_add_ps(acc21, _mm256_mul_ps(va, vb1));
-        va = _mm256_set1_ps(a3[p]);
-        acc30 = _mm256_add_ps(acc30, _mm256_mul_ps(va, vb0));
-        acc31 = _mm256_add_ps(acc31, _mm256_mul_ps(va, vb1));
-      }
-      _mm256_storeu_ps(c0 + j, acc00);
-      _mm256_storeu_ps(c0 + j + 8, acc01);
-      _mm256_storeu_ps(c1 + j, acc10);
-      _mm256_storeu_ps(c1 + j + 8, acc11);
-      _mm256_storeu_ps(c2 + j, acc20);
-      _mm256_storeu_ps(c2 + j + 8, acc21);
-      _mm256_storeu_ps(c3 + j, acc30);
-      _mm256_storeu_ps(c3 + j + 8, acc31);
-    }
-    for (; j < n; j += 8) {
-      // Ragged columns: re-anchor at n - 8 when possible (overlapped
-      // lanes recompute identical bits; loads stay inside row p of B
-      // because ldb >= n), else maskload the short row.
-      const std::int32_t r = n - j;
-      const std::int32_t j0 = n >= 8 ? std::min(j, n - 8) : j;
-      const __m256i mask = tail_mask(std::min<std::int32_t>(8, r));
-      for (std::int32_t ii = 0; ii < 4; ++ii) {
-        const float* ai = row(a, i + ii, lda);
-        float* ci = row(c, i + ii, ldc);
-        __m256 acc = _mm256_set1_ps(bias[i + ii]);
-        if (n >= 8) {
-          const float* bp = b + j0;
-          for (std::int32_t p = 0; p < k; ++p, bp += ldb) {
-            acc = _mm256_add_ps(acc, _mm256_mul_ps(_mm256_set1_ps(ai[p]), _mm256_loadu_ps(bp)));
-          }
-          _mm256_storeu_ps(ci + j0, acc);
-        } else {
-          const float* bp = b + j;
-          for (std::int32_t p = 0; p < k; ++p, bp += ldb) {
-            acc = _mm256_add_ps(acc,
-                                _mm256_mul_ps(_mm256_set1_ps(ai[p]), _mm256_maskload_ps(bp, mask)));
-          }
-          _mm256_maskstore_ps(ci + j, mask, acc);
-        }
-      }
-    }
-  }
-  for (; i < m; ++i) {
-    const float* ai = row(a, i, lda);
-    float* ci = row(c, i, ldc);
-    std::int32_t j = 0;
-    for (; j + 8 <= n; j += 8) {
-      __m256 acc = _mm256_set1_ps(bias[i]);
-      const float* bp = b + j;
+  // n <= 8 (gemm.hpp), so one ymm accumulator holds a whole row of C
+  // across the k loop. Below 8 columns lanes n..7 are masked off, so no
+  // load or store leaves a row.
+  const __m256i mask = tail_mask(n);
+  for (std::int32_t i = 0; i < m; ++i) {
+    const float* ai = a + static_cast<std::size_t>(i) * static_cast<std::size_t>(lda);
+    float* ci = c + static_cast<std::size_t>(i) * static_cast<std::size_t>(ldc);
+    __m256 acc = _mm256_set1_ps(bias[i]);
+    const float* bp = b;
+    if (n == 8) {
       for (std::int32_t p = 0; p < k; ++p, bp += ldb) {
         acc = _mm256_add_ps(acc, _mm256_mul_ps(_mm256_set1_ps(ai[p]), _mm256_loadu_ps(bp)));
       }
-      _mm256_storeu_ps(ci + j, acc);
-    }
-    const std::int32_t r = n - j;
-    if (r > 0) {
-      __m256 acc = _mm256_set1_ps(bias[i]);
-      if (n >= 8) {
-        const float* bp = b + (n - 8);
-        for (std::int32_t p = 0; p < k; ++p, bp += ldb) {
-          acc = _mm256_add_ps(acc, _mm256_mul_ps(_mm256_set1_ps(ai[p]), _mm256_loadu_ps(bp)));
-        }
-        _mm256_storeu_ps(ci + (n - 8), acc);
-      } else {
-        const __m256i mask = tail_mask(r);
-        const float* bp = b + j;
-        for (std::int32_t p = 0; p < k; ++p, bp += ldb) {
-          acc = _mm256_add_ps(acc,
-                              _mm256_mul_ps(_mm256_set1_ps(ai[p]), _mm256_maskload_ps(bp, mask)));
-        }
-        _mm256_maskstore_ps(ci + j, mask, acc);
+      _mm256_storeu_ps(ci, acc);
+    } else {
+      for (std::int32_t p = 0; p < k; ++p, bp += ldb) {
+        acc = _mm256_add_ps(acc,
+                            _mm256_mul_ps(_mm256_set1_ps(ai[p]), _mm256_maskload_ps(bp, mask)));
       }
+      _mm256_maskstore_ps(ci, mask, acc);
     }
   }
 }
@@ -279,20 +178,11 @@ void avx2_conv_forward_valid(const float* src, std::int32_t in_c, std::int32_t i
   }
 }
 
-void avx2_skipzero(std::int32_t m, std::int32_t n, std::int32_t k, const float* a, std::int32_t lda,
-                   const float* b, std::int32_t ldb, float* c, std::int32_t ldc, float* bias_grad) {
-  impl_gemm_accumulate_skipzero(avx2_axpy, m, n, k, a, lda, b, ldb, c, ldc, bias_grad);
-}
-
-void avx2_conv_grad_input(const float* g, const float* w, std::int32_t in_c, std::int32_t ih,
-                          std::int32_t iw, std::int32_t k, std::int32_t pad, std::int32_t out_c,
-                          float* gi) {
-  impl_conv_grad_input(avx2_axpy, g, w, in_c, ih, iw, k, pad, out_c, gi);
-}
-
 constexpr GemmKernels kAvx2Kernels = {
-    avx2_gemm_bias,          impl_im2row,          avx2_skipzero,
-    avx2_conv_forward_valid, avx2_conv_grad_input,
+    avx2_gemm_bias,
+    impl_gemm_accumulate_skipzero,
+    avx2_conv_forward_valid,
+    impl_conv_grad_input,
 };
 
 }  // namespace

@@ -7,12 +7,13 @@
 // sample to its layers.cpp reference counterpart.
 //
 // ACCUM-ORDER: every lowering in this TU preserves the reference tap
-// order exactly — convolutions run the direct kernel's (i, dy, dx) chain
-// (on a zero-bordered plane for Same padding), im2row columns are packed
-// in that order, sample panels keep per-sample accumulator chains
-// intact, and all reductions delegate to the gemm.hpp kernels, which
-// accumulate each output element with the reduction index strictly
-// ascending (see the contract block in nn/gemm.hpp).
+// order exactly — convolution forwards run the direct kernel's
+// (i, dy, dx) chain (on a zero-bordered plane for Same padding), weight
+// gradients pack im2row columns in that order for the skip-zero GEMM,
+// sample panels keep per-sample accumulator chains intact, and all
+// reductions delegate to the gemm.hpp kernels, which accumulate each
+// output element with the reduction index strictly ascending (see the
+// contract block in nn/gemm.hpp).
 #include <algorithm>
 #include <cmath>
 #include <limits>
@@ -64,6 +65,7 @@ void Conv2D::backward_batch(const Tensor4& grad_out, const Tensor4& in, const Te
   float* const gb = param_grads[1];
   const std::int32_t ih = in.height(), iw = in.width();
   const std::int32_t p = grad_out.height() * grad_out.width();
+  const std::int32_t ckk = in_c_ * k_ * k_;
   const float* wt = weights_.value.data();
   const std::size_t in_group = static_cast<std::size_t>(in_c_) * static_cast<std::size_t>(ih * iw);
   const std::size_t out_group = static_cast<std::size_t>(out_c_) * static_cast<std::size_t>(p);
@@ -76,21 +78,12 @@ void Conv2D::backward_batch(const Tensor4& grad_out, const Tensor4& in, const Te
     const float* g = grad_out.data().data() + grp * out_group;
     const float* src = in.data().data() + grp * in_group;
 
-    // Weight + bias gradients, pixels ascending per accumulator (the
-    // reference backward's order) with its g == 0 skip. Dense, wide
-    // gradient planes go through im2row + the skip-zero GEMM; sparse ones
-    // (ReLU/MaxPool upstream zeroes most of the detector's plane) or
-    // narrow filter banks (the localizer's 1-filter head) take the
-    // pack-free direct sweep — both orders are the reference's, so the
-    // per-group choice cannot change a single bit.
-    const std::int64_t nnz = gemm::nonzero_count(g, out_group);
-    if (out_c_ >= 4 && nnz * 4 >= static_cast<std::int64_t>(out_c_) * p) {
-      const std::int32_t ckk = in_c_ * k_ * k_;
-      gemm::im2row(src, in_c_, ih, iw, k_, pad_, scratch);
-      gemm::gemm_accumulate_skipzero(out_c_, ckk, p, g, p, scratch, ckk, gw, ckk, gb);
-    } else {
-      gemm::conv_weight_bias_grad_direct(g, src, in_c_, ih, iw, k_, pad_, out_c_, gw, gb);
-    }
+    // Weight + bias gradients: im2row + the skip-zero GEMM, pixels
+    // ascending per accumulator (the reference backward's order) with its
+    // g == 0 skip, so sparse planes (ReLU/MaxPool upstream) skip their
+    // zero pixels' axpys.
+    gemm::im2row(src, in_c_, ih, iw, k_, pad_, scratch);
+    gemm::gemm_accumulate_skipzero(out_c_, ckk, p, g, p, scratch, ckk, gw, ckk, gb);
 
     // Input gradient: the transposed-convolution axpy kernel (bitwise the
     // reference's accumulation order — see gemm.hpp).
@@ -221,11 +214,11 @@ void Flatten::backward_batch(const Tensor4& grad_out, const Tensor4& /*in*/,
 void Dense::infer_batch(const Tensor4& in, Tensor4& out, float* scratch) const {
   assert(static_cast<std::int32_t>(in.sample_size()) == steps_ * in_f_ &&
          static_cast<std::int32_t>(out.sample_size()) == positions() * out_f_);
-  // Column-panel GEMM: up to kSampleBlock (sample, position) columns are
-  // transposed into a (window*in_f x panel) matrix so the kernel's
-  // innermost loop runs across columns; per (output, column) element the
-  // window still accumulates in forward()'s ascending order, bitwise-
-  // identical per sample.
+  // One gemm_bias per panel of up to kSampleBlock (sample, position)
+  // columns (the kernel's n limit), transposed into a (window*in_f x
+  // panel) matrix so the kernel's innermost loop runs across columns; per
+  // (output, column) element the window still accumulates in forward()'s
+  // ascending order, bitwise-identical per sample.
   const std::int32_t kd = window_ * in_f_;
   const std::int32_t npos = positions();
   const std::int32_t cols = in.batch() * npos;

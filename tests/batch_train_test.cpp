@@ -43,12 +43,17 @@ const std::vector<std::int32_t> kEdgeBatches{1, 7, gemm::kSampleBlock + 1};
 /// border, say) poisons its outputs and fails the parity check.
 const float kDirtyArena = std::numeric_limits<float>::quiet_NaN();
 
-Tensor4 random_batch(std::int32_t n, const Tensor3& shape, Rng& rng, bool relu_sparse = false) {
+/// Zero fractions of the Conv2D backward cases' gradient planes: a
+/// ReLU-sparse plane, a nearly empty one and an all-zero one.
+const std::vector<double> kGradZeroFractions{0.4, 0.9, 1.0};
+
+/// Values uniform in [-1, 1); each is then an exact zero with probability
+/// zero_frac, which exercises the reference backward's g == 0 skip paths.
+Tensor4 random_batch(std::int32_t n, const Tensor3& shape, Rng& rng, double zero_frac = 0.0) {
   Tensor4 batch(n, shape.channels(), shape.height(), shape.width());
   for (float& v : batch.data()) {
     v = static_cast<float>(rng.uniform(-1.0, 1.0));
-    // Exact zeros exercise the reference backward's g == 0 skip paths.
-    if (relu_sparse && rng.uniform() < 0.4) v = 0.0F;
+    if (zero_frac > 0.0 && rng.uniform() < zero_frac) v = 0.0F;
   }
   return batch;
 }
@@ -80,15 +85,19 @@ void check_forward_parity(Layer& layer, const Tensor3& in_shape, std::uint64_t s
 
 /// Backward parity: backward_batch vs backward per sample in batch order
 /// (parameter gradients accumulate across the batch exactly like the
-/// sequential reference; input gradients match per sample).
-void check_backward_parity(Layer& layer, const Tensor3& in_shape, std::uint64_t seed) {
+/// sequential reference; input gradients match per sample). `zero_frac`
+/// is the share of exact zeros in the output-gradient planes; an all-zero
+/// plane must leave the parameter gradients untouched.
+void check_backward_parity(Layer& layer, const Tensor3& in_shape, std::uint64_t seed,
+                           double zero_frac = 0.4) {
+  SCOPED_TRACE(::testing::Message() << "gradient zero fraction " << zero_frac);
   Rng rng(seed);
   layer.init_weights(rng);
   const Tensor3 out_shape = layer.output_shape(in_shape);
   for (const std::int32_t n : kEdgeBatches) {
     Tensor4 in = random_batch(n, in_shape, rng);
     Tensor4 out(n, out_shape.channels(), out_shape.height(), out_shape.width());
-    Tensor4 grad_out = random_batch(n, out_shape, rng, /*relu_sparse=*/true);
+    Tensor4 grad_out = random_batch(n, out_shape, rng, zero_frac);
     Tensor4 grad_in(n, in_shape.channels(), in_shape.height(), in_shape.width());
 
     // Reference: forward+backward per sample, Param::grad accumulating.
@@ -119,6 +128,14 @@ void check_backward_parity(Layer& layer, const Tensor3& in_shape, std::uint64_t 
                             grads[b].size() * sizeof(float)),
                 0)
           << layer.name() << " batch " << n << " param block " << b;
+      if (zero_frac == 1.0) {
+        const std::vector<float> untouched(grads[b].size(), 0.0F);
+        EXPECT_EQ(std::memcmp(grads[b].data(), untouched.data(),
+                              grads[b].size() * sizeof(float)),
+                  0)
+            << layer.name() << " batch " << n << " param block " << b
+            << " changed on an all-zero gradient plane";
+      }
     }
     for (std::int32_t s = 0; s < n; ++s) {
       EXPECT_EQ(std::memcmp(ref_grad_in[static_cast<std::size_t>(s)].data().data(),
@@ -211,21 +228,27 @@ TEST(BatchParity, ActivationAndPoolForward) {
   check_forward_parity(flat, Tensor3(3, 4, 2), 17);
 }
 
+// The Conv2D backward cases run at every kGradZeroFractions share: the
+// one weight-gradient path (im2row + the skip-zero GEMM) must match the
+// reference on dense, sparse and all-zero gradient planes alike.
+
 TEST(BatchParity, Conv2DValidBackward) {
   Conv2D conv(4, 8, 3, Padding::Valid);
-  check_backward_parity(conv, Tensor3(4, 16, 15), 21);
+  for (const double zf : kGradZeroFractions) {
+    check_backward_parity(conv, Tensor3(4, 16, 15), 21, zf);
+  }
 }
 
 TEST(BatchParity, Conv2DSameBackward) {
   Conv2D conv(8, 8, 3, Padding::Same);
-  check_backward_parity(conv, Tensor3(8, 9, 7), 22);
+  for (const double zf : kGradZeroFractions) check_backward_parity(conv, Tensor3(8, 9, 7), 22, zf);
 }
 
 TEST(BatchParity, Conv2DSameNarrowHeadBackward) {
-  // The localizer's 1-filter segmentation head exercises the pack-free
-  // direct weight-gradient path.
+  // The localizer's 1-filter segmentation head: a one-row skip-zero GEMM
+  // over the im2row panel.
   Conv2D conv(8, 1, 3, Padding::Same);
-  check_backward_parity(conv, Tensor3(8, 9, 7), 23);
+  for (const double zf : kGradZeroFractions) check_backward_parity(conv, Tensor3(8, 9, 7), 23, zf);
 }
 
 TEST(BatchParity, DenseBackward) {
@@ -235,7 +258,9 @@ TEST(BatchParity, DenseBackward) {
 
 TEST(BatchParity, SteppedConv2DBackward) {
   Conv2D conv(8, 8, 3, Padding::Valid, /*steps=*/4);
-  check_backward_parity(conv, Tensor3(32, 8, 7), 30);
+  for (const double zf : kGradZeroFractions) {
+    check_backward_parity(conv, Tensor3(32, 8, 7), 30, zf);
+  }
 }
 
 TEST(BatchParity, WindowedDenseBackward) {
